@@ -23,7 +23,7 @@ EXIT_NUMERIC = 3
 
 DATA_ERRORS = (signal_io.SignalIOError, BundleError, pipeline.PipelineError,
                evaluation.EvalError, synth.SynthError, grammar.GrammarError,
-               FileNotFoundError)
+               FeatureError, FileNotFoundError)
 NUMERIC_ERRORS = (HmmError, SdaError, FloatingPointError)
 
 

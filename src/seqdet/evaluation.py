@@ -15,6 +15,11 @@ import numpy as np
 from .labels import MODE_LABELS, TARG, EventLabel, collapse
 
 
+# How far outside [0, 1] a DET score may lie: posteriors summed after the
+# 10-significant-digit CSV round trip can exceed 1 by a few 1e-11.
+SCORE_TOLERANCE = 1e-9
+
+
 class EvalError(Exception):
     pass
 
@@ -115,7 +120,8 @@ def det_curve(scores, refs, offsets) -> DetCurve:
     scores = np.asarray(scores, dtype=np.float64)
     refs = np.asarray([collapse(EventLabel(int(r)), "two_way") == TARG
                        for r in refs])
-    if np.any((scores < 0) | (scores > 1)):
+    # Scores within the tolerance are used as they are, not clipped.
+    if not np.all((scores >= -SCORE_TOLERANCE) & (scores <= 1 + SCORE_TOLERANCE)):
         raise EvalError("scores must lie in [0, 1]")
     offs = sorted(set(float(o) for o in offsets) | {0.0})
     n_targ = int(refs.sum())

@@ -71,17 +71,25 @@ class FeatureGrid:
     def num_epochs(self) -> int:
         return -(-self.num_frames // self.frames_per_epoch)
 
-    def epoch(self, channel: int, epoch: int) -> np.ndarray:
-        """The (frames_per_epoch, 26) observation block for one epoch of one
-        channel; a trailing partial epoch is padded by repeating the final
-        frame."""
+    def cells(self) -> np.ndarray:
+        """The (epochs, channels, frames_per_epoch, 26) observation blocks of
+        every cell, built in one allocation; a trailing partial epoch is
+        padded by repeating the final frame."""
         fpe = self.frames_per_epoch
-        lo = epoch * fpe
-        block = self.vectors[channel, lo:lo + fpe]
-        if block.shape[0] < fpe:
-            pad = np.repeat(block[-1:], fpe - block.shape[0], axis=0)
-            block = np.concatenate([block, pad], axis=0)
-        return block
+        n_ch, n_fr, dim = self.vectors.shape
+        out = np.empty((self.num_epochs, n_ch, fpe, dim), dtype=self.vectors.dtype)
+        full = n_fr // fpe
+        out[:full] = self.vectors[:, :full * fpe].reshape(
+            n_ch, full, fpe, dim).transpose(1, 0, 2, 3)
+        rest = n_fr - full * fpe
+        if rest:
+            out[full, :, :rest] = self.vectors[:, full * fpe:]
+            out[full, :, rest:] = self.vectors[:, -1:]
+        return out
+
+    def epoch(self, channel: int, epoch: int) -> np.ndarray:
+        """The (frames_per_epoch, 26) block of one cell of cells()."""
+        return self.cells()[epoch, channel]
 
 
 def frame_signal(samples: np.ndarray, spec: FrameSpec,

@@ -374,8 +374,8 @@ def score_batch(models: dict[EventLabel, GmmHmmModel], obs_batch: np.ndarray,
 def decode_pass1(grid: FeatureGrid, models: dict[EventLabel, GmmHmmModel],
                  priors: np.ndarray | None = None) -> PosteriorGrid:
     """Score every (epoch, channel) cell independently."""
-    n_ep, n_ch = grid.num_epochs, grid.num_channels
-    obs = np.stack([grid.epoch(c, e)
-                    for e in range(n_ep) for c in range(n_ch)])
-    post = score_batch(models, obs, priors)
+    cells = grid.cells()
+    n_ep, n_ch = cells.shape[:2]
+    post = score_batch(models, cells.reshape(n_ep * n_ch, *cells.shape[2:]),
+                       priors)
     return PosteriorGrid(post.reshape(n_ep, n_ch, NUM_CLASSES))

@@ -11,7 +11,8 @@ import configparser
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -28,12 +29,18 @@ class PipelineError(Exception):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    frame: FrameSpec = field(default_factory=FrameSpec)
-    hmm: hmm.HmmConfig = field(default_factory=hmm.HmmConfig)
-    sda_spsw: sda.SdaConfig = sda.SPSW_SDA_CONFIG
-    sda_eyem: sda.SdaConfig = sda.EYEM_SDA_CONFIG
-    sda_sixway: sda.SdaConfig = sda.SIXWAY_SDA_CONFIG
-    grammar: grammar.GrammarParams = field(default_factory=grammar.GrammarParams)
+    frame: FrameSpec = field(default_factory=FrameSpec,
+                             metadata={"section": "frontend"})
+    hmm: hmm.HmmConfig = field(default_factory=hmm.HmmConfig,
+                               metadata={"section": "hmm"})
+    sda_spsw: sda.SdaConfig = field(default=sda.SPSW_SDA_CONFIG,
+                                    metadata={"section": "sda.spsw"})
+    sda_eyem: sda.SdaConfig = field(default=sda.EYEM_SDA_CONFIG,
+                                    metadata={"section": "sda.eyem"})
+    sda_sixway: sda.SdaConfig = field(default=sda.SIXWAY_SDA_CONFIG,
+                                      metadata={"section": "sda.6way"})
+    grammar: grammar.GrammarParams = field(default_factory=grammar.GrammarParams,
+                                           metadata={"section": "grammar"})
     montage_path: str | None = None
     bigram_source: str = "table1"  # table1 | estimate
     seed: int = 0
@@ -42,91 +49,84 @@ class PipelineConfig:
     pca_sixway_dim: int = 20
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data) -> "PipelineConfig":
+        """The inverse of to_dict: every omitted key keeps its built-in
+        default, and every value is cast to its field's declared type, so
+        INI strings and JSON values are both accepted."""
+        return _config_from(cls(), data, "pipeline")
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
-_SCHEMA = {
-    "pipeline": {"seed", "montage_path", "bigram_source", "augment_cap"},
-    "frontend": {"frame_s", "window_s", "fft_size", "num_filters", "num_cepstra",
-                 "diff_energy_window_frames", "delta_width_first",
-                 "delta_width_second", "frames_per_epoch"},
-    "hmm": {"num_states", "num_components", "max_iterations", "tol_per_frame"},
-    "grammar": {"epsilon_prior", "m_weight", "decay", "alpha", "gamma",
-                "iterations", "window"},
-}
-_SDA_KEYS = {"window_length", "hidden", "outputs", "corruption", "pretrain_lr",
-             "pretrain_epochs", "pretrain_batch", "finetune_lr",
-             "finetune_epochs", "finetune_batch"}
+def _config_from(base, data, section: str):
+    """`base` with the fields named in `data` replaced."""
+    if not isinstance(data, dict):
+        raise PipelineError(f"config [{section}] must be a table, got {data!r}")
+    known = {f.name: f for f in fields(base)}
+    types = typing.get_type_hints(type(base))
+    kwargs = {}
+    for key, value in data.items():
+        if key not in known:
+            raise PipelineError(f"unknown config key [{section}] {key}")
+        if is_dataclass(types[key]):
+            kwargs[key] = _config_from(getattr(base, key), value,
+                                       known[key].metadata["section"])
+            continue
+        try:
+            kwargs[key] = _cast(types[key], value)
+        except (TypeError, ValueError):
+            raise PipelineError(
+                f"bad config value [{section}] {key} = {value!r}") from None
+    return replace(base, **kwargs)
+
+
+def _cast(tp, value):
+    """An INI string or a JSON value as type `tp`; a tuple may also come
+    from a comma-separated string, and "" is None for an optional field."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        items = value.split(",") if isinstance(value, str) else value
+        if not isinstance(items, (list, tuple)):
+            raise TypeError(tp)
+        return tuple(_cast(args[0], v) for v in items)
+    if type(None) in args:
+        if value is None or value == "":
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+    if isinstance(value, str):
+        return tp(value)
+    allowed = (int, float) if tp is float else tp
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise TypeError(tp)
+    return tp(value)
 
 
 def load_config(path: str) -> PipelineConfig:
-    """Key/value config with sections, checked against the schema; every
-    omitted key keeps its built-in default."""
+    """INI config: [pipeline] holds PipelineConfig's own fields, and each
+    nested config has the section named in its field metadata."""
+    nested = {f.metadata["section"]: f.name
+              for f in fields(PipelineConfig) if "section" in f.metadata}
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise PipelineError(f"cannot read config {path}")
-    cfg = PipelineConfig()
-
-    for section in parser.sections():
-        base = section.split(".")[0]
-        allowed = _SDA_KEYS if base == "sda" else _SCHEMA.get(section)
-        if allowed is None:
-            raise PipelineError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - allowed
-        if unknown:
-            raise PipelineError(
-                f"unknown keys in [{section}]: {sorted(unknown)}")
-
-    def _sub(obj, section, casts):
-        if not parser.has_section(section):
-            return obj
-        kwargs = {}
-        for key, cast in casts.items():
-            if parser.has_option(section, key):
-                kwargs[key] = cast(parser.get(section, key))
-        return replace(obj, **kwargs)
-
-    frame = _sub(cfg.frame, "frontend", {
-        "frame_s": float, "window_s": float, "fft_size": int,
-        "num_filters": int, "num_cepstra": int,
-        "diff_energy_window_frames": int, "delta_width_first": int,
-        "delta_width_second": int, "frames_per_epoch": int})
-    hmm_cfg = _sub(cfg.hmm, "hmm", {
-        "num_states": int, "num_components": int, "max_iterations": int,
-        "tol_per_frame": float})
-    gram = _sub(cfg.grammar, "grammar", {
-        "epsilon_prior": float, "m_weight": float, "decay": float,
-        "alpha": float, "gamma": float, "iterations": int, "window": int})
-
-    def _sda_cfg(base_cfg, section):
-        casts = {"window_length": int, "outputs": int, "corruption": float,
-                 "pretrain_lr": float, "pretrain_epochs": int,
-                 "pretrain_batch": int, "finetune_lr": float,
-                 "finetune_epochs": int, "finetune_batch": int,
-                 "hidden": lambda s: tuple(int(v) for v in s.split(","))}
-        return _sub(base_cfg, section, casts)
-
-    kwargs = {}
-    if parser.has_section("pipeline"):
-        p = parser["pipeline"]
-        if "seed" in p:
-            kwargs["seed"] = p.getint("seed")
-        if "montage_path" in p:
-            kwargs["montage_path"] = p.get("montage_path") or None
-        if "bigram_source" in p:
-            kwargs["bigram_source"] = p.get("bigram_source")
-        if "augment_cap" in p:
-            kwargs["augment_cap"] = p.getint("augment_cap")
-    cfg = replace(cfg, frame=frame, hmm=hmm_cfg, grammar=gram,
-                  sda_spsw=_sda_cfg(cfg.sda_spsw, "sda.spsw"),
-                  sda_eyem=_sda_cfg(cfg.sda_eyem, "sda.eyem"),
-                  sda_sixway=_sda_cfg(cfg.sda_sixway, "sda.6way"),
-                  **kwargs)
+    data = {}
+    try:
+        if not parser.read(path):
+            raise PipelineError(f"cannot read config {path}")
+        for section in parser.sections():
+            values = dict(parser[section])
+            if section == "pipeline":
+                data.update(values)
+            elif section in nested:
+                data[nested[section]] = values
+            else:
+                raise PipelineError(f"unknown config section [{section}]")
+    except configparser.Error as exc:
+        raise PipelineError(" ".join(f"{path}: {exc}".split())) from None
+    cfg = PipelineConfig.from_dict(data)
     if cfg.bigram_source not in ("table1", "estimate"):
         raise PipelineError(f"bigram_source must be table1|estimate, "
                             f"got {cfg.bigram_source!r}")
@@ -169,19 +169,7 @@ def train_pipeline(config: PipelineConfig,
         grids.append(extract_features(rec, config.frame))
         anns.append(signal_io.read_annotations(ann_path))
 
-    # Pass-1 corpus: per-(channel, epoch) observation blocks grouped by label.
-    corpus: dict[EventLabel, list[np.ndarray]] = {lab: [] for lab in EventLabel}
-    for grid, ann in zip(grids, anns):
-        refs = evaluation.channel_epoch_reference_labels(
-            ann, grid.num_epochs, grid.num_channels)
-        for e in range(grid.num_epochs):
-            for c in range(grid.num_channels):
-                corpus[EventLabel(refs[e, c])].append(grid.epoch(c, e))
-    missing = [lab.name for lab in EventLabel if not corpus[lab]]
-    if missing:
-        raise PipelineError(f"training data has no epochs for: {missing}")
-    stacked = {lab: np.stack(eps) for lab, eps in corpus.items()}
-    models = hmm.train(stacked, config.hmm)
+    models = hmm.train(_pass1_corpus(grids, anns), config.hmm)
 
     pgrids = [hmm.decode_pass1(grid, models) for grid in grids]
     epoch_refs = [evaluation.epoch_reference_labels(ann, grid.num_epochs)
@@ -206,6 +194,22 @@ def train_pipeline(config: PipelineConfig,
     return Bundle(models, second, table, manifest)
 
 
+def _pass1_corpus(grids: list[FeatureGrid],
+                  anns: list[AnnotationSet]) -> dict[EventLabel, np.ndarray]:
+    """Per-(epoch, channel) observation blocks grouped by reference label."""
+    parts: dict[EventLabel, list[np.ndarray]] = {lab: [] for lab in EventLabel}
+    for grid, ann in zip(grids, anns):
+        refs = evaluation.channel_epoch_reference_labels(
+            ann, grid.num_epochs, grid.num_channels)
+        cells = grid.cells()
+        for lab in EventLabel:
+            parts[lab].append(cells[refs == int(lab)])
+    missing = [lab.name for lab in EventLabel if not sum(map(len, parts[lab]))]
+    if missing:
+        raise PipelineError(f"training data has no epochs for: {missing}")
+    return {lab: np.concatenate(p) for lab, p in parts.items()}
+
+
 def _detector_labels(refs: np.ndarray, positive: set[int]) -> np.ndarray:
     return np.where(np.isin(refs, list(positive)), 0, 1)
 
@@ -225,10 +229,8 @@ def _train_second_pass(config: PipelineConfig, pgrids, epoch_refs):
     refs = np.concatenate(epoch_refs)
 
     def _windows(seqs, smin, smax, window):
-        dummy = sda.SdaModel([], np.zeros((1, 1)), np.zeros(1), window, 0.0,
-                             smin, smax)
-        return np.concatenate([sda.make_windows(sda.scale_input(dummy, s), window)
-                               for s in seqs])
+        return np.concatenate([sda.make_windows(sda.scale_input(s, smin, smax),
+                                                window) for s in seqs])
 
     epi = {int(EventLabel.SPSW), int(EventLabel.GPED), int(EventLabel.PLED)}
 
@@ -282,13 +284,13 @@ def _merge_runs(labels: np.ndarray, channel: int) -> list[Event]:
     return events
 
 
-def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3,
-                     config: PipelineConfig | None = None):
-    """Run the pipeline on one recording. Returns (AnnotationSet hypothesis,
-    dict of per-pass posterior arrays)."""
+def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3):
+    """Run the pipeline on one recording with the config stored in the
+    bundle. Returns (AnnotationSet hypothesis, dict of per-pass posterior
+    arrays)."""
     if stop_after not in (1, 2, 3):
         raise PipelineError("stop_after must be 1, 2 or 3")
-    cfg = config or PipelineConfig(**_config_kwargs(bundle.manifest))
+    cfg = PipelineConfig.from_dict(bundle.manifest.get("config"))
     rec = load_recording(rec_path, cfg)
     grid = extract_features(rec, cfg.frame)
     pgrid = hmm.decode_pass1(grid, bundle.hmm_models)
@@ -310,18 +312,6 @@ def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3,
                                          cfg.grammar)
     dumps["pass3"] = post3
     return AnnotationSet(tuple(_merge_runs(labels, ALL_CHANNELS))), dumps
-
-
-def _config_kwargs(manifest: dict) -> dict:
-    cfg = manifest.get("config", {})
-    kwargs = {}
-    if "frame" in cfg:
-        kwargs["frame"] = FrameSpec(**cfg["frame"])
-    if "grammar" in cfg:
-        kwargs["grammar"] = grammar.GrammarParams(**cfg["grammar"])
-    if "montage_path" in cfg:
-        kwargs["montage_path"] = cfg["montage_path"]
-    return kwargs
 
 
 def write_posterior_csv(path: str, posteriors: np.ndarray) -> None:

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .hmm import PosteriorGrid
 from .labels import NUM_CLASSES, EventLabel
@@ -333,10 +334,13 @@ def augment_rare(samples: np.ndarray, target: int,
 # ---------------------------------------------------------------------------
 # Inference
 
-def scale_input(model: SdaModel, seq: np.ndarray) -> np.ndarray:
-    span = model.scale_max - model.scale_min
+def scale_input(seq: np.ndarray, scale_min: np.ndarray,
+                scale_max: np.ndarray) -> np.ndarray:
+    """Map each dimension from [scale_min, scale_max] to [0, 1], clipped; a
+    constant dimension maps to 0.5."""
+    span = scale_max - scale_min
     safe = np.where(span > 0, span, 1.0)
-    scaled = (np.asarray(seq, dtype=np.float64) - model.scale_min) / safe
+    scaled = (np.asarray(seq, dtype=np.float64) - scale_min) / safe
     scaled = np.where(span > 0, scaled, 0.5)
     return np.clip(scaled, 0.0, 1.0)
 
@@ -352,8 +356,8 @@ def make_windows(seq: np.ndarray, window_length: int) -> np.ndarray:
     seq = np.asarray(seq, dtype=np.float64)
     half = window_length // 2
     padded = np.pad(seq, ((half, half), (0, 0)), mode="edge")
-    return np.stack([padded[t:t + window_length].reshape(-1)
-                     for t in range(seq.shape[0])])
+    windows = sliding_window_view(padded, window_length, axis=0)[:len(seq)]
+    return np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(len(seq), -1)
 
 
 def predict_windows(model: SdaModel, windows: np.ndarray) -> np.ndarray:
@@ -361,41 +365,28 @@ def predict_windows(model: SdaModel, windows: np.ndarray) -> np.ndarray:
     return _softmax(h @ model.out_w.T + model.out_b)
 
 
-def sda_predict(model: SdaModel, epoch: int, reduced_seq: np.ndarray) -> np.ndarray:
-    """Posterior for one epoch from the reduced per-epoch vector sequence."""
-    scaled = scale_input(model, reduced_seq)
-    windows = make_windows(scaled, model.window_length)
-    return predict_windows(model, windows[epoch:epoch + 1])[0]
-
-
 def predict_sequence(model: SdaModel, reduced_seq: np.ndarray) -> np.ndarray:
-    scaled = scale_input(model, reduced_seq)
-    windows = make_windows(scaled, model.window_length)
-    return predict_windows(model, windows)
+    scaled = scale_input(reduced_seq, model.scale_min, model.scale_max)
+    return predict_windows(model, make_windows(scaled, model.window_length))
 
 
 # ---------------------------------------------------------------------------
 # Enhancer
 
 def enhance(p6: np.ndarray, p_spsw: np.ndarray, p_eyem: np.ndarray) -> np.ndarray:
-    """Combine the 6-way output with the two detectors.
+    """Combine the (T, 6) 6-way output with the two (T, 2) detectors.
 
-    Detector outputs are (positive, negative). When a detector is confident
+    Detector outputs are (positive, negative). Where a detector is confident
     (> 0.5) and the 6-way argmax disagrees with its target set, every class in
     the target set receives the detector confidence before renormalization.
     """
     q = np.array(p6, dtype=np.float64)
-    if p_spsw[0] > 0.5 and int(np.argmax(q)) not in EPILEPTIFORM:
-        bump = np.zeros(NUM_CLASSES)
-        bump[list(EPILEPTIFORM)] = p_spsw[0]
-        q = q + bump
-        q /= q.sum()
-    if p_eyem[0] > 0.5 and int(np.argmax(q)) != int(EventLabel.EYEM):
-        bump = np.zeros(NUM_CLASSES)
-        bump[int(EventLabel.EYEM)] = p_eyem[0]
-        q = q + bump
-        q /= q.sum()
-    return q / q.sum()
+    for p_det, targets in ((p_spsw, list(EPILEPTIFORM)),
+                           (p_eyem, [int(EventLabel.EYEM)])):
+        bump = (p_det[:, 0] > 0.5) & ~np.isin(np.argmax(q, axis=1), targets)
+        q[np.ix_(bump, targets)] += p_det[bump, :1]
+        q[bump] /= q[bump].sum(axis=1, keepdims=True)
+    return q / q.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +426,4 @@ def decode_pass2(grid: PosteriorGrid,
     p_spsw = predict_sequence(models.sda_spsw, det_seq)
     p_eyem = predict_sequence(models.sda_eyem, det_seq)
     p_six = predict_sequence(models.sda_sixway, six_seq)
-    out = np.stack([enhance(p_six[t], p_spsw[t], p_eyem[t])
-                    for t in range(sv.shape[0])])
-    return EpochPosteriorSequence(out)
+    return EpochPosteriorSequence(enhance(p_six, p_spsw, p_eyem))

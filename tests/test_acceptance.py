@@ -245,8 +245,7 @@ def e2e(tmp_path_factory):
 
     config = PipelineConfig(seed=42, bigram_source="estimate")
     bundle = train_pipeline(config, [paths["train"]])
-    hyp, dumps = decode_recording(bundle, paths["eval"][0], stop_after=3,
-                                  config=config)
+    hyp, dumps = decode_recording(bundle, paths["eval"][0], stop_after=3)
     elapsed = time.time() - t0
     refs = epoch_reference_labels(eval_ann, dumps["pass3"].shape[0])
     return {"dumps": dumps, "refs": refs, "elapsed": elapsed, "hyp": hyp}
@@ -323,7 +322,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
         bundle = train_pipeline(FAST_CONFIG, [(rp, ap)])
         bpath = str(root / f"bundle{run}.seqd")
         bundle.save(bpath)
-        hyp, _ = decode_recording(bundle, rp, config=FAST_CONFIG)
+        hyp, _ = decode_recording(bundle, rp)
         hpath = str(root / f"hyp{run}.csv")
         signal_io.write_annotations(hyp, hpath)
         artifacts.append((open(bpath, "rb").read(), open(hpath, "rb").read()))

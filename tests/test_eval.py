@@ -139,6 +139,16 @@ class TestDetCurve:
     def test_score_range_enforced(self):
         with pytest.raises(EvalError):
             det_curve([1.5], [0], [0.0])
+        with pytest.raises(EvalError):
+            det_curve([1.0 + 1e-6], [0], [0.0])
+        with pytest.raises(EvalError):
+            det_curve([np.nan], [0], [0.0])
+
+    def test_rounding_overshoot_accepted_unclipped(self):
+        # a CSV-rounded posterior sum just above 1 is scored as it is: at
+        # offset -0.5 it is still called TARG, which clipping to 1 would undo
+        curve = det_curve([1.0 + 1e-11, -1e-11], [0, 5], [-0.5])
+        assert curve.points[0] == (-0.5, 0.0, 0.0)
 
 
 class TestReferenceLabels:

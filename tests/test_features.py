@@ -199,6 +199,25 @@ class TestGrid:
         np.testing.assert_array_equal(block[:9], grid.vectors[0, 90:99])
         np.testing.assert_array_equal(block[9], grid.vectors[0, 98])
 
+    def test_cells_block(self):
+        rng = np.random.default_rng(7)
+        rec = rec_from(rng.standard_normal((3, 2500)))
+        grid = extract_features(rec)
+        cells = grid.cells()
+        assert cells.shape == (10, 3, 10, FEATURE_DIM)
+        np.testing.assert_array_equal(cells[4, 2], grid.vectors[2, 40:50])
+        np.testing.assert_array_equal(cells[9, :, 9], grid.vectors[:, 98])
+
+    def test_cells_shorter_than_one_epoch(self):
+        rng = np.random.default_rng(8)
+        grid = extract_features(rec_from(rng.standard_normal((2, 200))))
+        assert grid.num_frames == 7
+        cells = grid.cells()
+        assert cells.shape == (1, 2, 10, FEATURE_DIM)
+        np.testing.assert_array_equal(cells[0, :, :7], grid.vectors)
+        np.testing.assert_array_equal(cells[0, :, 7:],
+                                      np.repeat(grid.vectors[:, 6:], 3, axis=1))
+
     def test_wrong_rate_rejected(self):
         rec = rec_from(np.zeros((1, 1000)), rate=256.0)
         with pytest.raises(FeatureError):

@@ -1,13 +1,18 @@
+import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqdet import cli, pipeline, signal_io, synth
+from seqdet import cli, grammar, hmm, pipeline, sda, signal_io, synth
 from seqdet.bundle import Bundle
+from seqdet.features import FrameSpec, extract_features
 from seqdet.grammar import GrammarParams
 from seqdet.hmm import HmmConfig
-from seqdet.labels import EventLabel
+from seqdet.labels import TARGET_CLASSES, EventLabel
 from seqdet.pipeline import (PipelineConfig, PipelineError, load_config,
                              read_posterior_csv, train_pipeline,
                              write_posterior_csv, decode_recording,
@@ -29,6 +34,42 @@ FAST_CONFIG = PipelineConfig(
     sda_spsw=FAST_DET, sda_eyem=FAST_EYEM, sda_sixway=FAST_SIX,
     grammar=GrammarParams(iterations=5),
     bigram_source="estimate", seed=7)
+
+
+# A training config whose frontend and grammar differ from the defaults.
+CUSTOM_CONFIG = replace(
+    FAST_CONFIG,
+    frame=FrameSpec(diff_energy_window_frames=7, delta_width_first=5),
+    grammar=GrammarParams(decay=0.5, iterations=3, window=6))
+
+_pos_ints = st.integers(1, 10_000)
+_weights = st.floats(0.0, 100.0)
+_sda_configs = st.builds(
+    sda.SdaConfig, name=st.text(max_size=6), window_length=_pos_ints,
+    hidden=st.lists(_pos_ints, min_size=1, max_size=4).map(tuple),
+    outputs=_pos_ints, corruption=st.floats(0.0, 1.0), pretrain_lr=_weights,
+    pretrain_epochs=_pos_ints, pretrain_batch=_pos_ints, finetune_lr=_weights,
+    finetune_epochs=_pos_ints, finetune_batch=_pos_ints)
+_configs = st.builds(
+    PipelineConfig,
+    frame=st.builds(
+        FrameSpec, frame_s=st.floats(0.01, 0.1), window_s=st.floats(0.1, 1.0),
+        fft_size=_pos_ints, num_filters=_pos_ints, num_cepstra=_pos_ints,
+        diff_energy_window_frames=_pos_ints.map(lambda n: 2 * n + 1),
+        delta_width_first=_pos_ints, delta_width_second=_pos_ints,
+        frames_per_epoch=_pos_ints),
+    hmm=st.builds(HmmConfig, num_states=_pos_ints, num_components=_pos_ints,
+                  max_iterations=_pos_ints, tol_per_frame=_weights,
+                  seed=st.integers(0, 2**32)),
+    sda_spsw=_sda_configs, sda_eyem=_sda_configs, sda_sixway=_sda_configs,
+    grammar=st.builds(GrammarParams, epsilon_prior=_weights, m_weight=_weights,
+                      decay=_weights, alpha=_weights, gamma=_weights,
+                      iterations=_pos_ints, window=_pos_ints),
+    # an empty montage_path reads back as None (no montage)
+    montage_path=st.none() | st.text(min_size=1),
+    bigram_source=st.sampled_from(["table1", "estimate"]),
+    seed=st.integers(0, 2**32), augment_cap=_pos_ints,
+    pca_detector_dim=_pos_ints, pca_sixway_dim=_pos_ints)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +131,62 @@ class TestConfig:
         assert cfg.sda_sixway.finetune_epochs == 10
         assert cfg.sda_spsw.hidden == (100, 100, 100)
 
+    def test_load_ini_every_section(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(
+            "[pipeline]\nseed = 11\npca_sixway_dim = 12\npca_detector_dim = 9\n"
+            "augment_cap = 50\nmontage_path =\n"
+            "[frontend]\ndelta_width_first = 5\n"
+            "[hmm]\nseed = 4\nnum_components = 4\n"
+            "[grammar]\ndecay = 0.3\n"
+            "[sda.spsw]\nfinetune_epochs = 12\n"
+            "[sda.eyem]\ncorruption = 0.2\n"
+            "[sda.6way]\nhidden = 64, 32\n")
+        default = PipelineConfig()
+        assert load_config(str(path)) == replace(
+            default, seed=11, pca_sixway_dim=12, pca_detector_dim=9,
+            augment_cap=50, montage_path=None,
+            frame=replace(default.frame, delta_width_first=5),
+            hmm=replace(default.hmm, seed=4, num_components=4),
+            grammar=replace(default.grammar, decay=0.3),
+            sda_spsw=replace(default.sda_spsw, finetune_epochs=12),
+            sda_eyem=replace(default.sda_eyem, corruption=0.2),
+            sda_sixway=replace(default.sda_sixway, hidden=(64, 32)))
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("pipeline", "seed", "abc"),
+        ("hmm", "tol_per_frame", "small"),
+        ("sda.6way", "hidden", "64,x"),
+        ("grammar", "iterations", "2.5"),
+    ])
+    def test_bad_value_names_section_and_key(self, tmp_path, section, key,
+                                             value):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(PipelineError, match=rf"\[{section}\] {key}"):
+            load_config(str(path))
+
+    def test_malformed_ini(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("seed = 3\n")
+        with pytest.raises(PipelineError):
+            load_config(str(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_configs)
+    def test_from_dict_inverts_to_dict(self, cfg):
+        for d in (cfg.to_dict(), json.loads(json.dumps(cfg.to_dict()))):
+            back = PipelineConfig.from_dict(d)
+            assert back == cfg
+            assert back.config_hash() == cfg.config_hash()
+
+    def test_from_dict_rejects_bad_json_values(self):
+        for bad in ({"seed": 1.5}, {"seed": True}, {"hmm": 3},
+                    {"sda_sixway": {"hidden": 64}},
+                    {"frame": {"bogus": 1}}, {"bogus": 1}):
+            with pytest.raises(PipelineError):
+                PipelineConfig.from_dict(bad)
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[bogus]\nx = 1\n")
@@ -143,20 +240,17 @@ class TestDecoding:
     def test_stop_after_shapes(self, trained, corpus):
         bundle, _ = trained
         rec_path = corpus["eval"][0]
-        hyp1, d1 = decode_recording(bundle, rec_path, stop_after=1,
-                                    config=FAST_CONFIG)
+        hyp1, d1 = decode_recording(bundle, rec_path, stop_after=1)
         assert d1["pass1"].shape == (30, 22, 6)
         assert "pass2" not in d1
         # pass-1 hypothesis is per channel
         assert {ev.channel for ev in hyp1.events} == set(range(22))
 
-        hyp2, d2 = decode_recording(bundle, rec_path, stop_after=2,
-                                    config=FAST_CONFIG)
+        hyp2, d2 = decode_recording(bundle, rec_path, stop_after=2)
         assert d2["pass2"].shape == (30, 6)
         assert all(ev.channel == signal_io.ALL_CHANNELS for ev in hyp2.events)
 
-        hyp3, d3 = decode_recording(bundle, rec_path, stop_after=3,
-                                    config=FAST_CONFIG)
+        hyp3, d3 = decode_recording(bundle, rec_path, stop_after=3)
         assert set(d3) == {"pass1", "pass2", "pass3"}
         # hypothesis covers the full recording with contiguous runs
         events = sorted(hyp3.events, key=lambda e: e.start_s)
@@ -167,16 +261,36 @@ class TestDecoding:
 
     def test_decode_deterministic(self, trained, corpus):
         bundle, _ = trained
-        h1, _ = decode_recording(bundle, corpus["eval"][0], config=FAST_CONFIG)
-        h2, _ = decode_recording(bundle, corpus["eval"][0], config=FAST_CONFIG)
+        h1, _ = decode_recording(bundle, corpus["eval"][0])
+        h2, _ = decode_recording(bundle, corpus["eval"][0])
         assert h1.events == h2.events
 
     def test_loaded_bundle_matches_in_memory(self, trained, corpus):
         bundle, path = trained
-        h1, _ = decode_recording(bundle, corpus["eval"][0], config=FAST_CONFIG)
-        h2, _ = decode_recording(Bundle.load(path), corpus["eval"][0],
-                                 config=FAST_CONFIG)
+        h1, _ = decode_recording(bundle, corpus["eval"][0])
+        h2, _ = decode_recording(Bundle.load(path), corpus["eval"][0])
         assert h1.events == h2.events
+
+    def test_decode_uses_bundle_config(self, corpus):
+        # decode reads the frontend and grammar settings from the bundle
+        bundle = train_pipeline(CUSTOM_CONFIG, [corpus["train"]])
+        rec_path = corpus["eval"][0]
+        _, dumps = decode_recording(bundle, rec_path)
+        rec = pipeline.load_recording(rec_path, CUSTOM_CONFIG)
+
+        def pass1(frame):
+            return hmm.decode_pass1(extract_features(rec, frame),
+                                    bundle.hmm_models).posteriors
+
+        def pass3(params):
+            return grammar.decode_pass3(dumps["pass2"], bundle.bigram,
+                                        params)[1]
+
+        np.testing.assert_array_equal(dumps["pass1"], pass1(CUSTOM_CONFIG.frame))
+        assert not np.array_equal(dumps["pass1"], pass1(FrameSpec()))
+        np.testing.assert_array_equal(dumps["pass3"],
+                                      pass3(CUSTOM_CONFIG.grammar))
+        assert not np.array_equal(dumps["pass3"], pass3(GrammarParams()))
 
     def test_bad_stop_after(self, trained, corpus):
         bundle, _ = trained
@@ -229,6 +343,55 @@ class TestCli:
     def test_data_error_exit_code(self, tmp_path, capsys):
         code = cli.main(["decode", str(tmp_path / "missing.seqd"), "x.rm"])
         assert code == 2
+
+    @pytest.mark.parametrize("ini", [
+        "[frontend]\ndiff_energy_window_frames = 8\n",
+        "[pipeline]\nseed = abc\n",
+    ])
+    def test_config_error_exit_code(self, corpus, tmp_path, capsys, ini):
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(ini)
+        code = cli.main(["train", corpus["train"][0], "--config",
+                         str(cfg_path), "--out", str(tmp_path / "m.seqd")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
+    def test_unknown_manifest_key_exit_code(self, trained, corpus, tmp_path,
+                                            capsys):
+        bundle, _ = trained
+        manifest = dict(bundle.manifest,
+                        config=dict(bundle.manifest["config"], bogus=1))
+        path = str(tmp_path / "bad.seqd")
+        Bundle(bundle.hmm_models, bundle.second_pass, bundle.bigram,
+               manifest).save(path)
+        code = cli.main(["decode", path, corpus["eval"][0],
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and err.count("\n") == 1
+
+    def test_det_accepts_rounded_posteriors(self, tmp_path, capsys):
+        # target posteriors summing to 1 lose that sum to 10-digit rounding
+        row = np.zeros(6)
+        row[[int(lab) for lab in TARGET_CLASSES]] = [
+            0.33333333336, 0.33333333336, 0.33333333328]
+        post = np.tile(row, (4, 1))
+        post[2:] = np.eye(6)[int(EventLabel.BCKG)]
+        post_path = str(tmp_path / "p.pass3.csv")
+        write_posterior_csv(post_path, post)
+        back = read_posterior_csv(post_path)
+        assert back[0, [int(lab) for lab in TARGET_CLASSES]].sum() > 1.0
+        ref_path = str(tmp_path / "ref.csv")
+        signal_io.write_annotations(signal_io.AnnotationSet((
+            signal_io.Event(signal_io.ALL_CHANNELS, 0.0, 2.0, EventLabel.SPSW),
+            signal_io.Event(signal_io.ALL_CHANNELS, 2.0, 4.0, EventLabel.BCKG),
+        )), ref_path)
+        det_out = str(tmp_path / "det.csv")
+        assert cli.main(["det", post_path, ref_path, "--offsets", "3",
+                         "--out", det_out]) == 0
+        # at offset -0.5 the rounded-up targets are still called
+        assert open(det_out).read().splitlines()[1] == "-0.5,0,0"
 
     def test_synth_command(self, tmp_path, capsys):
         script = tmp_path / "s.csv"

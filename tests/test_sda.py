@@ -3,7 +3,7 @@ import pytest
 
 from seqdet.hmm import PosteriorGrid
 from seqdet.labels import EventLabel
-from seqdet.sda import (EYEM_SDA_CONFIG, SIXWAY_SDA_CONFIG, SPSW_SDA_CONFIG,
+from seqdet.sda import (EPILEPTIFORM, EYEM_SDA_CONFIG, SIXWAY_SDA_CONFIG, SPSW_SDA_CONFIG,
                         SdaConfig, SdaError, SdaLayer, SdaModel, augment_rare,
                         build_supervector, corrupt, dae_loss_and_grad,
                         decode_pass2, detector_sequence, encode, enhance,
@@ -221,14 +221,13 @@ class TestInference:
     def test_scaling(self):
         seq = np.array([[0.0, 10.0], [5.0, 10.0], [10.0, 10.0]])
         mn, mx = fit_scaling(seq)
-        model = SdaModel([], np.zeros((2, 2)), np.zeros(2), 1, 0.0, mn, mx)
-        scaled = scale_input(model, seq)
+        scaled = scale_input(seq, mn, mx)
         np.testing.assert_allclose(scaled[:, 0], [0.0, 0.5, 1.0])
         # constant dimension maps to 0.5
         np.testing.assert_allclose(scaled[:, 1], 0.5)
         # out-of-range values clip
         np.testing.assert_allclose(
-            scale_input(model, np.array([[20.0, 0.0]]))[0, 0], 1.0)
+            scale_input(np.array([[20.0, 0.0]]), mn, mx)[0, 0], 1.0)
 
     def test_windows(self):
         seq = np.arange(8, dtype=float).reshape(4, 2)
@@ -238,46 +237,76 @@ class TestInference:
         np.testing.assert_array_equal(w[0], np.concatenate([seq[0], seq[0], seq[1]]))
         np.testing.assert_array_equal(w[3], np.concatenate([seq[2], seq[3], seq[3]]))
 
+    @pytest.mark.parametrize("length", [1, 4, 41])
+    def test_windows_match_loop(self, length):
+        seq = np.random.default_rng(22).random((30, 5))
+        half = length // 2
+        padded = np.pad(seq, ((half, half), (0, 0)), mode="edge")
+        expected = np.stack([padded[t:t + length].reshape(-1)
+                             for t in range(len(seq))])
+        np.testing.assert_array_equal(make_windows(seq, length), expected)
+
 
 class TestEnhance:
     def test_passthrough_when_detectors_quiet(self):
-        p6 = np.array([0.1, 0.1, 0.1, 0.1, 0.1, 0.5])
-        out = enhance(p6, np.array([0.4, 0.6]), np.array([0.3, 0.7]))
+        p6 = np.array([[0.1, 0.1, 0.1, 0.1, 0.1, 0.5]])
+        out = enhance(p6, np.array([[0.4, 0.6]]), np.array([[0.3, 0.7]]))
         np.testing.assert_allclose(out, p6)
 
     def test_spike_detector_overrides_background(self):
-        p6 = np.zeros(6)
-        p6[int(EventLabel.BCKG)] = 1.0
-        out = enhance(p6, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert int(np.argmax(out)) in (int(EventLabel.SPSW), int(EventLabel.GPED),
-                                       int(EventLabel.PLED))
+        p6 = np.zeros((1, 6))
+        p6[0, int(EventLabel.BCKG)] = 1.0
+        out = enhance(p6, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+        assert int(np.argmax(out[0])) in (int(EventLabel.SPSW),
+                                          int(EventLabel.GPED),
+                                          int(EventLabel.PLED))
         np.testing.assert_allclose(out.sum(), 1.0)
 
     def test_no_double_bump_when_argmax_agrees(self):
-        p6 = np.zeros(6)
-        p6[int(EventLabel.PLED)] = 0.9
-        p6[int(EventLabel.BCKG)] = 0.1
-        out = enhance(p6, np.array([0.9, 0.1]), np.array([0.0, 1.0]))
+        p6 = np.zeros((1, 6))
+        p6[0, int(EventLabel.PLED)] = 0.9
+        p6[0, int(EventLabel.BCKG)] = 0.1
+        out = enhance(p6, np.array([[0.9, 0.1]]), np.array([[0.0, 1.0]]))
         np.testing.assert_allclose(out, p6)
 
     def test_eyem_detector(self):
-        p6 = np.zeros(6)
-        p6[int(EventLabel.BCKG)] = 1.0
-        out = enhance(p6, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-        assert int(np.argmax(out)) == int(EventLabel.EYEM)
+        p6 = np.zeros((1, 6))
+        p6[0, int(EventLabel.BCKG)] = 1.0
+        out = enhance(p6, np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
+        assert int(np.argmax(out[0])) == int(EventLabel.EYEM)
 
     def test_output_is_distribution(self):
         rng = np.random.default_rng(18)
-        for _ in range(50):
-            p6 = rng.random(6)
-            p6 /= p6.sum()
-            det = rng.random(2)
-            det /= det.sum()
-            eye = rng.random(2)
-            eye /= eye.sum()
-            out = enhance(p6, det, eye)
-            assert (out >= 0).all()
-            np.testing.assert_allclose(out.sum(), 1.0)
+        p6 = rng.random((50, 6))
+        p6 /= p6.sum(axis=1, keepdims=True)
+        det = rng.random((50, 2))
+        det /= det.sum(axis=1, keepdims=True)
+        eye = rng.random((50, 2))
+        eye /= eye.sum(axis=1, keepdims=True)
+        out = enhance(p6, det, eye)
+        assert (out >= 0).all()
+        np.testing.assert_allclose(out.sum(axis=1), 1.0)
+
+    def test_matches_per_epoch_rule(self):
+        rng = np.random.default_rng(21)
+        p6 = rng.dirichlet(np.ones(6) * 0.5, 400)
+        det = rng.dirichlet(np.ones(2), 400)
+        eye = rng.dirichlet(np.ones(2), 400)
+        expected = np.stack([_enhance_one(p6[t], det[t], eye[t])
+                             for t in range(400)])
+        np.testing.assert_array_equal(enhance(p6, det, eye), expected)
+
+
+def _enhance_one(p6, p_spsw, p_eyem):
+    """The enhancer rule applied to one epoch: the reference for enhance."""
+    q = np.array(p6, dtype=np.float64)
+    for p_det, targets in ((p_spsw, EPILEPTIFORM), (p_eyem, (int(EventLabel.EYEM),))):
+        if p_det[0] > 0.5 and int(np.argmax(q)) not in targets:
+            bump = np.zeros(6)
+            bump[list(targets)] = p_det[0]
+            q = q + bump
+            q /= q.sum()
+    return q / q.sum()
 
 
 class TestDecodePass2:
