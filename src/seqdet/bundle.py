@@ -1,26 +1,34 @@
-"""Versioned binary container for all trained models.
+"""Versioned binary file for all trained models.
 
-One self-describing file (magic `SEQD`) holds every model of the three passes
-plus the bigram table and a manifest, so the passes can never get out of sync
-on disk. All floats are little-endian 64-bit; section payloads are a JSON
-metadata block followed by named arrays. Serialization is byte-deterministic
-for identical models.
+One self-describing file (magic `SEQD`, then a version) holds every model of
+the three passes plus the bigram table and a manifest, so the passes can never
+get out of sync on disk. After the 8-byte header comes one payload: a JSON
+metadata block followed by named little-endian 64-bit float arrays.
+
+The `Bundle` dataclass and the model dataclasses it holds are the schema.
+Every array is stored under its field path (for example
+`/second_pass/sda_sixway/layers/1/w`); list lengths, the label names keying a
+dict, enum names and every other leaf go in the metadata. Serialization is
+byte-deterministic for identical models.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 
 import numpy as np
 
 from .grammar import BigramTable
 from .hmm import GmmHmmModel
 from .labels import EventLabel
-from .sda import PcaModel, SdaLayer, SdaModel, SecondPassModels
+from .sda import SecondPassModels
 
 MAGIC = b"SEQD"
-VERSION = 1
+VERSION = 2
 
 
 class BundleError(Exception):
@@ -43,113 +51,82 @@ def _pack_payload(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
     return bytes(out)
 
 
-def _unpack_payload(buf: bytes):
+def _unpack_payload(buf):
+    """The (meta, arrays) of a payload in `buf` (bytes or a memoryview, which
+    the arrays then view without a copy)."""
+    buf = memoryview(buf)
     off = 0
 
     def take(n):
         nonlocal off
         chunk = buf[off:off + n]
         if len(chunk) != n:
-            raise BundleError("truncated section payload")
+            raise BundleError("truncated payload")
         off += n
         return chunk
 
     meta_len, = struct.unpack("<I", take(4))
-    meta = json.loads(take(meta_len).decode("utf-8"))
+    meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
     n_arrays, = struct.unpack("<I", take(4))
     arrays = {}
     for _ in range(n_arrays):
         name_len, = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        name = bytes(take(name_len)).decode("utf-8")
         ndim, = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(take(count * 8), dtype="<f8").reshape(shape)
+        arrays[name] = np.frombuffer(take(math.prod(shape) * 8),
+                                     dtype="<f8").reshape(shape)
     return meta, arrays
 
 
-def write_sections(path: str, sections: dict[str, bytes]) -> None:
-    with open(path, "wb") as f:
-        f.write(MAGIC + struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(sections)))
-        for name, payload in sections.items():
-            name_b = name.encode("utf-8")
-            f.write(struct.pack("<I", len(name_b)) + name_b)
-            f.write(struct.pack("<Q", len(payload)) + payload)
+def _is_enum(tp) -> bool:
+    return isinstance(tp, type) and issubclass(tp, Enum)
 
 
-def read_sections(path: str) -> dict[str, bytes]:
-    with open(path, "rb") as f:
-        head = f.read(8)
-        if head[:4] != MAGIC:
-            raise BundleError(f"{path}: not a SEQD container")
-        version, = struct.unpack("<I", head[4:])
-        if version != VERSION:
-            raise BundleError(
-                f"{path}: container version {version}, expected {VERSION}")
-        count, = struct.unpack("<I", f.read(4))
-        sections = {}
-        for _ in range(count):
-            name_len, = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            payload_len, = struct.unpack("<Q", f.read(8))
-            payload = f.read(payload_len)
-            if len(payload) != payload_len:
-                raise BundleError(f"{path}: truncated section {name!r}")
-            sections[name] = payload
-    return sections
+def _flatten(obj, tp, path: str, meta: dict, arrays: dict) -> None:
+    """Store `obj`, declared as type `tp`, under `path`."""
+    args = typing.get_args(tp)
+    if tp is np.ndarray:
+        arrays[path] = obj
+    elif is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        for f in fields(tp):
+            _flatten(getattr(obj, f.name), hints[f.name], f"{path}/{f.name}",
+                     meta, arrays)
+    elif typing.get_origin(tp) is list:
+        meta[path] = len(obj)
+        for i, item in enumerate(obj):
+            _flatten(item, args[0], f"{path}/{i}", meta, arrays)
+    elif typing.get_origin(tp) is dict and _is_enum(args[0]):
+        meta[path] = [key.name for key in obj]
+        for key, item in obj.items():
+            _flatten(item, args[1], f"{path}/{key.name}", meta, arrays)
+    elif _is_enum(tp):
+        meta[path] = obj.name
+    else:
+        meta[path] = obj
 
 
-# ---------------------------------------------------------------------------
-# Per-model codecs
+def _build(tp, path: str, meta: dict, arrays: dict):
+    """The inverse of _flatten: the value of type `tp` stored under `path`."""
+    args = typing.get_args(tp)
+    if tp is np.ndarray:
+        return np.array(arrays[path])
+    if is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return tp(**{f.name: _build(hints[f.name], f"{path}/{f.name}",
+                                    meta, arrays)
+                     for f in fields(tp)})
+    if typing.get_origin(tp) is list:
+        return [_build(args[0], f"{path}/{i}", meta, arrays)
+                for i in range(meta[path])]
+    if typing.get_origin(tp) is dict and _is_enum(args[0]):
+        return {args[0][name]: _build(args[1], f"{path}/{name}", meta, arrays)
+                for name in meta[path]}
+    if _is_enum(tp):
+        return tp[meta[path]]
+    return meta[path]
 
-def _hmm_to_payload(model: GmmHmmModel) -> bytes:
-    return _pack_payload({"label": model.label.name},
-                         {"trans": model.trans, "weights": model.weights,
-                          "means": model.means, "variances": model.variances,
-                          "var_floor": model.var_floor})
-
-
-def _hmm_from_payload(buf: bytes) -> GmmHmmModel:
-    meta, arr = _unpack_payload(buf)
-    return GmmHmmModel(EventLabel[meta["label"]], arr["trans"], arr["weights"],
-                       arr["means"], arr["variances"], arr["var_floor"])
-
-
-def _pca_to_payload(model: PcaModel) -> bytes:
-    return _pack_payload({}, {"mean": model.mean, "components": model.components})
-
-
-def _pca_from_payload(buf: bytes) -> PcaModel:
-    _, arr = _unpack_payload(buf)
-    return PcaModel(arr["mean"], arr["components"])
-
-
-def _sda_to_payload(model: SdaModel) -> bytes:
-    meta = {"window_length": model.window_length,
-            "corruption": model.corruption,
-            "num_layers": len(model.layers)}
-    arrays = {"out_w": model.out_w, "out_b": model.out_b,
-              "scale_min": model.scale_min, "scale_max": model.scale_max}
-    for i, layer in enumerate(model.layers):
-        arrays[f"w{i}"] = layer.w
-        arrays[f"b{i}"] = layer.b
-        arrays[f"bp{i}"] = layer.b_prime
-    return _pack_payload(meta, arrays)
-
-
-def _sda_from_payload(buf: bytes) -> SdaModel:
-    meta, arr = _unpack_payload(buf)
-    layers = [SdaLayer(np.array(arr[f"w{i}"]), np.array(arr[f"b{i}"]),
-                       np.array(arr[f"bp{i}"]))
-              for i in range(meta["num_layers"])]
-    return SdaModel(layers, np.array(arr["out_w"]), np.array(arr["out_b"]),
-                    meta["window_length"], meta["corruption"],
-                    arr["scale_min"], arr["scale_max"])
-
-
-# ---------------------------------------------------------------------------
-# The full bundle
 
 @dataclass
 class Bundle:
@@ -159,32 +136,30 @@ class Bundle:
     manifest: dict
 
     def save(self, path: str) -> None:
-        sections = {"manifest": _pack_payload(self.manifest, {})}
-        for lab in EventLabel:
-            sections[f"hmm/{lab.name}"] = _hmm_to_payload(self.hmm_models[lab])
-        sections["pca/detector"] = _pca_to_payload(self.second_pass.pca_detector)
-        sections["pca/sixway"] = _pca_to_payload(self.second_pass.pca_sixway)
-        sections["sda/spsw"] = _sda_to_payload(self.second_pass.sda_spsw)
-        sections["sda/eyem"] = _sda_to_payload(self.second_pass.sda_eyem)
-        sections["sda/sixway"] = _sda_to_payload(self.second_pass.sda_sixway)
-        sections["bigram"] = _pack_payload({}, {"probs": self.bigram.probs})
-        write_sections(path, sections)
+        meta, arrays = {}, {}
+        _flatten(self, type(self), "", meta, arrays)
+        with open(path, "wb") as f:
+            f.write(MAGIC + struct.pack("<I", VERSION))
+            f.write(_pack_payload(meta, arrays))
 
     @classmethod
     def load(cls, path: str) -> "Bundle":
-        sections = read_sections(path)
+        with open(path, "rb") as f:
+            buf = f.read()
+        if buf[:4] != MAGIC:
+            raise BundleError(f"{path}: not a SEQD bundle")
+        if len(buf) < 8:
+            raise BundleError(f"{path}: truncated header")
+        version, = struct.unpack("<I", buf[4:8])
+        if version != VERSION:
+            raise BundleError(
+                f"{path}: container version {version}, expected {VERSION}")
         try:
-            manifest, _ = _unpack_payload(sections["manifest"])
-            hmm_models = {lab: _hmm_from_payload(sections[f"hmm/{lab.name}"])
-                          for lab in EventLabel}
-            second = SecondPassModels(
-                _pca_from_payload(sections["pca/detector"]),
-                _pca_from_payload(sections["pca/sixway"]),
-                _sda_from_payload(sections["sda/spsw"]),
-                _sda_from_payload(sections["sda/eyem"]),
-                _sda_from_payload(sections["sda/sixway"]))
-            _, bigram_arr = _unpack_payload(sections["bigram"])
+            meta, arrays = _unpack_payload(memoryview(buf)[8:])
+            return _build(cls, "", meta, arrays)
+        except BundleError as exc:
+            raise BundleError(f"{path}: {exc}") from None
         except KeyError as exc:
-            raise BundleError(f"{path}: missing section {exc}") from None
-        return cls(hmm_models, second, BigramTable(np.array(bigram_arr["probs"])),
-                   manifest)
+            raise BundleError(f"{path}: missing or unknown entry {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise BundleError(f"{path}: corrupt payload: {exc}") from None

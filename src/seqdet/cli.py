@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ EXIT_NUMERIC = 3
 
 DATA_ERRORS = (signal_io.SignalIOError, BundleError, pipeline.PipelineError,
                evaluation.EvalError, synth.SynthError, grammar.GrammarError,
-               FeatureError, FileNotFoundError)
+               FeatureError, FileNotFoundError, UnicodeDecodeError)
 NUMERIC_ERRORS = (HmmError, SdaError, FloatingPointError)
 
 
@@ -44,7 +45,8 @@ def _build_parser() -> _Parser:
                          help="recording files; each <name>.<ext> needs "
                               "annotations at <name>.csv")
     p_train.add_argument("--config", help="INI config file")
-    p_train.add_argument("--seed", type=int, help="override config seed")
+    p_train.add_argument("--seed", type=int,
+                         help="override the pipeline and HMM config seeds")
     p_train.add_argument("--bigram", choices=["table1", "estimate"],
                          help="bigram table source")
     p_train.add_argument("--out", required=True, help="bundle output path")
@@ -92,9 +94,8 @@ def _cmd_train(args) -> int:
         cfg = pipeline.load_config(args.config)
     else:
         cfg = pipeline.PipelineConfig()
-    from dataclasses import replace
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed, hmm=replace(cfg.hmm, seed=args.seed))
     if args.bigram:
         cfg = replace(cfg, bigram_source=args.bigram)
     pairs = [(p, _annotation_path(p)) for p in args.data]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, rfft
 
 from .signal_io import Recording
@@ -87,10 +88,6 @@ class FeatureGrid:
             out[full, :, rest:] = self.vectors[:, -1:]
         return out
 
-    def epoch(self, channel: int, epoch: int) -> np.ndarray:
-        """The (frames_per_epoch, 26) block of one cell of cells()."""
-        return self.cells()[epoch, channel]
-
 
 def frame_signal(samples: np.ndarray, spec: FrameSpec,
                  rate_hz: float = PIPELINE_RATE_HZ) -> np.ndarray:
@@ -152,17 +149,13 @@ def frequency_energy(energies: np.ndarray) -> np.ndarray:
 
 def differential_energy(ef: np.ndarray, m: int = 9) -> np.ndarray:
     """Max-minus-min of the frame energy over an m-frame window centered on
-    each frame; boundary windows truncate to the available frames."""
+    each frame; boundary windows truncate to the available frames (edge
+    replication adds no new values, so it gives the same max and min)."""
     if m % 2 == 0:
         raise FeatureError("differential energy window must be odd")
     ef = np.asarray(ef, dtype=np.float64)
-    half = m // 2
-    out = np.empty_like(ef)
-    for t in range(len(ef)):
-        lo, hi = max(0, t - half), min(len(ef), t + half + 1)
-        seg = ef[lo:hi]
-        out[t] = seg.max() - seg.min()
-    return out
+    windows = sliding_window_view(np.pad(ef, m // 2, mode="edge"), m)
+    return windows.max(axis=1) - windows.min(axis=1)
 
 
 def deltas(coeffs: np.ndarray, n: int) -> np.ndarray:

@@ -350,14 +350,10 @@ def train(corpus: dict[EventLabel, np.ndarray],
 # ---------------------------------------------------------------------------
 # Scoring
 
-def score_epoch(models: dict[EventLabel, GmmHmmModel], obs: np.ndarray,
-                priors: np.ndarray | None = None) -> np.ndarray:
-    """Six-class posterior for one observation sequence."""
-    return score_batch(models, np.asarray(obs, dtype=np.float64)[None], priors)[0]
-
-
 def score_batch(models: dict[EventLabel, GmmHmmModel], obs_batch: np.ndarray,
                 priors: np.ndarray | None = None) -> np.ndarray:
+    """(B, 6) class posteriors of a (B, T, D) batch of observation
+    sequences."""
     if len(models) != NUM_CLASSES:
         raise HmmError(f"need {NUM_CLASSES} models, got {len(models)}")
     if priors is None:

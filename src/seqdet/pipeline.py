@@ -146,14 +146,28 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def load_recording(path: str, config: PipelineConfig) -> signal_io.Recording:
+def load_recording(path: str,
+                   montage: signal_io.MontageSpec | None) -> signal_io.Recording:
     fmt = "edf_subset" if path.lower().endswith(".edf") else "raw_matrix"
     rec = signal_io.read_recording(path, fmt)
     if abs(rec.sample_rate_hz - PIPELINE_RATE_HZ) > 1e-9:
         rec = signal_io.resample(rec, PIPELINE_RATE_HZ)
-    if config.montage_path:
-        rec = signal_io.apply_montage(rec, signal_io.read_montage(config.montage_path))
+    if montage is not None:
+        rec = signal_io.apply_montage(rec, montage)
     return rec
+
+
+def _manifest_montage(manifest: dict) -> signal_io.MontageSpec | None:
+    """The montage train_pipeline embedded in the manifest."""
+    derivations = manifest.get("montage")
+    if derivations is None:
+        return None
+    try:
+        return signal_io.MontageSpec(
+            tuple((out, pos, neg) for out, pos, neg in derivations))
+    except (TypeError, ValueError):
+        raise PipelineError(
+            f"bad montage in bundle manifest: {derivations!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +177,11 @@ def train_pipeline(config: PipelineConfig,
                    pairs: list[tuple[str, str]]) -> Bundle:
     """Full training: pass-1 HMMs, pass-1 decode of the training data, PCA and
     SdA fitting on those outputs, and the bigram table."""
+    montage = (signal_io.read_montage(config.montage_path)
+               if config.montage_path else None)
     grids, anns = [], []
     for rec_path, ann_path in pairs:
-        rec = load_recording(rec_path, config)
+        rec = load_recording(rec_path, montage)
         grids.append(extract_features(rec, config.frame))
         anns.append(signal_io.read_annotations(ann_path))
 
@@ -188,6 +204,9 @@ def train_pipeline(config: PipelineConfig,
         "seed": config.seed,
         "data": {os.path.basename(p): _sha256(p)
                  for pair in pairs for p in pair},
+        # Embedded so decoding does not need the montage file.
+        "montage": ([list(d) for d in montage.derivations]
+                    if montage else None),
         # Per-epoch reference labels use this tie-break priority.
         "epoch_label_priority": ["SPSW", "PLED", "GPED", "EYEM", "ARTF", "BCKG"],
     }
@@ -285,13 +304,13 @@ def _merge_runs(labels: np.ndarray, channel: int) -> list[Event]:
 
 
 def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3):
-    """Run the pipeline on one recording with the config stored in the
-    bundle. Returns (AnnotationSet hypothesis, dict of per-pass posterior
+    """Run the pipeline on one recording with the config and montage stored
+    in the bundle. Returns (AnnotationSet hypothesis, dict of per-pass posterior
     arrays)."""
     if stop_after not in (1, 2, 3):
         raise PipelineError("stop_after must be 1, 2 or 3")
     cfg = PipelineConfig.from_dict(bundle.manifest.get("config"))
-    rec = load_recording(rec_path, cfg)
+    rec = load_recording(rec_path, _manifest_montage(bundle.manifest))
     grid = extract_features(rec, cfg.frame)
     pgrid = hmm.decode_pass1(grid, bundle.hmm_models)
     dumps = {"pass1": pgrid.posteriors}
@@ -332,19 +351,24 @@ def write_posterior_csv(path: str, posteriors: np.ndarray) -> None:
 
 
 def read_posterior_csv(path: str) -> np.ndarray:
+    """The array write_posterior_csv wrote; a malformed dump is a
+    PipelineError."""
     with open(path) as f:
-        header = f.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    if header[:2] == ["epoch", "channel"]:
-        n_ep = max(int(r[0]) for r in rows) + 1
-        n_ch = max(int(r[1]) for r in rows) + 1
-        out = np.zeros((n_ep, n_ch, NUM_CLASSES))
-        for r in rows:
-            out[int(r[0]), int(r[1])] = [float(v) for v in r[2:]]
-        return out
-    out = np.zeros((len(rows), NUM_CLASSES))
-    for r in rows:
-        out[int(r[0])] = [float(v) for v in r[1:]]
+        n_index = 2 if f.readline().startswith("epoch,channel,") else 1
+        lines = [line for line in f if line.strip()]
+    if not lines:
+        raise PipelineError(f"{path}: no posterior rows")
+    try:
+        table = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise PipelineError(f"{path}: {exc}") from None
+    index = table[:, :n_index]
+    valid = (index >= 0) & (index < len(table)) & (index == np.floor(index))
+    if table.shape[1] != n_index + NUM_CLASSES or not valid.all():
+        raise PipelineError(f"{path}: expected rows of {n_index} index "
+                            f"column(s) and {NUM_CLASSES} posteriors")
+    out = np.zeros(tuple(index.max(axis=0).astype(int) + 1) + (NUM_CLASSES,))
+    out[tuple(index.astype(int).T)] = table[:, n_index:]
     return out
 
 

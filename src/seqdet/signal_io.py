@@ -364,8 +364,13 @@ def read_annotations(path: str) -> AnnotationSet:
         for row in reader:
             if not row:
                 continue
-            if len(row) != 4:
-                raise SignalIOError(f"malformed annotation row: {row}")
-            ch = ALL_CHANNELS if row[0].strip() == "*" else int(row[0])
-            events.append(Event(ch, float(row[1]), float(row[2]), parse_label(row[3])))
+            try:
+                if len(row) != 4:
+                    raise ValueError("expected 4 fields")
+                ch = ALL_CHANNELS if row[0].strip() == "*" else int(row[0])
+                events.append(Event(ch, float(row[1]), float(row[2]),
+                                    parse_label(row[3])))
+            except (ValueError, SignalIOError) as exc:
+                raise SignalIOError(f"{path}: bad annotation row "
+                                    f"{reader.line_num} {row}: {exc}") from None
     return AnnotationSet(tuple(events))

@@ -3,8 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from seqdet.bundle import (Bundle, BundleError, _pack_payload,
-                           _unpack_payload, read_sections, write_sections)
+from seqdet.bundle import (MAGIC, VERSION, Bundle, BundleError, _pack_payload,
+                           _unpack_payload)
 from seqdet.grammar import default_bigram
 from seqdet.hmm import init_model
 from seqdet.labels import EventLabel
@@ -53,32 +53,48 @@ class TestPayload:
             _unpack_payload(buf[:-4])
 
 
+def saved_tiny_bundle(tmp_path):
+    path = str(tmp_path / "m.seqd")
+    tiny_bundle().save(path)
+    return path, open(path, "rb").read()
+
+
 class TestContainer:
-    def test_sections_round_trip(self, tmp_path):
-        path = str(tmp_path / "m.seqd")
-        sections = {"one": b"payload1", "two": b"\x00\x01\x02"}
-        write_sections(path, sections)
-        assert read_sections(path) == sections
+    def test_save_load_save_round_trip(self, tmp_path):
+        path, data = saved_tiny_bundle(tmp_path)
+        again = str(tmp_path / "again.seqd")
+        Bundle.load(path).save(again)
+        assert open(again, "rb").read() == data
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.seqd"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(BundleError):
-            read_sections(str(path))
+        with pytest.raises(BundleError, match="not a SEQD bundle"):
+            Bundle.load(str(path))
 
     def test_version_checked(self, tmp_path):
-        path = tmp_path / "bad.seqd"
-        path.write_bytes(b"SEQD" + struct.pack("<I", 99) + struct.pack("<I", 0))
-        with pytest.raises(BundleError):
-            read_sections(str(path))
+        path, data = saved_tiny_bundle(tmp_path)
+        for version in (1, 99):
+            open(path, "wb").write(MAGIC + struct.pack("<I", version) + data[8:])
+            with pytest.raises(BundleError, match=f"container version {version}"):
+                Bundle.load(path)
 
-    def test_truncated_section(self, tmp_path):
-        path = str(tmp_path / "m.seqd")
-        write_sections(path, {"s": b"x" * 100})
-        data = open(path, "rb").read()
+    def test_truncated_payload(self, tmp_path):
+        path, data = saved_tiny_bundle(tmp_path)
         open(path, "wb").write(data[:-10])
+        with pytest.raises(BundleError, match="truncated"):
+            Bundle.load(path)
+
+    # every length below 64 (inside the header and the metadata length),
+    # then 50 lengths spread over the rest of the file
+    @pytest.mark.parametrize("cut", range(64 + 50))
+    def test_every_truncation_rejected(self, tmp_path, cut):
+        path, data = saved_tiny_bundle(tmp_path)
+        length = cut if cut < 64 else int(
+            np.linspace(64, len(data) - 1, 50)[cut - 64])
+        open(path, "wb").write(data[:length])
         with pytest.raises(BundleError):
-            read_sections(path)
+            Bundle.load(path)
 
 
 class TestBundle:
@@ -120,11 +136,10 @@ class TestBundle:
         bundle.save(p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
-    def test_missing_section_rejected(self, tmp_path):
-        path = str(tmp_path / "m.seqd")
-        tiny_bundle().save(path)
-        sections = read_sections(path)
-        del sections["sda/eyem"]
-        write_sections(path, sections)
-        with pytest.raises(BundleError):
+    def test_missing_entry_rejected(self, tmp_path):
+        path, data = saved_tiny_bundle(tmp_path)
+        meta, arrays = _unpack_payload(data[8:])
+        del arrays["/second_pass/sda_eyem/out_w"]
+        open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
+        with pytest.raises(BundleError, match="sda_eyem/out_w"):
             Bundle.load(path)

@@ -121,6 +121,22 @@ class TestEnergies:
         assert (ed[6:15] == 5.0).all()
         assert ed[5] == 0.0 and ed[15] == 0.0
 
+    @pytest.mark.parametrize("m", [1, 3, 9])
+    def test_differential_energy_matches_loop(self, m):
+        # per-frame reference: the window truncated at the boundaries
+        def loop(ef):
+            half = m // 2
+            out = np.empty_like(ef)
+            for t in range(len(ef)):
+                seg = ef[max(0, t - half):min(len(ef), t + half + 1)]
+                out[t] = seg.max() - seg.min()
+            return out
+
+        rng = np.random.default_rng(m)
+        for n in range(1, 21):
+            ef = rng.standard_normal(n)
+            np.testing.assert_array_equal(differential_energy(ef, m), loop(ef))
+
     def test_differential_energy_even_window_rejected(self):
         with pytest.raises(FeatureError):
             differential_energy(np.zeros(5), 4)
@@ -186,7 +202,7 @@ class TestGrid:
         assert grid.num_channels == 2
         assert grid.num_frames == 99
         assert grid.num_epochs == 10
-        block = grid.epoch(1, 3)
+        block = grid.cells()[3, 1]
         assert block.shape == (10, 26)
         np.testing.assert_array_equal(block, grid.vectors[1, 30:40])
 
@@ -195,7 +211,7 @@ class TestGrid:
         rec = rec_from(rng.standard_normal((1, 2500)))
         grid = extract_features(rec)
         # last epoch only has 9 real frames; the final frame repeats
-        block = grid.epoch(0, 9)
+        block = grid.cells()[9, 0]
         np.testing.assert_array_equal(block[:9], grid.vectors[0, 90:99])
         np.testing.assert_array_equal(block[9], grid.vectors[0, 98])
 

@@ -6,7 +6,7 @@ import pytest
 from seqdet.features import FeatureGrid
 from seqdet.hmm import (GmmHmmModel, HmmConfig, HmmError, decode_pass1,
                         forward_backward, init_model, log_emissions,
-                        loglikelihood, reestimate, score_batch, score_epoch,
+                        loglikelihood, reestimate, score_batch,
                         train, viterbi, _kmeans, _left_right_trans)
 from seqdet.labels import EventLabel
 
@@ -233,21 +233,21 @@ class TestScoring:
         rng = np.random.default_rng(25)
         for lab in EventLabel:
             obs = rng.normal(10.0 * int(lab), 1.0, size=(10, 2))
-            post = score_epoch(models, obs)
+            post = score_batch(models, obs[None])[0]
             assert int(np.argmax(post)) == int(lab)
 
     def test_prior_shifts_posterior(self):
         models = self.make_separable_models()
         rng = np.random.default_rng(26)
         obs = rng.normal(0, 30, size=(10, 2))
-        flat = score_epoch(models, obs)
+        flat = score_batch(models, obs[None])[0]
         prior = np.zeros(6)
         prior[int(EventLabel.PLED)] = 1.0
-        forced = score_epoch(models, obs, priors=prior)
+        forced = score_batch(models, obs[None], priors=prior)[0]
         assert forced[int(EventLabel.PLED)] > 0.999
         # a flat prior changes nothing
-        np.testing.assert_allclose(score_epoch(models, obs, priors=np.full(6, 1 / 6)),
-                                   flat, atol=1e-12)
+        even = score_batch(models, obs[None], priors=np.full(6, 1 / 6))[0]
+        np.testing.assert_allclose(even, flat, atol=1e-12)
 
     def test_decode_pass1_shape(self):
         models = self.make_separable_models()
@@ -269,7 +269,7 @@ class TestTrain:
         correct = 0
         for lab in EventLabel:
             obs = rng.normal(4.0 * int(lab), 1.0, size=(10, 3))
-            if int(np.argmax(score_epoch(models, obs))) == int(lab):
+            if int(np.argmax(score_batch(models, obs[None])[0])) == int(lab):
                 correct += 1
         assert correct == 6
 

@@ -71,6 +71,20 @@ _configs = st.builds(
     seed=st.integers(0, 2**32), augment_cap=_pos_ints,
     pca_detector_dim=_pos_ints, pca_sixway_dim=_pos_ints)
 
+# The smallest models `seqdet train --config` can fit in a few seconds.
+TINY_INI = (
+    "[hmm]\nnum_components = 2\nmax_iterations = 2\n"
+    "[sda.spsw]\nhidden = 8,8\npretrain_epochs = 2\nfinetune_epochs = 5\n"
+    "[sda.eyem]\nhidden = 8,8\npretrain_epochs = 2\nfinetune_epochs = 5\n"
+    "[sda.6way]\nhidden = 8,8\nwindow_length = 3\npretrain_epochs = 2\n"
+    "finetune_epochs = 5\n")
+
+
+def one_line_data_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    return err
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -276,7 +290,7 @@ class TestDecoding:
         bundle = train_pipeline(CUSTOM_CONFIG, [corpus["train"]])
         rec_path = corpus["eval"][0]
         _, dumps = decode_recording(bundle, rec_path)
-        rec = pipeline.load_recording(rec_path, CUSTOM_CONFIG)
+        rec = pipeline.load_recording(rec_path, None)
 
         def pass1(frame):
             return hmm.decode_pass1(extract_features(rec, frame),
@@ -296,6 +310,25 @@ class TestDecoding:
         bundle, _ = trained
         with pytest.raises(PipelineError):
             decode_recording(bundle, corpus["eval"][0], stop_after=4)
+
+    def test_montage_embedded_in_bundle(self, corpus, tmp_path):
+        montage = tmp_path / "bipolar.csv"
+        montage.write_text("".join(f"D{i},CH{i},CH{(i + 1) % 22}\n"
+                                   for i in range(22)))
+        config = replace(FAST_CONFIG, montage_path=str(montage))
+        path = str(tmp_path / "m.seqd")
+        train_pipeline(config, [corpus["train"]]).save(path)
+        rec_path = corpus["eval"][0]
+        before, dumps = decode_recording(Bundle.load(path), rec_path)
+        os.remove(montage)
+        bundle = Bundle.load(path)
+        assert len(bundle.manifest["montage"]) == 22
+        after, _ = decode_recording(bundle, rec_path)
+        assert after.events == before.events
+        # the embedded montage is applied: decoding without it differs
+        bundle.manifest["montage"] = None
+        _, plain = decode_recording(bundle, rec_path, stop_after=1)
+        assert not np.array_equal(plain["pass1"], dumps["pass1"])
 
 
 class TestPosteriorCsv:
@@ -438,15 +471,78 @@ class TestCli:
 
     def test_cli_train(self, corpus, tmp_path):
         cfg_path = tmp_path / "c.ini"
-        cfg_path.write_text(
-            "[pipeline]\nseed = 5\nbigram_source = estimate\n"
-            "[hmm]\nnum_components = 2\nmax_iterations = 2\n"
-            "[sda.spsw]\nhidden = 8,8\npretrain_epochs = 2\nfinetune_epochs = 5\n"
-            "[sda.eyem]\nhidden = 8,8\npretrain_epochs = 2\nfinetune_epochs = 5\n"
-            "[sda.6way]\nhidden = 8,8\nwindow_length = 3\npretrain_epochs = 2\n"
-            "finetune_epochs = 5\n")
+        cfg_path.write_text("[pipeline]\nseed = 5\nbigram_source = estimate\n"
+                            + TINY_INI)
         out = str(tmp_path / "m.seqd")
         assert cli.main(["train", corpus["train"][0], "--config", str(cfg_path),
                          "--out", out]) == 0
         bundle = Bundle.load(out)
         assert bundle.manifest["seed"] == 5
+
+    def test_seed_reaches_hmm(self, corpus, tmp_path):
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(TINY_INI)
+        bundles = []
+        for seed in (1, 2):
+            out = str(tmp_path / f"m{seed}.seqd")
+            assert cli.main(["train", corpus["train"][0], "--config",
+                             str(cfg_path), "--seed", str(seed),
+                             "--out", out]) == 0
+            bundle = Bundle.load(out)
+            assert bundle.manifest["seed"] == seed
+            assert bundle.manifest["config"]["hmm"]["seed"] == seed
+            bundles.append(bundle)
+        assert any(not np.array_equal(bundles[0].hmm_models[lab].means,
+                                      bundles[1].hmm_models[lab].means)
+                   for lab in EventLabel)
+
+    @pytest.mark.parametrize("length", [0, 2, 6, 12, 40, 1000, -100])
+    def test_truncated_bundle_exit_code(self, trained, corpus, tmp_path,
+                                        capsys, length):
+        _, bundle_path = trained
+        data = open(bundle_path, "rb").read()
+        path = str(tmp_path / "cut.seqd")
+        open(path, "wb").write(data[:length])
+        code = cli.main(["decode", path, corpus["eval"][0],
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        one_line_data_error(capsys)
+
+    def test_v1_bundle_exit_code(self, trained, corpus, tmp_path, capsys):
+        _, bundle_path = trained
+        data = open(bundle_path, "rb").read()
+        path = str(tmp_path / "v1.seqd")
+        open(path, "wb").write(data[:4] + (1).to_bytes(4, "little") + data[8:])
+        code = cli.main(["decode", path, corpus["eval"][0],
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "container version 1" in one_line_data_error(capsys)
+
+    @pytest.mark.parametrize("row", ["x,0,1,SPSW", "*,a,1,SPSW", "*,0,1,FOO"])
+    def test_bad_annotation_row_exit_code(self, corpus, tmp_path, capsys, row):
+        ref = tmp_path / "ref.csv"
+        ref.write_text(f"channel,start_s,stop_s,label\n*,0,1,BCKG\n{row}\n")
+        code = cli.main(["score", str(ref), corpus["eval"][1],
+                         "--out", str(tmp_path / "report")])
+        assert code == 2
+        err = one_line_data_error(capsys)
+        assert str(ref) in err and "row 3" in err
+
+    @pytest.mark.parametrize("verb", ["score", "det"])
+    def test_non_utf8_csv_exit_code(self, corpus, tmp_path, capsys, verb):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe\x00abc\n")
+        code = cli.main([verb, str(bad), corpus["eval"][1],
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        one_line_data_error(capsys)
+
+    @pytest.mark.parametrize("row", ["0,0.5,0.5,0,0,0,x", "0,0.5,0.5,0,0,0"])
+    def test_bad_posterior_row_exit_code(self, corpus, tmp_path, capsys, row):
+        post = tmp_path / "p.pass3.csv"
+        post.write_text("epoch,SPSW,PLED,GPED,EYEM,ARTF,BCKG\n" + row + "\n")
+        code = cli.main(["det", str(post), corpus["eval"][1],
+                         "--out", str(tmp_path / "det.csv")])
+        assert code == 2
+        err = one_line_data_error(capsys)
+        assert str(post) in err
