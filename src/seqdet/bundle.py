@@ -8,7 +8,8 @@ metadata block followed by named little-endian 64-bit float arrays.
 The `Bundle` dataclass and the model dataclasses it holds are the schema.
 Every array is stored under its field path (for example
 `/second_pass/sda_sixway/layers/1/w`); list lengths, the label names keying a
-dict, enum names and every other leaf go in the metadata. Serialization is
+dict, enum names and every other leaf go in the metadata, and each such leaf
+is checked against its declared type on load. Serialization is
 byte-deterministic for identical models.
 """
 from __future__ import annotations
@@ -125,7 +126,11 @@ def _build(tp, path: str, meta: dict, arrays: dict):
                 for name in meta[path]}
     if _is_enum(tp):
         return tp[meta[path]]
-    return meta[path]
+    value = meta[path]
+    allowed = (int, float) if tp is float else tp
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise BundleError(f"{path} must be {tp.__name__}, got {value!r}")
+    return value
 
 
 @dataclass

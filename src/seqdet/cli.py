@@ -131,9 +131,7 @@ def _cmd_score(args) -> int:
                                            args.basis, args.channels)
     pipeline.write_score_report(matrix, summary, args.out)
     print(matrix.format_text())
-    print(f"sensitivity={pipeline._fmt(summary.sensitivity)} "
-          f"false_alarm={pipeline._fmt(summary.false_alarm)} "
-          f"specificity={pipeline._fmt(summary.specificity)}")
+    print(summary.format_text())
     return 0
 
 
@@ -161,7 +159,7 @@ def _cmd_synth(args) -> int:
     signal_io.write_recording(rec, args.out + ".rm")
     signal_io.write_annotations(ann, args.out + ".csv")
     print(f"recording written: {args.out}.rm ({rec.duration_s:g} s, "
-          f"{len(rec.channels)} channels)")
+          f"{len(rec.data)} channels)")
     return 0
 
 

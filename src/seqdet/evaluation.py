@@ -81,6 +81,14 @@ class TwoWaySummary:
     false_alarm: float | None   # % of ref BCKG called TARG
     specificity: float | None   # % of ref BCKG called BCKG (1 - false alarm)
 
+    def format_text(self) -> str:
+        """The summary line of a score report; an empty class is "missing"."""
+        def fmt(v):
+            return "missing" if v is None else f"{v:.2f}"
+        return (f"sensitivity={fmt(self.sensitivity)} "
+                f"false_alarm={fmt(self.false_alarm)} "
+                f"specificity={fmt(self.specificity)}")
+
 
 def sens_spec(matrix: ConfusionMatrix) -> TwoWaySummary:
     """Sensitivity and false-alarm percentages from a two-way matrix. Empty

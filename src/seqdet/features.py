@@ -193,6 +193,6 @@ def extract_features(rec: Recording, spec: FrameSpec | None = None) -> FeatureGr
         raise FeatureError(
             f"feature extraction requires {PIPELINE_RATE_HZ:g} Hz input, "
             f"got {rec.sample_rate_hz:g} Hz (resample first)")
-    mats = [extract_channel(ch.samples, spec, rec.sample_rate_hz)
-            for ch in rec.channels]
+    mats = [extract_channel(samples, spec, rec.sample_rate_hz)
+            for samples in rec.data]
     return FeatureGrid(np.stack(mats), spec.frames_per_epoch)

@@ -19,7 +19,8 @@ import numpy as np
 from . import evaluation, grammar, hmm, sda, signal_io
 from .bundle import Bundle
 from .features import PIPELINE_RATE_HZ, FeatureGrid, FrameSpec, extract_features
-from .labels import LABEL_NAMES, NUM_CLASSES, EventLabel
+from .labels import (EPOCH_PRIORITY, LABEL_NAMES, NUM_CLASSES, TARGET_CLASSES,
+                     EventLabel)
 from .signal_io import ALL_CHANNELS, AnnotationSet, Event
 
 
@@ -148,12 +149,14 @@ def _sha256(path: str) -> str:
 
 def load_recording(path: str,
                    montage: signal_io.MontageSpec | None) -> signal_io.Recording:
-    fmt = "edf_subset" if path.lower().endswith(".edf") else "raw_matrix"
-    rec = signal_io.read_recording(path, fmt)
+    rec = signal_io.read_recording(path)
     if abs(rec.sample_rate_hz - PIPELINE_RATE_HZ) > 1e-9:
         rec = signal_io.resample(rec, PIPELINE_RATE_HZ)
     if montage is not None:
         rec = signal_io.apply_montage(rec, montage)
+    if len(rec.data) != sda.EXPECTED_CHANNELS:
+        raise PipelineError(f"{path}: expected {sda.EXPECTED_CHANNELS} "
+                            f"channels after the montage, got {len(rec.data)}")
     return rec
 
 
@@ -208,7 +211,7 @@ def train_pipeline(config: PipelineConfig,
         "montage": ([list(d) for d in montage.derivations]
                     if montage else None),
         # Per-epoch reference labels use this tie-break priority.
-        "epoch_label_priority": ["SPSW", "PLED", "GPED", "EYEM", "ARTF", "BCKG"],
+        "epoch_label_priority": [lab.name for lab in EPOCH_PRIORITY],
     }
     return Bundle(models, second, table, manifest)
 
@@ -229,8 +232,9 @@ def _pass1_corpus(grids: list[FeatureGrid],
     return {lab: np.concatenate(p) for lab, p in parts.items()}
 
 
-def _detector_labels(refs: np.ndarray, positive: set[int]) -> np.ndarray:
-    return np.where(np.isin(refs, list(positive)), 0, 1)
+def _detector_labels(refs: np.ndarray,
+                     positive: tuple[EventLabel, ...]) -> np.ndarray:
+    return np.where(np.isin(refs, [int(lab) for lab in positive]), 0, 1)
 
 
 def _train_second_pass(config: PipelineConfig, pgrids, epoch_refs):
@@ -251,8 +255,6 @@ def _train_second_pass(config: PipelineConfig, pgrids, epoch_refs):
         return np.concatenate([sda.make_windows(sda.scale_input(s, smin, smax),
                                                 window) for s in seqs])
 
-    epi = {int(EventLabel.SPSW), int(EventLabel.GPED), int(EventLabel.PLED)}
-
     def _train_one(cfg: sda.SdaConfig, seqs, smin, smax, y, seed_offset):
         rng = np.random.default_rng(config.seed + seed_offset)
         x = _windows(seqs, smin, smax, cfg.window_length)
@@ -263,9 +265,9 @@ def _train_second_pass(config: PipelineConfig, pgrids, epoch_refs):
         return sda.fine_tune(stack, x, y, cfg, rng, smin, smax)
 
     model_spsw = _train_one(config.sda_spsw, det_seqs, det_min, det_max,
-                            _detector_labels(refs, epi), 101)
+                            _detector_labels(refs, TARGET_CLASSES), 101)
     model_eyem = _train_one(config.sda_eyem, det_seqs, det_min, det_max,
-                            _detector_labels(refs, {int(EventLabel.EYEM)}), 102)
+                            _detector_labels(refs, (EventLabel.EYEM,)), 102)
     model_six = _train_one(config.sda_sixway, six_seqs, six_min, six_max,
                            refs.copy(), 103)
     return sda.SecondPassModels(pca_det, pca_six, model_spsw, model_eyem,
@@ -407,15 +409,9 @@ def write_score_report(matrix, summary, out_prefix: str) -> None:
         f.write(f"mode={matrix.mode} basis={matrix.basis} "
                 f"items={int(matrix.total)}\n\n")
         f.write(matrix.format_text() + "\n\n")
-        f.write(f"sensitivity={_fmt(summary.sensitivity)} "
-                f"false_alarm={_fmt(summary.false_alarm)} "
-                f"specificity={_fmt(summary.specificity)}\n")
+        f.write(summary.format_text() + "\n")
     with open(out_prefix + ".csv", "w", newline="") as f:
         f.write("ref\\hyp," + ",".join(matrix.labels) + "\n")
         for i, name in enumerate(matrix.labels):
             f.write(name + "," + ",".join(f"{int(v)}" for v in matrix.counts[i])
                     + "\n")
-
-
-def _fmt(v):
-    return "missing" if v is None else f"{v:.2f}"

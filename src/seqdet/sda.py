@@ -16,12 +16,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .hmm import PosteriorGrid
-from .labels import NUM_CLASSES, EventLabel
+from .labels import NUM_CLASSES, TARGET_CLASSES, EventLabel
 
 EXPECTED_CHANNELS = 22
 SUPERVECTOR_DIM = EXPECTED_CHANNELS * NUM_CLASSES  # 132
-
-EPILEPTIFORM = (int(EventLabel.SPSW), int(EventLabel.GPED), int(EventLabel.PLED))
 
 
 class SdaError(Exception):
@@ -142,14 +140,6 @@ class SdaModel:
     corruption: float
     scale_min: np.ndarray  # per-dim min/max of the reduced per-epoch vectors
     scale_max: np.ndarray
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].w.shape[1]
-
-    @property
-    def num_outputs(self) -> int:
-        return self.out_w.shape[0]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -381,7 +371,7 @@ def enhance(p6: np.ndarray, p_spsw: np.ndarray, p_eyem: np.ndarray) -> np.ndarra
     the target set receives the detector confidence before renormalization.
     """
     q = np.array(p6, dtype=np.float64)
-    for p_det, targets in ((p_spsw, list(EPILEPTIFORM)),
+    for p_det, targets in ((p_spsw, [int(lab) for lab in TARGET_CLASSES]),
                            (p_eyem, [int(EventLabel.EYEM)])):
         bump = (p_det[:, 0] > 0.5) & ~np.isin(np.argmax(q, axis=1), targets)
         q[np.ix_(bump, targets)] += p_det[bump, :1]

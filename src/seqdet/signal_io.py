@@ -9,7 +9,7 @@ UnsupportedFeatureError rather than being guessed at.
 from __future__ import annotations
 
 import csv
-import io
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,50 +31,42 @@ class UnsupportedFeatureError(SignalIOError):
 
 
 @dataclass(frozen=True)
-class ChannelSignal:
-    label: str
-    samples: np.ndarray  # 1-D float64, microvolts
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise SignalIOError(f"channel {self.label!r}: samples must be 1-D")
-        if not np.all(np.isfinite(samples)):
-            raise SignalIOError(f"channel {self.label!r}: non-finite samples rejected")
-        object.__setattr__(self, "samples", samples)
-
-
-@dataclass(frozen=True)
 class Recording:
-    channels: tuple[ChannelSignal, ...]
+    """A multichannel recording: one (channels, samples) float64 matrix in
+    microvolts, with one label per row."""
+    data: np.ndarray
+    labels: tuple[str, ...]
     sample_rate_hz: float
     id: str = ""
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise SignalIOError("sample_rate_hz must be positive")
-        if not self.channels:
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise SignalIOError(f"sample_rate_hz must be positive and finite, "
+                                f"got {self.sample_rate_hz}")
+        data = np.asarray(self.data, dtype=np.float64)
+        if data.ndim != 2:
+            raise SignalIOError(
+                f"recording data must be a (channels, samples) matrix, "
+                f"got {data.ndim}-D")
+        if not len(data):
             raise SignalIOError("recording must have at least one channel")
-        lengths = {len(c.samples) for c in self.channels}
-        if len(lengths) != 1:
-            raise SignalIOError(f"inconsistent channel lengths: {sorted(lengths)}")
-        object.__setattr__(self, "channels", tuple(self.channels))
+        if len(self.labels) != len(data):
+            raise SignalIOError(
+                f"{len(self.labels)} channel labels for {len(data)} channels")
+        finite = np.isfinite(data).all(axis=1)
+        if not finite.all():
+            raise SignalIOError(f"channel {self.labels[np.argmin(finite)]!r}: "
+                                f"non-finite samples rejected")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def num_samples(self) -> int:
-        return len(self.channels[0].samples)
+        return self.data.shape[1]
 
     @property
     def duration_s(self) -> float:
         return self.num_samples / self.sample_rate_hz
-
-    @property
-    def labels(self) -> list[str]:
-        return [c.label for c in self.channels]
-
-    def as_array(self) -> np.ndarray:
-        """Channels x samples matrix view of the recording."""
-        return np.stack([c.samples for c in self.channels])
 
 
 @dataclass(frozen=True)
@@ -130,12 +122,11 @@ class AnnotationSet:
 # raw_matrix format: text header line "channels=<n> rate_hz=<r> samples=<m>"
 # followed by little-endian float32, channel-major.
 
-def read_recording(path: str, format: str = "raw_matrix") -> Recording:
-    if format == "raw_matrix":
-        return _read_raw_matrix(path)
-    if format == "edf_subset":
+def read_recording(path: str) -> Recording:
+    """An EDF file if the name ends in .edf, a raw matrix otherwise."""
+    if path.lower().endswith(".edf"):
         return read_edf(path)
-    raise SignalIOError(f"unknown recording format: {format!r}")
+    return _read_raw_matrix(path)
 
 
 def _read_raw_matrix(path: str) -> Recording:
@@ -153,21 +144,22 @@ def _read_raw_matrix(path: str) -> Recording:
             m = int(fields["samples"])
         except (KeyError, ValueError):
             raise SignalIOError(f"malformed raw_matrix header: {header!r}") from None
+        if n < 0 or m < 0:
+            raise SignalIOError(f"malformed raw_matrix header: {header!r}")
         data = np.frombuffer(f.read(), dtype="<f4")
     if data.size != n * m:
         raise SignalIOError(
             f"raw_matrix payload has {data.size} samples, expected {n * m}")
-    mat = data.reshape(n, m).astype(np.float64)
-    channels = [ChannelSignal(f"CH{i}", mat[i]) for i in range(n)]
-    return Recording(tuple(channels), rate, id=os.path.basename(path))
+    return Recording(data.reshape(n, m), tuple(f"CH{i}" for i in range(n)),
+                     rate, id=os.path.basename(path))
 
 
 def write_recording(rec: Recording, path: str) -> None:
-    header = (f"channels={len(rec.channels)} rate_hz={rec.sample_rate_hz:g} "
+    header = (f"channels={len(rec.data)} rate_hz={rec.sample_rate_hz:g} "
               f"samples={rec.num_samples}\n")
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        f.write(rec.as_array().astype("<f4").tobytes())
+        f.write(rec.data.astype("<f4").tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +216,11 @@ def read_edf(path: str) -> Recording:
 
     labels = _column(0)
     try:
-        phys_min = [float(v) for v in _column(3)]
-        phys_max = [float(v) for v in _column(4)]
-        dig_min = [int(v) for v in _column(5)]
-        dig_max = [int(v) for v in _column(6)]
+        # Calibration as (ns, 1) columns that broadcast over the samples.
+        phys_min, phys_max = (np.array([float(v) for v in _column(i)])[:, None]
+                              for i in (3, 4))
+        dig_min, dig_max = (np.array([int(v) for v in _column(i)])[:, None]
+                            for i in (5, 6))
         spr = [int(v) for v in _column(8)]
     except ValueError:
         raise SignalIOError("malformed EDF signal header") from None
@@ -243,25 +236,19 @@ def read_edf(path: str) -> Recording:
         raise SignalIOError("non-positive samples-per-record")
 
     rate = spr[0] / record_dur
-    rec_len = sum(spr)
     payload = np.frombuffer(raw, dtype="<i2", offset=header_bytes)
-    if payload.size != num_records * rec_len:
-        raise SignalIOError(
-            f"EDF payload has {payload.size} values, expected {num_records * rec_len}")
-    records = payload.reshape(num_records, rec_len)
-
-    channels = []
-    start = 0
-    for i in range(ns):
-        dig = records[:, start:start + spr[i]].reshape(-1).astype(np.float64)
-        start += spr[i]
-        dscale = dig_max[i] - dig_min[i]
-        if dscale == 0:
-            raise SignalIOError(f"signal {labels[i]!r}: digital min == max")
-        gain = (phys_max[i] - phys_min[i]) / dscale
-        phys = (dig - dig_min[i]) * gain + phys_min[i]
-        channels.append(ChannelSignal(labels[i], phys))
-    return Recording(tuple(channels), rate, id=os.path.basename(path))
+    if payload.size != num_records * ns * spr[0]:
+        raise SignalIOError(f"EDF payload has {payload.size} values, "
+                            f"expected {num_records * ns * spr[0]}")
+    dscale = dig_max - dig_min
+    if not dscale.all():
+        flat = np.flatnonzero(dscale == 0)[0]
+        raise SignalIOError(f"signal {labels[flat]!r}: digital min == max")
+    gain = (phys_max - phys_min) / dscale
+    # Each record holds spr samples of every signal in turn.
+    dig = payload.reshape(num_records, ns, spr[0]).transpose(1, 0, 2)
+    phys = (dig.reshape(ns, -1) - dig_min) * gain + phys_min
+    return Recording(phys, tuple(labels), rate, id=os.path.basename(path))
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +256,6 @@ def read_edf(path: str) -> Recording:
 
 _KAISER_BETA = 8.0
 _TAPS_PER_PHASE = 64
-
-
-def _resample_channel(x: np.ndarray, up: int, down: int) -> np.ndarray:
-    max_rate = max(up, down)
-    # 64 taps per polyphase branch; cutoff at the tighter of the two Nyquists.
-    numtaps = _TAPS_PER_PHASE * max_rate + 1
-    h = firwin(numtaps, 1.0 / max_rate, window=("kaiser", _KAISER_BETA))
-    # resample_poly scales a user-supplied filter by `up` itself.
-    return resample_poly(x, up, down, window=h)
 
 
 def resample(rec: Recording, target_hz: float) -> Recording:
@@ -288,32 +266,33 @@ def resample(rec: Recording, target_hz: float) -> Recording:
     ratio = Fraction(target_hz / rec.sample_rate_hz).limit_denominator(1000)
     up, down = ratio.numerator, ratio.denominator
     new_len = int(round(rec.num_samples * target_hz / rec.sample_rate_hz))
-    channels = []
-    for ch in rec.channels:
-        y = _resample_channel(ch.samples, up, down)
-        if len(y) < new_len:
-            y = np.pad(y, (0, new_len - len(y)))
-        channels.append(ChannelSignal(ch.label, y[:new_len]))
-    return Recording(tuple(channels), float(target_hz), id=rec.id)
+    max_rate = max(up, down)
+    # 64 taps per polyphase branch; cutoff at the tighter of the two Nyquists.
+    numtaps = _TAPS_PER_PHASE * max_rate + 1
+    h = firwin(numtaps, 1.0 / max_rate, window=("kaiser", _KAISER_BETA))
+    # resample_poly scales a user-supplied filter by `up` itself.
+    y = resample_poly(rec.data, up, down, axis=-1, window=h)
+    if y.shape[1] < new_len:
+        y = np.pad(y, ((0, 0), (0, new_len - y.shape[1])))
+    return Recording(y[:, :new_len], rec.labels, float(target_hz), id=rec.id)
 
 
 # ---------------------------------------------------------------------------
 # Montage
 
 def apply_montage(rec: Recording, spec: MontageSpec) -> Recording:
-    by_label = {c.label: c.samples for c in rec.channels}
-    channels = []
-    for out, pos, neg in spec.derivations:
-        if pos not in by_label:
-            raise SignalIOError(f"montage input {pos!r} not found in recording")
-        if neg is None:
-            samples = by_label[pos].copy()
-        else:
-            if neg not in by_label:
-                raise SignalIOError(f"montage input {neg!r} not found in recording")
-            samples = by_label[pos] - by_label[neg]
-        channels.append(ChannelSignal(out, samples))
-    return Recording(tuple(channels), rec.sample_rate_hz, id=rec.id)
+    row = {label: i for i, label in enumerate(rec.labels)}
+    for _, *inputs in spec.derivations:
+        for name in inputs:
+            if name is not None and name not in row:
+                raise SignalIOError(
+                    f"montage input {name!r} not found in recording")
+    data = rec.data[[row[pos] for _, pos, _ in spec.derivations]]
+    diff = [i for i, (_, _, neg) in enumerate(spec.derivations)
+            if neg is not None]
+    data[diff] -= rec.data[[row[spec.derivations[i][2]] for i in diff]]
+    return Recording(data, tuple(out for out, _, _ in spec.derivations),
+                     rec.sample_rate_hz, id=rec.id)
 
 
 def read_montage(path: str) -> MontageSpec:

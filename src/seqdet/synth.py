@@ -13,7 +13,7 @@ import numpy as np
 
 from . import features as feat
 from .labels import EventLabel, parse_label
-from .signal_io import ALL_CHANNELS, AnnotationSet, ChannelSignal, Event, Recording
+from .signal_io import ALL_CHANNELS, AnnotationSet, Event, Recording
 
 RATE_HZ = 250.0
 NUM_CHANNELS = 22
@@ -166,9 +166,8 @@ def _generate_once(script: list[ScriptEntry],
             for ch in subset:
                 events.append(Event(ch, t0, t0 + entry.duration_s, entry.label))
         t0 += entry.duration_s
-    channels = tuple(ChannelSignal(f"CH{i:02d}", data[i])
-                     for i in range(NUM_CHANNELS))
-    rec = Recording(channels, RATE_HZ, id=f"synth-{seed}")
+    rec = Recording(data, tuple(f"CH{i:02d}" for i in range(NUM_CHANNELS)),
+                    RATE_HZ, id=f"synth-{seed}")
     return rec, AnnotationSet(tuple(events))
 
 

@@ -143,3 +143,26 @@ class TestBundle:
         open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
         with pytest.raises(BundleError, match="sda_eyem/out_w"):
             Bundle.load(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("/second_pass/sda_spsw/window_length", "3"),
+        ("/second_pass/sda_spsw/window_length", True),
+        ("/second_pass/sda_spsw/window_length", 3.0),
+        ("/second_pass/sda_sixway/corruption", "0.3"),
+        ("/manifest", ["seed", 0]),
+    ])
+    def test_mistyped_leaf_rejected(self, tmp_path, key, value):
+        path, data = saved_tiny_bundle(tmp_path)
+        meta, arrays = _unpack_payload(data[8:])
+        assert key in meta
+        meta[key] = value
+        open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
+        with pytest.raises(BundleError, match=f"{key} must be "):
+            Bundle.load(path)
+
+    def test_int_accepted_for_float_leaf(self, tmp_path):
+        path, data = saved_tiny_bundle(tmp_path)
+        meta, arrays = _unpack_payload(data[8:])
+        meta["/second_pass/sda_eyem/corruption"] = 1
+        open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
+        assert Bundle.load(path).second_pass.sda_eyem.corruption == 1

@@ -9,7 +9,7 @@ from seqdet.features import (FEATURE_DIM, FeatureError, FrameSpec, cepstra,
                              extract_features, filterbank_energies,
                              frame_signal, frequency_energy,
                              _filterbank_matrix)
-from seqdet.signal_io import ChannelSignal, Recording
+from seqdet.signal_io import Recording
 
 RATE = 250.0
 SPEC = FrameSpec()
@@ -17,8 +17,7 @@ SPEC = FrameSpec()
 
 def rec_from(data, rate=RATE):
     data = np.atleast_2d(data)
-    return Recording(tuple(ChannelSignal(f"CH{i}", d)
-                           for i, d in enumerate(data)), rate)
+    return Recording(data, tuple(f"CH{i}" for i in range(len(data))), rate)
 
 
 class TestFraming:

@@ -518,6 +518,34 @@ class TestCli:
         assert code == 2
         assert "container version 1" in one_line_data_error(capsys)
 
+    def test_mistyped_bundle_leaf_exit_code(self, trained, corpus, tmp_path,
+                                            capsys):
+        bundle, _ = trained
+        spsw = replace(bundle.second_pass.sda_spsw, window_length="3")
+        path = str(tmp_path / "bad.seqd")
+        Bundle(bundle.hmm_models, replace(bundle.second_pass, sda_spsw=spsw),
+               bundle.bigram, bundle.manifest).save(path)
+        code = cli.main(["decode", path, corpus["eval"][0],
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "sda_spsw/window_length" in one_line_data_error(capsys)
+
+    @pytest.mark.parametrize("verb", ["train", "decode"])
+    def test_wrong_channel_count_exit_code(self, trained, corpus, tmp_path,
+                                           capsys, verb):
+        rec, ann = synth.generate(synth.balanced_script(2, 1, seed=5), seed=6)
+        rec_path = str(tmp_path / "r21.rm")
+        signal_io.write_recording(
+            signal_io.Recording(rec.data[:21], rec.labels[:21],
+                                rec.sample_rate_hz), rec_path)
+        signal_io.write_annotations(ann, str(tmp_path / "r21.csv"))
+        args = (["train", rec_path, "--out", str(tmp_path / "m.seqd")]
+                if verb == "train" else
+                ["decode", trained[1], rec_path, "--out-dir", str(tmp_path)])
+        assert cli.main(args) == 2
+        err = one_line_data_error(capsys)
+        assert rec_path in err and "expected 22 channels" in err
+
     @pytest.mark.parametrize("row", ["x,0,1,SPSW", "*,a,1,SPSW", "*,0,1,FOO"])
     def test_bad_annotation_row_exit_code(self, corpus, tmp_path, capsys, row):
         ref = tmp_path / "ref.csv"

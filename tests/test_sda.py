@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from seqdet.hmm import PosteriorGrid
-from seqdet.labels import EventLabel
-from seqdet.sda import (EPILEPTIFORM, EYEM_SDA_CONFIG, SIXWAY_SDA_CONFIG, SPSW_SDA_CONFIG,
+from seqdet.labels import TARGET_CLASSES, EventLabel
+from seqdet.sda import (EYEM_SDA_CONFIG, SIXWAY_SDA_CONFIG, SPSW_SDA_CONFIG,
                         SdaConfig, SdaError, SdaLayer, SdaModel, augment_rare,
                         build_supervector, corrupt, dae_loss_and_grad,
                         decode_pass2, detector_sequence, encode, enhance,
@@ -300,7 +300,7 @@ class TestEnhance:
 def _enhance_one(p6, p_spsw, p_eyem):
     """The enhancer rule applied to one epoch: the reference for enhance."""
     q = np.array(p6, dtype=np.float64)
-    for p_det, targets in ((p_spsw, EPILEPTIFORM), (p_eyem, (int(EventLabel.EYEM),))):
+    for p_det, targets in ((p_spsw, TARGET_CLASSES), (p_eyem, (int(EventLabel.EYEM),))):
         if p_det[0] > 0.5 and int(np.argmax(q)) not in targets:
             bump = np.zeros(6)
             bump[list(targets)] = p_det[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seqdet.labels import EventLabel
-from seqdet.signal_io import (ALL_CHANNELS, AnnotationSet, ChannelSignal, Event,
+from seqdet.signal_io import (ALL_CHANNELS, AnnotationSet, Event,
                               MontageSpec, Recording, SignalIOError,
                               UnsupportedFeatureError, apply_montage,
                               default_montage, read_annotations, read_edf,
@@ -13,7 +13,7 @@ from seqdet.signal_io import (ALL_CHANNELS, AnnotationSet, ChannelSignal, Event,
 def make_recording(data, rate=250.0, labels=None):
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     labels = labels or [f"CH{i}" for i in range(data.shape[0])]
-    return Recording(tuple(ChannelSignal(l, d) for l, d in zip(labels, data)), rate)
+    return Recording(data, tuple(labels), rate)
 
 
 def write_edf(path, signals, rate=256, record_dur=1.0, phys=(-1000.0, 1000.0),
@@ -57,14 +57,33 @@ def write_edf(path, signals, rate=256, record_dur=1.0, phys=(-1000.0, 1000.0),
         f.write(head + body)
 
 
+class TestRecording:
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(SignalIOError, match="1 channel labels for 2"):
+            Recording(np.zeros((2, 5)), ("A",), 250.0)
+
+    def test_one_dimensional_data_rejected(self):
+        with pytest.raises(SignalIOError, match="matrix"):
+            Recording(np.zeros(5), ("A",), 250.0)
+
+    def test_zero_channels_rejected(self):
+        with pytest.raises(SignalIOError, match="at least one channel"):
+            Recording(np.zeros((0, 5)), (), 250.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -250.0, np.nan, np.inf])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(SignalIOError, match="positive and finite"):
+            Recording(np.zeros((1, 5)), ("A",), rate)
+
+
 class TestRawMatrix:
     def test_header_arithmetic(self, tmp_path):
         path = tmp_path / "r.rm"
         rec = make_recording(np.zeros((2, 1000)), rate=250.0)
         write_recording(rec, str(path))
-        back = read_recording(str(path), "raw_matrix")
+        back = read_recording(str(path))
         assert back.duration_s == pytest.approx(4.0)
-        assert len(back.channels) == 2
+        assert len(back.data) == 2
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -72,13 +91,19 @@ class TestRawMatrix:
         path = tmp_path / "r.rm"
         write_recording(rec, str(path))
         back = read_recording(str(path))
-        np.testing.assert_array_equal(back.as_array(), rec.as_array())
+        np.testing.assert_array_equal(back.data, rec.data)
         assert back.sample_rate_hz == rec.sample_rate_hz
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.rm"
         path.write_bytes(b"not a header\n")
         with pytest.raises(SignalIOError):
+            read_recording(str(path))
+
+    def test_negative_dimensions_rejected(self, tmp_path):
+        path = tmp_path / "bad.rm"
+        path.write_bytes(b"channels=-1 rate_hz=250 samples=-4\n" + b"\0" * 16)
+        with pytest.raises(SignalIOError, match="malformed"):
             read_recording(str(path))
 
     def test_payload_size_mismatch(self, tmp_path):
@@ -95,7 +120,7 @@ class TestEdf:
         path = tmp_path / "a.edf"
         write_edf(str(path), signals, rate=256)
         rec = read_edf(str(path))
-        assert len(rec.channels) == 22
+        assert len(rec.data) == 22
         assert rec.sample_rate_hz == 256.0
         assert rec.num_samples == 512
 
@@ -104,7 +129,7 @@ class TestEdf:
         path = tmp_path / "a.edf"
         write_edf(str(path), signals, rate=256, phys=(-32768.0, 32767.0))
         rec = read_edf(str(path))
-        np.testing.assert_allclose(rec.channels[0].samples, signals[0])
+        np.testing.assert_allclose(rec.data[0], signals[0])
 
     def test_physical_scaling(self, tmp_path):
         signals = [np.array([0, 16384, -16384] * 86, dtype=np.int64)[:256]]
@@ -113,7 +138,30 @@ class TestEdf:
         rec = read_edf(str(path))
         gain = 200.0 / 65535
         expect = (signals[0] + 32768) * gain - 100.0
-        np.testing.assert_allclose(rec.channels[0].samples, expect)
+        np.testing.assert_allclose(rec.data[0], expect)
+
+    def test_records_deinterleaved(self, tmp_path):
+        # 3 signals, 4 one-second records: each record holds 256 samples of
+        # every signal in turn.
+        signals = [np.arange(1024) + 2000 * i for i in range(3)]
+        path = tmp_path / "a.edf"
+        write_edf(str(path), signals, phys=(-32768.0, 32767.0),
+                  labels=["A", "B", "C"])
+        rec = read_recording(str(path))
+        assert rec.labels == ("A", "B", "C")
+        np.testing.assert_array_equal(rec.data, np.stack(signals))
+
+    def test_zero_digital_range_names_signal(self, tmp_path):
+        path = tmp_path / "a.edf"
+        write_edf(str(path), [np.zeros(256), np.zeros(256)],
+                  labels=["A", "B"])
+        raw = bytearray(path.read_bytes())
+        # dig max of the second signal, after label/transducer/dim/phys/dig min.
+        off = 256 + (16 + 80 + 8 + 8 + 8 + 8) * 2 + 8
+        raw[off:off + 8] = b"-32768".ljust(8)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SignalIOError, match="'B': digital min == max"):
+            read_edf(str(path))
 
     def test_annotation_channel_rejected(self, tmp_path):
         path = tmp_path / "a.edf"
@@ -145,24 +193,24 @@ class TestResample:
     def test_same_rate_identity(self):
         rec = make_recording(np.random.default_rng(0).standard_normal((2, 250)))
         out = resample(rec, 250.0)
-        np.testing.assert_array_equal(out.as_array(), rec.as_array())
+        np.testing.assert_array_equal(out.data, rec.data)
 
     def test_sine_downsample(self):
         t = np.arange(5000) / 500.0
         rec = make_recording(np.sin(2 * np.pi * 10.0 * t)[None], rate=500.0)
         out = resample(rec, 250.0)
         assert out.num_samples == 2500
-        spec = np.abs(np.fft.rfft(out.channels[0].samples))
+        spec = np.abs(np.fft.rfft(out.data[0]))
         freqs = np.fft.rfftfreq(out.num_samples, 1 / 250.0)
         peak = freqs[np.argmax(spec)]
         assert abs(peak - 10.0) < 0.1
-        interior = out.channels[0].samples[200:-200]
+        interior = out.data[0][200:-200]
         assert abs(interior.max() - 1.0) < 0.01
 
     def test_dc_preserved(self):
         rec = make_recording(np.full((1, 1000), 3.0), rate=200.0)
         out = resample(rec, 250.0)
-        interior = out.channels[0].samples[100:-100]
+        interior = out.data[0][100:-100]
         # polyphase branch gains carry small stopband ripple
         np.testing.assert_allclose(interior, 3.0, atol=1e-3)
 
@@ -174,8 +222,8 @@ class TestResample:
         x = np.fft.irfft(spec, n=5000)
         rec = make_recording(x[None], rate=500.0)
         back = resample(resample(rec, 250.0), 500.0)
-        a = rec.channels[0].samples[500:-500]
-        b = back.channels[0].samples[500:-500]
+        a = rec.data[0][500:-500]
+        b = back.data[0][500:-500]
         assert np.linalg.norm(a - b) / np.linalg.norm(a) < 0.01
 
 
@@ -183,12 +231,12 @@ class TestMontage:
     def test_equal_inputs_zero(self):
         rec = make_recording(np.ones((2, 10)), labels=["A", "B"])
         out = apply_montage(rec, MontageSpec((("X", "A", "A"),)))
-        np.testing.assert_array_equal(out.channels[0].samples, np.zeros(10))
+        np.testing.assert_array_equal(out.data[0], np.zeros(10))
 
     def test_copy_derivation(self):
         rec = make_recording([[1.0, 2.0, 3.0]], labels=["A"])
         out = apply_montage(rec, MontageSpec((("X", "A", None),)))
-        np.testing.assert_array_equal(out.channels[0].samples, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(out.data[0], [1.0, 2.0, 3.0])
 
     def test_differences(self):
         rng = np.random.default_rng(4)
@@ -196,8 +244,8 @@ class TestMontage:
         rec = make_recording(data, labels=["A", "B", "C"])
         spec = MontageSpec((("X", "A", "B"), ("Y", "C", "A")))
         out = apply_montage(rec, spec)
-        np.testing.assert_allclose(out.channels[0].samples, data[0] - data[1])
-        np.testing.assert_allclose(out.channels[1].samples, data[2] - data[0])
+        np.testing.assert_allclose(out.data[0], data[0] - data[1])
+        np.testing.assert_allclose(out.data[1], data[2] - data[0])
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
@@ -208,8 +256,8 @@ class TestMontage:
         mx = apply_montage(make_recording(x, labels=["A", "B"]), spec)
         my = apply_montage(make_recording(y, labels=["A", "B"]), spec)
         np.testing.assert_allclose(
-            combo.channels[0].samples,
-            a * mx.channels[0].samples + b * my.channels[0].samples)
+            combo.data[0],
+            a * mx.data[0] + b * my.data[0])
 
     def test_unresolved_label(self):
         rec = make_recording(np.ones((1, 5)), labels=["A"])
@@ -267,5 +315,5 @@ class TestAnnotations:
                        Event(0, 1.0, 3.0, EventLabel.PLED)))
 
     def test_nonfinite_samples_rejected(self):
-        with pytest.raises(SignalIOError):
-            ChannelSignal("A", np.array([1.0, np.nan]))
+        with pytest.raises(SignalIOError, match="'B': non-finite"):
+            Recording(np.array([[1.0, 2.0], [1.0, np.nan]]), ("A", "B"), 250.0)

@@ -16,7 +16,7 @@ SCRIPT = [ScriptEntry(EventLabel.BCKG, 3.0, None),
 class TestGenerate:
     def test_shape_and_rate(self):
         rec, ann = generate(SCRIPT, seed=0)
-        assert len(rec.channels) == 22
+        assert len(rec.data) == 22
         assert rec.sample_rate_hz == 250.0
         assert rec.num_samples == 7 * 250
 
@@ -33,18 +33,18 @@ class TestGenerate:
     def test_deterministic(self):
         r1, a1 = generate(SCRIPT, seed=7)
         r2, a2 = generate(SCRIPT, seed=7)
-        np.testing.assert_array_equal(r1.as_array(), r2.as_array())
+        np.testing.assert_array_equal(r1.data, r2.data)
         assert a1.events == a2.events
 
     def test_seed_changes_signal(self):
         r1, _ = generate(SCRIPT, seed=1)
         r2, _ = generate(SCRIPT, seed=2)
-        assert not np.array_equal(r1.as_array(), r2.as_array())
+        assert not np.array_equal(r1.data, r2.data)
 
     def test_off_subset_channels_are_background_like(self):
         # channels outside the SPSW subset carry far less high-band energy
         rec, _ = generate(SCRIPT, seed=0)
-        seg = rec.as_array()[:, 5 * 250:7 * 250]
+        seg = rec.data[:, 5 * 250:7 * 250]
         spec = feat.FrameSpec()
         hi = []
         for ch in range(22):
