@@ -23,10 +23,11 @@ from enum import Enum
 
 import numpy as np
 
+from .features import FEATURE_DIM
 from .grammar import BigramTable
-from .hmm import GmmHmmModel
-from .labels import EventLabel
-from .sda import SecondPassModels
+from .hmm import GmmHmmModel, HmmError
+from .labels import NUM_CLASSES, EventLabel
+from .sda import SUPERVECTOR_DIM, SecondPassModels
 
 MAGIC = b"SEQD"
 VERSION = 2
@@ -115,9 +116,12 @@ def _build(tp, path: str, meta: dict, arrays: dict):
         return np.array(arrays[path])
     if is_dataclass(tp):
         hints = typing.get_type_hints(tp)
-        return tp(**{f.name: _build(hints[f.name], f"{path}/{f.name}",
-                                    meta, arrays)
-                     for f in fields(tp)})
+        try:
+            return tp(**{f.name: _build(hints[f.name], f"{path}/{f.name}",
+                                        meta, arrays)
+                         for f in fields(tp)})
+        except HmmError as exc:
+            raise BundleError(f"{path}: {exc}") from None
     if typing.get_origin(tp) is list:
         return [_build(args[0], f"{path}/{i}", meta, arrays)
                 for i in range(meta[path])]
@@ -147,6 +151,30 @@ class Bundle:
             f.write(MAGIC + struct.pack("<I", VERSION))
             f.write(_pack_payload(meta, arrays))
 
+    def _check_shapes(self) -> None:
+        """Cross-check the array shapes that no single model checks itself."""
+        if len(self.hmm_models) != NUM_CLASSES:
+            raise BundleError(f"/hmm_models holds {len(self.hmm_models)} classes, "
+                              f"expected {NUM_CLASSES}")
+        n, l, _ = next(iter(self.hmm_models.values())).means.shape
+        want = {f"/hmm_models/{lab.name}/means": (m.means, (n, l, FEATURE_DIM))
+                for lab, m in self.hmm_models.items()}
+        for pca_name, sda_names in (("pca_detector", ("sda_spsw", "sda_eyem")),
+                                    ("pca_sixway", ("sda_sixway",))):
+            pca, path = getattr(self.second_pass, pca_name), f"/second_pass/{pca_name}"
+            want[f"{path}/mean"] = (pca.mean, (SUPERVECTOR_DIM,))
+            want[f"{path}/components"] = (pca.components, (pca.out_dim, SUPERVECTOR_DIM))
+            for name in sda_names:  # each weight matrix takes the previous width
+                sda = getattr(self.second_pass, name)
+                width = sda.window_length * pca.out_dim
+                for sub, w in [*((f"layers/{i}/w", layer.w) for i, layer in
+                                 enumerate(sda.layers)), ("out_w", sda.out_w)]:
+                    want[f"/second_pass/{name}/{sub}"] = (w, (len(w), width))
+                    width = len(w)
+        for path, (arr, shape) in want.items():
+            if arr.shape != shape:
+                raise BundleError(f"{path} has shape {arr.shape}, expected {shape}")
+
     @classmethod
     def load(cls, path: str) -> "Bundle":
         with open(path, "rb") as f:
@@ -160,11 +188,12 @@ class Bundle:
             raise BundleError(
                 f"{path}: container version {version}, expected {VERSION}")
         try:
-            meta, arrays = _unpack_payload(memoryview(buf)[8:])
-            return _build(cls, "", meta, arrays)
+            bundle = _build(cls, "", *_unpack_payload(memoryview(buf)[8:]))
+            bundle._check_shapes()
+            return bundle
         except BundleError as exc:
             raise BundleError(f"{path}: {exc}") from None
         except KeyError as exc:
             raise BundleError(f"{path}: missing or unknown entry {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, IndexError) as exc:
             raise BundleError(f"{path}: corrupt payload: {exc}") from None

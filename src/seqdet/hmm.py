@@ -3,16 +3,15 @@ per-epoch posterior scoring.
 
 Models start in state 0 and may only self-loop or advance one state; emission
 densities are diagonal-covariance Gaussian mixtures attached to states. All
-probability computations run in log space; the E-step is batched over epochs
-(every epoch has the same frame count) so training is a handful of vectorized
-operations per iteration.
+probability computations run in log space, batched over epochs. Emissions come
+from one GEMM kernel over a bank of stacked models (all six when scoring, one in
+Baum-Welch): const - x^2 (1/(2 sigma^2))^T + x (mu/sigma^2)^T, as in HTK and Kaldi.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .features import FeatureGrid
 from .labels import NUM_CLASSES, EventLabel
@@ -33,6 +32,15 @@ class GmmHmmModel:
     means: np.ndarray      # (N, L, D)
     variances: np.ndarray  # (N, L, D), floored
     var_floor: np.ndarray  # (D,)
+
+    def __post_init__(self):
+        if np.ndim(self.means) != 3:
+            raise HmmError(f"means must be (N, L, D), got {np.shape(self.means)}")
+        n, l, d = self.means.shape
+        for name, want in (("trans", (n, n)), ("weights", (n, l)),
+                           ("variances", (n, l, d)), ("var_floor", (d,))):
+            if (got := np.shape(getattr(self, name))) != want:
+                raise HmmError(f"{name} has shape {got}, expected {want}")
 
     @property
     def num_states(self) -> int:
@@ -68,21 +76,48 @@ class PosteriorGrid:
 # ---------------------------------------------------------------------------
 # Emission densities
 
-def _component_loglik(model: GmmHmmModel, obs: np.ndarray) -> np.ndarray:
-    """Log N(o; mu, diag sigma^2) + log w for every (..., state, component)."""
-    diff = obs[..., None, None, :] - model.means          # (..., N, L, D)
-    quad = np.sum(diff * diff / model.variances, axis=-1)
-    logdet = np.sum(np.log(model.variances), axis=-1)     # (N, L)
-    d = model.dim
-    logpdf = -0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
+def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(a))) along `axis`, shifted by the maximum; a row that is
+    all -inf gives -inf."""
+    m = np.max(a, axis=axis, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    e = a - m
+    np.exp(e, out=e)
     with np.errstate(divide="ignore"):
-        logw = np.log(model.weights)
-    return logw + logpdf
+        out = np.log(e.sum(axis=axis, keepdims=True))
+    return (out + m).squeeze(axis)
+
+
+def _bank(models: list[GmmHmmModel]):
+    """The Gaussians of same-shape models as GEMM terms: w (M, N, L, 2D) is
+    -1/(2 sigma^2) | mu/sigma^2 and const (M, N, L) is log w - (sum log sigma^2
+    + D log 2 pi + sum mu^2/sigma^2) / 2, -inf where w = 0."""
+    var = np.stack([m.variances for m in models])
+    means = np.stack([m.means for m in models])
+    wmean = means / var
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.stack([m.weights for m in models]))
+    const = logw - 0.5 * (np.log(var).sum(axis=-1) + var.shape[-1] * np.log(2.0 * np.pi)
+                          + (means * wmean).sum(axis=-1))
+    return np.concatenate([-0.5 / var, wmean], axis=-1), const
+
+
+def _emissions(w: np.ndarray, const: np.ndarray, batch: np.ndarray):
+    """Component log-likelihoods (M, N, L, T, B), log w included, and per-state
+    log emissions (M, N, T, B) of a batch (B, T, D): one GEMM of the bank's
+    terms against the frames [x^2 | x], plus the constants."""
+    x = batch.transpose(1, 0, 2).reshape(-1, batch.shape[-1])
+    comp = w.reshape(-1, w.shape[-1]) @ np.hstack([x * x, x]).T
+    comp += const.reshape(-1, 1)
+    comp = comp.reshape(*const.shape, *batch.shape[1::-1])
+    return comp, _logsumexp(comp, axis=2)
 
 
 def log_emissions(model: GmmHmmModel, obs: np.ndarray) -> np.ndarray:
     """Per-frame log emission likelihood for each state: (..., T, N)."""
-    return logsumexp(_component_loglik(model, obs), axis=-1)
+    obs = np.asarray(obs, dtype=np.float64)
+    logb = _emissions(*_bank([model]), obs.reshape(-1, *obs.shape[-2:]))[1][0]
+    return logb.transpose(2, 1, 0).reshape(*obs.shape[:-1], -1)
 
 
 def _log_trans(model: GmmHmmModel) -> np.ndarray:
@@ -94,54 +129,55 @@ def _log_trans(model: GmmHmmModel) -> np.ndarray:
 # Forward / backward / Viterbi
 
 def _forward_batch(log_a: np.ndarray, logb: np.ndarray) -> np.ndarray:
-    """Log-alpha (B, T, N) for a batch of same-length sequences; the chain
-    starts deterministically in state 0."""
-    b, t_len, n = logb.shape
-    la = np.full((b, t_len, n), LOG_ZERO)
-    la[:, 0, 0] = logb[:, 0, 0]
-    for t in range(1, t_len):
-        la[:, t] = logsumexp(la[:, t - 1, :, None] + log_a[None], axis=1) + logb[:, t]
+    """Log-alpha (..., N, T, B) of B same-length sequences from log emissions
+    (..., N, T, B) and log transitions (..., N, N); every chain starts in
+    state 0."""
+    la = np.full(logb.shape, LOG_ZERO)
+    la[..., 0, 0, :] = logb[..., 0, 0, :]
+    for t in range(1, logb.shape[-2]):
+        la[..., t, :] = (_logsumexp(la[..., :, None, t - 1, :] + log_a[..., None],
+                                    axis=-3) + logb[..., t, :])
     return la
 
 
 def _backward_batch(log_a: np.ndarray, logb: np.ndarray) -> np.ndarray:
-    b, t_len, n = logb.shape
-    lb = np.zeros((b, t_len, n))
-    for t in range(t_len - 2, -1, -1):
-        lb[:, t] = logsumexp(
-            log_a[None] + (logb[:, t + 1] + lb[:, t + 1])[:, None, :], axis=2)
+    lb = np.zeros(logb.shape)
+    for t in range(logb.shape[-2] - 2, -1, -1):
+        lb[..., t, :] = _logsumexp(
+            log_a[..., None] + (logb[..., t + 1, :] + lb[..., t + 1, :])[..., None, :, :],
+            axis=-2)
     return lb
 
 
 def forward_backward(model: GmmHmmModel, obs: np.ndarray):
     """Log alpha table (N, T), log beta table (N, T) and log P(O|M) for a
     single observation sequence (T, D)."""
-    obs = np.asarray(obs, dtype=np.float64)
-    logb = log_emissions(model, obs[None])            # (1, T, N)
     log_a = _log_trans(model)
-    la = _forward_batch(log_a, logb)[0]
-    lb = _backward_batch(log_a, logb)[0]
-    loglik = float(logsumexp(la[-1]))
-    return la.T, lb.T, loglik
+    logb = log_emissions(model, obs).T[..., None]     # (N, T, 1)
+    la = _forward_batch(log_a, logb)[..., 0]
+    lb = _backward_batch(log_a, logb)[..., 0]
+    return la, lb, float(_logsumexp(la[:, -1]))
+
+
+def _loglik(models: list[GmmHmmModel], obs_batch: np.ndarray) -> np.ndarray:
+    """Log P(O|M) (B, M) of each of M stacked models for a batch (B, T, D)."""
+    obs_batch = np.asarray(obs_batch, dtype=np.float64)
+    bank, log_a = _bank(models), np.stack([_log_trans(m) for m in models])
+    out = np.empty((obs_batch.shape[0], len(models)))
+    for lo in range(0, obs_batch.shape[0], _BATCH):
+        logb = _emissions(*bank, obs_batch[lo:lo + _BATCH])[1]
+        out[lo:lo + _BATCH] = _logsumexp(_forward_batch(log_a, logb)[..., -1, :], axis=1).T
+    return out
 
 
 def loglikelihood(model: GmmHmmModel, obs_batch: np.ndarray) -> np.ndarray:
     """Log P(O|M) for a batch (B, T, D) of equal-length sequences."""
-    obs_batch = np.asarray(obs_batch, dtype=np.float64)
-    out = np.empty(obs_batch.shape[0])
-    log_a = _log_trans(model)
-    for lo in range(0, obs_batch.shape[0], _BATCH):
-        chunk = obs_batch[lo:lo + _BATCH]
-        logb = log_emissions(model, chunk)
-        la = _forward_batch(log_a, logb)
-        out[lo:lo + _BATCH] = logsumexp(la[:, -1], axis=1)
-    return out
+    return _loglik([model], obs_batch)[:, 0]
 
 
 def viterbi(model: GmmHmmModel, obs: np.ndarray):
     """Best state path and its log score (max-product forward pass)."""
-    obs = np.asarray(obs, dtype=np.float64)
-    logb = log_emissions(model, obs[None])[0]         # (T, N)
+    logb = log_emissions(model, obs)                  # (T, N)
     log_a = _log_trans(model)
     t_len, n = logb.shape
     delta = np.full((t_len, n), LOG_ZERO)
@@ -247,71 +283,48 @@ def _reestimate_one(model: GmmHmmModel, epochs: np.ndarray):
     model and the total corpus log-likelihood under the *input* model."""
     epochs = np.asarray(epochs, dtype=np.float64)
     n, comps, dim = model.num_states, model.num_components, model.dim
-    log_a = _log_trans(model)
+    bank, log_a = _bank([model]), _log_trans(model)
 
     trans_num = np.zeros((n, n))
-    occ = np.zeros((n, comps))
-    mean_acc = np.zeros((n, comps, dim))
-    sq_acc = np.zeros((n, comps, dim))
+    moments = np.zeros((n * comps, 1 + 2 * dim))  # sums of r | r x^2 | r x
     total_ll = 0.0
 
     for lo in range(0, epochs.shape[0], _BATCH):
         chunk = epochs[lo:lo + _BATCH]
-        comp_ll = _component_loglik(model, chunk)          # (B, T, N, L)
-        logb = logsumexp(comp_ll, axis=-1)                 # (B, T, N)
-        la = _forward_batch(log_a, logb)
+        comp_ll, logb = [a[0] for a in _emissions(*bank, chunk)]
+        la = _forward_batch(log_a, logb)                   # (N, T, B)
         lb = _backward_batch(log_a, logb)
-        loglik = logsumexp(la[:, -1], axis=1)              # (B,)
+        loglik = _logsumexp(la[:, -1], axis=0)             # (B,)
         total_ll += float(np.sum(loglik))
 
-        lgamma = la + lb - loglik[:, None, None]           # (B, T, N)
+        lgamma = la + lb - loglik                          # (N, T, B)
         # Per-component occupancy: gamma split by within-state posterior.
-        r = np.exp(lgamma[..., None] + comp_ll - logb[..., None])
-        occ += r.sum(axis=(0, 1))
-        mean_acc += np.einsum("btnl,btd->nld", r, chunk)
-        sq_acc += np.einsum("btnl,btd->nld", r, chunk * chunk)
+        r = np.exp(lgamma[:, None] + comp_ll - logb[:, None]).reshape(n * comps, -1)
+        x = chunk.transpose(1, 0, 2).reshape(-1, dim)      # frames, as in r
+        moments += r @ np.hstack([np.ones((len(x), 1)), x * x, x])
 
-        t_len = chunk.shape[1]
-        for t in range(1, t_len):
-            xi = np.exp(la[:, t - 1, :, None] + log_a[None]
-                        + (logb[:, t] + lb[:, t])[:, None, :]
-                        - loglik[:, None, None])
-            trans_num += xi.sum(axis=0)
+        xi = np.exp(la[:, None, :-1] + log_a[..., None, None]
+                    + (logb + lb)[None, :, 1:] - loglik)  # (N, N, T - 1, B)
+        trans_num += xi.sum(axis=(2, 3))
+
+    occ, sq_acc, mean_acc = np.split(moments.reshape(n, comps, -1), [1, 1 + dim], axis=-1)
 
     # Transitions: occupancy-normalized; structural zeros stay zero.
     row = trans_num.sum(axis=1, keepdims=True)
     trans = np.where(row > 0, trans_num / np.where(row > 0, row, 1.0), model.trans)
     trans[-1] = model.trans[-1]  # final state has no outgoing arcs to count
 
-    state_occ = occ.sum(axis=1, keepdims=True)
-    weights = np.where(state_occ > 0, occ / np.where(state_occ > 0, state_occ, 1.0),
-                       model.weights)
-    safe = occ > 1e-10
-    means = np.where(safe[..., None], mean_acc / np.maximum(occ, 1e-300)[..., None],
-                     model.means)
-    variances = np.where(
-        safe[..., None],
-        sq_acc / np.maximum(occ, 1e-300)[..., None] - means ** 2,
-        model.variances)
-    variances = np.maximum(variances, model.var_floor)
+    state_occ = occ[..., 0].sum(axis=1, keepdims=True)
+    weights = np.where(state_occ > 0,
+                       occ[..., 0] / np.where(state_occ > 0, state_occ, 1.0), model.weights)
+    safe, occ_safe = occ > 1e-10, np.maximum(occ, 1e-300)
+    means = np.where(safe, mean_acc / occ_safe, model.means)
+    variances = np.maximum(np.where(safe, sq_acc / occ_safe - means ** 2,
+                                    model.variances), model.var_floor)
 
     updated = replace(model, trans=trans, weights=weights, means=means,
                       variances=variances)
     return updated, total_ll
-
-
-def reestimate(models: dict[EventLabel, GmmHmmModel],
-               corpus: dict[EventLabel, np.ndarray]):
-    """One Baum-Welch iteration over every class; returns (updated models,
-    per-class input log-likelihoods)."""
-    missing = [lab.name for lab in models if lab not in corpus or
-               len(corpus[lab]) == 0]
-    if missing:
-        raise HmmError(f"empty corpus for classes: {missing}")
-    updated, lls = {}, {}
-    for lab, model in models.items():
-        updated[lab], lls[lab] = _reestimate_one(model, corpus[lab])
-    return updated, lls
 
 
 @dataclass(frozen=True)
@@ -353,17 +366,14 @@ def train(corpus: dict[EventLabel, np.ndarray],
 def score_batch(models: dict[EventLabel, GmmHmmModel], obs_batch: np.ndarray,
                 priors: np.ndarray | None = None) -> np.ndarray:
     """(B, 6) class posteriors of a (B, T, D) batch of observation
-    sequences."""
+    sequences, scored against the six models stacked into one bank."""
     if len(models) != NUM_CLASSES:
         raise HmmError(f"need {NUM_CLASSES} models, got {len(models)}")
-    if priors is None:
-        log_priors = np.zeros(NUM_CLASSES)
-    else:
-        with np.errstate(divide="ignore"):
-            log_priors = np.log(np.asarray(priors, dtype=np.float64))
-    scores = np.stack([loglikelihood(models[lab], obs_batch) + log_priors[int(lab)]
-                       for lab in EventLabel], axis=1)
-    scores -= logsumexp(scores, axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        log_priors = np.log(np.ones(NUM_CLASSES) if priors is None
+                            else np.asarray(priors, dtype=np.float64))
+    scores = _loglik([models[lab] for lab in EventLabel], obs_batch) + log_priors
+    scores -= _logsumexp(scores, axis=1)[:, None]
     return np.exp(scores)
 
 
@@ -371,7 +381,5 @@ def decode_pass1(grid: FeatureGrid, models: dict[EventLabel, GmmHmmModel],
                  priors: np.ndarray | None = None) -> PosteriorGrid:
     """Score every (epoch, channel) cell independently."""
     cells = grid.cells()
-    n_ep, n_ch = cells.shape[:2]
-    post = score_batch(models, cells.reshape(n_ep * n_ch, *cells.shape[2:]),
-                       priors)
-    return PosteriorGrid(post.reshape(n_ep, n_ch, NUM_CLASSES))
+    post = score_batch(models, cells.reshape(-1, *cells.shape[2:]), priors)
+    return PosteriorGrid(post.reshape(*cells.shape[:2], NUM_CLASSES))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import expit
 
 from .hmm import PosteriorGrid
 from .labels import NUM_CLASSES, TARGET_CLASSES, EventLabel
@@ -142,15 +143,6 @@ class SdaModel:
     scale_max: np.ndarray
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -183,7 +175,7 @@ def corrupt(x: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray
 def encode(layers: list[SdaLayer], x: np.ndarray) -> np.ndarray:
     h = np.asarray(x, dtype=np.float64)
     for layer in layers:
-        h = _sigmoid(h @ layer.w.T + layer.b)
+        h = expit(h @ layer.w.T + layer.b)
     return h
 
 
@@ -197,8 +189,8 @@ def dae_loss_and_grad(layer: SdaLayer, x_clean: np.ndarray,
     x_clean = np.atleast_2d(x_clean)
     x_corrupt = np.atleast_2d(x_corrupt)
     n, d = x_clean.shape
-    y = _sigmoid(x_corrupt @ layer.w.T + layer.b)
-    z = _sigmoid(y @ layer.w + layer.b_prime)
+    y = expit(x_corrupt @ layer.w.T + layer.b)
+    z = expit(y @ layer.w + layer.b_prime)
     zc = np.clip(z, 1e-12, 1.0 - 1e-12)
     loss = -np.mean(x_clean * np.log(zc) + (1.0 - x_clean) * np.log(1.0 - zc))
     # Sigmoid + cross-entropy: gradient at the decoder pre-activation is z - x.
@@ -222,7 +214,7 @@ def finetune_loss_and_grad(layers: list[SdaLayer], out_w: np.ndarray,
     acts = [x]
     h = x
     for layer in layers:
-        h = _sigmoid(h @ layer.w.T + layer.b)
+        h = expit(h @ layer.w.T + layer.b)
         acts.append(h)
     probs = _softmax(h @ out_w.T + out_b)
     loss = -np.mean(np.log(np.clip(probs[np.arange(n), y], 1e-300, None)))

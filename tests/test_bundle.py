@@ -5,28 +5,32 @@ import pytest
 
 from seqdet.bundle import (MAGIC, VERSION, Bundle, BundleError, _pack_payload,
                            _unpack_payload)
+from seqdet.features import FEATURE_DIM
 from seqdet.grammar import default_bigram
 from seqdet.hmm import init_model
 from seqdet.labels import EventLabel
-from seqdet.sda import (PcaModel, SdaModel, SecondPassModels, init_stack)
+from seqdet.sda import (SUPERVECTOR_DIM, PcaModel, SdaModel, SecondPassModels,
+                        init_stack)
 
 
-def tiny_sda(rng, input_dim=6, outputs=2, window=3):
-    layers = init_stack(input_dim, (4, 4), rng)
+def tiny_sda(rng, pca_dim, outputs=2, window=3):
+    layers = init_stack(window * pca_dim, (4, 4), rng)
     return SdaModel(layers, rng.standard_normal((outputs, 4)),
                     rng.standard_normal(outputs), window, 0.3,
-                    np.zeros(2), np.ones(2))
+                    np.zeros(pca_dim), np.ones(pca_dim))
 
 
 def tiny_bundle(seed=0):
+    """Small models whose shapes chain as a trained bundle's do: 26-dim
+    features, PCA from 132 supervector dims, each SdA fed by its PCA."""
     rng = np.random.default_rng(seed)
-    epochs = rng.standard_normal((20, 10, 4))
+    epochs = rng.standard_normal((20, 10, FEATURE_DIM))
     models = {lab: init_model(lab, epochs, 3, 2, seed=int(lab))
               for lab in EventLabel}
     second = SecondPassModels(
-        PcaModel(rng.standard_normal(8), np.eye(3, 8)),
-        PcaModel(rng.standard_normal(8), np.eye(4, 8)),
-        tiny_sda(rng), tiny_sda(rng), tiny_sda(rng, outputs=6))
+        PcaModel(rng.standard_normal(SUPERVECTOR_DIM), np.eye(3, SUPERVECTOR_DIM)),
+        PcaModel(rng.standard_normal(SUPERVECTOR_DIM), np.eye(4, SUPERVECTOR_DIM)),
+        tiny_sda(rng, 3), tiny_sda(rng, 3), tiny_sda(rng, 4, outputs=6))
     return Bundle(models, second, default_bigram(),
                   {"seed": seed, "note": "test"})
 
@@ -166,3 +170,41 @@ class TestBundle:
         meta["/second_pass/sda_eyem/corruption"] = 1
         open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
         assert Bundle.load(path).second_pass.sda_eyem.corruption == 1
+
+
+def rewrite(path, data, **changes):
+    """Save the payload of `data` with the named arrays replaced."""
+    meta, arrays = _unpack_payload(data[8:])
+    for key, fn in changes.items():
+        arrays[key] = fn(arrays[key])
+    open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
+
+
+class TestShapeCrossChecks:
+    @pytest.mark.parametrize("key, fn, message", [
+        ("/second_pass/pca_detector/components", lambda a: a[:, :131],
+         r"/second_pass/pca_detector/components has shape \(3, 131\)"),
+        ("/second_pass/pca_sixway/mean", lambda a: a[:131],
+         "/second_pass/pca_sixway/mean has shape"),
+        ("/second_pass/sda_eyem/layers/1/w", lambda a: a[:, :3],
+         r"/second_pass/sda_eyem/layers/1/w has shape \(4, 3\), expected \(4, 4\)"),
+        ("/second_pass/sda_sixway/layers/0/w", lambda a: a[:, :9],
+         "/second_pass/sda_sixway/layers/0/w has shape"),
+        ("/second_pass/sda_spsw/out_w", lambda a: a[:, :3],
+         "/second_pass/sda_spsw/out_w has shape"),
+        ("/hmm_models/GPED/weights", lambda a: a[:, :1],
+         r"/hmm_models/GPED: weights has shape \(3, 1\), expected \(3, 2\)"),
+    ])
+    def test_mismatch_rejected(self, tmp_path, key, fn, message):
+        path, data = saved_tiny_bundle(tmp_path)
+        rewrite(path, data, **{key: fn})
+        with pytest.raises(BundleError, match=message):
+            Bundle.load(path)
+
+    def test_model_of_other_dim_rejected(self, tmp_path):
+        path, data = saved_tiny_bundle(tmp_path)
+        cut = {f"/hmm_models/PLED/{name}": (lambda a: a[..., :25])
+               for name in ("means", "variances", "var_floor")}
+        rewrite(path, data, **cut)
+        with pytest.raises(BundleError, match="/hmm_models/PLED/means has shape"):
+            Bundle.load(path)

@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from seqdet.features import FeatureGrid
 from seqdet.hmm import (GmmHmmModel, HmmConfig, HmmError, decode_pass1,
                         forward_backward, init_model, log_emissions,
-                        loglikelihood, reestimate, score_batch,
-                        train, viterbi, _kmeans, _left_right_trans)
+                        loglikelihood, score_batch, train, viterbi, _BATCH,
+                        _bank, _emissions, _kmeans, _left_right_trans,
+                        _logsumexp, _reestimate_one)
 from seqdet.labels import EventLabel
 
 
@@ -24,6 +26,18 @@ def random_model(rng, n=3, comps=2, dim=2, label=EventLabel.BCKG):
     variances = rng.uniform(0.5, 2.0, size=(n, comps, dim))
     return GmmHmmModel(label, trans, w, means, variances,
                        np.full(dim, 1e-8))
+
+
+def component_loglik_reference(model, obs):
+    """Log N(o; mu, diag sigma^2) + log w for every (..., state, component),
+    as one broadcast difference tensor (..., N, L, D): the reference for the
+    GEMM emission kernel."""
+    diff = obs[..., None, None, :] - model.means
+    quad = np.sum(diff * diff / model.variances, axis=-1)
+    logdet = np.sum(np.log(model.variances), axis=-1)
+    logpdf = -0.5 * (quad + logdet + model.dim * np.log(2.0 * np.pi))
+    with np.errstate(divide="ignore"):
+        return np.log(model.weights) + logpdf
 
 
 def gauss_mix_pdf(model, s, x):
@@ -118,6 +132,78 @@ class TestViterbi:
         assert (np.diff(path) <= 1).all()
 
 
+class TestEmissionKernel:
+    def test_gemm_matches_broadcast_reference(self):
+        rng = np.random.default_rng(30)
+        models = [random_model(rng, n=3, comps=4, dim=5) for _ in range(3)]
+        weights = models[1].weights.copy()
+        weights[2, 1] = 0.0  # a zero-weight component: log w = -inf
+        weights[2] /= weights[2].sum()
+        models[1] = GmmHmmModel(EventLabel.BCKG, models[1].trans, weights,
+                                models[1].means, models[1].variances,
+                                models[1].var_floor)
+        obs = rng.normal(0, 3, size=(9, 7, 5))                 # (B, T, D)
+        comp, logb = _emissions(*_bank(models), obs)           # (M, N, L, T, B)
+        for m, model in enumerate(models):
+            ref = component_loglik_reference(model, obs).transpose(2, 3, 1, 0)
+            np.testing.assert_array_equal(np.isinf(comp[m]), np.isinf(ref))
+            np.testing.assert_allclose(comp[m], ref, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(logb[m], logsumexp(ref, axis=1),
+                                       rtol=0, atol=1e-9)
+        assert np.isneginf(comp[1, 2, 1]).all()
+        np.testing.assert_allclose(
+            log_emissions(models[1], obs),
+            logsumexp(component_loglik_reference(models[1], obs), axis=-1),
+            rtol=0, atol=1e-9)
+
+    def test_score_batch_is_per_model_stack_plus_priors(self):
+        rng = np.random.default_rng(31)
+        models = {lab: random_model(rng, comps=2, dim=3, label=lab)
+                  for lab in EventLabel}
+        obs = rng.normal(0, 2, size=(_BATCH + 3, 4, 3))       # two chunks
+        priors = rng.uniform(0.1, 1.0, size=6)
+        priors /= priors.sum()
+        scores = np.stack([loglikelihood(models[lab], obs) for lab in EventLabel],
+                          axis=1) + np.log(priors)
+        expect = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
+        np.testing.assert_allclose(score_batch(models, obs, priors), expect,
+                                   rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("field, shape", [
+        ("trans", (2, 2)), ("weights", (3, 3)), ("means", (3, 2)),
+        ("variances", (3, 2, 5)), ("var_floor", (3,))])
+    def test_model_shapes_checked(self, field, shape):
+        arrays = {"trans": _left_right_trans(3), "weights": np.full((3, 2), 0.5),
+                  "means": np.zeros((3, 2, 4)), "variances": np.ones((3, 2, 4)),
+                  "var_floor": np.ones(4)}
+        arrays[field] = np.ones(shape)
+        with pytest.raises(HmmError, match=field):
+            GmmHmmModel(EventLabel.BCKG, **arrays)
+
+
+class TestLogsumexp:
+    def test_matches_scipy_with_neg_inf_rows(self):
+        rng = np.random.default_rng(33)
+        a = rng.normal(0, 300, size=(6, 8))
+        a[0] = -np.inf                                  # all -inf
+        a[1, ::2] = -np.inf                             # mixed
+        a[2, :7] = -np.inf                              # one finite value
+        a[3] = [-1e300, 0, 1, 2, 3, -np.inf, 700, 710]  # large spread
+        for axis in (0, 1, -1):
+            got = _logsumexp(a.copy(), axis=axis)
+            want = logsumexp(a, axis=axis)
+            np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
+            np.testing.assert_allclose(got, want, rtol=1e-14)
+        assert np.isneginf(_logsumexp(a)[0])
+        assert _logsumexp(a)[2] == a[2, 7]
+
+    def test_does_not_modify_input(self):
+        a = np.array([[0.0, -np.inf, 2.0]])
+        before = a.copy()
+        _logsumexp(a)
+        np.testing.assert_array_equal(a, before)
+
+
 class TestKmeans:
     def test_vs_exhaustive_two_means(self):
         # enumerate all 2-partitions of 12 points; SSE of the k-means result
@@ -202,12 +288,33 @@ class TestReestimate:
         assert (model.trans[mask] == 0).all()
         np.testing.assert_allclose(model.trans.sum(axis=1), 1.0)
 
-    def test_reestimate_requires_all_classes(self):
+    def test_accumulators_match_per_sequence_reference(self):
+        # occupancies, means and variances from gamma of forward_backward and
+        # the broadcast component log-likelihoods, one sequence at a time
         rng = np.random.default_rng(22)
-        epochs = rng.normal(size=(20, 10, 2))
-        models = {EventLabel.BCKG: init_model(EventLabel.BCKG, epochs, 3, 2)}
-        with pytest.raises(HmmError):
-            reestimate(models, {})
+        model = random_model(rng, comps=3, dim=4)
+        epochs = rng.normal(0, 2, size=(7, 6, 4))
+        occ = np.zeros((3, 3))
+        mean_acc = np.zeros((3, 3, 4))
+        sq_acc = np.zeros((3, 3, 4))
+        for obs in epochs:
+            la, lb, ll = forward_backward(model, obs)
+            comp = component_loglik_reference(model, obs)      # (T, N, L)
+            r = np.exp((la + lb - ll).T[..., None] + comp
+                       - logsumexp(comp, axis=-1)[..., None])
+            occ += r.sum(axis=0)
+            mean_acc += np.einsum("tnl,td->nld", r, obs)
+            sq_acc += np.einsum("tnl,td->nld", r, obs * obs)
+        updated, _ = _reestimate_one(model, epochs)
+        means = mean_acc / occ[..., None]
+        np.testing.assert_allclose(updated.weights,
+                                   occ / occ.sum(axis=1, keepdims=True),
+                                   rtol=1e-10)
+        np.testing.assert_allclose(updated.means, means, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(
+            updated.variances,
+            np.maximum(sq_acc / occ[..., None] - means ** 2, model.var_floor),
+            rtol=1e-9)
 
 
 class TestScoring:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqdet import cli, grammar, hmm, pipeline, sda, signal_io, synth
-from seqdet.bundle import Bundle
+from seqdet.bundle import Bundle, _pack_payload, _unpack_payload
 from seqdet.features import FrameSpec, extract_features
 from seqdet.grammar import GrammarParams
 from seqdet.hmm import HmmConfig
@@ -529,6 +529,25 @@ class TestCli:
                          "--out-dir", str(tmp_path)])
         assert code == 2
         assert "sda_spsw/window_length" in one_line_data_error(capsys)
+
+    @pytest.mark.parametrize("keys", [
+        ("/second_pass/pca_detector/components",),  # (13, 131)
+        ("/hmm_models/PLED/means", "/hmm_models/PLED/variances",
+         "/hmm_models/PLED/var_floor"),             # one model with D = 25
+    ])
+    def test_mismatched_shape_bundle_exit_code(self, trained, corpus, tmp_path,
+                                               capsys, keys):
+        _, bundle_path = trained
+        data = open(bundle_path, "rb").read()
+        meta, arrays = _unpack_payload(data[8:])
+        for key in keys:
+            arrays[key] = arrays[key][..., :-1]
+        path = str(tmp_path / "bad.seqd")
+        open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
+        code = cli.main(["decode", path, corpus["eval"][0],
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert keys[0] + " has shape" in one_line_data_error(capsys)
 
     @pytest.mark.parametrize("verb", ["train", "decode"])
     def test_wrong_channel_count_exit_code(self, trained, corpus, tmp_path,
