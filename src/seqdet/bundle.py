@@ -9,7 +9,9 @@ The `Bundle` dataclass and the model dataclasses it holds are the schema.
 Every array is stored under its field path (for example
 `/second_pass/sda_sixway/layers/1/w`); list lengths, the label names keying a
 dict, enum names and every other leaf go in the metadata, and each such leaf
-is checked against its declared type on load. Serialization is
+is checked against its declared type on load. Each model checks its own
+arrays as it is built, and `Bundle.load` adds the checks that span models; a
+failed check is a DataError naming the array's path. Serialization is
 byte-deterministic for identical models.
 """
 from __future__ import annotations
@@ -23,18 +25,15 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import DataError, check_shape
 from .features import FEATURE_DIM
 from .grammar import BigramTable
-from .hmm import GmmHmmModel, HmmError
+from .hmm import GmmHmmModel
 from .labels import NUM_CLASSES, EventLabel
 from .sda import SUPERVECTOR_DIM, SecondPassModels
 
 MAGIC = b"SEQD"
 VERSION = 2
-
-
-class BundleError(Exception):
-    pass
 
 
 def _pack_payload(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
@@ -63,7 +62,7 @@ def _unpack_payload(buf):
         nonlocal off
         chunk = buf[off:off + n]
         if len(chunk) != n:
-            raise BundleError("truncated payload")
+            raise DataError("truncated payload")
         off += n
         return chunk
 
@@ -116,12 +115,12 @@ def _build(tp, path: str, meta: dict, arrays: dict):
         return np.array(arrays[path])
     if is_dataclass(tp):
         hints = typing.get_type_hints(tp)
+        kwargs = {f.name: _build(hints[f.name], f"{path}/{f.name}", meta, arrays)
+                  for f in fields(tp)}
         try:
-            return tp(**{f.name: _build(hints[f.name], f"{path}/{f.name}",
-                                        meta, arrays)
-                         for f in fields(tp)})
-        except HmmError as exc:
-            raise BundleError(f"{path}: {exc}") from None
+            return tp(**kwargs)
+        except DataError as exc:  # the model's own check names the field
+            raise DataError(f"{path}/{exc}") from None
     if typing.get_origin(tp) is list:
         return [_build(args[0], f"{path}/{i}", meta, arrays)
                 for i in range(meta[path])]
@@ -133,7 +132,7 @@ def _build(tp, path: str, meta: dict, arrays: dict):
     value = meta[path]
     allowed = (int, float) if tp is float else tp
     if isinstance(value, bool) or not isinstance(value, allowed):
-        raise BundleError(f"{path} must be {tp.__name__}, got {value!r}")
+        raise DataError(f"{path} must be {tp.__name__}, got {value!r}")
     return value
 
 
@@ -152,48 +151,43 @@ class Bundle:
             f.write(_pack_payload(meta, arrays))
 
     def _check_shapes(self) -> None:
-        """Cross-check the array shapes that no single model checks itself."""
+        """Cross-check the shapes that span models; each model checks its
+        own arrays as it is built."""
         if len(self.hmm_models) != NUM_CLASSES:
-            raise BundleError(f"/hmm_models holds {len(self.hmm_models)} classes, "
-                              f"expected {NUM_CLASSES}")
+            raise DataError(f"/hmm_models holds {len(self.hmm_models)} classes, "
+                            f"expected {NUM_CLASSES}")
         n, l, _ = next(iter(self.hmm_models.values())).means.shape
-        want = {f"/hmm_models/{lab.name}/means": (m.means, (n, l, FEATURE_DIM))
-                for lab, m in self.hmm_models.items()}
+        for lab, m in self.hmm_models.items():
+            check_shape(f"/hmm_models/{lab.name}/means", m.means, (n, l, FEATURE_DIM))
         for pca_name, sda_names in (("pca_detector", ("sda_spsw", "sda_eyem")),
                                     ("pca_sixway", ("sda_sixway",))):
-            pca, path = getattr(self.second_pass, pca_name), f"/second_pass/{pca_name}"
-            want[f"{path}/mean"] = (pca.mean, (SUPERVECTOR_DIM,))
-            want[f"{path}/components"] = (pca.components, (pca.out_dim, SUPERVECTOR_DIM))
-            for name in sda_names:  # each weight matrix takes the previous width
+            pca = getattr(self.second_pass, pca_name)
+            check_shape(f"/second_pass/{pca_name}/components", pca.components,
+                        (pca.out_dim, SUPERVECTOR_DIM))
+            for name in sda_names:
                 sda = getattr(self.second_pass, name)
-                width = sda.window_length * pca.out_dim
-                for sub, w in [*((f"layers/{i}/w", layer.w) for i, layer in
-                                 enumerate(sda.layers)), ("out_w", sda.out_w)]:
-                    want[f"/second_pass/{name}/{sub}"] = (w, (len(w), width))
-                    width = len(w)
-        for path, (arr, shape) in want.items():
-            if arr.shape != shape:
-                raise BundleError(f"{path} has shape {arr.shape}, expected {shape}")
+                w = sda.layers[0].w
+                check_shape(f"/second_pass/{name}/layers/0/w", w,
+                            (len(w), sda.window_length * pca.out_dim))
 
     @classmethod
     def load(cls, path: str) -> "Bundle":
         with open(path, "rb") as f:
             buf = f.read()
         if buf[:4] != MAGIC:
-            raise BundleError(f"{path}: not a SEQD bundle")
+            raise DataError(f"{path}: not a SEQD bundle")
         if len(buf) < 8:
-            raise BundleError(f"{path}: truncated header")
+            raise DataError(f"{path}: truncated header")
         version, = struct.unpack("<I", buf[4:8])
         if version != VERSION:
-            raise BundleError(
-                f"{path}: container version {version}, expected {VERSION}")
+            raise DataError(f"{path}: container version {version}, expected {VERSION}")
         try:
             bundle = _build(cls, "", *_unpack_payload(memoryview(buf)[8:]))
             bundle._check_shapes()
             return bundle
-        except BundleError as exc:
-            raise BundleError(f"{path}: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
         except KeyError as exc:
-            raise BundleError(f"{path}: missing or unknown entry {exc}") from None
+            raise DataError(f"{path}: missing or unknown entry {exc}") from None
         except (TypeError, ValueError, IndexError) as exc:
-            raise BundleError(f"{path}: corrupt payload: {exc}") from None
+            raise DataError(f"{path}: corrupt payload: {exc}") from None

@@ -1,6 +1,7 @@
 """Command-line entry points: train, decode, score, det, synth.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error (a DataError, or a file
+that cannot be read or written), 3 numeric failure (a NumericError).
 """
 from __future__ import annotations
 
@@ -11,21 +12,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import evaluation, grammar, pipeline, signal_io, synth
-from .bundle import Bundle, BundleError
-from .features import FeatureError
-from .hmm import HmmError
+from . import evaluation, pipeline, signal_io, synth
+from .bundle import Bundle
+from .errors import DataError, NumericError
 from .labels import TARGET_CLASSES
-from .sda import SdaError
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-DATA_ERRORS = (signal_io.SignalIOError, BundleError, pipeline.PipelineError,
-               evaluation.EvalError, synth.SynthError, grammar.GrammarError,
-               FeatureError, FileNotFoundError, UnicodeDecodeError)
-NUMERIC_ERRORS = (HmmError, SdaError, FloatingPointError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,7 +95,7 @@ def _cmd_train(args) -> int:
     pairs = [(p, _annotation_path(p)) for p in args.data]
     for rec_path, ann_path in pairs:
         if not os.path.exists(ann_path):
-            raise pipeline.PipelineError(f"missing annotations: {ann_path}")
+            raise DataError(f"missing annotations: {ann_path}")
     bundle = pipeline.train_pipeline(cfg, pairs)
     bundle.save(args.out)
     print(f"bundle written: {args.out}")
@@ -138,8 +132,7 @@ def _cmd_score(args) -> int:
 def _cmd_det(args) -> int:
     post = pipeline.read_posterior_csv(args.posteriors)
     if post.ndim != 2:
-        raise pipeline.PipelineError(
-            "DET needs a per-epoch posterior dump (pass 2 or 3)")
+        raise DataError("DET needs a per-epoch posterior dump (pass 2 or 3)")
     ref = signal_io.read_annotations(args.ref)
     refs = evaluation.epoch_reference_labels(ref, post.shape[0])
     scores = post[:, [int(lab) for lab in TARGET_CLASSES]].sum(axis=1)
@@ -171,10 +164,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except DATA_ERRORS as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -12,16 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .labels import MODE_LABELS, TARG, EventLabel, collapse
 
 
 # How far outside [0, 1] a DET score may lie: posteriors summed after the
 # 10-significant-digit CSV round trip can exceed 1 by a few 1e-11.
 SCORE_TOLERANCE = 1e-9
-
-
-class EvalError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -34,7 +31,7 @@ class ConfusionMatrix:
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.float64)
         if np.any(c < 0):
-            raise EvalError("confusion counts must be non-negative")
+            raise DataError("confusion counts must be non-negative")
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -65,7 +62,7 @@ def confusion(ref, hyp, mode: str = "six_way",
     ref = list(ref)
     hyp = list(hyp)
     if len(ref) != len(hyp):
-        raise EvalError(f"length mismatch: {len(ref)} refs vs {len(hyp)} hyps")
+        raise DataError(f"length mismatch: {len(ref)} refs vs {len(hyp)} hyps")
     labels = MODE_LABELS[mode]
     index = {name: i for i, name in enumerate(labels)}
     counts = np.zeros((len(labels), len(labels)))
@@ -94,7 +91,7 @@ def sens_spec(matrix: ConfusionMatrix) -> TwoWaySummary:
     """Sensitivity and false-alarm percentages from a two-way matrix. Empty
     reference classes report None rather than 0."""
     if matrix.mode != "two_way":
-        raise EvalError("sens_spec requires a two_way confusion matrix")
+        raise DataError("sens_spec requires a two_way confusion matrix")
     it, ib = matrix.labels.index(TARG), matrix.labels.index("BCKG")
     targ_total = matrix.counts[it].sum()
     bckg_total = matrix.counts[ib].sum()
@@ -118,7 +115,7 @@ class DetCurve:
         for off, fa, miss in self.points:
             if off == 0.0:
                 return fa, miss
-        raise EvalError("curve is missing the zero-offset operating point")
+        raise DataError("curve is missing the zero-offset operating point")
 
 
 def det_curve(scores, refs, offsets) -> DetCurve:
@@ -130,7 +127,7 @@ def det_curve(scores, refs, offsets) -> DetCurve:
                        for r in refs])
     # Scores within the tolerance are used as they are, not clipped.
     if not np.all((scores >= -SCORE_TOLERANCE) & (scores <= 1 + SCORE_TOLERANCE)):
-        raise EvalError("scores must lie in [0, 1]")
+        raise DataError("scores must lie in [0, 1]")
     offs = sorted(set(float(o) for o in offsets) | {0.0})
     n_targ = int(refs.sum())
     n_bckg = len(refs) - n_targ
@@ -180,6 +177,6 @@ def channel_epoch_reference_labels(ann, num_epochs: int,
             out[lo:hi, :] = int(ev.label)
         else:
             if not 0 <= ev.channel < num_channels:
-                raise EvalError(f"event channel {ev.channel} out of range")
+                raise DataError(f"event channel {ev.channel} out of range")
             out[lo:hi, ev.channel] = int(ev.label)
     return out

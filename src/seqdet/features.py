@@ -8,20 +8,17 @@ first and second derivatives complete the vector:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, rfft
 
+from .errors import DataError
 from .signal_io import Recording
 
 PIPELINE_RATE_HZ = 250.0
 ENERGY_FLOOR = 1e-10
-
-
-class FeatureError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -38,11 +35,11 @@ class FrameSpec:
 
     def __post_init__(self):
         if self.window_s < self.frame_s:
-            raise FeatureError("window_s must be >= frame_s")
+            raise DataError("window_s must be >= frame_s")
         if self.diff_energy_window_frames % 2 == 0:
-            raise FeatureError("diff_energy_window_frames must be odd")
+            raise DataError("diff_energy_window_frames must be odd")
         if self.delta_width_first < 1 or self.delta_width_second < 1:
-            raise FeatureError("delta widths must be >= 1")
+            raise DataError("delta widths must be >= 1")
 
     def window_samples(self, rate_hz: float) -> int:
         return int(round(self.window_s * rate_hz))
@@ -100,7 +97,7 @@ def frame_signal(samples: np.ndarray, spec: FrameSpec,
     win = spec.window_samples(rate_hz)
     step = spec.step_samples(rate_hz)
     if len(samples) < win:
-        raise FeatureError(
+        raise DataError(
             f"signal of {len(samples)} samples shorter than one {win}-sample window")
     n_frames = (len(samples) - win) // step + 1
     idx = np.arange(win)[None, :] + step * np.arange(n_frames)[:, None]
@@ -152,7 +149,7 @@ def differential_energy(ef: np.ndarray, m: int = 9) -> np.ndarray:
     each frame; boundary windows truncate to the available frames (edge
     replication adds no new values, so it gives the same max and min)."""
     if m % 2 == 0:
-        raise FeatureError("differential energy window must be odd")
+        raise DataError("differential energy window must be odd")
     ef = np.asarray(ef, dtype=np.float64)
     windows = sliding_window_view(np.pad(ef, m // 2, mode="edge"), m)
     return windows.max(axis=1) - windows.min(axis=1)
@@ -190,7 +187,7 @@ def extract_channel(samples: np.ndarray, spec: FrameSpec,
 def extract_features(rec: Recording, spec: FrameSpec | None = None) -> FeatureGrid:
     spec = spec or FrameSpec()
     if abs(rec.sample_rate_hz - PIPELINE_RATE_HZ) > 1e-9:
-        raise FeatureError(
+        raise DataError(
             f"feature extraction requires {PIPELINE_RATE_HZ:g} Hz input, "
             f"got {rec.sample_rate_hz:g} Hz (resample first)")
     mats = [extract_channel(samples, spec, rec.sample_rate_hz)

@@ -2,19 +2,15 @@
 bigram label model and exponentially decayed left/right context windows."""
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .labels import LABEL_NAMES, NUM_CLASSES
+from .errors import DataError, check_shape
+from .labels import NUM_CLASSES
 
 log = logging.getLogger(__name__)
-
-
-class GrammarError(Exception):
-    pass
 
 
 # The published transition table (rows: from, cols: to, canonical label
@@ -37,12 +33,11 @@ class BigramTable:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
-        if p.shape != (NUM_CLASSES, NUM_CLASSES):
-            raise GrammarError(f"bigram table must be 6x6, got {p.shape}")
-        if np.any(p < 0):
-            raise GrammarError("bigram table entries must be non-negative")
+        check_shape("probs", p, (NUM_CLASSES, NUM_CLASSES))
+        if not np.all(p >= 0):
+            raise DataError("probs entries must be non-negative numbers")
         if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
-            raise GrammarError("bigram table rows must sum to 1")
+            raise DataError("probs rows must sum to 1")
         object.__setattr__(self, "probs", p)
 
 
@@ -58,9 +53,10 @@ class GrammarParams:
 
     def __post_init__(self):
         if self.window < 1:
-            raise GrammarError("context window must be >= 1")
-        if min(self.epsilon_prior, self.m_weight, self.alpha, self.gamma) < 0:
-            raise GrammarError("grammar weights must be non-negative")
+            raise DataError("context window must be >= 1")
+        if not all(0 <= v < np.inf for v in (self.epsilon_prior, self.m_weight,
+                                             self.decay, self.alpha, self.gamma)):
+            raise DataError("grammar weights and decay must be finite and non-negative")
 
 
 def _normalize_rows(counts: np.ndarray, context: str) -> np.ndarray:
@@ -86,30 +82,8 @@ def estimate_bigram(sequences: list[np.ndarray], k: float = 0.1) -> BigramTable:
             counts[a, b] += 1.0
             transitions += 1
     if transitions == 0:
-        raise GrammarError("no transitions observed in corpus")
+        raise DataError("no transitions observed in corpus")
     return BigramTable(counts / counts.sum(axis=1, keepdims=True))
-
-
-def read_bigram(path: str) -> BigramTable:
-    """CSV with header-labeled rows/columns in canonical label order."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0][1:] != LABEL_NAMES:
-        raise GrammarError(f"bad bigram header in {path}")
-    mat = np.zeros((NUM_CLASSES, NUM_CLASSES))
-    for i, row in enumerate(rows[1:]):
-        if row[0] != LABEL_NAMES[i]:
-            raise GrammarError(f"bigram rows out of order in {path}")
-        mat[i] = [float(v) for v in row[1:]]
-    return BigramTable(_normalize_rows(mat, path))
-
-
-def write_bigram(table: BigramTable, path: str) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([""] + LABEL_NAMES)
-        for i, name in enumerate(LABEL_NAMES):
-            w.writerow([name] + [f"{v:.6f}" for v in table.probs[i]])
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +93,7 @@ def global_prior(posteriors: np.ndarray, params: GrammarParams) -> np.ndarray:
     """Mean posterior blended with the broadcast epsilon prior, renormalized."""
     p = np.asarray(posteriors, dtype=np.float64)
     if p.shape[0] < 1:
-        raise GrammarError("need at least one epoch")
+        raise DataError("need at least one epoch")
     num = p.sum(axis=0) + params.epsilon_prior * params.m_weight
     g = num / (p.shape[0] + params.m_weight)
     return g / g.sum()

@@ -13,15 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import DataError, check_shape
 from .features import FeatureGrid
 from .labels import NUM_CLASSES, EventLabel
 
 LOG_ZERO = -np.inf
 _BATCH = 2048
-
-
-class HmmError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -35,12 +32,11 @@ class GmmHmmModel:
 
     def __post_init__(self):
         if np.ndim(self.means) != 3:
-            raise HmmError(f"means must be (N, L, D), got {np.shape(self.means)}")
+            raise DataError(f"means must be (N, L, D), got shape {np.shape(self.means)}")
         n, l, d = self.means.shape
         for name, want in (("trans", (n, n)), ("weights", (n, l)),
                            ("variances", (n, l, d)), ("var_floor", (d,))):
-            if (got := np.shape(getattr(self, name))) != want:
-                raise HmmError(f"{name} has shape {got}, expected {want}")
+            check_shape(name, getattr(self, name), want)
 
     @property
     def num_states(self) -> int:
@@ -170,11 +166,6 @@ def _loglik(models: list[GmmHmmModel], obs_batch: np.ndarray) -> np.ndarray:
     return out
 
 
-def loglikelihood(model: GmmHmmModel, obs_batch: np.ndarray) -> np.ndarray:
-    """Log P(O|M) for a batch (B, T, D) of equal-length sequences."""
-    return _loglik([model], obs_batch)[:, 0]
-
-
 def viterbi(model: GmmHmmModel, obs: np.ndarray):
     """Best state path and its log score (max-product forward pass)."""
     logb = log_emissions(model, obs)                  # (T, N)
@@ -202,7 +193,7 @@ def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator,
     """Plain seeded Lloyd iteration; empty clusters are reseeded to random
     points so k centroids always come back."""
     if len(x) < k:
-        raise HmmError(f"k-means needs >= {k} points, got {len(x)}")
+        raise DataError(f"k-means needs >= {k} points, got {len(x)}")
     centroids = x[rng.choice(len(x), size=k, replace=False)].copy()
     for _ in range(iters):
         d2 = np.sum((x[:, None, :] - centroids[None]) ** 2, axis=2)
@@ -235,12 +226,12 @@ def init_model(label: EventLabel, epochs: np.ndarray, num_states: int = 3,
     by seeded k-means."""
     epochs = np.asarray(epochs, dtype=np.float64)
     if epochs.ndim != 3:
-        raise HmmError("epochs must be (num_epochs, T, D)")
+        raise DataError("epochs must be (num_epochs, T, D)")
     b, t_len, dim = epochs.shape
     if num_states > t_len:
-        raise HmmError(f"num_states {num_states} exceeds epoch length {t_len}")
+        raise DataError(f"num_states {num_states} exceeds epoch length {t_len}")
     if b * t_len < num_components * num_states:
-        raise HmmError(
+        raise DataError(
             f"class {label.name}: {b * t_len} vectors insufficient for "
             f"{num_states} states x {num_components} components")
     rng = np.random.default_rng(seed)
@@ -335,6 +326,11 @@ class HmmConfig:
     tol_per_frame: float = 1e-4
     seed: int = 0
 
+    def __post_init__(self):
+        for key in ("num_states", "num_components"):
+            if getattr(self, key) < 1:
+                raise DataError(f"{key} = {getattr(self, key)} must be at least 1")
+
 
 def train(corpus: dict[EventLabel, np.ndarray],
           config: HmmConfig = HmmConfig()) -> dict[EventLabel, GmmHmmModel]:
@@ -343,7 +339,7 @@ def train(corpus: dict[EventLabel, np.ndarray],
     missing = [lab.name for lab in EventLabel
                if lab not in corpus or len(corpus[lab]) == 0]
     if missing:
-        raise HmmError(f"training corpus missing classes: {missing}")
+        raise DataError(f"training corpus missing classes: {missing}")
     models = {}
     for lab in EventLabel:
         epochs = np.asarray(corpus[lab], dtype=np.float64)
@@ -368,7 +364,7 @@ def score_batch(models: dict[EventLabel, GmmHmmModel], obs_batch: np.ndarray,
     """(B, 6) class posteriors of a (B, T, D) batch of observation
     sequences, scored against the six models stacked into one bank."""
     if len(models) != NUM_CLASSES:
-        raise HmmError(f"need {NUM_CLASSES} models, got {len(models)}")
+        raise DataError(f"need {NUM_CLASSES} models, got {len(models)}")
     with np.errstate(divide="ignore"):
         log_priors = np.log(np.ones(NUM_CLASSES) if priors is None
                             else np.asarray(priors, dtype=np.float64))

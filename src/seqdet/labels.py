@@ -33,8 +33,6 @@ EPOCH_PRIORITY = (
     EventLabel.BCKG,
 )
 
-MODES = ("six_way", "four_way", "two_way")
-
 MODE_LABELS = {
     "six_way": LABEL_NAMES,
     "four_way": ["SPSW", "PLED", "GPED", "BCKG"],

@@ -18,14 +18,11 @@ import numpy as np
 
 from . import evaluation, grammar, hmm, sda, signal_io
 from .bundle import Bundle
+from .errors import DataError
 from .features import PIPELINE_RATE_HZ, FeatureGrid, FrameSpec, extract_features
 from .labels import (EPOCH_PRIORITY, LABEL_NAMES, NUM_CLASSES, TARGET_CLASSES,
                      EventLabel)
 from .signal_io import ALL_CHANNELS, AnnotationSet, Event
-
-
-class PipelineError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -49,6 +46,23 @@ class PipelineConfig:
     pca_detector_dim: int = 13
     pca_sixway_dim: int = 20
 
+    def __post_init__(self):  # facts that span sections, named by section
+        if self.bigram_source not in ("table1", "estimate"):
+            raise DataError(f"config [pipeline] bigram_source must be "
+                            f"table1|estimate, got {self.bigram_source!r}")
+        if self.hmm.num_states > self.frame.frames_per_epoch:
+            raise DataError(
+                f"config [hmm] num_states = {self.hmm.num_states} exceeds "
+                f"[frontend] frames_per_epoch = {self.frame.frames_per_epoch}")
+        for key in ("pca_detector_dim", "pca_sixway_dim"):
+            if not 1 <= getattr(self, key) <= sda.SUPERVECTOR_DIM:
+                raise DataError(f"config [pipeline] {key} = {getattr(self, key)} "
+                                f"outside [1, {sda.SUPERVECTOR_DIM}]")
+        for key, want in (("sda_spsw", 2), ("sda_eyem", 2), ("sda_sixway", NUM_CLASSES)):
+            if (got := getattr(self, key).outputs) != want:
+                section = self.__dataclass_fields__[key].metadata["section"]
+                raise DataError(f"config [{section}] outputs = {got}, expected {want}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -67,13 +81,13 @@ class PipelineConfig:
 def _config_from(base, data, section: str):
     """`base` with the fields named in `data` replaced."""
     if not isinstance(data, dict):
-        raise PipelineError(f"config [{section}] must be a table, got {data!r}")
+        raise DataError(f"config [{section}] must be a table, got {data!r}")
     known = {f.name: f for f in fields(base)}
     types = typing.get_type_hints(type(base))
     kwargs = {}
     for key, value in data.items():
         if key not in known:
-            raise PipelineError(f"unknown config key [{section}] {key}")
+            raise DataError(f"unknown config key [{section}] {key}")
         if is_dataclass(types[key]):
             kwargs[key] = _config_from(getattr(base, key), value,
                                        known[key].metadata["section"])
@@ -81,9 +95,13 @@ def _config_from(base, data, section: str):
         try:
             kwargs[key] = _cast(types[key], value)
         except (TypeError, ValueError):
-            raise PipelineError(
-                f"bad config value [{section}] {key} = {value!r}") from None
-    return replace(base, **kwargs)
+            raise DataError(f"bad config value [{section}] {key} = {value!r}") from None
+    try:
+        return replace(base, **kwargs)
+    except DataError as exc:
+        if isinstance(base, PipelineConfig):  # its checks name their sections
+            raise
+        raise DataError(f"config [{section}] {exc}") from None
 
 
 def _cast(tp, value):
@@ -116,7 +134,7 @@ def load_config(path: str) -> PipelineConfig:
     data = {}
     try:
         if not parser.read(path):
-            raise PipelineError(f"cannot read config {path}")
+            raise DataError(f"cannot read config {path}")
         for section in parser.sections():
             values = dict(parser[section])
             if section == "pipeline":
@@ -124,16 +142,10 @@ def load_config(path: str) -> PipelineConfig:
             elif section in nested:
                 data[nested[section]] = values
             else:
-                raise PipelineError(f"unknown config section [{section}]")
+                raise DataError(f"unknown config section [{section}]")
     except configparser.Error as exc:
-        raise PipelineError(" ".join(f"{path}: {exc}".split())) from None
-    cfg = PipelineConfig.from_dict(data)
-    if cfg.bigram_source not in ("table1", "estimate"):
-        raise PipelineError(f"bigram_source must be table1|estimate, "
-                            f"got {cfg.bigram_source!r}")
-    if cfg.montage_path and not os.path.exists(cfg.montage_path):
-        raise PipelineError(f"montage file not found: {cfg.montage_path}")
-    return cfg
+        raise DataError(" ".join(f"{path}: {exc}".split())) from None
+    return PipelineConfig.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +167,8 @@ def load_recording(path: str,
     if montage is not None:
         rec = signal_io.apply_montage(rec, montage)
     if len(rec.data) != sda.EXPECTED_CHANNELS:
-        raise PipelineError(f"{path}: expected {sda.EXPECTED_CHANNELS} "
-                            f"channels after the montage, got {len(rec.data)}")
+        raise DataError(f"{path}: expected {sda.EXPECTED_CHANNELS} "
+                        f"channels after the montage, got {len(rec.data)}")
     return rec
 
 
@@ -169,8 +181,7 @@ def _manifest_montage(manifest: dict) -> signal_io.MontageSpec | None:
         return signal_io.MontageSpec(
             tuple((out, pos, neg) for out, pos, neg in derivations))
     except (TypeError, ValueError):
-        raise PipelineError(
-            f"bad montage in bundle manifest: {derivations!r}") from None
+        raise DataError(f"bad montage in bundle manifest: {derivations!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +239,7 @@ def _pass1_corpus(grids: list[FeatureGrid],
             parts[lab].append(cells[refs == int(lab)])
     missing = [lab.name for lab in EventLabel if not sum(map(len, parts[lab]))]
     if missing:
-        raise PipelineError(f"training data has no epochs for: {missing}")
+        raise DataError(f"training data has no epochs for: {missing}")
     return {lab: np.concatenate(p) for lab, p in parts.items()}
 
 
@@ -310,7 +321,7 @@ def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3):
     in the bundle. Returns (AnnotationSet hypothesis, dict of per-pass posterior
     arrays)."""
     if stop_after not in (1, 2, 3):
-        raise PipelineError("stop_after must be 1, 2 or 3")
+        raise DataError("stop_after must be 1, 2 or 3")
     cfg = PipelineConfig.from_dict(bundle.manifest.get("config"))
     rec = load_recording(rec_path, _manifest_montage(bundle.manifest))
     grid = extract_features(rec, cfg.frame)
@@ -354,21 +365,21 @@ def write_posterior_csv(path: str, posteriors: np.ndarray) -> None:
 
 def read_posterior_csv(path: str) -> np.ndarray:
     """The array write_posterior_csv wrote; a malformed dump is a
-    PipelineError."""
+    DataError."""
     with open(path) as f:
         n_index = 2 if f.readline().startswith("epoch,channel,") else 1
         lines = [line for line in f if line.strip()]
     if not lines:
-        raise PipelineError(f"{path}: no posterior rows")
+        raise DataError(f"{path}: no posterior rows")
     try:
         table = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
-        raise PipelineError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
     index = table[:, :n_index]
     valid = (index >= 0) & (index < len(table)) & (index == np.floor(index))
     if table.shape[1] != n_index + NUM_CLASSES or not valid.all():
-        raise PipelineError(f"{path}: expected rows of {n_index} index "
-                            f"column(s) and {NUM_CLASSES} posteriors")
+        raise DataError(f"{path}: expected rows of {n_index} index "
+                        f"column(s) and {NUM_CLASSES} posteriors")
     out = np.zeros(tuple(index.max(axis=0).astype(int) + 1) + (NUM_CLASSES,))
     out[tuple(index.astype(int).T)] = table[:, n_index:]
     return out
@@ -385,7 +396,7 @@ def score_files(ref_path: str, hyp_path: str, mode: str, basis: str,
     ref = signal_io.read_annotations(ref_path)
     hyp = signal_io.read_annotations(hyp_path)
     if not hyp.events:
-        raise PipelineError(f"empty hypothesis file {hyp_path}")
+        raise DataError(f"empty hypothesis file {hyp_path}")
     num_epochs = int(np.ceil(max(ev.stop_s for ev in hyp.events)))
     if basis == "per_channel_event":
         ref_labels = evaluation.channel_epoch_reference_labels(
@@ -396,7 +407,7 @@ def score_files(ref_path: str, hyp_path: str, mode: str, basis: str,
         ref_labels = evaluation.epoch_reference_labels(ref, num_epochs)
         hyp_labels = evaluation.epoch_reference_labels(hyp, num_epochs)
     else:
-        raise PipelineError(f"unknown basis {basis!r}")
+        raise DataError(f"unknown basis {basis!r}")
     matrix = evaluation.confusion(ref_labels, hyp_labels, mode, basis)
     summary = (evaluation.sens_spec(matrix) if mode == "two_way"
                else evaluation.sens_spec(

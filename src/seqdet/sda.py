@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
+from .errors import DataError, NumericError, check_shape
 from .hmm import PosteriorGrid
 from .labels import NUM_CLASSES, TARGET_CLASSES, EventLabel
 
@@ -23,25 +24,13 @@ EXPECTED_CHANNELS = 22
 SUPERVECTOR_DIM = EXPECTED_CHANNELS * NUM_CLASSES  # 132
 
 
-class SdaError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Supervectors and PCA
-
-def build_supervector(grid: PosteriorGrid, epoch: int) -> np.ndarray:
-    """Channel-major concatenation of the six class scores for one epoch."""
-    if grid.num_channels != EXPECTED_CHANNELS:
-        raise SdaError(
-            f"expected {EXPECTED_CHANNELS} channels, got {grid.num_channels}")
-    return grid.posteriors[epoch].reshape(-1).copy()
-
 
 def supervector_sequence(grid: PosteriorGrid) -> np.ndarray:
     """(epochs, 132) supervector matrix for a whole grid."""
     if grid.num_channels != EXPECTED_CHANNELS:
-        raise SdaError(
+        raise DataError(
             f"expected {EXPECTED_CHANNELS} channels, got {grid.num_channels}")
     return grid.posteriors.reshape(grid.num_epochs, -1).copy()
 
@@ -51,6 +40,12 @@ class PcaModel:
     mean: np.ndarray        # (d,)
     components: np.ndarray  # (out_dim, d), orthonormal rows (zero-padded if
                             # the data was rank deficient)
+
+    def __post_init__(self):
+        if np.ndim(self.components) != 2 or \
+                np.shape(self.mean) != np.shape(self.components)[1:]:
+            raise DataError(f"components has shape {np.shape(self.components)} "
+                            f"but mean has shape {np.shape(self.mean)}")
 
     @property
     def out_dim(self) -> int:
@@ -65,7 +60,7 @@ def fit_pca(x: np.ndarray, out_dim: int) -> PcaModel:
     each row's largest-magnitude entry made positive."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < out_dim:
-        raise SdaError(f"need >= {out_dim} samples, got {x.shape[0]}")
+        raise DataError(f"need >= {out_dim} samples, got {x.shape[0]}")
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / x.shape[0]
@@ -92,7 +87,7 @@ def reduce_sequence_for_detectors(seq: np.ndarray) -> np.ndarray:
     """Average three consecutive projected vectors (sliding, edge-replicated)."""
     seq = np.asarray(seq, dtype=np.float64)
     if seq.shape[0] < 1:
-        raise SdaError("empty sequence")
+        raise DataError("empty sequence")
     padded = np.pad(seq, ((1, 1), (0, 0)), mode="edge")
     return (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
 
@@ -114,6 +109,19 @@ class SdaConfig:
     finetune_epochs: int = 800
     finetune_batch: int = 100
 
+    def __post_init__(self):
+        if not 0.0 <= self.corruption <= 1.0:
+            raise DataError(f"corruption = {self.corruption} outside [0, 1]")
+        for key in ("pretrain_lr", "finetune_lr"):
+            if not 0.0 <= getattr(self, key) < np.inf:
+                raise DataError(f"{key} = {getattr(self, key)} must be finite, >= 0")
+        for key in ("window_length", "pretrain_batch", "finetune_batch"):
+            if getattr(self, key) < 1:
+                raise DataError(f"{key} = {getattr(self, key)} must be at least 1")
+        if not self.hidden or min(self.hidden) < 1:
+            raise DataError(f"hidden = {self.hidden} needs one or more widths, "
+                            "each at least 1")
+
 
 # The three configurations of the second pass.
 SPSW_SDA_CONFIG = SdaConfig("spsw", window_length=3, hidden=(100, 100, 100),
@@ -131,6 +139,12 @@ class SdaLayer:
     b: np.ndarray        # (d_out,) encoder bias
     b_prime: np.ndarray  # (d_in,) decoder bias (tied weights: W' = W.T)
 
+    def __post_init__(self):
+        if np.ndim(self.w) != 2:
+            raise DataError(f"w must be (d_out, d_in), got shape {np.shape(self.w)}")
+        check_shape("b", self.b, self.w.shape[:1])
+        check_shape("b_prime", self.b_prime, self.w.shape[1:])
+
 
 @dataclass
 class SdaModel:
@@ -141,6 +155,24 @@ class SdaModel:
     corruption: float
     scale_min: np.ndarray  # per-dim min/max of the reduced per-epoch vectors
     scale_max: np.ndarray
+
+    def __post_init__(self):  # the scaled window feeds layers/0, ..., out_w
+        if self.window_length < 1:
+            raise DataError(f"window_length = {self.window_length} must be at least 1")
+        if not self.layers:
+            raise DataError("layers must hold at least one layer")
+        width = self.layers[0].w.shape[1]
+        n_in, rest = divmod(width, self.window_length)
+        if rest:
+            raise DataError(f"layers/0/w takes {width} inputs, not a multiple "
+                            f"of window_length = {self.window_length}")
+        check_shape("scale_min", self.scale_min, (n_in,))
+        check_shape("scale_max", self.scale_max, (n_in,))
+        for key, w in [*((f"layers/{i}/w", layer.w) for i, layer in
+                         enumerate(self.layers)), ("out_w", self.out_w)]:
+            check_shape(key, w, (len(w), width))
+            width = len(w)
+        check_shape("out_b", self.out_b, (width,))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -163,9 +195,7 @@ def init_stack(input_dim: int, hidden: tuple[int, ...],
 
 def corrupt(x: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
     """Masking corruption: each coordinate independently zeroed with
-    probability `level`."""
-    if not 0.0 <= level <= 1.0:
-        raise SdaError(f"corruption level {level} outside [0, 1]")
+    probability `level` (SdaConfig keeps it in [0, 1])."""
     if level == 0.0:
         return np.array(x, copy=True)
     keep = rng.random(np.shape(x)) >= level
@@ -257,7 +287,7 @@ def pretrain(layers: list[SdaLayer], data: np.ndarray, config: SdaConfig,
                 noisy = corrupt(clean, config.corruption, rng)
                 loss, gw, gb, gbp = dae_loss_and_grad(layer, clean, noisy)
                 if not np.isfinite(loss):
-                    raise SdaError(
+                    raise NumericError(
                         f"non-finite pretraining loss on layer with shape "
                         f"{layer.w.shape}")
                 layer.w -= config.pretrain_lr * gw
@@ -274,7 +304,7 @@ def fine_tune(layers: list[SdaLayer], x: np.ndarray, y: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
     if y.min() < 0 or y.max() >= config.outputs:
-        raise SdaError(
+        raise DataError(
             f"labels outside [0, {config.outputs}): {sorted(set(y.tolist()))}")
     top_dim = layers[-1].w.shape[0]
     out_w = init_layer(top_dim, config.outputs, rng).w
@@ -284,7 +314,7 @@ def fine_tune(layers: list[SdaLayer], x: np.ndarray, y: np.ndarray,
             loss, g_layers, g_ow, g_ob = finetune_loss_and_grad(
                 layers, out_w, out_b, x[idx], y[idx])
             if not np.isfinite(loss):
-                raise SdaError("non-finite fine-tuning loss")
+                raise NumericError("non-finite fine-tuning loss")
             for layer, (gw, gb) in zip(layers, g_layers):
                 layer.w -= config.finetune_lr * gw
                 layer.b -= config.finetune_lr * gb
@@ -302,7 +332,7 @@ def augment_rare(samples: np.ndarray, target: int,
     if len(samples) >= target:
         return samples
     if len(samples) < 2:
-        raise SdaError("augmentation needs at least 2 seed samples")
+        raise DataError("augmentation needs at least 2 seed samples")
     sigma = 0.05 * samples.std(axis=0)
     extra = []
     for _ in range(target - len(samples)):

@@ -4,7 +4,7 @@ windowed-sinc resampling, montage derivation, annotation CSV round-trip.
 EDF support is deliberately a strict read-only subset: plain header plus
 16-bit little-endian signal records with a uniform record duration. Anything
 outside that (annotation channels, variable rates across channels) raises
-UnsupportedFeatureError rather than being guessed at.
+DataError rather than being guessed at.
 """
 from __future__ import annotations
 
@@ -17,17 +17,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.signal import firwin, resample_poly
 
+from .errors import DataError
 from .labels import EventLabel, parse_label
 
 ALL_CHANNELS = -1  # channel index meaning "event applies to every channel"
-
-
-class SignalIOError(Exception):
-    pass
-
-
-class UnsupportedFeatureError(SignalIOError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -41,22 +34,22 @@ class Recording:
 
     def __post_init__(self):
         if not 0 < self.sample_rate_hz < math.inf:
-            raise SignalIOError(f"sample_rate_hz must be positive and finite, "
-                                f"got {self.sample_rate_hz}")
+            raise DataError(f"sample_rate_hz must be positive and finite, "
+                            f"got {self.sample_rate_hz}")
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2:
-            raise SignalIOError(
+            raise DataError(
                 f"recording data must be a (channels, samples) matrix, "
                 f"got {data.ndim}-D")
         if not len(data):
-            raise SignalIOError("recording must have at least one channel")
+            raise DataError("recording must have at least one channel")
         if len(self.labels) != len(data):
-            raise SignalIOError(
+            raise DataError(
                 f"{len(self.labels)} channel labels for {len(data)} channels")
         finite = np.isfinite(data).all(axis=1)
         if not finite.all():
-            raise SignalIOError(f"channel {self.labels[np.argmin(finite)]!r}: "
-                                f"non-finite samples rejected")
+            raise DataError(f"channel {self.labels[np.argmin(finite)]!r}: "
+                            f"non-finite samples rejected")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -78,7 +71,7 @@ class MontageSpec:
     def __post_init__(self):
         outs = [d[0] for d in self.derivations]
         if len(set(outs)) != len(outs):
-            raise SignalIOError("montage output labels must be unique")
+            raise DataError("montage output labels must be unique")
         object.__setattr__(self, "derivations", tuple(self.derivations))
 
 
@@ -91,7 +84,7 @@ class Event:
 
     def __post_init__(self):
         if not (0 <= self.start_s < self.stop_s):
-            raise SignalIOError(
+            raise DataError(
                 f"invalid event times: start={self.start_s} stop={self.stop_s}")
 
 
@@ -112,7 +105,7 @@ class AnnotationSet:
             evs = sorted(evs, key=lambda e: e.start_s)
             for a, b in zip(evs, evs[1:]):
                 if b.start_s < a.stop_s and a.label != b.label:
-                    raise SignalIOError(
+                    raise DataError(
                         f"conflicting overlap on channel {ch}: "
                         f"{a.label.name} [{a.start_s},{a.stop_s}) vs "
                         f"{b.label.name} [{b.start_s},{b.stop_s})")
@@ -135,7 +128,7 @@ def _read_raw_matrix(path: str) -> Recording:
         fields = {}
         for tok in header.split():
             if "=" not in tok:
-                raise SignalIOError(f"malformed raw_matrix header: {header!r}")
+                raise DataError(f"malformed raw_matrix header: {header!r}")
             k, v = tok.split("=", 1)
             fields[k] = v
         try:
@@ -143,13 +136,14 @@ def _read_raw_matrix(path: str) -> Recording:
             rate = float(fields["rate_hz"])
             m = int(fields["samples"])
         except (KeyError, ValueError):
-            raise SignalIOError(f"malformed raw_matrix header: {header!r}") from None
+            raise DataError(f"malformed raw_matrix header: {header!r}") from None
         if n < 0 or m < 0:
-            raise SignalIOError(f"malformed raw_matrix header: {header!r}")
-        data = np.frombuffer(f.read(), dtype="<f4")
-    if data.size != n * m:
-        raise SignalIOError(
-            f"raw_matrix payload has {data.size} samples, expected {n * m}")
+            raise DataError(f"malformed raw_matrix header: {header!r}")
+        payload = f.read()
+    if len(payload) != 4 * n * m:
+        raise DataError(f"raw_matrix payload has {len(payload)} bytes, "
+                        f"expected {4 * n * m}")
+    data = np.frombuffer(payload, dtype="<f4")
     return Recording(data.reshape(n, m), tuple(f"CH{i}" for i in range(n)),
                      rate, id=os.path.basename(path))
 
@@ -174,7 +168,7 @@ def read_edf(path: str) -> Recording:
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _EDF_HEADER:
-        raise SignalIOError("EDF file shorter than fixed header")
+        raise DataError("EDF file shorter than fixed header")
     head = raw[:_EDF_HEADER]
 
     def _field(buf, off, n):
@@ -182,20 +176,20 @@ def read_edf(path: str) -> Recording:
 
     version = _field(head, 0, 8)
     if version != "0":
-        raise SignalIOError(f"unsupported EDF version field: {version!r}")
+        raise DataError(f"unsupported EDF version field: {version!r}")
     try:
         header_bytes = int(_field(head, 184, 8))
         num_records = int(_field(head, 236, 8))
         record_dur = float(_field(head, 244, 8))
         ns = int(_field(head, 252, 4))
     except ValueError:
-        raise SignalIOError("malformed EDF fixed header") from None
+        raise DataError("malformed EDF fixed header") from None
     if ns <= 0 or num_records < 0 or record_dur <= 0:
-        raise SignalIOError("malformed EDF fixed header")
+        raise DataError("malformed EDF fixed header")
     if header_bytes != _EDF_HEADER + 256 * ns:
-        raise SignalIOError("EDF header size inconsistent with signal count")
+        raise DataError("EDF header size inconsistent with signal count")
     if len(raw) < header_bytes:
-        raise SignalIOError("EDF file truncated in signal headers")
+        raise DataError("EDF file truncated in signal headers")
 
     sig = raw[_EDF_HEADER:header_bytes]
 
@@ -223,27 +217,25 @@ def read_edf(path: str) -> Recording:
                             for i in (5, 6))
         spr = [int(v) for v in _column(8)]
     except ValueError:
-        raise SignalIOError("malformed EDF signal header") from None
+        raise DataError("malformed EDF signal header") from None
 
     for lab in labels:
         if "EDF Annotations" in lab:
-            raise UnsupportedFeatureError(
-                "annotations-in-signal EDF channels are not supported")
+            raise DataError("annotations-in-signal EDF channels are not supported")
     if len(set(spr)) != 1:
-        raise UnsupportedFeatureError(
-            "per-channel sample rates differ; uniform rates required")
+        raise DataError("per-channel sample rates differ; uniform rates required")
     if any(n <= 0 for n in spr):
-        raise SignalIOError("non-positive samples-per-record")
+        raise DataError("non-positive samples-per-record")
 
     rate = spr[0] / record_dur
+    if len(raw) - header_bytes != 2 * num_records * ns * spr[0]:
+        raise DataError(f"EDF payload has {len(raw) - header_bytes} bytes, "
+                        f"expected {2 * num_records * ns * spr[0]}")
     payload = np.frombuffer(raw, dtype="<i2", offset=header_bytes)
-    if payload.size != num_records * ns * spr[0]:
-        raise SignalIOError(f"EDF payload has {payload.size} values, "
-                            f"expected {num_records * ns * spr[0]}")
     dscale = dig_max - dig_min
     if not dscale.all():
         flat = np.flatnonzero(dscale == 0)[0]
-        raise SignalIOError(f"signal {labels[flat]!r}: digital min == max")
+        raise DataError(f"signal {labels[flat]!r}: digital min == max")
     gain = (phys_max - phys_min) / dscale
     # Each record holds spr samples of every signal in turn.
     dig = payload.reshape(num_records, ns, spr[0]).transpose(1, 0, 2)
@@ -260,7 +252,7 @@ _TAPS_PER_PHASE = 64
 
 def resample(rec: Recording, target_hz: float) -> Recording:
     if target_hz <= 0:
-        raise SignalIOError("target_hz must be positive")
+        raise DataError("target_hz must be positive")
     if target_hz == rec.sample_rate_hz:
         return rec
     ratio = Fraction(target_hz / rec.sample_rate_hz).limit_denominator(1000)
@@ -285,8 +277,7 @@ def apply_montage(rec: Recording, spec: MontageSpec) -> Recording:
     for _, *inputs in spec.derivations:
         for name in inputs:
             if name is not None and name not in row:
-                raise SignalIOError(
-                    f"montage input {name!r} not found in recording")
+                raise DataError(f"montage input {name!r} not found in recording")
     data = rec.data[[row[pos] for _, pos, _ in spec.derivations]]
     diff = [i for i, (_, _, neg) in enumerate(spec.derivations)
             if neg is not None]
@@ -308,15 +299,8 @@ def read_montage(path: str) -> MontageSpec:
                 neg = row[2].strip() or None
                 derivations.append((row[0].strip(), row[1].strip(), neg))
             else:
-                raise SignalIOError(f"malformed montage row: {row}")
+                raise DataError(f"malformed montage row: {row}")
     return MontageSpec(tuple(derivations))
-
-
-def default_montage() -> MontageSpec:
-    """The conventional 22-channel TCP montage. This is a configuration
-    convention shipped with the package, not a normative list."""
-    path = os.path.join(os.path.dirname(__file__), "data", "tcp_montage.csv")
-    return read_montage(path)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +323,7 @@ def read_annotations(path: str) -> AnnotationSet:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != \
                 ["channel", "start_s", "stop_s", "label"]:
-            raise SignalIOError(f"bad annotation header in {path}: {header}")
+            raise DataError(f"bad annotation header in {path}: {header}")
         for row in reader:
             if not row:
                 continue
@@ -349,7 +333,7 @@ def read_annotations(path: str) -> AnnotationSet:
                 ch = ALL_CHANNELS if row[0].strip() == "*" else int(row[0])
                 events.append(Event(ch, float(row[1]), float(row[2]),
                                     parse_label(row[3])))
-            except (ValueError, SignalIOError) as exc:
-                raise SignalIOError(f"{path}: bad annotation row "
-                                    f"{reader.line_num} {row}: {exc}") from None
+            except (ValueError, DataError) as exc:
+                raise DataError(f"{path}: bad annotation row "
+                                f"{reader.line_num} {row}: {exc}") from None
     return AnnotationSet(tuple(events))

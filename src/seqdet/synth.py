@@ -7,20 +7,18 @@ EEG events; do not read detection scores on this material as clinical claims.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import features as feat
+from .errors import DataError
 from .labels import EventLabel, parse_label
 from .signal_io import ALL_CHANNELS, AnnotationSet, Event, Recording
 
 RATE_HZ = 250.0
 NUM_CHANNELS = 22
-
-
-class SynthError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -30,14 +28,15 @@ class ScriptEntry:
     channels: tuple[int, ...] | None  # None = all channels
 
     def __post_init__(self):
-        if self.duration_s <= 0 or abs(self.duration_s - round(self.duration_s)) > 1e-9:
-            raise SynthError(f"duration must be a positive whole number of "
-                             f"seconds, got {self.duration_s}")
+        if not 0 < self.duration_s < math.inf or \
+                abs(self.duration_s - round(self.duration_s)) > 1e-9:
+            raise DataError(f"duration must be a positive whole number of "
+                            f"seconds, got {self.duration_s}")
         if self.channels is not None:
             if not self.channels:
-                raise SynthError("empty channel subset")
+                raise DataError("empty channel subset")
             if any(c < 0 or c >= NUM_CHANNELS for c in self.channels):
-                raise SynthError(f"channel subset out of range: {self.channels}")
+                raise DataError(f"channel subset out of range: {self.channels}")
 
 
 def _wavelet(width_s: float, carrier_hz: float, n: int, center: int) -> np.ndarray:
@@ -98,7 +97,7 @@ def _class_signal(label: EventLabel, n: int, rng: np.random.Generator) -> np.nda
         for start in range(0, n - burst, int(1.0 * RATE_HZ)):
             out[start:start + burst] += 40.0 * rng.standard_normal(burst)
         return out
-    raise SynthError(f"no generator for {label}")
+    raise DataError(f"no generator for {label}")
 
 
 def _spectrally_separated(signals: dict[EventLabel, np.ndarray]) -> bool:
@@ -127,13 +126,13 @@ def generate(script: list[ScriptEntry], seed: int = 0,
     annotations exactly match the generated segments. If the per-class
     spectral-separation check fails, generation retries with the next seed."""
     if not script:
-        raise SynthError("empty script")
+        raise DataError("empty script")
     for attempt in range(max_attempts):
         rec, ann = _generate_once(script, seed + attempt)
         probe = _probe_signals(seed + attempt)
         if _spectrally_separated(probe):
             return rec, ann
-    raise SynthError("could not achieve class spectral separation")
+    raise DataError("could not achieve class spectral separation")
 
 
 def _probe_signals(seed: int) -> dict[EventLabel, np.ndarray]:
@@ -180,8 +179,10 @@ def _parse_channels(text: str) -> tuple[int, ...] | None:
     if text in ("*", ""):
         return None
     if "-" in text:
-        lo, hi = text.split("-")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(v) for v in text.split("-"))
+        if not 0 <= lo <= hi < NUM_CHANNELS:
+            raise DataError(f"channel range {text} outside 0-{NUM_CHANNELS - 1}")
+        return tuple(range(lo, hi + 1))
     return tuple(int(v) for v in text.split(";"))
 
 
@@ -192,12 +193,18 @@ def read_script(path: str) -> list[ScriptEntry]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != \
                 ["label", "duration_s", "channels"]:
-            raise SynthError(f"bad script header in {path}: {header}")
+            raise DataError(f"bad script header in {path}: {header}")
         for row in reader:
             if not row:
                 continue
-            entries.append(ScriptEntry(parse_label(row[0]), float(row[1]),
-                                       _parse_channels(row[2])))
+            try:
+                if len(row) != 3:
+                    raise ValueError("expected 3 fields")
+                entries.append(ScriptEntry(parse_label(row[0]), float(row[1]),
+                                           _parse_channels(row[2])))
+            except (ValueError, DataError) as exc:
+                raise DataError(f"{path}: bad script row {reader.line_num} "
+                                f"{row}: {exc}") from None
     return entries
 
 

@@ -3,8 +3,9 @@ import struct
 import numpy as np
 import pytest
 
-from seqdet.bundle import (MAGIC, VERSION, Bundle, BundleError, _pack_payload,
+from seqdet.bundle import (MAGIC, VERSION, Bundle, _pack_payload,
                            _unpack_payload)
+from seqdet.errors import DataError
 from seqdet.features import FEATURE_DIM
 from seqdet.grammar import default_bigram
 from seqdet.hmm import init_model
@@ -53,7 +54,7 @@ class TestPayload:
 
     def test_truncation_detected(self):
         buf = _pack_payload({}, {"x": np.zeros(5)})
-        with pytest.raises(BundleError):
+        with pytest.raises(DataError):
             _unpack_payload(buf[:-4])
 
 
@@ -73,20 +74,20 @@ class TestContainer:
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.seqd"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(BundleError, match="not a SEQD bundle"):
+        with pytest.raises(DataError, match="not a SEQD bundle"):
             Bundle.load(str(path))
 
     def test_version_checked(self, tmp_path):
         path, data = saved_tiny_bundle(tmp_path)
         for version in (1, 99):
             open(path, "wb").write(MAGIC + struct.pack("<I", version) + data[8:])
-            with pytest.raises(BundleError, match=f"container version {version}"):
+            with pytest.raises(DataError, match=f"container version {version}"):
                 Bundle.load(path)
 
     def test_truncated_payload(self, tmp_path):
         path, data = saved_tiny_bundle(tmp_path)
         open(path, "wb").write(data[:-10])
-        with pytest.raises(BundleError, match="truncated"):
+        with pytest.raises(DataError, match="truncated"):
             Bundle.load(path)
 
     # every length below 64 (inside the header and the metadata length),
@@ -97,7 +98,7 @@ class TestContainer:
         length = cut if cut < 64 else int(
             np.linspace(64, len(data) - 1, 50)[cut - 64])
         open(path, "wb").write(data[:length])
-        with pytest.raises(BundleError):
+        with pytest.raises(DataError):
             Bundle.load(path)
 
 
@@ -145,7 +146,7 @@ class TestBundle:
         meta, arrays = _unpack_payload(data[8:])
         del arrays["/second_pass/sda_eyem/out_w"]
         open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
-        with pytest.raises(BundleError, match="sda_eyem/out_w"):
+        with pytest.raises(DataError, match="sda_eyem/out_w"):
             Bundle.load(path)
 
     @pytest.mark.parametrize("key, value", [
@@ -161,7 +162,7 @@ class TestBundle:
         assert key in meta
         meta[key] = value
         open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
-        with pytest.raises(BundleError, match=f"{key} must be "):
+        with pytest.raises(DataError, match=f"{key} must be "):
             Bundle.load(path)
 
     def test_int_accepted_for_float_leaf(self, tmp_path):
@@ -185,20 +186,21 @@ class TestShapeCrossChecks:
         ("/second_pass/pca_detector/components", lambda a: a[:, :131],
          r"/second_pass/pca_detector/components has shape \(3, 131\)"),
         ("/second_pass/pca_sixway/mean", lambda a: a[:131],
-         "/second_pass/pca_sixway/mean has shape"),
+         r"/second_pass/pca_sixway/components has shape \(4, 132\) but mean "
+         r"has shape \(131,\)"),
         ("/second_pass/sda_eyem/layers/1/w", lambda a: a[:, :3],
-         r"/second_pass/sda_eyem/layers/1/w has shape \(4, 3\), expected \(4, 4\)"),
+         r"/second_pass/sda_eyem/layers/1/b_prime has shape \(4,\), expected \(3,\)"),
         ("/second_pass/sda_sixway/layers/0/w", lambda a: a[:, :9],
-         "/second_pass/sda_sixway/layers/0/w has shape"),
+         r"/second_pass/sda_sixway/layers/0/b_prime has shape \(12,\), expected \(9,\)"),
         ("/second_pass/sda_spsw/out_w", lambda a: a[:, :3],
          "/second_pass/sda_spsw/out_w has shape"),
         ("/hmm_models/GPED/weights", lambda a: a[:, :1],
-         r"/hmm_models/GPED: weights has shape \(3, 1\), expected \(3, 2\)"),
+         r"/hmm_models/GPED/weights has shape \(3, 1\), expected \(3, 2\)"),
     ])
     def test_mismatch_rejected(self, tmp_path, key, fn, message):
         path, data = saved_tiny_bundle(tmp_path)
         rewrite(path, data, **{key: fn})
-        with pytest.raises(BundleError, match=message):
+        with pytest.raises(DataError, match=message):
             Bundle.load(path)
 
     def test_model_of_other_dim_rejected(self, tmp_path):
@@ -206,5 +208,5 @@ class TestShapeCrossChecks:
         cut = {f"/hmm_models/PLED/{name}": (lambda a: a[..., :25])
                for name in ("means", "variances", "var_floor")}
         rewrite(path, data, **cut)
-        with pytest.raises(BundleError, match="/hmm_models/PLED/means has shape"):
+        with pytest.raises(DataError, match="/hmm_models/PLED/means has shape"):
             Bundle.load(path)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqdet.evaluation import (ConfusionMatrix, DetCurve, EvalError,
+from seqdet.errors import DataError
+from seqdet.evaluation import (ConfusionMatrix, DetCurve,
                                channel_epoch_reference_labels, confusion,
                                det_curve, epoch_reference_labels, sens_spec)
 from seqdet.labels import (EPOCH_PRIORITY, TARG, EventLabel, collapse,
@@ -74,7 +75,7 @@ class TestConfusion:
         assert m.counts[ib, it] == 3
 
     def test_length_mismatch(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(DataError):
             confusion([0], [0, 1])
 
     def test_format_text_runs(self):
@@ -99,7 +100,7 @@ class TestSensSpec:
         assert s.false_alarm == pytest.approx(10.0)
 
     def test_requires_two_way(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(DataError):
             sens_spec(confusion([0], [0], "six_way"))
 
 
@@ -137,11 +138,11 @@ class TestDetCurve:
         assert 0.0 in offs
 
     def test_score_range_enforced(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(DataError):
             det_curve([1.5], [0], [0.0])
-        with pytest.raises(EvalError):
+        with pytest.raises(DataError):
             det_curve([1.0 + 1e-6], [0], [0.0])
-        with pytest.raises(EvalError):
+        with pytest.raises(DataError):
             det_curve([np.nan], [0], [0.0])
 
     def test_rounding_overshoot_accepted_unclipped(self):
@@ -183,5 +184,5 @@ class TestReferenceLabels:
 
     def test_channel_out_of_range(self):
         ann = AnnotationSet((Event(9, 0.0, 1.0, EventLabel.PLED),))
-        with pytest.raises(EvalError):
+        with pytest.raises(DataError):
             channel_epoch_reference_labels(ann, 1, 4)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from seqdet.features import (FEATURE_DIM, FeatureError, FrameSpec, cepstra,
-                             deltas, differential_energy, extract_channel,
+from seqdet.errors import DataError
+from seqdet.features import (FEATURE_DIM, FrameSpec, cepstra, deltas,
+                             differential_energy, extract_channel,
                              extract_features, filterbank_energies,
                              frame_signal, frequency_energy,
                              _filterbank_matrix)
@@ -34,7 +35,7 @@ class TestFraming:
         np.testing.assert_allclose(frames[3], x[75:125] * win)
 
     def test_too_short(self):
-        with pytest.raises(FeatureError):
+        with pytest.raises(DataError):
             frame_signal(np.zeros(40), SPEC)
 
 
@@ -137,7 +138,7 @@ class TestEnergies:
             np.testing.assert_array_equal(differential_energy(ef, m), loop(ef))
 
     def test_differential_energy_even_window_rejected(self):
-        with pytest.raises(FeatureError):
+        with pytest.raises(DataError):
             differential_energy(np.zeros(5), 4)
 
 
@@ -235,5 +236,5 @@ class TestGrid:
 
     def test_wrong_rate_rejected(self):
         rec = rec_from(np.zeros((1, 1000)), rate=256.0)
-        with pytest.raises(FeatureError):
+        with pytest.raises(DataError):
             extract_features(rec)

@@ -3,10 +3,10 @@ import logging
 import numpy as np
 import pytest
 
-from seqdet.grammar import (TABLE1, BigramTable, GrammarError, GrammarParams,
+from seqdet.errors import DataError
+from seqdet.grammar import (TABLE1, BigramTable, GrammarParams,
                             context_probs, decode_pass3, default_bigram,
-                            estimate_bigram, global_prior, grammar_update,
-                            read_bigram, write_bigram)
+                            estimate_bigram, global_prior, grammar_update)
 from seqdet.labels import EventLabel
 
 
@@ -37,14 +37,23 @@ class TestTable:
                                    TABLE1[int(EventLabel.ARTF)] / 1.02)
 
     def test_invalid_tables_rejected(self):
-        with pytest.raises(GrammarError):
+        with pytest.raises(DataError):
             BigramTable(np.full((6, 6), 0.5))
-        with pytest.raises(GrammarError):
+        with pytest.raises(DataError):
             BigramTable(np.eye(5))
         bad = np.eye(6)
         bad[0, 0], bad[0, 1] = -0.5, 1.5
-        with pytest.raises(GrammarError):
+        with pytest.raises(DataError):
             BigramTable(bad)
+        bad[0, 0], bad[0, 1] = np.nan, 1.0
+        with pytest.raises(DataError):
+            BigramTable(bad)
+
+    @pytest.mark.parametrize("key, value", [
+        ("window", 0), ("alpha", -0.1), ("decay", np.nan), ("gamma", np.inf)])
+    def test_invalid_params_rejected(self, key, value):
+        with pytest.raises(DataError):
+            GrammarParams(**{key: value})
 
     def test_estimate_bigram_counts(self):
         seqs = [np.array([5, 5, 1, 1, 1, 5])]
@@ -58,15 +67,8 @@ class TestTable:
         table = estimate_bigram([np.array([0, 0])], k=0.1)
         # unseen rows are uniform
         np.testing.assert_allclose(table.probs[3], 1 / 6)
-        with pytest.raises(GrammarError):
+        with pytest.raises(DataError):
             estimate_bigram([np.array([2])])
-
-    def test_csv_round_trip(self, tmp_path):
-        table = default_bigram()
-        path = tmp_path / "bigram.csv"
-        write_bigram(table, str(path))
-        back = read_bigram(str(path))
-        np.testing.assert_allclose(back.probs, table.probs, atol=1e-6)
 
 
 class TestPriors:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from seqdet.errors import DataError
 from seqdet.features import FeatureGrid
-from seqdet.hmm import (GmmHmmModel, HmmConfig, HmmError, decode_pass1,
+from seqdet.hmm import (GmmHmmModel, HmmConfig, decode_pass1,
                         forward_backward, init_model, log_emissions,
-                        loglikelihood, score_batch, train, viterbi, _BATCH,
-                        _bank, _emissions, _kmeans, _left_right_trans,
+                        score_batch, train, viterbi, _BATCH, _bank,
+                        _emissions, _kmeans, _left_right_trans, _loglik,
                         _logsumexp, _reestimate_one)
 from seqdet.labels import EventLabel
 
@@ -26,6 +27,12 @@ def random_model(rng, n=3, comps=2, dim=2, label=EventLabel.BCKG):
     variances = rng.uniform(0.5, 2.0, size=(n, comps, dim))
     return GmmHmmModel(label, trans, w, means, variances,
                        np.full(dim, 1e-8))
+
+
+def loglikelihood(model, obs_batch):
+    """Log P(O|M) of one model for a batch (B, T, D) of equal-length
+    sequences: the per-model reference for score_batch."""
+    return _loglik([model], obs_batch)[:, 0]
 
 
 def component_loglik_reference(model, obs):
@@ -177,8 +184,13 @@ class TestEmissionKernel:
                   "means": np.zeros((3, 2, 4)), "variances": np.ones((3, 2, 4)),
                   "var_floor": np.ones(4)}
         arrays[field] = np.ones(shape)
-        with pytest.raises(HmmError, match=field):
+        with pytest.raises(DataError, match=field):
             GmmHmmModel(EventLabel.BCKG, **arrays)
+
+    @pytest.mark.parametrize("key", ["num_states", "num_components"])
+    def test_config_sizes_checked(self, key):
+        with pytest.raises(DataError, match=f"{key} = 0"):
+            HmmConfig(**{key: 0})
 
 
 class TestLogsumexp:
@@ -258,7 +270,7 @@ class TestInit:
                                    np.maximum(1e-3 * gvar, 1e-8))
 
     def test_too_few_epochs(self):
-        with pytest.raises(HmmError):
+        with pytest.raises(DataError):
             init_model(EventLabel.BCKG, np.zeros((1, 3, 2)), 3, 8)
 
 
@@ -383,5 +395,5 @@ class TestTrain:
     def test_missing_class_rejected(self):
         rng = np.random.default_rng(29)
         corpus = {EventLabel.BCKG: rng.normal(size=(20, 10, 2))}
-        with pytest.raises(HmmError):
+        with pytest.raises(DataError):
             train(corpus)

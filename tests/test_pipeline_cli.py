@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from seqdet import cli, grammar, hmm, pipeline, sda, signal_io, synth
 from seqdet.bundle import Bundle, _pack_payload, _unpack_payload
+from seqdet.errors import DataError
 from seqdet.features import FrameSpec, extract_features
 from seqdet.grammar import GrammarParams
 from seqdet.hmm import HmmConfig
 from seqdet.labels import TARGET_CLASSES, EventLabel
-from seqdet.pipeline import (PipelineConfig, PipelineError, load_config,
-                             read_posterior_csv, train_pipeline,
-                             write_posterior_csv, decode_recording,
-                             score_files)
+from seqdet.pipeline import (PipelineConfig, load_config, read_posterior_csv,
+                             train_pipeline, write_posterior_csv,
+                             decode_recording, score_files)
 from seqdet.sda import SdaConfig
 
 FAST_DET = SdaConfig("spsw", window_length=3, hidden=(16, 16), outputs=2,
@@ -44,12 +44,19 @@ CUSTOM_CONFIG = replace(
 
 _pos_ints = st.integers(1, 10_000)
 _weights = st.floats(0.0, 100.0)
-_sda_configs = st.builds(
-    sda.SdaConfig, name=st.text(max_size=6), window_length=_pos_ints,
-    hidden=st.lists(_pos_ints, min_size=1, max_size=4).map(tuple),
-    outputs=_pos_ints, corruption=st.floats(0.0, 1.0), pretrain_lr=_weights,
-    pretrain_epochs=_pos_ints, pretrain_batch=_pos_ints, finetune_lr=_weights,
-    finetune_epochs=_pos_ints, finetune_batch=_pos_ints)
+
+
+def _sda_configs(outputs):
+    return st.builds(
+        sda.SdaConfig, name=st.text(max_size=6), window_length=_pos_ints,
+        hidden=st.lists(_pos_ints, min_size=1, max_size=4).map(tuple),
+        outputs=st.just(outputs), corruption=st.floats(0.0, 1.0),
+        pretrain_lr=_weights, pretrain_epochs=_pos_ints,
+        pretrain_batch=_pos_ints, finetune_lr=_weights,
+        finetune_epochs=_pos_ints, finetune_batch=_pos_ints)
+
+
+# Every valid config: the ranges stop where PipelineConfig's own checks do.
 _configs = st.builds(
     PipelineConfig,
     frame=st.builds(
@@ -57,11 +64,13 @@ _configs = st.builds(
         fft_size=_pos_ints, num_filters=_pos_ints, num_cepstra=_pos_ints,
         diff_energy_window_frames=_pos_ints.map(lambda n: 2 * n + 1),
         delta_width_first=_pos_ints, delta_width_second=_pos_ints,
-        frames_per_epoch=_pos_ints),
-    hmm=st.builds(HmmConfig, num_states=_pos_ints, num_components=_pos_ints,
+        frames_per_epoch=st.integers(20, 10_000)),
+    hmm=st.builds(HmmConfig, num_states=st.integers(1, 20),
+                  num_components=_pos_ints,
                   max_iterations=_pos_ints, tol_per_frame=_weights,
                   seed=st.integers(0, 2**32)),
-    sda_spsw=_sda_configs, sda_eyem=_sda_configs, sda_sixway=_sda_configs,
+    sda_spsw=_sda_configs(2), sda_eyem=_sda_configs(2),
+    sda_sixway=_sda_configs(6),
     grammar=st.builds(GrammarParams, epsilon_prior=_weights, m_weight=_weights,
                       decay=_weights, alpha=_weights, gamma=_weights,
                       iterations=_pos_ints, window=_pos_ints),
@@ -69,7 +78,7 @@ _configs = st.builds(
     montage_path=st.none() | st.text(min_size=1),
     bigram_source=st.sampled_from(["table1", "estimate"]),
     seed=st.integers(0, 2**32), augment_cap=_pos_ints,
-    pca_detector_dim=_pos_ints, pca_sixway_dim=_pos_ints)
+    pca_detector_dim=st.integers(1, 132), pca_sixway_dim=st.integers(1, 132))
 
 # The smallest models `seqdet train --config` can fit in a few seconds.
 TINY_INI = (
@@ -177,13 +186,13 @@ class TestConfig:
                                              value):
         path = tmp_path / "c.ini"
         path.write_text(f"[{section}]\n{key} = {value}\n")
-        with pytest.raises(PipelineError, match=rf"\[{section}\] {key}"):
+        with pytest.raises(DataError, match=rf"\[{section}\] {key}"):
             load_config(str(path))
 
     def test_malformed_ini(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("seed = 3\n")
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError):
             load_config(str(path))
 
     @settings(max_examples=60, deadline=None)
@@ -198,29 +207,29 @@ class TestConfig:
         for bad in ({"seed": 1.5}, {"seed": True}, {"hmm": 3},
                     {"sda_sixway": {"hidden": 64}},
                     {"frame": {"bogus": 1}}, {"bogus": 1}):
-            with pytest.raises(PipelineError):
+            with pytest.raises(DataError):
                 PipelineConfig.from_dict(bad)
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[bogus]\nx = 1\n")
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError):
             load_config(str(path))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[hmm]\nbogus = 1\n")
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError):
             load_config(str(path))
 
     def test_bad_bigram_source(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[pipeline]\nbigram_source = wrong\n")
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError):
             load_config(str(path))
 
     def test_missing_file(self):
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError):
             load_config("/nonexistent/config.ini")
 
 
@@ -246,7 +255,7 @@ class TestTraining:
         rp, ap = str(tmp_path / "r.rm"), str(tmp_path / "r.csv")
         signal_io.write_recording(rec, rp)
         signal_io.write_annotations(ann, ap)
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError):
             train_pipeline(FAST_CONFIG, [(rp, ap)])
 
 
@@ -308,7 +317,7 @@ class TestDecoding:
 
     def test_bad_stop_after(self, trained, corpus):
         bundle, _ = trained
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError):
             decode_recording(bundle, corpus["eval"][0], stop_after=4)
 
     def test_montage_embedded_in_bundle(self, corpus, tmp_path):
@@ -389,6 +398,63 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("sda.spsw", "corruption", "1.5"),
+        ("hmm", "num_states", "500"),
+        ("pipeline", "pca_sixway_dim", "1000"),
+        ("sda.6way", "outputs", "3"),
+        ("sda.eyem", "window_length", "0"),
+        ("sda.6way", "pretrain_batch", "0"),
+    ])
+    def test_config_out_of_range_exit_code(self, corpus, tmp_path, capsys,
+                                           monkeypatch, section, key, value):
+        # each fails as the config loads, before any training
+        calls = []
+        monkeypatch.setattr(hmm, "train", lambda *a, **k: calls.append(a))
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(f"[{section}]\n{key} = {value}\n")
+        code = cli.main(["train", corpus["train"][0], "--config",
+                         str(cfg_path), "--out", str(tmp_path / "m.seqd")])
+        assert code == 2
+        err = one_line_data_error(capsys)
+        assert f"[{section}] {key} = {value}" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("target", ["bundle", "recording", "det --out",
+                                        "--out-dir"])
+    def test_unusable_path_exit_code(self, trained, corpus, tmp_path, capsys,
+                                     target):
+        # a directory where a file is read or written, a file where a
+        # directory is made
+        rec_path, ref_path = corpus["eval"]
+        folder, out = str(tmp_path), str(tmp_path / "out")
+        args = {
+            "bundle": ["decode", folder, rec_path, "--out-dir", out],
+            "recording": ["decode", trained[1], folder, "--out-dir", out],
+            "det --out": ["det", str(tmp_path / "p.csv"), ref_path,
+                          "--out", folder],
+            "--out-dir": ["decode", trained[1], rec_path, "--out-dir", ref_path],
+        }[target]
+        write_posterior_csv(str(tmp_path / "p.csv"), np.full((4, 6), 1 / 6))
+        assert cli.main(args) == 2
+        one_line_data_error(capsys)
+
+    def test_non_finite_loss_exit_code(self, corpus, tmp_path, capsys,
+                                       monkeypatch):
+        def nan_loss(*args):
+            return (np.nan, *real(*args)[1:])
+
+        real = sda.dae_loss_and_grad
+        monkeypatch.setattr(sda, "dae_loss_and_grad", nan_loss)
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(TINY_INI)
+        code = cli.main(["train", corpus["train"][0], "--config",
+                         str(cfg_path), "--out", str(tmp_path / "m.seqd")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite pretraining loss")
+        assert err.count("\n") == 1
 
     def test_unknown_manifest_key_exit_code(self, trained, corpus, tmp_path,
                                             capsys):
@@ -520,11 +586,12 @@ class TestCli:
 
     def test_mistyped_bundle_leaf_exit_code(self, trained, corpus, tmp_path,
                                             capsys):
-        bundle, _ = trained
-        spsw = replace(bundle.second_pass.sda_spsw, window_length="3")
+        _, bundle_path = trained
+        data = open(bundle_path, "rb").read()
+        meta, arrays = _unpack_payload(data[8:])
+        meta["/second_pass/sda_spsw/window_length"] = "3"
         path = str(tmp_path / "bad.seqd")
-        Bundle(bundle.hmm_models, replace(bundle.second_pass, sda_spsw=spsw),
-               bundle.bigram, bundle.manifest).save(path)
+        open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
         code = cli.main(["decode", path, corpus["eval"][0],
                          "--out-dir", str(tmp_path)])
         assert code == 2
@@ -534,6 +601,11 @@ class TestCli:
         ("/second_pass/pca_detector/components",),  # (13, 131)
         ("/hmm_models/PLED/means", "/hmm_models/PLED/variances",
          "/hmm_models/PLED/var_floor"),             # one model with D = 25
+        # each vector one entry short
+        ("/second_pass/sda_spsw/layers/0/b",),
+        ("/second_pass/sda_eyem/layers/1/b_prime",),
+        ("/second_pass/sda_sixway/scale_min",),
+        ("/second_pass/sda_sixway/out_b",),
     ])
     def test_mismatched_shape_bundle_exit_code(self, trained, corpus, tmp_path,
                                                capsys, keys):

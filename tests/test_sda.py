@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from seqdet.errors import DataError
 from seqdet.hmm import PosteriorGrid
 from seqdet.labels import TARGET_CLASSES, EventLabel
 from seqdet.sda import (EYEM_SDA_CONFIG, SIXWAY_SDA_CONFIG, SPSW_SDA_CONFIG,
-                        SdaConfig, SdaError, SdaLayer, SdaModel, augment_rare,
-                        build_supervector, corrupt, dae_loss_and_grad,
-                        decode_pass2, detector_sequence, encode, enhance,
+                        PcaModel, SdaConfig, SdaLayer, SdaModel, augment_rare,
+                        corrupt, dae_loss_and_grad, decode_pass2,
+                        detector_sequence, encode, enhance,
                         fine_tune, finetune_loss_and_grad, fit_pca,
                         fit_scaling, init_layer, init_stack, make_windows,
                         predict_sequence, pretrain,
@@ -20,11 +21,17 @@ def random_grid(rng, epochs=5, channels=22):
     return PosteriorGrid(p)
 
 
+def build_supervector(grid, epoch):
+    """Reference for supervector_sequence: one epoch's (channels, 6) scores
+    flattened channel-major."""
+    return grid.posteriors[epoch].reshape(-1).copy()
+
+
 class TestSupervectors:
     def test_layout_channel_major(self):
         rng = np.random.default_rng(0)
         grid = random_grid(rng)
-        sv = build_supervector(grid, 2)
+        sv = supervector_sequence(grid)[2]
         assert sv.shape == (132,)
         np.testing.assert_array_equal(sv[:6], grid.posteriors[2, 0])
         np.testing.assert_array_equal(sv[6:12], grid.posteriors[2, 1])
@@ -39,7 +46,7 @@ class TestSupervectors:
 
     def test_channel_count_enforced(self):
         rng = np.random.default_rng(2)
-        with pytest.raises(SdaError):
+        with pytest.raises(DataError):
             supervector_sequence(random_grid(rng, channels=10))
 
 
@@ -114,50 +121,116 @@ class TestLayers:
         assert ((h > 0) & (h < 1)).all()
 
 
-def check_grad(f, x0, g, eps=1e-5, tol=1e-4, rng=None, probes=20):
-    """Central finite differences on random coordinates of a flat array."""
-    rng = rng or np.random.default_rng(0)
-    flat = x0.reshape(-1)
-    gflat = g.reshape(-1)
+# Central differences in float64. The difference quotient carries roundoff
+# of about C * machine epsilon * |loss| / eps and truncation error O(eps^2),
+# about 1e-7 relative at eps = 1e-4. A gradient entry below
+# roundoff / GRAD_BOUND cannot be resolved to the bound, so there the check
+# is absolute. On the SdA losses C measured at most 6 for gradients below
+# 1e-6, where the floor acts; FD_ROUNDOFF = 32 leaves a margin of five.
+FD_EPS = 1e-4
+FD_ROUNDOFF = 32
+GRAD_BOUND = 1e-4
+
+
+def probe_relerr(loss_fn, param, grad, rng, probes=20, eps=FD_EPS):
+    """Worst relative error of `grad` against central differences of
+    `loss_fn` on random coordinates of `param`, perturbed in place."""
+    flat = param.reshape(-1)
+    gflat = grad.reshape(-1)
     idx = rng.choice(flat.size, size=min(probes, flat.size), replace=False)
+    worst = 0.0
     for i in idx:
         orig = flat[i]
         flat[i] = orig + eps
-        fp = f()
+        fp = loss_fn()
         flat[i] = orig - eps
-        fm = f()
+        fm = loss_fn()
         flat[i] = orig
         num = (fp - fm) / (2 * eps)
-        denom = max(abs(num), abs(gflat[i]), 1e-8)
-        assert abs(num - gflat[i]) / denom < tol, (num, gflat[i])
+        roundoff = FD_ROUNDOFF * np.finfo(np.float64).eps * max(abs(fp), abs(fm)) / eps
+        denom = max(abs(num), abs(gflat[i]), roundoff / GRAD_BOUND)
+        worst = max(worst, abs(num - gflat[i]) / denom)
+    return worst
+
+
+def dae_gradient_relerr(seed):
+    rng = np.random.default_rng(seed)
+    layer = init_layer(9, 7, rng)
+    clean = rng.random((6, 9))
+    noisy = corrupt(clean, 0.3, rng)
+    _, gw, gb, gbp = dae_loss_and_grad(layer, clean, noisy)
+    loss_fn = lambda: dae_loss_and_grad(layer, clean, noisy)[0]
+    return max(probe_relerr(loss_fn, layer.w, gw, rng),
+               probe_relerr(loss_fn, layer.b, gb, rng),
+               probe_relerr(loss_fn, layer.b_prime, gbp, rng))
+
+
+def finetune_gradient_relerr(seed):
+    rng = np.random.default_rng(seed)
+    layers = init_stack(8, (10, 6), rng)
+    out_w = init_layer(6, 3, rng).w
+    out_b = np.zeros(3)
+    x = rng.random((5, 8))
+    y = rng.integers(0, 3, size=5)
+    _, g_layers, g_ow, g_ob = finetune_loss_and_grad(layers, out_w, out_b, x, y)
+    loss_fn = lambda: finetune_loss_and_grad(layers, out_w, out_b, x, y)[0]
+    params = [p for layer in layers for p in (layer.w, layer.b)] + [out_w, out_b]
+    grads = [g for pair in g_layers for g in pair] + [g_ow, g_ob]
+    return max(probe_relerr(loss_fn, p, g, rng) for p, g in zip(params, grads))
+
+
+class TestSelfChecks:
+    @pytest.mark.parametrize("key, value", [
+        ("corruption", 1.5), ("window_length", 0), ("pretrain_batch", 0),
+        ("finetune_batch", 0), ("hidden", ()), ("hidden", (4, 0)),
+        ("pretrain_lr", np.nan), ("finetune_lr", -1.0)])
+    def test_config_rejected(self, key, value):
+        fields = {"name": "x", "window_length": 3, "hidden": (4,), "outputs": 2}
+        with pytest.raises(DataError, match=key):
+            SdaConfig(**{**fields, key: value})
+
+    def test_pca_mean_matches_components(self):
+        with pytest.raises(DataError, match="components has shape"):
+            PcaModel(np.zeros(5), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("key", ["b", "b_prime"])
+    def test_layer_biases_match_weights(self, key):
+        layer = init_layer(4, 3, np.random.default_rng(21))
+        fields = {"w": layer.w, "b": layer.b, "b_prime": layer.b_prime}
+        fields[key] = fields[key][:-1]
+        with pytest.raises(DataError, match=f"{key} has shape"):
+            SdaLayer(**fields)
+
+    @staticmethod
+    def model_fields(**changes):
+        """A working model, 3 windows of 4 scaled dims -> 5 -> 2 classes,
+        with `changes` applied."""
+        fields = {"layers": init_stack(12, (5,), np.random.default_rng(22)),
+                  "out_w": np.zeros((2, 5)), "out_b": np.zeros(2),
+                  "window_length": 3, "corruption": 0.3,
+                  "scale_min": np.zeros(4), "scale_max": np.ones(4)}
+        return {**fields, **changes}
+
+    @pytest.mark.parametrize("key", ["scale_min", "scale_max", "out_b"])
+    def test_short_vector_rejected(self, key):
+        SdaModel(**self.model_fields())
+        with pytest.raises(DataError, match=f"{key} has shape"):
+            SdaModel(**self.model_fields(**{key: np.zeros(3 if "scale" in key else 1)}))
+
+    @pytest.mark.parametrize("changes", [
+        {"window_length": 0}, {"window_length": 5}, {"layers": []},
+        {"out_w": np.zeros((2, 4))}])
+    def test_chain_checked(self, changes):
+        with pytest.raises(DataError):
+            SdaModel(**self.model_fields(**changes))
 
 
 class TestGradients:
     def test_dae_gradients(self):
-        rng = np.random.default_rng(11)
-        layer = init_layer(9, 7, rng)
-        clean = rng.random((6, 9))
-        noisy = corrupt(clean, 0.3, rng)
-        _, gw, gb, gbp = dae_loss_and_grad(layer, clean, noisy)
-        loss_fn = lambda: dae_loss_and_grad(layer, clean, noisy)[0]
-        check_grad(loss_fn, layer.w, gw, rng=rng)
-        check_grad(loss_fn, layer.b, gb, rng=rng)
-        check_grad(loss_fn, layer.b_prime, gbp, rng=rng)
+        assert dae_gradient_relerr(11) < GRAD_BOUND
 
     def test_finetune_gradients_deep(self):
-        rng = np.random.default_rng(12)
-        layers = init_stack(8, (10, 6), rng)
-        out_w = init_layer(6, 3, rng).w
-        out_b = np.zeros(3)
-        x = rng.random((5, 8))
-        y = rng.integers(0, 3, size=5)
-        _, g_layers, g_ow, g_ob = finetune_loss_and_grad(layers, out_w, out_b, x, y)
-        loss_fn = lambda: finetune_loss_and_grad(layers, out_w, out_b, x, y)[0]
-        for layer, (gw, gb) in zip(layers, g_layers):
-            check_grad(loss_fn, layer.w, gw, rng=rng)
-            check_grad(loss_fn, layer.b, gb, rng=rng)
-        check_grad(loss_fn, out_w, g_ow, rng=rng)
-        check_grad(loss_fn, out_b, g_ob, rng=rng)
+        assert finetune_gradient_relerr(12) < GRAD_BOUND
 
 
 FAST = SdaConfig("fast", window_length=3, hidden=(16, 16), outputs=2,
@@ -202,7 +275,7 @@ class TestTraining:
     def test_bad_labels_rejected(self):
         rng = np.random.default_rng(16)
         layers = init_stack(6, (4,), rng)
-        with pytest.raises(SdaError):
+        with pytest.raises(DataError):
             fine_tune(layers, np.random.rand(10, 6), np.full(10, 5), FAST, rng,
                       np.zeros(2), np.ones(2))
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from seqdet.errors import DataError
 from seqdet.labels import EventLabel
 from seqdet.signal_io import (ALL_CHANNELS, AnnotationSet, Event,
-                              MontageSpec, Recording, SignalIOError,
-                              UnsupportedFeatureError, apply_montage,
-                              default_montage, read_annotations, read_edf,
+                              MontageSpec, Recording, apply_montage,
+                              read_annotations, read_edf,
                               read_recording, resample, write_annotations,
                               write_recording)
 
@@ -59,20 +59,20 @@ def write_edf(path, signals, rate=256, record_dur=1.0, phys=(-1000.0, 1000.0),
 
 class TestRecording:
     def test_label_count_must_match_rows(self):
-        with pytest.raises(SignalIOError, match="1 channel labels for 2"):
+        with pytest.raises(DataError, match="1 channel labels for 2"):
             Recording(np.zeros((2, 5)), ("A",), 250.0)
 
     def test_one_dimensional_data_rejected(self):
-        with pytest.raises(SignalIOError, match="matrix"):
+        with pytest.raises(DataError, match="matrix"):
             Recording(np.zeros(5), ("A",), 250.0)
 
     def test_zero_channels_rejected(self):
-        with pytest.raises(SignalIOError, match="at least one channel"):
+        with pytest.raises(DataError, match="at least one channel"):
             Recording(np.zeros((0, 5)), (), 250.0)
 
     @pytest.mark.parametrize("rate", [0.0, -250.0, np.nan, np.inf])
     def test_rate_must_be_positive_and_finite(self, rate):
-        with pytest.raises(SignalIOError, match="positive and finite"):
+        with pytest.raises(DataError, match="positive and finite"):
             Recording(np.zeros((1, 5)), ("A",), rate)
 
 
@@ -97,19 +97,31 @@ class TestRawMatrix:
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.rm"
         path.write_bytes(b"not a header\n")
-        with pytest.raises(SignalIOError):
+        with pytest.raises(DataError):
             read_recording(str(path))
 
     def test_negative_dimensions_rejected(self, tmp_path):
         path = tmp_path / "bad.rm"
         path.write_bytes(b"channels=-1 rate_hz=250 samples=-4\n" + b"\0" * 16)
-        with pytest.raises(SignalIOError, match="malformed"):
+        with pytest.raises(DataError, match="malformed"):
             read_recording(str(path))
 
     def test_payload_size_mismatch(self, tmp_path):
         path = tmp_path / "bad.rm"
         path.write_bytes(b"channels=2 rate_hz=250 samples=100\n" + b"\0" * 16)
-        with pytest.raises(SignalIOError):
+        with pytest.raises(DataError):
+            read_recording(str(path))
+
+    @pytest.mark.parametrize("name", ["a.rm", "a.edf"])
+    def test_partial_sample_rejected(self, tmp_path, name):
+        # a payload that is not a whole number of samples
+        path = tmp_path / name
+        if name.endswith(".edf"):
+            write_edf(str(path), [np.arange(256)])
+        else:
+            write_recording(make_recording(np.ones((2, 4))), str(path))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(DataError, match="payload has"):
             read_recording(str(path))
 
 
@@ -160,13 +172,13 @@ class TestEdf:
         off = 256 + (16 + 80 + 8 + 8 + 8 + 8) * 2 + 8
         raw[off:off + 8] = b"-32768".ljust(8)
         path.write_bytes(bytes(raw))
-        with pytest.raises(SignalIOError, match="'B': digital min == max"):
+        with pytest.raises(DataError, match="'B': digital min == max"):
             read_edf(str(path))
 
     def test_annotation_channel_rejected(self, tmp_path):
         path = tmp_path / "a.edf"
         write_edf(str(path), [np.zeros(256)], labels=["EDF Annotations"])
-        with pytest.raises(UnsupportedFeatureError):
+        with pytest.raises(DataError):
             read_edf(str(path))
 
     def test_mixed_rates_rejected(self, tmp_path):
@@ -178,14 +190,14 @@ class TestEdf:
         off = 256 + (16 + 80 + 8 + 8 + 8 + 8 + 8 + 80) * 2 + 8
         raw[off:off + 8] = b"128".ljust(8)
         path.write_bytes(bytes(raw))
-        with pytest.raises(UnsupportedFeatureError):
+        with pytest.raises(DataError):
             read_edf(str(path))
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "a.edf"
         write_edf(str(path), [np.zeros(256)])
         path.write_bytes(path.read_bytes()[:300])
-        with pytest.raises(SignalIOError):
+        with pytest.raises(DataError):
             read_edf(str(path))
 
 
@@ -261,12 +273,8 @@ class TestMontage:
 
     def test_unresolved_label(self):
         rec = make_recording(np.ones((1, 5)), labels=["A"])
-        with pytest.raises(SignalIOError):
+        with pytest.raises(DataError):
             apply_montage(rec, MontageSpec((("X", "A", "MISSING"),)))
-
-    def test_default_montage_has_22_channels(self):
-        spec = default_montage()
-        assert len(spec.derivations) == 22
 
 
 class TestAnnotations:
@@ -306,7 +314,7 @@ class TestAnnotations:
         assert read_annotations(str(path)).events[0].channel == ALL_CHANNELS
 
     def test_conflicting_overlap_rejected(self):
-        with pytest.raises(SignalIOError):
+        with pytest.raises(DataError):
             AnnotationSet((Event(0, 0.0, 2.0, EventLabel.PLED),
                            Event(0, 1.0, 3.0, EventLabel.GPED)))
 
@@ -315,5 +323,5 @@ class TestAnnotations:
                        Event(0, 1.0, 3.0, EventLabel.PLED)))
 
     def test_nonfinite_samples_rejected(self):
-        with pytest.raises(SignalIOError, match="'B': non-finite"):
+        with pytest.raises(DataError, match="'B': non-finite"):
             Recording(np.array([[1.0, 2.0], [1.0, np.nan]]), ("A", "B"), 250.0)

@@ -3,10 +3,11 @@ import pytest
 
 from seqdet import features as feat
 from seqdet import synth
+from seqdet.errors import DataError
 from seqdet.labels import EventLabel
 from seqdet.signal_io import ALL_CHANNELS
-from seqdet.synth import (FOCAL_PROFILE, ScriptEntry, SynthError,
-                          balanced_script, generate, read_script)
+from seqdet.synth import (FOCAL_PROFILE, ScriptEntry, balanced_script,
+                          generate, read_script)
 
 SCRIPT = [ScriptEntry(EventLabel.BCKG, 3.0, None),
           ScriptEntry(EventLabel.PLED, 2.0, None),
@@ -55,7 +56,7 @@ class TestGenerate:
         assert hi[:3].min() > hi[3:].max()
 
     def test_empty_script_rejected(self):
-        with pytest.raises(SynthError):
+        with pytest.raises(DataError):
             generate([], seed=0)
 
     def test_classes_spectrally_separated(self):
@@ -65,13 +66,13 @@ class TestGenerate:
 
 class TestScriptEntries:
     def test_fractional_duration_rejected(self):
-        with pytest.raises(SynthError):
+        with pytest.raises(DataError):
             ScriptEntry(EventLabel.BCKG, 1.5, None)
 
     def test_bad_channels_rejected(self):
-        with pytest.raises(SynthError):
+        with pytest.raises(DataError):
             ScriptEntry(EventLabel.BCKG, 1.0, ())
-        with pytest.raises(SynthError):
+        with pytest.raises(DataError):
             ScriptEntry(EventLabel.BCKG, 1.0, (25,))
 
     def test_read_script(self, tmp_path):
@@ -88,7 +89,7 @@ class TestScriptEntries:
     def test_read_script_bad_header(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("a,b,c\nBCKG,3,*\n")
-        with pytest.raises(SynthError):
+        with pytest.raises(DataError):
             read_script(str(path))
 
 
