@@ -9,7 +9,7 @@ averaged over both batch and input dimensions.
 """
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +19,8 @@ from scipy.special import expit
 from .errors import DataError, NumericError, check_shape
 from .hmm import PosteriorGrid
 from .labels import NUM_CLASSES, TARGET_CLASSES, EventLabel
+
+log = logging.getLogger(__name__)
 
 EXPECTED_CHANNELS = 22
 SUPERVECTOR_DIM = EXPECTED_CHANNELS * NUM_CLASSES  # 132
@@ -70,9 +72,8 @@ def fit_pca(x: np.ndarray, out_dim: int) -> PcaModel:
     rank = int(np.sum(evals > max(evals[0], 0.0) * 1e-12)) if evals[0] > 0 else 0
     keep = min(out_dim, rank)
     if keep < out_dim:
-        warnings.warn(
-            f"PCA rank deficiency: keeping {keep} of {out_dim} components, "
-            "padding with zero rows")
+        log.warning("PCA rank deficiency: keeping %d of %d components, "
+                    "padding with zero rows", keep, out_dim)
     comps = np.zeros((out_dim, x.shape[1]))
     comps[:keep] = evecs[:, :keep].T
     # Fix signs so serialization is stable across eigensolvers.
@@ -197,7 +198,7 @@ def corrupt(x: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray
     """Masking corruption: each coordinate independently zeroed with
     probability `level` (SdaConfig keeps it in [0, 1])."""
     if level == 0.0:
-        return np.array(x, copy=True)
+        return x
     keep = rng.random(np.shape(x)) >= level
     return np.asarray(x) * keep
 
@@ -210,59 +211,69 @@ def encode(layers: list[SdaLayer], x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Losses and gradients (shared by SGD and by the finite-difference checks)
+# Losses and gradients. Training calls only the gradient functions; the
+# losses are their objectives for the finite-difference checks.
 
-def dae_loss_and_grad(layer: SdaLayer, x_clean: np.ndarray,
-                      x_corrupt: np.ndarray):
+def dae_loss(layer: SdaLayer, x_clean: np.ndarray,
+             x_corrupt: np.ndarray) -> float:
     """Cross-entropy reconstruction loss of a tied-weight denoising
-    autoencoder, with analytic gradients for (w, b, b_prime)."""
-    x_clean = np.atleast_2d(x_clean)
-    x_corrupt = np.atleast_2d(x_corrupt)
+    autoencoder."""
+    z = expit(encode([layer], x_corrupt) @ layer.w + layer.b_prime)
+    zc = np.clip(z, 1e-12, 1.0 - 1e-12)
+    return -np.mean(x_clean * np.log(zc) + (1.0 - x_clean) * np.log(1.0 - zc))
+
+
+def dae_grad(layer: SdaLayer, x_clean: np.ndarray, x_corrupt: np.ndarray,
+             out: np.ndarray):
+    """Gradients of `dae_loss` for (w, b, b_prime); the weight gradient, the
+    encoder and decoder terms summed by one GEMM, is written to `out`."""
     n, d = x_clean.shape
     y = expit(x_corrupt @ layer.w.T + layer.b)
-    z = expit(y @ layer.w + layer.b_prime)
-    zc = np.clip(z, 1e-12, 1.0 - 1e-12)
-    loss = -np.mean(x_clean * np.log(zc) + (1.0 - x_clean) * np.log(1.0 - zc))
     # Sigmoid + cross-entropy: gradient at the decoder pre-activation is z - x.
-    dz = (z - x_clean) / (n * d)
-    g_bp = dz.sum(axis=0)
-    g_w_dec = y.T @ dz
-    dy = dz @ layer.w.T
-    dpre = dy * y * (1.0 - y)
-    g_w_enc = dpre.T @ x_corrupt
-    g_b = dpre.sum(axis=0)
-    return loss, g_w_enc + g_w_dec, g_b, g_bp
+    dz = expit(y @ layer.w + layer.b_prime)
+    dz -= x_clean
+    dz /= n * d
+    dpre = dz @ layer.w.T
+    dpre *= y
+    dpre *= 1.0 - y
+    np.matmul(np.concatenate([dpre, y]).T, np.concatenate([x_corrupt, dz]),
+              out=out)
+    return out, dpre.sum(axis=0), dz.sum(axis=0)
 
 
-def finetune_loss_and_grad(layers: list[SdaLayer], out_w: np.ndarray,
-                           out_b: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Negative log-likelihood of the encoder + softmax composite, with
-    analytic gradients for every encoder weight/bias and the output layer."""
-    x = np.atleast_2d(x)
-    y = np.asarray(y, dtype=np.intp)
-    n = x.shape[0]
+def finetune_loss(layers: list[SdaLayer], out_w: np.ndarray, out_b: np.ndarray,
+                  x: np.ndarray, y: np.ndarray) -> float:
+    """Negative log-likelihood of the encoder + softmax composite."""
+    probs = _softmax(encode(layers, x) @ out_w.T + out_b)
+    return -np.mean(np.log(np.clip(probs[np.arange(len(y)), y], 1e-300, None)))
+
+
+def finetune_grad(layers: list[SdaLayer], out_w: np.ndarray, out_b: np.ndarray,
+                  x: np.ndarray, y: np.ndarray, bufs: list[np.ndarray]):
+    """Gradients of `finetune_loss`: the weight gradients of the layers and
+    then of the output layer are written to `bufs`, one buffer each, and
+    returned with the matching list of bias gradients."""
+    n = len(x)
     acts = [x]
-    h = x
     for layer in layers:
-        h = expit(h @ layer.w.T + layer.b)
-        acts.append(h)
-    probs = _softmax(h @ out_w.T + out_b)
-    loss = -np.mean(np.log(np.clip(probs[np.arange(n), y], 1e-300, None)))
-
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-    g_out_w = dlogits.T @ h
-    g_out_b = dlogits.sum(axis=0)
-    dh = dlogits @ out_w
-    g_layers = []
-    for layer, a_in, a_out in zip(reversed(layers), reversed(acts[:-1]),
-                                  reversed(acts[1:])):
-        dpre = dh * a_out * (1.0 - a_out)
-        g_layers.append((dpre.T @ a_in, dpre.sum(axis=0)))
-        dh = dpre @ layer.w
-    g_layers.reverse()
-    return loss, g_layers, g_out_w, g_out_b
+        acts.append(expit(acts[-1] @ layer.w.T + layer.b))
+    # Softmax + negative log-likelihood: gradient at the logits is p - onehot.
+    dpre = _softmax(acts[-1] @ out_w.T + out_b)
+    dpre[np.arange(n), y] -= 1.0
+    dpre /= n
+    g_b = [dpre.sum(axis=0)]
+    np.matmul(dpre.T, acts[-1], out=bufs[-1])
+    w = out_w
+    for i in reversed(range(len(layers))):
+        a_out = acts[i + 1]
+        dpre = dpre @ w
+        dpre *= a_out
+        dpre *= 1.0 - a_out
+        np.matmul(dpre.T, acts[i], out=bufs[i])
+        g_b.append(dpre.sum(axis=0))
+        w = layers[i].w
+    g_b.reverse()
+    return bufs, g_b
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +286,32 @@ def _minibatches(n: int, batch: int, rng: np.random.Generator):
         yield order[lo:lo + batch]
 
 
+def _sgd_step(params, grads, lr: float) -> None:
+    """Subtract lr times each gradient from its parameter, both in place."""
+    for p, g in zip(params, grads):
+        g *= lr
+        p -= g
+
+
 def pretrain(layers: list[SdaLayer], data: np.ndarray, config: SdaConfig,
              rng: np.random.Generator) -> list[SdaLayer]:
     """Greedy layer-wise denoising-autoencoder training on [0,1]-scaled data."""
     data = np.asarray(data, dtype=np.float64)
     codes = data
     for layer in layers:
+        g_w = np.empty_like(layer.w)
         for _ in range(config.pretrain_epochs):
             for idx in _minibatches(len(codes), config.pretrain_batch, rng):
                 clean = codes[idx]
                 noisy = corrupt(clean, config.corruption, rng)
-                loss, gw, gb, gbp = dae_loss_and_grad(layer, clean, noisy)
-                if not np.isfinite(loss):
+                g_w, g_b, g_bp = dae_grad(layer, clean, noisy, g_w)
+                # A NaN anywhere in the layer or its input reaches these sums.
+                if not np.isfinite(g_b.sum() + g_bp.sum()):
                     raise NumericError(
-                        f"non-finite pretraining loss on layer with shape "
+                        f"non-finite pretraining gradient on layer with shape "
                         f"{layer.w.shape}")
-                layer.w -= config.pretrain_lr * gw
-                layer.b -= config.pretrain_lr * gb
-                layer.b_prime -= config.pretrain_lr * gbp
+                _sgd_step((layer.w, layer.b, layer.b_prime), (g_w, g_b, g_bp),
+                          config.pretrain_lr)
         codes = encode([layer], codes)
     return layers
 
@@ -309,17 +328,16 @@ def fine_tune(layers: list[SdaLayer], x: np.ndarray, y: np.ndarray,
     top_dim = layers[-1].w.shape[0]
     out_w = init_layer(top_dim, config.outputs, rng).w
     out_b = np.zeros(config.outputs)
+    weights = [layer.w for layer in layers] + [out_w]
+    biases = [layer.b for layer in layers] + [out_b]
+    bufs = [np.empty_like(w) for w in weights]
     for _ in range(config.finetune_epochs):
         for idx in _minibatches(len(x), config.finetune_batch, rng):
-            loss, g_layers, g_ow, g_ob = finetune_loss_and_grad(
-                layers, out_w, out_b, x[idx], y[idx])
-            if not np.isfinite(loss):
-                raise NumericError("non-finite fine-tuning loss")
-            for layer, (gw, gb) in zip(layers, g_layers):
-                layer.w -= config.finetune_lr * gw
-                layer.b -= config.finetune_lr * gb
-            out_w -= config.finetune_lr * g_ow
-            out_b -= config.finetune_lr * g_ob
+            g_w, g_b = finetune_grad(layers, out_w, out_b, x[idx], y[idx], bufs)
+            if not np.isfinite(sum(g.sum() for g in g_b)):
+                raise NumericError("non-finite fine-tuning gradient")
+            _sgd_step(weights, g_w, config.finetune_lr)
+            _sgd_step(biases, g_b, config.finetune_lr)
     return SdaModel(layers, out_w, out_b, config.window_length,
                     config.corruption, scale_min, scale_max)
 

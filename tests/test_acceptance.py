@@ -21,11 +21,11 @@ from seqdet.hmm import (forward_backward, init_model, viterbi,
 from seqdet.labels import TARG, TARGET_CLASSES, EventLabel, collapse
 from seqdet.pipeline import PipelineConfig, decode_recording, train_pipeline
 from seqdet.sda import (EYEM_SDA_CONFIG, SIXWAY_SDA_CONFIG, SPSW_SDA_CONFIG,
-                        corrupt, dae_loss_and_grad, fit_pca,
-                        finetune_loss_and_grad, init_layer, init_stack)
+                        corrupt, fit_pca, init_layer, init_stack)
 from seqdet import signal_io
 from tests.test_hmm import brute_force, random_model
-from tests.test_sda import GRAD_BOUND, probe_relerr
+from tests.test_sda import (GRAD_BOUND, dae_probe_relerr,
+                            finetune_probe_relerr)
 
 
 def _report(capsys, num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -100,8 +100,9 @@ def test_criterion_03_em_monotonicity(capsys):
 
 
 def sda_gradient_relerr(seed: int) -> float:
-    """Worst gradient error of the three SdA configs' reconstruction and
-    classifier losses; config k draws from the fixed seed [seed, k]."""
+    """Worst error of the gradients the trainer uses (dae_grad,
+    finetune_grad) against their losses (dae_loss, finetune_loss) for the
+    three SdA configs; config k draws from the fixed seed [seed, k]."""
     worst = 0.0
     configs = [(SPSW_SDA_CONFIG, 13), (EYEM_SDA_CONFIG, 13),
                (SIXWAY_SDA_CONFIG, 20)]
@@ -114,25 +115,15 @@ def sda_gradient_relerr(seed: int) -> float:
         for layer in layers:
             clean = rng.random((8, d_in))
             noisy = corrupt(clean, cfg.corruption, rng)
-            _, gw, gb, gbp = dae_loss_and_grad(layer, clean, noisy)
-            fn = lambda: dae_loss_and_grad(layer, clean, noisy)[0]
-            worst = max(worst, probe_relerr(fn, layer.w, gw, rng, 50),
-                        probe_relerr(fn, layer.b, gb, rng, 50),
-                        probe_relerr(fn, layer.b_prime, gbp, rng, 50))
+            worst = max(worst, dae_probe_relerr(layer, clean, noisy, rng, 50))
             d_in = layer.w.shape[0]
         # classifier loss gradients through the whole stack
         out_w = init_layer(cfg.hidden[-1], cfg.outputs, rng).w
         out_b = np.zeros(cfg.outputs)
         x = rng.random((8, input_dim))
         y = rng.integers(0, cfg.outputs, size=8)
-        _, g_layers, g_ow, g_ob = finetune_loss_and_grad(
-            layers, out_w, out_b, x, y)
-        fn = lambda: finetune_loss_and_grad(layers, out_w, out_b, x, y)[0]
-        for layer, (gw, gb) in zip(layers, g_layers):
-            worst = max(worst, probe_relerr(fn, layer.w, gw, rng, 50),
-                        probe_relerr(fn, layer.b, gb, rng, 50))
-        worst = max(worst, probe_relerr(fn, out_w, g_ow, rng, 50),
-                    probe_relerr(fn, out_b, g_ob, rng, 50))
+        worst = max(worst, finetune_probe_relerr(layers, out_w, out_b, x, y,
+                                                 rng, 50))
     return worst
 
 

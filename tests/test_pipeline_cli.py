@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -440,20 +442,22 @@ class TestCli:
         assert cli.main(args) == 2
         one_line_data_error(capsys)
 
-    def test_non_finite_loss_exit_code(self, corpus, tmp_path, capsys,
-                                       monkeypatch):
-        def nan_loss(*args):
-            return (np.nan, *real(*args)[1:])
+    def test_non_finite_gradient_exit_code(self, corpus, tmp_path, capsys,
+                                           monkeypatch):
+        def nan_weight_stack(*args):
+            layers = real(*args)
+            layers[0].w[0, 0] = np.nan
+            return layers
 
-        real = sda.dae_loss_and_grad
-        monkeypatch.setattr(sda, "dae_loss_and_grad", nan_loss)
+        real = sda.init_stack
+        monkeypatch.setattr(sda, "init_stack", nan_weight_stack)
         cfg_path = tmp_path / "c.ini"
         cfg_path.write_text(TINY_INI)
         code = cli.main(["train", corpus["train"][0], "--config",
                          str(cfg_path), "--out", str(tmp_path / "m.seqd")])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("numeric failure: non-finite pretraining loss")
+        assert err.startswith("numeric failure: non-finite pretraining gradient")
         assert err.count("\n") == 1
 
     def test_unknown_manifest_key_exit_code(self, trained, corpus, tmp_path,
@@ -665,3 +669,49 @@ class TestCli:
         assert code == 2
         err = one_line_data_error(capsys)
         assert str(post) in err
+
+
+class TestBlasThreads:
+    # Largest posterior difference between a train + decode at 1 and at 2
+    # BLAS threads, with TINY_INI on the `corpus` fixture. Measured on a
+    # 2-core x86-64 with scipy-openblas 0.3.31: pass 1 equal in all ten
+    # printed digits (the bound is the dump's resolution); pass 2 1.27e-2 and
+    # pass 3 7.0e-3, because this corpus gives a threefold eigenvalue in the
+    # PCA covariance, whose eigenvectors the thread count rotates.
+    BOUNDS = {"pass1": 1e-9, "pass2": 2e-2, "pass3": 2e-2}
+
+    @staticmethod
+    def train_and_decode(corpus, out_dir, threads):
+        """Run `seqdet train` then `seqdet decode --dump-posteriors` in fresh
+        processes, with the BLAS thread count set before numpy loads."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sda.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(
+                       [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        cfg_path = out_dir / "c.ini"
+        cfg_path.write_text(TINY_INI)
+        bundle = str(out_dir / "m.seqd")
+        seqdet = [sys.executable, "-m", "seqdet.cli"]
+        for args in (["train", corpus["train"][0], "--config", str(cfg_path),
+                      "--out", bundle],
+                     ["decode", bundle, corpus["eval"][0], "--out-dir",
+                      str(out_dir), "--dump-posteriors"]):
+            subprocess.run(seqdet + args, env=env, check=True,
+                           capture_output=True, timeout=300)
+        stem = os.path.splitext(os.path.basename(corpus["eval"][0]))[0]
+        return ((out_dir / f"{stem}.hyp.csv").read_bytes(),
+                {name: read_posterior_csv(str(out_dir / f"{stem}.{name}.csv"))
+                 for name in TestBlasThreads.BOUNDS})
+
+    def test_one_and_two_threads_agree(self, corpus, tmp_path):
+        runs = []
+        for threads in (1, 2):
+            (tmp_path / str(threads)).mkdir()
+            runs.append(self.train_and_decode(corpus, tmp_path / str(threads),
+                                              threads))
+        (hyp1, post1), (hyp2, post2) = runs
+        assert hyp1 == hyp2
+        for name, bound in self.BOUNDS.items():
+            np.testing.assert_array_equal(post1[name].argmax(axis=-1),
+                                          post2[name].argmax(axis=-1))
+            assert np.abs(post1[name] - post2[name]).max() <= bound

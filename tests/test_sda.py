@@ -1,14 +1,17 @@
+import copy
+import logging
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from seqdet.errors import DataError
+from seqdet.errors import DataError, NumericError
 from seqdet.hmm import PosteriorGrid
 from seqdet.labels import TARGET_CLASSES, EventLabel
-from seqdet.sda import (EYEM_SDA_CONFIG, SIXWAY_SDA_CONFIG, SPSW_SDA_CONFIG,
-                        PcaModel, SdaConfig, SdaLayer, SdaModel, augment_rare,
-                        corrupt, dae_loss_and_grad, decode_pass2,
-                        detector_sequence, encode, enhance,
-                        fine_tune, finetune_loss_and_grad, fit_pca,
+from seqdet.sda import (PcaModel, SdaConfig, SdaLayer, SdaModel, _minibatches,
+                        _softmax, augment_rare, corrupt, dae_grad, dae_loss,
+                        decode_pass2, detector_sequence, encode, enhance,
+                        fine_tune, finetune_grad, finetune_loss, fit_pca,
                         fit_scaling, init_layer, init_stack, make_windows,
                         predict_sequence, pretrain,
                         reduce_sequence_for_detectors, scale_input,
@@ -76,12 +79,13 @@ class TestPca:
         v = proj.var(axis=0)
         assert (np.diff(v) <= 1e-9).all()
 
-    def test_rank_deficiency_padded(self):
+    def test_rank_deficiency_padded(self, caplog):
         rng = np.random.default_rng(6)
         base = rng.standard_normal((50, 3))
         x = base @ rng.standard_normal((3, 12))  # rank 3 in 12 dims
-        with pytest.warns(UserWarning):
+        with caplog.at_level(logging.WARNING, logger="seqdet.sda"):
             model = fit_pca(x, 6)
+        assert "keeping 3 of 6 components" in caplog.text
         assert model.components.shape == (6, 12)
         np.testing.assert_array_equal(model.components[3:], 0.0)
 
@@ -111,7 +115,7 @@ class TestLayers:
         c = corrupt(x, 0.3, rng)
         rate = 1.0 - c.mean()
         assert abs(rate - 0.3) < 0.02
-        np.testing.assert_array_equal(corrupt(x, 0.0, rng), x)
+        assert corrupt(x, 0.0, rng) is x
 
     def test_encode_range(self):
         rng = np.random.default_rng(10)
@@ -153,16 +157,34 @@ def probe_relerr(loss_fn, param, grad, rng, probes=20, eps=FD_EPS):
     return worst
 
 
+def dae_probe_relerr(layer, clean, noisy, rng, probes=20):
+    """Worst error of dae_grad against central differences of dae_loss over
+    the layer's w, b and b_prime, in that order."""
+    grads = dae_grad(layer, clean, noisy, np.empty_like(layer.w))
+    loss_fn = lambda: dae_loss(layer, clean, noisy)
+    return max(probe_relerr(loss_fn, p, g, rng, probes)
+               for p, g in zip((layer.w, layer.b, layer.b_prime), grads))
+
+
+def finetune_probe_relerr(layers, out_w, out_b, x, y, rng, probes=20):
+    """Worst error of finetune_grad against central differences of
+    finetune_loss over each layer's (w, b) and then (out_w, out_b)."""
+    weights = [layer.w for layer in layers] + [out_w]
+    biases = [layer.b for layer in layers] + [out_b]
+    g_w, g_b = finetune_grad(layers, out_w, out_b, x, y,
+                             [np.empty_like(w) for w in weights])
+    loss_fn = lambda: finetune_loss(layers, out_w, out_b, x, y)
+    return max(probe_relerr(loss_fn, p, g, rng, probes)
+               for pair in zip(zip(weights, g_w), zip(biases, g_b))
+               for p, g in pair)
+
+
 def dae_gradient_relerr(seed):
     rng = np.random.default_rng(seed)
     layer = init_layer(9, 7, rng)
     clean = rng.random((6, 9))
     noisy = corrupt(clean, 0.3, rng)
-    _, gw, gb, gbp = dae_loss_and_grad(layer, clean, noisy)
-    loss_fn = lambda: dae_loss_and_grad(layer, clean, noisy)[0]
-    return max(probe_relerr(loss_fn, layer.w, gw, rng),
-               probe_relerr(loss_fn, layer.b, gb, rng),
-               probe_relerr(loss_fn, layer.b_prime, gbp, rng))
+    return dae_probe_relerr(layer, clean, noisy, rng)
 
 
 def finetune_gradient_relerr(seed):
@@ -172,11 +194,88 @@ def finetune_gradient_relerr(seed):
     out_b = np.zeros(3)
     x = rng.random((5, 8))
     y = rng.integers(0, 3, size=5)
-    _, g_layers, g_ow, g_ob = finetune_loss_and_grad(layers, out_w, out_b, x, y)
-    loss_fn = lambda: finetune_loss_and_grad(layers, out_w, out_b, x, y)[0]
-    params = [p for layer in layers for p in (layer.w, layer.b)] + [out_w, out_b]
-    grads = [g for pair in g_layers for g in pair] + [g_ow, g_ob]
-    return max(probe_relerr(loss_fn, p, g, rng) for p, g in zip(params, grads))
+    return finetune_probe_relerr(layers, out_w, out_b, x, y, rng)
+
+
+# The trainer's gradients as first written, one fresh array per term, kept
+# as references for the fused in-place dae_grad and finetune_grad.
+
+def dae_loss_and_grad_reference(layer, x_clean, x_corrupt):
+    x_clean = np.atleast_2d(x_clean)
+    x_corrupt = np.atleast_2d(x_corrupt)
+    n, d = x_clean.shape
+    y = expit(x_corrupt @ layer.w.T + layer.b)
+    z = expit(y @ layer.w + layer.b_prime)
+    zc = np.clip(z, 1e-12, 1.0 - 1e-12)
+    loss = -np.mean(x_clean * np.log(zc) + (1.0 - x_clean) * np.log(1.0 - zc))
+    dz = (z - x_clean) / (n * d)
+    g_bp = dz.sum(axis=0)
+    g_w_dec = y.T @ dz
+    dy = dz @ layer.w.T
+    dpre = dy * y * (1.0 - y)
+    g_w_enc = dpre.T @ x_corrupt
+    g_b = dpre.sum(axis=0)
+    return loss, g_w_enc + g_w_dec, g_b, g_bp
+
+
+def finetune_loss_and_grad_reference(layers, out_w, out_b, x, y):
+    x = np.atleast_2d(x)
+    y = np.asarray(y, dtype=np.intp)
+    n = x.shape[0]
+    acts = [x]
+    h = x
+    for layer in layers:
+        h = expit(h @ layer.w.T + layer.b)
+        acts.append(h)
+    probs = _softmax(h @ out_w.T + out_b)
+    loss = -np.mean(np.log(np.clip(probs[np.arange(n), y], 1e-300, None)))
+
+    dlogits = probs.copy()
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    g_out_w = dlogits.T @ h
+    g_out_b = dlogits.sum(axis=0)
+    dh = dlogits @ out_w
+    g_layers = []
+    for layer, a_in, a_out in zip(reversed(layers), reversed(acts[:-1]),
+                                  reversed(acts[1:])):
+        dpre = dh * a_out * (1.0 - a_out)
+        g_layers.append((dpre.T @ a_in, dpre.sum(axis=0)))
+        dh = dpre @ layer.w
+    g_layers.reverse()
+    return loss, g_layers, g_out_w, g_out_b
+
+
+def pretrain_reference(layers, data, config, rng):
+    """The pretraining loop over dae_loss_and_grad_reference."""
+    codes = data
+    for layer in layers:
+        for _ in range(config.pretrain_epochs):
+            for idx in _minibatches(len(codes), config.pretrain_batch, rng):
+                clean = codes[idx]
+                noisy = corrupt(clean, config.corruption, rng)
+                _, gw, gb, gbp = dae_loss_and_grad_reference(layer, clean, noisy)
+                layer.w -= config.pretrain_lr * gw
+                layer.b -= config.pretrain_lr * gb
+                layer.b_prime -= config.pretrain_lr * gbp
+        codes = encode([layer], codes)
+    return layers
+
+
+def fine_tune_reference(layers, x, y, config, rng):
+    """The fine-tuning loop over finetune_loss_and_grad_reference."""
+    out_w = init_layer(layers[-1].w.shape[0], config.outputs, rng).w
+    out_b = np.zeros(config.outputs)
+    for _ in range(config.finetune_epochs):
+        for idx in _minibatches(len(x), config.finetune_batch, rng):
+            _, g_layers, g_ow, g_ob = finetune_loss_and_grad_reference(
+                layers, out_w, out_b, x[idx], y[idx])
+            for layer, (gw, gb) in zip(layers, g_layers):
+                layer.w -= config.finetune_lr * gw
+                layer.b -= config.finetune_lr * gb
+            out_w -= config.finetune_lr * g_ow
+            out_b -= config.finetune_lr * g_ob
+    return layers, out_w, out_b
 
 
 class TestSelfChecks:
@@ -244,10 +343,53 @@ class TestTraining:
         data = rng.random((200, 12))
         layers = init_stack(12, (8,), rng)
         noisy = corrupt(data, 0.3, np.random.default_rng(99))
-        before = dae_loss_and_grad(layers[0], data, noisy)[0]
+        before = dae_loss(layers[0], data, noisy)
         pretrain(layers, data, FAST, rng)
-        after = dae_loss_and_grad(layers[0], data, noisy)[0]
+        after = dae_loss(layers[0], data, noisy)
         assert after < before
+
+    def test_fused_steps_match_reference_loop(self):
+        # 20 pretraining steps on each of two layers, then 20 fine-tuning steps
+        cfg = SdaConfig("diff", window_length=1, hidden=(10, 6), outputs=3,
+                        pretrain_epochs=5, pretrain_batch=30,
+                        finetune_epochs=5, finetune_batch=30)
+        data_rng = np.random.default_rng(26)
+        x = data_rng.random((120, 12))
+        y = data_rng.integers(0, 3, size=120)
+        init = init_stack(12, cfg.hidden, data_rng)
+        ref_rng, rng = np.random.default_rng(27), np.random.default_rng(27)
+        ref_layers = pretrain_reference(copy.deepcopy(init), x, cfg, ref_rng)
+        layers = pretrain(copy.deepcopy(init), x, cfg, rng)
+        _, ref_out_w, ref_out_b = fine_tune_reference(ref_layers, x, y, cfg,
+                                                      ref_rng)
+        model = fine_tune(layers, x, y, cfg, rng, np.zeros(12), np.ones(12))
+        assert rng.random() == ref_rng.random()  # same draws, same order
+        for got, want in zip(
+                [p for l in model.layers for p in (l.w, l.b, l.b_prime)]
+                + [model.out_w, model.out_b],
+                [p for l in ref_layers for p in (l.w, l.b, l.b_prime)]
+                + [ref_out_w, ref_out_b]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_pretrain_non_finite_weight_raises(self, value):
+        rng = np.random.default_rng(28)
+        layers = init_stack(12, FAST.hidden, rng)
+        layers[0].w[3, 5] = value
+        # an infinite weight meets a masked zero input: 0 * inf warns
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match=r"^non-finite pretraining gradient on "
+                                    r"layer with shape \(16, 12\)$"):
+            pretrain(layers, rng.random((64, 12)), FAST, rng)
+
+    def test_fine_tune_non_finite_weight_raises(self):
+        rng = np.random.default_rng(29)
+        layers = init_stack(12, FAST.hidden, rng)
+        layers[1].w[2, 7] = np.nan
+        with pytest.raises(NumericError,
+                           match="^non-finite fine-tuning gradient$"):
+            fine_tune(layers, rng.random((64, 12)), rng.integers(0, 2, 64),
+                      FAST, rng, np.zeros(4), np.ones(4))
 
     def test_fine_tune_learns_separable_problem(self):
         rng = np.random.default_rng(14)
