@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .labels import MODE_LABELS, TARG, EventLabel, collapse
+from .labels import MODE_LABELS, NUM_CLASSES, TARG, EventLabel, collapse
 
 
 # How far outside [0, 1] a DET score may lie: posteriors summed after the
@@ -59,17 +59,18 @@ class ConfusionMatrix:
 def confusion(ref, hyp, mode: str = "six_way",
               basis: str = "per_epoch") -> ConfusionMatrix:
     """Count (ref, hyp) label pairs after collapsing to the scoring mode."""
-    ref = list(ref)
-    hyp = list(hyp)
+    ref = np.asarray(ref, dtype=np.intp)
+    hyp = np.asarray(hyp, dtype=np.intp)
     if len(ref) != len(hyp):
         raise DataError(f"length mismatch: {len(ref)} refs vs {len(hyp)} hyps")
+    if not np.all((ref >= 0) & (ref < NUM_CLASSES) & (hyp >= 0) & (hyp < NUM_CLASSES)):
+        raise DataError(f"labels outside [0, {NUM_CLASSES})")
     labels = MODE_LABELS[mode]
-    index = {name: i for i, name in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)))
-    for r, h in zip(ref, hyp):
-        counts[index[collapse(EventLabel(int(r)), mode)],
-               index[collapse(EventLabel(int(h)), mode)]] += 1
-    return ConfusionMatrix(counts, tuple(labels), mode, basis)
+    # Six-class code -> index of its collapsed label in this mode.
+    index = np.array([labels.index(collapse(lab, mode)) for lab in EventLabel])
+    k = len(labels)
+    counts = np.bincount(index[ref] * k + index[hyp], minlength=k * k)
+    return ConfusionMatrix(counts.reshape(k, k), tuple(labels), mode, basis)
 
 
 @dataclass(frozen=True)
@@ -152,15 +153,12 @@ def epoch_reference_labels(ann, num_epochs: int,
     priority = priority or EPOCH_PRIORITY
     rank = {lab: i for i, lab in enumerate(priority)}
     out = np.full(num_epochs, int(EventLabel.BCKG), dtype=np.intp)
-    best = np.full(num_epochs, rank[EventLabel.BCKG])
-    for ev in ann.events:
+    # Only classes ranked above BCKG can win; the highest-ranked is written last.
+    winners = [ev for ev in ann.events if rank[ev.label] < rank[EventLabel.BCKG]]
+    for ev in sorted(winners, key=lambda ev: -rank[ev.label]):
         lo = max(0, int(np.floor(ev.start_s)))
         hi = min(num_epochs, int(np.ceil(ev.stop_s)))
-        r = rank[ev.label]
-        for e in range(lo, hi):
-            if r < best[e]:
-                best[e] = r
-                out[e] = int(ev.label)
+        out[lo:hi] = int(ev.label)
     return out
 
 

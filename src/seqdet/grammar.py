@@ -6,6 +6,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, check_shape
 from .labels import NUM_CLASSES
@@ -78,9 +79,8 @@ def estimate_bigram(sequences: list[np.ndarray], k: float = 0.1) -> BigramTable:
     transitions = 0
     for seq in sequences:
         seq = np.asarray(seq, dtype=np.intp)
-        for a, b in zip(seq[:-1], seq[1:]):
-            counts[a, b] += 1.0
-            transitions += 1
+        np.add.at(counts, (seq[:-1], seq[1:]), 1.0)
+        transitions += max(len(seq) - 1, 0)
     if transitions == 0:
         raise DataError("no transitions observed in corpus")
     return BigramTable(counts / counts.sum(axis=1, keepdims=True))
@@ -99,53 +99,51 @@ def global_prior(posteriors: np.ndarray, params: GrammarParams) -> np.ndarray:
     return g / g.sum()
 
 
-def context_probs(posteriors: np.ndarray, k: int, side: str,
-                  params: GrammarParams,
-                  gprior: np.ndarray | None = None) -> np.ndarray:
-    """Left or right context probability for epoch k: exponentially decayed
-    window sum blended with alpha * global prior, normalized to sum to 1.
-    Decay weights renormalize over the neighbors that exist near an edge; if
-    no neighbor exists on that side the global prior is returned."""
-    p = np.asarray(posteriors, dtype=np.float64)
-    if gprior is None:
-        gprior = global_prior(p, params)
-    sign = {"left": -1, "right": +1}[side]
-    acc = np.zeros(NUM_CLASSES)
-    wsum = 0.0
-    for i in range(1, params.window + 1):
-        j = k + sign * i
-        if 0 <= j < p.shape[0]:
-            w = np.exp(-i * params.decay)
-            acc += w * p[j]
-            wsum += w
-    if wsum == 0.0:
-        return gprior.copy()
-    ctx = (acc / wsum + params.alpha * gprior) / (1.0 + params.alpha)
-    return ctx / ctx.sum()
+def _context(windows: np.ndarray, exists: np.ndarray, weights: np.ndarray,
+             gprior: np.ndarray, alpha: float) -> np.ndarray:
+    """Left or right context of every epoch from its (E, 6, W) posterior
+    windows and (E, W) indicator of the neighbours that exist: the decayed
+    window mean blended with alpha * global prior and normalized. Decay weights
+    renormalize over the neighbours that exist near an edge; with none on that
+    side, the window mean is the global prior, so the context is too."""
+    acc = windows @ weights
+    wsum = (exists @ weights)[:, None]
+    mean = np.divide(acc, wsum, out=np.tile(gprior, (len(acc), 1)), where=wsum > 0.0)
+    ctx = (mean + alpha * gprior) / (1.0 + alpha)
+    return ctx / ctx.sum(axis=1, keepdims=True)
 
 
 def grammar_update(posteriors: np.ndarray, table: BigramTable,
                    params: GrammarParams, iteration: int = 1) -> np.ndarray:
     """One smoothing iteration: every epoch's posterior is multiplied by the
     bigram-weighted left/right context term raised to gamma/iteration and
-    renormalized. Both bigram indices run over all six classes."""
+    renormalized. Both bigram indices run over all six classes. The context
+    sums are correlations of the zero-padded sequence with the decay weights
+    e^{-i lambda}, i = 1..window."""
     p = np.asarray(posteriors, dtype=np.float64)
-    n_epochs = p.shape[0]
+    n_epochs, win = p.shape[0], params.window
     if n_epochs < 2:
         return p.copy()  # no context to draw on
     gprior = global_prior(p, params)
+    weights = np.exp(-np.arange(1, win + 1) * params.decay)
+    # Window s of the padded sequence holds epochs s - win .. s - 1: epoch k's
+    # left neighbours are window k, its right neighbours window k + win + 1.
+    padded = np.zeros((n_epochs + 2 * win, NUM_CLASSES))
+    padded[win:win + n_epochs] = p
+    exists = np.zeros(n_epochs + 2 * win)
+    exists[win:win + n_epochs] = 1.0
+    windows = sliding_window_view(padded, win, axis=0)
+    present = sliding_window_view(exists, win)
+    lpp = _context(windows[:n_epochs], present[:n_epochs], weights[::-1],
+                   gprior, params.alpha)
+    rpp = _context(windows[win + 1:], present[win + 1:], weights, gprior,
+                   params.alpha)
+    # sum_i sum_j LPP(i) RPP(j) Prob(i, c) Prob(c, j) factorizes.
     prob = table.probs
-    exponent = params.gamma / max(iteration, 1)
-    out = np.empty_like(p)
-    for k in range(n_epochs):
-        lpp = context_probs(p, k, "left", params, gprior)
-        rpp = context_probs(p, k, "right", params, gprior)
-        # sum_i sum_j LPP(i) RPP(j) Prob(i, c) Prob(c, j) factorizes.
-        ctx = (lpp @ prob) * (prob @ rpp)
-        updated = p[k] * np.power(ctx, exponent)
-        total = updated.sum()
-        out[k] = updated / total if total > 0 else p[k]
-    return out
+    ctx = (lpp @ prob) * (rpp @ prob.T)
+    updated = p * np.power(ctx, params.gamma / max(iteration, 1))
+    total = updated.sum(axis=1, keepdims=True)
+    return np.divide(updated, total, out=p.copy(), where=total > 0)
 
 
 def decode_pass3(posteriors: np.ndarray, table: BigramTable,

@@ -18,7 +18,12 @@ from .features import FeatureGrid
 from .labels import NUM_CLASSES, EventLabel
 
 LOG_ZERO = -np.inf
-_BATCH = 2048
+# Shifted log terms are clamped here before np.exp: exp(-700) is about 1e-304,
+# far under half an ulp of a sum that holds the maximum's exact 1, and numpy's
+# exp takes a slow path on inputs below about -708 and on -inf.
+_EXP_FLOOR = -700.0
+# Emission-block budget in doubles (4 MB): it sets the cells per chunk.
+_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -74,10 +79,13 @@ class PosteriorGrid:
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """log(sum(exp(a))) along `axis`, shifted by the maximum; a row that is
-    all -inf gives -inf."""
+    all -inf gives -inf. Rows with a finite maximum clamp their shifted terms
+    at _EXP_FLOOR, which leaves every sum bit-identical."""
     m = np.max(a, axis=axis, keepdims=True)
-    m[~np.isfinite(m)] = 0.0
+    live = np.isfinite(m)
+    m[~live] = 0.0
     e = a - m
+    np.maximum(e, _EXP_FLOOR, out=e, where=live)
     np.exp(e, out=e)
     with np.errstate(divide="ignore"):
         out = np.log(e.sum(axis=axis, keepdims=True))
@@ -96,6 +104,14 @@ def _bank(models: list[GmmHmmModel]):
     const = logw - 0.5 * (np.log(var).sum(axis=-1) + var.shape[-1] * np.log(2.0 * np.pi)
                           + (means * wmean).sum(axis=-1))
     return np.concatenate([-0.5 / var, wmean], axis=-1), const
+
+
+def _chunk(w: np.ndarray, frames: int) -> int:
+    """Cells per chunk for a bank w (..., 2D): the largest power of two whose
+    emission block (Gaussians x frames x cells) fits in _BLOCK doubles. Power-
+    of-two chunks keep every GEMM column at the same kernel position."""
+    cells = max(_BLOCK // (w[..., 0].size * frames), 1)
+    return 1 << (cells.bit_length() - 1)
 
 
 def _emissions(w: np.ndarray, const: np.ndarray, batch: np.ndarray):
@@ -160,9 +176,10 @@ def _loglik(models: list[GmmHmmModel], obs_batch: np.ndarray) -> np.ndarray:
     obs_batch = np.asarray(obs_batch, dtype=np.float64)
     bank, log_a = _bank(models), np.stack([_log_trans(m) for m in models])
     out = np.empty((obs_batch.shape[0], len(models)))
-    for lo in range(0, obs_batch.shape[0], _BATCH):
-        logb = _emissions(*bank, obs_batch[lo:lo + _BATCH])[1]
-        out[lo:lo + _BATCH] = _logsumexp(_forward_batch(log_a, logb)[..., -1, :], axis=1).T
+    step = _chunk(bank[0], obs_batch.shape[1])
+    for lo in range(0, obs_batch.shape[0], step):
+        logb = _emissions(*bank, obs_batch[lo:lo + step])[1]
+        out[lo:lo + step] = _logsumexp(_forward_batch(log_a, logb)[..., -1, :], axis=1).T
     return out
 
 
@@ -280,8 +297,9 @@ def _reestimate_one(model: GmmHmmModel, epochs: np.ndarray):
     moments = np.zeros((n * comps, 1 + 2 * dim))  # sums of r | r x^2 | r x
     total_ll = 0.0
 
-    for lo in range(0, epochs.shape[0], _BATCH):
-        chunk = epochs[lo:lo + _BATCH]
+    step = _chunk(bank[0], epochs.shape[1])
+    for lo in range(0, epochs.shape[0], step):
+        chunk = epochs[lo:lo + step]
         comp_ll, logb = [a[0] for a in _emissions(*bank, chunk)]
         la = _forward_batch(log_a, logb)                   # (N, T, B)
         lb = _backward_batch(log_a, logb)

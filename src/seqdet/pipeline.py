@@ -349,18 +349,14 @@ def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3):
 def write_posterior_csv(path: str, posteriors: np.ndarray) -> None:
     """Posterior dump: pass-1 grids get one row per (epoch, channel) cell,
     epoch sequences one row per epoch."""
+    n_index = posteriors.ndim - 1
+    header = ["epoch", "channel"][:n_index] + LABEL_NAMES
+    index = np.indices(posteriors.shape[:-1]).reshape(n_index, -1)
+    rows = np.column_stack([*index, posteriors.reshape(-1, posteriors.shape[-1])])
+    row = ",".join(["%d"] * n_index + ["%.10g"] * posteriors.shape[-1])
+    lines = [",".join(header)] + [row % tuple(r) for r in rows.tolist()]
     with open(path, "w", newline="") as f:
-        if posteriors.ndim == 3:
-            f.write("epoch,channel," + ",".join(LABEL_NAMES) + "\n")
-            for e in range(posteriors.shape[0]):
-                for c in range(posteriors.shape[1]):
-                    vals = ",".join(f"{v:.10g}" for v in posteriors[e, c])
-                    f.write(f"{e},{c},{vals}\n")
-        else:
-            f.write("epoch," + ",".join(LABEL_NAMES) + "\n")
-            for e in range(posteriors.shape[0]):
-                vals = ",".join(f"{v:.10g}" for v in posteriors[e])
-                f.write(f"{e},{vals}\n")
+        f.write("\n".join(lines) + "\n")
 
 
 def read_posterior_csv(path: str) -> np.ndarray:

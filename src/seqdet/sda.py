@@ -304,14 +304,17 @@ def pretrain(layers: list[SdaLayer], data: np.ndarray, config: SdaConfig,
             for idx in _minibatches(len(codes), config.pretrain_batch, rng):
                 clean = codes[idx]
                 noisy = corrupt(clean, config.corruption, rng)
-                g_w, g_b, g_bp = dae_grad(layer, clean, noisy, g_w)
-                # A NaN anywhere in the layer or its input reaches these sums.
-                if not np.isfinite(g_b.sum() + g_bp.sum()):
-                    raise NumericError(
-                        f"non-finite pretraining gradient on layer with shape "
-                        f"{layer.w.shape}")
-                _sgd_step((layer.w, layer.b, layer.b_prime), (g_w, g_b, g_bp),
-                          config.pretrain_lr)
+                # An inf or NaN anywhere in the layer or its input reaches the
+                # bias-gradient sums; that guard is the check, not numpy's
+                # warnings on the way there.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    g_w, g_b, g_bp = dae_grad(layer, clean, noisy, g_w)
+                    if not np.isfinite(g_b.sum() + g_bp.sum()):
+                        raise NumericError(
+                            f"non-finite pretraining gradient on layer with shape "
+                            f"{layer.w.shape}")
+                    _sgd_step((layer.w, layer.b, layer.b_prime), (g_w, g_b, g_bp),
+                              config.pretrain_lr)
         codes = encode([layer], codes)
     return layers
 
@@ -333,11 +336,12 @@ def fine_tune(layers: list[SdaLayer], x: np.ndarray, y: np.ndarray,
     bufs = [np.empty_like(w) for w in weights]
     for _ in range(config.finetune_epochs):
         for idx in _minibatches(len(x), config.finetune_batch, rng):
-            g_w, g_b = finetune_grad(layers, out_w, out_b, x[idx], y[idx], bufs)
-            if not np.isfinite(sum(g.sum() for g in g_b)):
-                raise NumericError("non-finite fine-tuning gradient")
-            _sgd_step(weights, g_w, config.finetune_lr)
-            _sgd_step(biases, g_b, config.finetune_lr)
+            with np.errstate(over="ignore", invalid="ignore"):  # guarded here
+                g_w, g_b = finetune_grad(layers, out_w, out_b, x[idx], y[idx], bufs)
+                if not np.isfinite(sum(g.sum() for g in g_b)):
+                    raise NumericError("non-finite fine-tuning gradient")
+                _sgd_step(weights, g_w, config.finetune_lr)
+                _sgd_step(biases, g_b, config.finetune_lr)
     return SdaModel(layers, out_w, out_b, config.window_length,
                     config.corruption, scale_min, scale_max)
 

@@ -7,9 +7,37 @@ from seqdet.errors import DataError
 from seqdet.evaluation import (ConfusionMatrix, DetCurve,
                                channel_epoch_reference_labels, confusion,
                                det_curve, epoch_reference_labels, sens_spec)
-from seqdet.labels import (EPOCH_PRIORITY, TARG, EventLabel, collapse,
-                           parse_label)
+from seqdet.labels import (EPOCH_PRIORITY, MODE_LABELS, TARG, EventLabel,
+                           collapse, parse_label)
 from seqdet.signal_io import ALL_CHANNELS, AnnotationSet, Event
+
+
+def confusion_reference(ref, hyp, mode):
+    """confusion's counts, one (ref, hyp) pair at a time."""
+    labels = MODE_LABELS[mode]
+    index = {name: i for i, name in enumerate(labels)}
+    counts = np.zeros((len(labels), len(labels)))
+    for r, h in zip(ref, hyp):
+        counts[index[collapse(EventLabel(int(r)), mode)],
+               index[collapse(EventLabel(int(h)), mode)]] += 1
+    return counts
+
+
+def epoch_reference_labels_reference(ann, num_epochs, priority=EPOCH_PRIORITY):
+    """epoch_reference_labels one event and one epoch at a time: an event
+    takes an epoch when it outranks everything that holds it so far."""
+    rank = {lab: i for i, lab in enumerate(priority)}
+    out = np.full(num_epochs, int(EventLabel.BCKG), dtype=np.intp)
+    best = np.full(num_epochs, rank[EventLabel.BCKG])
+    for ev in ann.events:
+        lo = max(0, int(np.floor(ev.start_s)))
+        hi = min(num_epochs, int(np.ceil(ev.stop_s)))
+        r = rank[ev.label]
+        for e in range(lo, hi):
+            if r < best[e]:
+                best[e] = r
+                out[e] = int(ev.label)
+    return out
 
 
 class TestLabels:
@@ -77,6 +105,19 @@ class TestConfusion:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             confusion([0], [0, 1])
+
+    @pytest.mark.parametrize("mode", ["six_way", "four_way", "two_way"])
+    def test_matches_loop(self, mode):
+        rng = np.random.default_rng(10)
+        for n in (0, 1, 7, 500):
+            ref, hyp = rng.integers(0, 6, size=n), rng.integers(0, 6, size=n)
+            np.testing.assert_array_equal(confusion(ref, hyp, mode).counts,
+                                          confusion_reference(ref, hyp, mode))
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_unknown_label_rejected(self, bad):
+        with pytest.raises(DataError, match="labels outside"):
+            confusion([0, 5], [bad, 0])
 
     def test_format_text_runs(self):
         text = confusion([5, 0], [5, 0], "six_way").format_text()
@@ -173,6 +214,23 @@ class TestReferenceLabels:
         ann = AnnotationSet((Event(0, 0.0, 1.0, EventLabel.ARTF),
                              Event(1, 0.0, 1.0, EventLabel.EYEM)))
         assert epoch_reference_labels(ann, 1)[0] == int(EventLabel.EYEM)
+
+    @pytest.mark.parametrize("priority", [
+        EPOCH_PRIORITY, EPOCH_PRIORITY[::-1],
+        (EventLabel.EYEM, EventLabel.BCKG, EventLabel.SPSW, EventLabel.PLED,
+         EventLabel.GPED, EventLabel.ARTF)], ids=["default", "reversed", "mixed"])
+    def test_matches_loop(self, priority):
+        rng = np.random.default_rng(11)
+        for n_events in (1, 5, 40):
+            starts = rng.uniform(0, 30, size=n_events)
+            ann = AnnotationSet(tuple(
+                Event(ch, start, start + rng.uniform(0.1, 8.0),
+                      EventLabel(int(rng.integers(0, 6))))
+                for ch, start in enumerate(starts)))
+            for num_epochs in (1, 20, 45):
+                np.testing.assert_array_equal(
+                    epoch_reference_labels(ann, num_epochs, priority),
+                    epoch_reference_labels_reference(ann, num_epochs, priority))
 
     def test_channel_grid(self):
         ann = AnnotationSet((Event(ALL_CHANNELS, 0.0, 1.0, EventLabel.GPED),

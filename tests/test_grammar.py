@@ -5,14 +5,63 @@ import pytest
 
 from seqdet.errors import DataError
 from seqdet.grammar import (TABLE1, BigramTable, GrammarParams,
-                            context_probs, decode_pass3, default_bigram,
-                            estimate_bigram, global_prior, grammar_update)
-from seqdet.labels import EventLabel
+                            decode_pass3, default_bigram, estimate_bigram,
+                            global_prior, grammar_update)
+from seqdet.labels import NUM_CLASSES, EventLabel
 
 
 def rand_post(rng, n):
     p = rng.random((n, 6))
     return p / p.sum(axis=1, keepdims=True)
+
+
+def context_probs(posteriors, k, side, params, gprior=None):
+    """Left or right context probability for epoch k, one epoch at a time:
+    the loop reference for grammar_update's window correlation."""
+    p = np.asarray(posteriors, dtype=np.float64)
+    if gprior is None:
+        gprior = global_prior(p, params)
+    sign = {"left": -1, "right": +1}[side]
+    acc = np.zeros(NUM_CLASSES)
+    wsum = 0.0
+    for i in range(1, params.window + 1):
+        j = k + sign * i
+        if 0 <= j < p.shape[0]:
+            w = np.exp(-i * params.decay)
+            acc += w * p[j]
+            wsum += w
+    if wsum == 0.0:
+        return gprior.copy()
+    ctx = (acc / wsum + params.alpha * gprior) / (1.0 + params.alpha)
+    return ctx / ctx.sum()
+
+
+def grammar_update_reference(posteriors, table, params, iteration=1):
+    """grammar_update as a loop over epochs with two context_probs calls."""
+    p = np.asarray(posteriors, dtype=np.float64)
+    if p.shape[0] < 2:
+        return p.copy()
+    gprior = global_prior(p, params)
+    prob = table.probs
+    exponent = params.gamma / max(iteration, 1)
+    out = np.empty_like(p)
+    for k in range(p.shape[0]):
+        lpp = context_probs(p, k, "left", params, gprior)
+        rpp = context_probs(p, k, "right", params, gprior)
+        ctx = (lpp @ prob) * (prob @ rpp)
+        updated = p[k] * np.power(ctx, exponent)
+        total = updated.sum()
+        out[k] = updated / total if total > 0 else p[k]
+    return out
+
+
+def estimate_bigram_reference(sequences, k=0.1):
+    """estimate_bigram's counts, one transition at a time."""
+    counts = np.full((NUM_CLASSES, NUM_CLASSES), k, dtype=np.float64)
+    for seq in sequences:
+        for a, b in zip(seq[:-1], seq[1:]):
+            counts[a, b] += 1.0
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 class TestTable:
@@ -62,6 +111,12 @@ class TestTable:
         assert table.probs[5, 5] == pytest.approx(0.5, abs=1e-9)
         assert table.probs[5, 1] == pytest.approx(0.5, abs=1e-9)
         assert table.probs[1, 1] == pytest.approx(2 / 3, abs=1e-9)
+
+    def test_estimate_bigram_matches_loop(self):
+        rng = np.random.default_rng(8)
+        seqs = [rng.integers(0, 6, size=n) for n in (0, 1, 2, 17, 300)]
+        np.testing.assert_array_equal(estimate_bigram(seqs, k=0.1).probs,
+                                      estimate_bigram_reference(seqs, k=0.1))
 
     def test_estimate_bigram_smoothing(self):
         table = estimate_bigram([np.array([0, 0])], k=0.1)
@@ -156,6 +211,39 @@ class TestUpdate:
         d1 = np.abs(grammar_update(p, table, params, iteration=1) - p).sum()
         d5 = np.abs(grammar_update(p, table, params, iteration=5) - p).sum()
         assert d5 < d1
+
+
+class TestWholeSequence:
+    @pytest.mark.parametrize("params", [
+        GrammarParams(), GrammarParams(window=60), GrammarParams(decay=0.0),
+        GrammarParams(alpha=0.0), GrammarParams(window=3, decay=1.5, gamma=2.0)],
+        ids=["default", "window_above_length", "decay_0", "alpha_0", "short"])
+    def test_matches_loop_reference(self, params):
+        rng = np.random.default_rng(9)
+        table = default_bigram()
+        for n in range(1, 51):
+            p = rand_post(rng, n)
+            p[rng.random(p.shape) < 0.1] = 0.0          # zero entries
+            p /= p.sum(axis=1, keepdims=True)
+            for iteration in (1, 3):
+                got = grammar_update(p, table, params, iteration)
+                want = grammar_update_reference(p, table, params, iteration)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+                np.testing.assert_array_equal(np.argmax(got, axis=1),
+                                              np.argmax(want, axis=1))
+
+    def test_zero_row_total_keeps_input(self):
+        # alpha = 0 and a table that forbids every move out of a certain
+        # PLED context zero the middle epoch's SPSW-only posterior
+        p = np.zeros((3, 6))
+        p[:, int(EventLabel.PLED)] = 1.0
+        p[1] = 0.0
+        p[1, int(EventLabel.SPSW)] = 1.0
+        params = GrammarParams(alpha=0.0)
+        got = grammar_update(p, default_bigram(), params)
+        np.testing.assert_array_equal(got[1], p[1])
+        np.testing.assert_array_equal(
+            got, grammar_update_reference(p, default_bigram(), params))
 
 
 class TestDecode:

@@ -8,7 +8,7 @@ from seqdet.errors import DataError
 from seqdet.features import FeatureGrid
 from seqdet.hmm import (GmmHmmModel, HmmConfig, decode_pass1,
                         forward_backward, init_model, log_emissions,
-                        score_batch, train, viterbi, _BATCH, _bank,
+                        score_batch, train, viterbi, _bank, _chunk,
                         _emissions, _kmeans, _left_right_trans, _loglik,
                         _logsumexp, _reestimate_one)
 from seqdet.labels import EventLabel
@@ -33,6 +33,17 @@ def loglikelihood(model, obs_batch):
     """Log P(O|M) of one model for a batch (B, T, D) of equal-length
     sequences: the per-model reference for score_batch."""
     return _loglik([model], obs_batch)[:, 0]
+
+
+def logsumexp_reference(a, axis=-1):
+    """_logsumexp without the exp floor: every shifted term goes to np.exp."""
+    m = np.max(a, axis=axis, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    e = a - m
+    np.exp(e, out=e)
+    with np.errstate(divide="ignore"):
+        out = np.log(e.sum(axis=axis, keepdims=True))
+    return (out + m).squeeze(axis)
 
 
 def component_loglik_reference(model, obs):
@@ -167,7 +178,8 @@ class TestEmissionKernel:
         rng = np.random.default_rng(31)
         models = {lab: random_model(rng, comps=2, dim=3, label=lab)
                   for lab in EventLabel}
-        obs = rng.normal(0, 2, size=(_BATCH + 3, 4, 3))       # two chunks
+        step = _chunk(_bank([models[lab] for lab in EventLabel])[0], 4)
+        obs = rng.normal(0, 2, size=(step + 3, 4, 3))         # two chunks
         priors = rng.uniform(0.1, 1.0, size=6)
         priors /= priors.sum()
         scores = np.stack([loglikelihood(models[lab], obs) for lab in EventLabel],
@@ -193,6 +205,22 @@ class TestEmissionKernel:
             HmmConfig(**{key: 0})
 
 
+class TestChunk:
+    def test_default_shapes(self):
+        # 3 states x 8 components, 10 frames a cell: one model trains in
+        # 2048-cell chunks, the six-model scoring bank scores 256 at a time
+        w = np.zeros((3, 8, 2))
+        assert _chunk(w[None], 10) == 2048
+        assert _chunk(np.stack([w] * 6), 10) == 256
+
+    def test_power_of_two_within_block(self):
+        for gaussians, frames in itertools.product((1, 5, 24, 144, 10 ** 6), (1, 7, 10)):
+            step = _chunk(np.zeros((gaussians, 4)), frames)
+            assert step & (step - 1) == 0
+            assert step == 1 or step * gaussians * frames <= 1 << 19
+            assert 2 * step * gaussians * frames > 1 << 19
+
+
 class TestLogsumexp:
     def test_matches_scipy_with_neg_inf_rows(self):
         rng = np.random.default_rng(33)
@@ -208,6 +236,23 @@ class TestLogsumexp:
             np.testing.assert_allclose(got, want, rtol=1e-14)
         assert np.isneginf(_logsumexp(a)[0])
         assert _logsumexp(a)[2] == a[2, 7]
+
+    def test_bit_identical_to_unclamped_reference(self):
+        rng = np.random.default_rng(34)
+        for spread in (1.0, 300.0, 1e4, 1e6):
+            a = rng.normal(0, spread, size=(40, 9, 7))
+            a[rng.random(a.shape) < 0.2] = -np.inf      # structural zeros
+            a[3] = -np.inf                              # all -inf slabs
+            a[:, 4] = -np.inf
+            a[5, 1, 2] = np.nan                         # NaN rows
+            a[6, 2, 3] = np.inf                         # +inf entries
+            a[7, :, 4] = np.inf
+            a[8, 5] = [0.0, -700.0, -700.5, -708.0, -745.0, -746.0, -1e4]
+            for axis in (0, 1, 2, -1):
+                with np.errstate(invalid="ignore", over="ignore"):  # +inf rows
+                    got = _logsumexp(a.copy(), axis=axis)
+                    want = logsumexp_reference(a.copy(), axis=axis)
+                np.testing.assert_array_equal(got, want)
 
     def test_does_not_modify_input(self):
         a = np.array([[0.0, -np.inf, 2.0]])

@@ -15,7 +15,7 @@ from seqdet.errors import DataError
 from seqdet.features import FrameSpec, extract_features
 from seqdet.grammar import GrammarParams
 from seqdet.hmm import HmmConfig
-from seqdet.labels import TARGET_CLASSES, EventLabel
+from seqdet.labels import LABEL_NAMES, TARGET_CLASSES, EventLabel
 from seqdet.pipeline import (PipelineConfig, load_config, read_posterior_csv,
                              train_pipeline, write_posterior_csv,
                              decode_recording, score_files)
@@ -342,7 +342,32 @@ class TestDecoding:
         assert not np.array_equal(plain["pass1"], dumps["pass1"])
 
 
+def posterior_csv_reference(posteriors):
+    """write_posterior_csv's bytes, formatted one value at a time."""
+    lines = []
+    if posteriors.ndim == 3:
+        lines.append("epoch,channel," + ",".join(LABEL_NAMES))
+        for e in range(posteriors.shape[0]):
+            for c in range(posteriors.shape[1]):
+                vals = ",".join(f"{v:.10g}" for v in posteriors[e, c])
+                lines.append(f"{e},{c},{vals}")
+    else:
+        lines.append("epoch," + ",".join(LABEL_NAMES))
+        for e in range(posteriors.shape[0]):
+            lines.append(f"{e}," + ",".join(f"{v:.10g}" for v in posteriors[e]))
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestPosteriorCsv:
+    @pytest.mark.parametrize("shape", [(12, 3, 6), (11, 6), (0, 6), (0, 2, 6)])
+    def test_bytes_match_per_value_format(self, tmp_path, shape):
+        rng = np.random.default_rng(2)
+        p = rng.random(shape)
+        p.flat[:5] = [0.0, 1e-300, 1 - 1e-12, 1.0, 5e-324][:p.size]
+        path = tmp_path / "p.csv"
+        write_posterior_csv(str(path), p)
+        assert path.read_bytes() == posterior_csv_reference(p)
+
     def test_epoch_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         p = rng.random((7, 6))
@@ -442,15 +467,16 @@ class TestCli:
         assert cli.main(args) == 2
         one_line_data_error(capsys)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_exit_code(self, corpus, tmp_path, capsys,
-                                           monkeypatch):
-        def nan_weight_stack(*args):
+                                           monkeypatch, value):
+        def bad_weight_stack(*args):
             layers = real(*args)
-            layers[0].w[0, 0] = np.nan
+            layers[0].w[0, 0] = value
             return layers
 
         real = sda.init_stack
-        monkeypatch.setattr(sda, "init_stack", nan_weight_stack)
+        monkeypatch.setattr(sda, "init_stack", bad_weight_stack)
         cfg_path = tmp_path / "c.ini"
         cfg_path.write_text(TINY_INI)
         code = cli.main(["train", corpus["train"][0], "--config",
