@@ -10,7 +10,7 @@ Every array is stored under its field path (for example
 `/second_pass/sda_sixway/layers/1/w`); list lengths, the label names keying a
 dict, enum names and every other leaf go in the metadata, and each such leaf
 is checked against its declared type on load. Each model checks its own
-arrays as it is built, and `Bundle.load` adds the checks that span models; a
+arrays as it is built, and the `Bundle` adds the checks that span models; a
 failed check is a DataError naming the array's path. Serialization is
 byte-deterministic for identical models.
 """
@@ -143,32 +143,33 @@ class Bundle:
     bigram: BigramTable
     manifest: dict
 
+    def __post_init__(self):
+        """Cross-check the shapes that span models; each model checks its
+        own arrays as it is built. Paths are relative to the bundle, as a
+        model names its own fields."""
+        if len(self.hmm_models) != NUM_CLASSES:
+            raise DataError(f"hmm_models holds {len(self.hmm_models)} classes, "
+                            f"expected {NUM_CLASSES}")
+        n, l, _ = next(iter(self.hmm_models.values())).means.shape
+        for lab, m in self.hmm_models.items():
+            check_shape(f"hmm_models/{lab.name}/means", m.means, (n, l, FEATURE_DIM))
+        for pca_name, sda_names in (("pca_detector", ("sda_spsw", "sda_eyem")),
+                                    ("pca_sixway", ("sda_sixway",))):
+            pca = getattr(self.second_pass, pca_name)
+            check_shape(f"second_pass/{pca_name}/components", pca.components,
+                        (pca.out_dim, SUPERVECTOR_DIM))
+            for name in sda_names:
+                sda = getattr(self.second_pass, name)
+                w = sda.layers[0].w
+                check_shape(f"second_pass/{name}/layers/0/w", w,
+                            (len(w), sda.window_length * pca.out_dim))
+
     def save(self, path: str) -> None:
         meta, arrays = {}, {}
         _flatten(self, type(self), "", meta, arrays)
         with open(path, "wb") as f:
             f.write(MAGIC + struct.pack("<I", VERSION))
             f.write(_pack_payload(meta, arrays))
-
-    def _check_shapes(self) -> None:
-        """Cross-check the shapes that span models; each model checks its
-        own arrays as it is built."""
-        if len(self.hmm_models) != NUM_CLASSES:
-            raise DataError(f"/hmm_models holds {len(self.hmm_models)} classes, "
-                            f"expected {NUM_CLASSES}")
-        n, l, _ = next(iter(self.hmm_models.values())).means.shape
-        for lab, m in self.hmm_models.items():
-            check_shape(f"/hmm_models/{lab.name}/means", m.means, (n, l, FEATURE_DIM))
-        for pca_name, sda_names in (("pca_detector", ("sda_spsw", "sda_eyem")),
-                                    ("pca_sixway", ("sda_sixway",))):
-            pca = getattr(self.second_pass, pca_name)
-            check_shape(f"/second_pass/{pca_name}/components", pca.components,
-                        (pca.out_dim, SUPERVECTOR_DIM))
-            for name in sda_names:
-                sda = getattr(self.second_pass, name)
-                w = sda.layers[0].w
-                check_shape(f"/second_pass/{name}/layers/0/w", w,
-                            (len(w), sda.window_length * pca.out_dim))
 
     @classmethod
     def load(cls, path: str) -> "Bundle":
@@ -182,9 +183,7 @@ class Bundle:
         if version != VERSION:
             raise DataError(f"{path}: container version {version}, expected {VERSION}")
         try:
-            bundle = _build(cls, "", *_unpack_payload(memoryview(buf)[8:]))
-            bundle._check_shapes()
-            return bundle
+            return _build(cls, "", *_unpack_payload(memoryview(buf)[8:]))
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
         except KeyError as exc:

@@ -57,9 +57,21 @@ class PcaModel:
         return (np.asarray(x, dtype=np.float64) - self.mean) @ self.components.T
 
 
+# Consecutive eigenvalues closer than this fraction of the largest count as
+# one repeated eigenvalue: far above the covariance's roundoff (about 1e-15),
+# far below any spectral gap that carries information.
+_REPEATED = 1e-9
+
+
 def fit_pca(x: np.ndarray, out_dim: int) -> PcaModel:
-    """Top-out_dim eigenvectors of the sample covariance, eigenvalue-descending,
-    each row's largest-magnitude entry made positive."""
+    """Top-out_dim eigenvectors of the sample covariance, eigenvalue-descending.
+
+    A simple eigenvalue's row has its largest-magnitude entry made positive.
+    A repeated eigenvalue has no preferred basis of its eigenspace, and the
+    one eigh returns follows the summation order (so the BLAS thread count);
+    its rows are a canonical basis instead: a fixed Gaussian matrix
+    projected onto the eigenspace, orthonormalized, with positive R
+    diagonal."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < out_dim:
         raise DataError(f"need >= {out_dim} samples, got {x.shape[0]}")
@@ -76,11 +88,23 @@ def fit_pca(x: np.ndarray, out_dim: int) -> PcaModel:
                     "padding with zero rows", keep, out_dim)
     comps = np.zeros((out_dim, x.shape[1]))
     comps[:keep] = evecs[:, :keep].T
-    # Fix signs so serialization is stable across eigensolvers.
-    for row in comps[:keep]:
-        j = int(np.argmax(np.abs(row)))
-        if row[j] < 0:
-            row *= -1.0
+    start = 0
+    while start < keep:
+        end = start + 1
+        while end < rank and evals[end - 1] - evals[end] <= _REPEATED * evals[0]:
+            end += 1
+        if end - start == 1:
+            # Fix signs so serialization is stable across eigensolvers.
+            row = comps[start]
+            if row[np.argmax(np.abs(row))] < 0:
+                row *= -1.0
+        else:
+            space = evecs[:, start:end]
+            fixed = np.random.default_rng(0).standard_normal(
+                (x.shape[1], min(end, keep) - start))
+            q, r = np.linalg.qr(space @ (space.T @ fixed))
+            comps[start:min(end, keep)] = (q * np.sign(np.diag(r))).T
+        start = end
     return PcaModel(mean, comps)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import firwin, resample_poly
 
 from .errors import DataError
 from .labels import EventLabel, parse_label
@@ -259,6 +258,8 @@ def resample(rec: Recording, target_hz: float) -> Recording:
     up, down = ratio.numerator, ratio.denominator
     new_len = int(round(rec.num_samples * target_hz / rec.sample_rate_hz))
     max_rate = max(up, down)
+    # imported here: it is slow to import, and 250 Hz input never resamples
+    from scipy.signal import firwin, resample_poly
     # 64 taps per polyphase branch; cutoff at the tighter of the two Nyquists.
     numtaps = _TAPS_PER_PHASE * max_rate + 1
     h = firwin(numtaps, 1.0 / max_rate, window=("kaiser", _KAISER_BETA))

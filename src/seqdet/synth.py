@@ -106,8 +106,7 @@ def _spectrally_separated(signals: dict[EventLabel, np.ndarray]) -> bool:
     spec = feat.FrameSpec()
     profiles = {}
     for lab, x in signals.items():
-        frames = feat.frame_signal(x, spec, RATE_HZ)
-        le = np.log(feat.filterbank_energies(frames, spec, RATE_HZ))
+        le = np.log(feat.filterbank_energies(x, spec, RATE_HZ))
         profiles[lab] = (le.mean(axis=0), le.std(axis=0) / np.sqrt(le.shape[0]))
     labs = list(profiles)
     for i, a in enumerate(labs):

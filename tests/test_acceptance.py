@@ -12,9 +12,8 @@ from seqdet import synth
 from seqdet.evaluation import (ConfusionMatrix, det_curve,
                                epoch_reference_labels, sens_spec)
 from seqdet.features import (FEATURE_DIM, FrameSpec, deltas,
-                             differential_energy, extract_channel,
-                             filterbank_energies, frame_signal,
-                             frequency_energy)
+                             differential_energy, extract_features,
+                             filterbank_energies, frequency_energy)
 from seqdet.grammar import (TABLE1, BigramTable, GrammarParams, grammar_update)
 from seqdet.hmm import (forward_backward, init_model, viterbi,
                         _reestimate_one)
@@ -84,7 +83,8 @@ def test_criterion_03_em_monotonicity(capsys):
     ok = True
     for lab in classes:
         x = synth._class_signal(lab, n, rng)
-        mat = extract_channel(x, spec)
+        mat = extract_features(
+            signal_io.Recording(x[None], ("x",), 250.0), spec).vectors[0]
         n_ep = mat.shape[0] // 10
         epochs = mat[:n_ep * 10].reshape(n_ep, 10, FEATURE_DIM)
         model = init_model(lab, epochs, 3, 4, seed=int(lab))
@@ -191,11 +191,12 @@ def test_criterion_07_feature_closed_forms(capsys):
 
     rng = np.random.default_rng(9)
     x = rng.standard_normal(1000) * 40
-    f1 = frequency_energy(filterbank_energies(frame_signal(x, spec), spec))
-    f2 = frequency_energy(filterbank_energies(frame_signal(2 * x, spec), spec))
+    f1 = frequency_energy(filterbank_energies(x, spec))
+    f2 = frequency_energy(filterbank_energies(2 * x, spec))
     shift_ok = bool(np.allclose(f2 - f1, np.log(4.0), atol=1e-6))
 
-    dim_ok = extract_channel(x, spec).shape[1] == 26
+    dim_ok = extract_features(signal_io.Recording(x[None], ("x",), 250.0),
+                              spec).vectors.shape[2] == 26
 
     ok = ramp_ok and const_ok and shift_ok and dim_ok
     _report(capsys, 7, "feature closed forms", ok,

@@ -203,6 +203,24 @@ class TestShapeCrossChecks:
         with pytest.raises(DataError, match=message):
             Bundle.load(path)
 
+    def test_built_bundle_checked(self):
+        # a bundle that load would refuse cannot be built, so training
+        # cannot return one and save cannot write one
+        good = tiny_bundle()
+        rng = np.random.default_rng(2)
+        models = dict(good.hmm_models)
+        models[EventLabel.PLED] = init_model(
+            EventLabel.PLED, rng.standard_normal((20, 10, 21)), 3, 2, seed=1)
+        with pytest.raises(DataError, match=r"^hmm_models/PLED/means has shape "
+                           r"\(3, 2, 21\), expected \(3, 2, 26\)"):
+            Bundle(models, good.second_pass, good.bigram, good.manifest)
+        second = SecondPassModels(
+            good.second_pass.pca_detector, good.second_pass.pca_sixway,
+            good.second_pass.sda_spsw, good.second_pass.sda_eyem,
+            tiny_sda(rng, 5, outputs=6))
+        with pytest.raises(DataError, match="second_pass/sda_sixway/layers/0/w"):
+            Bundle(good.hmm_models, second, good.bigram, good.manifest)
+
     def test_model_of_other_dim_rejected(self, tmp_path):
         path, data = saved_tiny_bundle(tmp_path)
         cut = {f"/hmm_models/PLED/{name}": (lambda a: a[..., :25])

@@ -79,6 +79,23 @@ class TestPca:
         v = proj.var(axis=0)
         assert (np.diff(v) <= 1e-9).all()
 
+    def test_repeated_eigenvalue_basis_is_canonical(self):
+        # a threefold eigenvalue (dims 0-2, isotropic whatever their
+        # rotation) has no preferred basis; fit_pca must not return eigh's,
+        # which follows roundoff, but one fixed by the eigenspace alone
+        base = np.zeros((12, 6))
+        base[:3, :3], base[3:6, :3] = 2 * np.eye(3), -2 * np.eye(3)
+        for j, b in enumerate((1.0, 0.7, 0.5)):
+            base[6 + 2 * j, 3 + j], base[7 + 2 * j, 3 + j] = b, -b
+        comps = []
+        for seed in (1, 2):
+            rot = np.eye(6)
+            rot[:3, :3] = np.linalg.qr(
+                np.random.default_rng(seed).standard_normal((3, 3)))[0]
+            comps.append(fit_pca(base @ rot, 4).components)
+        np.testing.assert_allclose(comps[0], comps[1], atol=1e-12)
+        np.testing.assert_allclose(comps[0] @ comps[0].T, np.eye(4), atol=1e-12)
+
     def test_rank_deficiency_padded(self, caplog):
         rng = np.random.default_rng(6)
         base = rng.standard_normal((50, 3))
