@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
 from .errors import DataError, NumericError, check_shape
 from .hmm import PosteriorGrid
@@ -218,50 +217,83 @@ def init_stack(input_dim: int, hidden: tuple[int, ...],
     return [init_layer(dims[i], dims[i + 1], rng) for i in range(len(hidden))]
 
 
-def corrupt(x: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
+def corrupt(x: np.ndarray, level: float, rng: np.random.Generator,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Masking corruption: each coordinate independently zeroed with
-    probability `level` (SdaConfig keeps it in [0, 1])."""
+    probability `level` (SdaConfig keeps it in [0, 1]). Without `out`, level
+    0 returns `x` itself; with it, the result is always written to `out`."""
     if level == 0.0:
-        return x
+        if out is None:
+            return x
+        np.copyto(out, x)
+        return out
     keep = rng.random(np.shape(x)) >= level
-    return np.asarray(x) * keep
+    return np.multiply(x, keep, out=out)
+
+
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid of a float64 array, in place; returns `a`. Where
+    exp(-a) overflows (a < -709.78) the result is exactly 0."""
+    np.negative(a, out=a)
+    with np.errstate(over="ignore"):
+        np.exp(a, out=a)
+    a += 1.0
+    return np.reciprocal(a, out=a)
 
 
 def encode(layers: list[SdaLayer], x: np.ndarray) -> np.ndarray:
     h = np.asarray(x, dtype=np.float64)
     for layer in layers:
-        h = expit(h @ layer.w.T + layer.b)
+        h = _sigmoid(h @ layer.w.T + layer.b)
     return h
 
 
 # ---------------------------------------------------------------------------
-# Losses and gradients. Training calls only the gradient functions; the
-# losses are their objectives for the finite-difference checks.
+# Losses and SGD steps. Training calls only the step functions, which return
+# the learning rate times the gradient; the losses are their objectives for
+# the finite-difference checks, which call the step functions at rate 1.
 
 def dae_loss(layer: SdaLayer, x_clean: np.ndarray,
              x_corrupt: np.ndarray) -> float:
     """Cross-entropy reconstruction loss of a tied-weight denoising
     autoencoder."""
-    z = expit(encode([layer], x_corrupt) @ layer.w + layer.b_prime)
+    z = _sigmoid(encode([layer], x_corrupt) @ layer.w + layer.b_prime)
     zc = np.clip(z, 1e-12, 1.0 - 1e-12)
     return -np.mean(x_clean * np.log(zc) + (1.0 - x_clean) * np.log(1.0 - zc))
 
 
-def dae_grad(layer: SdaLayer, x_clean: np.ndarray, x_corrupt: np.ndarray,
-             out: np.ndarray):
-    """Gradients of `dae_loss` for (w, b, b_prime); the weight gradient, the
-    encoder and decoder terms summed by one GEMM, is written to `out`."""
+def dae_buffers(layer: SdaLayer, n: int):
+    """The buffers `dae_grad` works in for batches of n rows: the stacked
+    GEMM operands [dpre ; y] (2n, d_out) and [x_corrupt ; dz] (2n, d_in),
+    then the (d_out, d_in) weight step."""
+    d_out, d_in = layer.w.shape
+    return (np.empty((2 * n, d_out)), np.empty((2 * n, d_in)),
+            np.empty_like(layer.w))
+
+
+def dae_grad(layer: SdaLayer, x_clean: np.ndarray, bufs, lr: float):
+    """SGD step at rate `lr` on `dae_loss` for (w, b, b_prime), lr times the
+    gradient. `bufs` come from `dae_buffers(layer, n)` with the corrupted
+    input already in the first n rows of the second; y, dz and dpre are
+    written into the stacked operands, and the weight step, the encoder and
+    decoder terms summed by one GEMM, into the third buffer."""
+    lhs, rhs, out = bufs
     n, d = x_clean.shape
-    y = expit(x_corrupt @ layer.w.T + layer.b)
+    dpre, y = lhs[:n], lhs[n:]
+    x_corrupt, dz = rhs[:n], rhs[n:]
+    np.matmul(x_corrupt, layer.w.T, out=y)
+    y += layer.b
+    _sigmoid(y)
     # Sigmoid + cross-entropy: gradient at the decoder pre-activation is z - x.
-    dz = expit(y @ layer.w + layer.b_prime)
+    np.matmul(y, layer.w, out=dz)
+    dz += layer.b_prime
+    _sigmoid(dz)
     dz -= x_clean
-    dz /= n * d
-    dpre = dz @ layer.w.T
+    dz *= lr / (n * d)
+    np.matmul(dz, layer.w.T, out=dpre)
     dpre *= y
     dpre *= 1.0 - y
-    np.matmul(np.concatenate([dpre, y]).T, np.concatenate([x_corrupt, dz]),
-              out=out)
+    np.matmul(lhs.T, rhs, out=out)
     return out, dpre.sum(axis=0), dz.sum(axis=0)
 
 
@@ -273,18 +305,20 @@ def finetune_loss(layers: list[SdaLayer], out_w: np.ndarray, out_b: np.ndarray,
 
 
 def finetune_grad(layers: list[SdaLayer], out_w: np.ndarray, out_b: np.ndarray,
-                  x: np.ndarray, y: np.ndarray, bufs: list[np.ndarray]):
-    """Gradients of `finetune_loss`: the weight gradients of the layers and
-    then of the output layer are written to `bufs`, one buffer each, and
-    returned with the matching list of bias gradients."""
+                  x: np.ndarray, y: np.ndarray, bufs: list[np.ndarray],
+                  lr: float):
+    """SGD step at rate `lr` on `finetune_loss`, lr times the gradient: the
+    weight steps of the layers and then of the output layer are written to
+    `bufs`, one buffer each, and returned with the matching list of bias
+    steps."""
     n = len(x)
     acts = [x]
     for layer in layers:
-        acts.append(expit(acts[-1] @ layer.w.T + layer.b))
+        acts.append(_sigmoid(acts[-1] @ layer.w.T + layer.b))
     # Softmax + negative log-likelihood: gradient at the logits is p - onehot.
     dpre = _softmax(acts[-1] @ out_w.T + out_b)
     dpre[np.arange(n), y] -= 1.0
-    dpre /= n
+    dpre *= lr / n
     g_b = [dpre.sum(axis=0)]
     np.matmul(dpre.T, acts[-1], out=bufs[-1])
     w = out_w
@@ -304,17 +338,18 @@ def finetune_grad(layers: list[SdaLayer], out_w: np.ndarray, out_b: np.ndarray,
 # Training
 
 def _minibatches(n: int, batch: int, rng: np.random.Generator):
+    """Shuffled index batches of min(batch, n) rows; a partial last batch is
+    dropped, so every batch has the same size."""
     order = rng.permutation(n)
     batch = min(batch, n)
     for lo in range(0, n - batch + 1, batch):
         yield order[lo:lo + batch]
 
 
-def _sgd_step(params, grads, lr: float) -> None:
-    """Subtract lr times each gradient from its parameter, both in place."""
-    for p, g in zip(params, grads):
-        g *= lr
-        p -= g
+def _sgd_step(params, steps) -> None:
+    """Subtract each step from its parameter in place."""
+    for p, step in zip(params, steps):
+        p -= step
 
 
 def pretrain(layers: list[SdaLayer], data: np.ndarray, config: SdaConfig,
@@ -322,23 +357,24 @@ def pretrain(layers: list[SdaLayer], data: np.ndarray, config: SdaConfig,
     """Greedy layer-wise denoising-autoencoder training on [0,1]-scaled data."""
     data = np.asarray(data, dtype=np.float64)
     codes = data
+    n = min(config.pretrain_batch, len(codes))
     for layer in layers:
-        g_w = np.empty_like(layer.w)
+        bufs = dae_buffers(layer, n)
         for _ in range(config.pretrain_epochs):
             for idx in _minibatches(len(codes), config.pretrain_batch, rng):
                 clean = codes[idx]
-                noisy = corrupt(clean, config.corruption, rng)
+                corrupt(clean, config.corruption, rng, out=bufs[1][:n])
                 # An inf or NaN anywhere in the layer or its input reaches the
-                # bias-gradient sums; that guard is the check, not numpy's
-                # warnings on the way there.
+                # bias-step sums, at rate 0 too (0 * inf is NaN); that guard
+                # is the check, not numpy's warnings on the way there.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    g_w, g_b, g_bp = dae_grad(layer, clean, noisy, g_w)
-                    if not np.isfinite(g_b.sum() + g_bp.sum()):
+                    s_w, s_b, s_bp = dae_grad(layer, clean, bufs,
+                                              config.pretrain_lr)
+                    if not np.isfinite(s_b.sum() + s_bp.sum()):
                         raise NumericError(
                             f"non-finite pretraining gradient on layer with shape "
                             f"{layer.w.shape}")
-                    _sgd_step((layer.w, layer.b, layer.b_prime), (g_w, g_b, g_bp),
-                              config.pretrain_lr)
+                    _sgd_step((layer.w, layer.b, layer.b_prime), (s_w, s_b, s_bp))
         codes = encode([layer], codes)
     return layers
 
@@ -361,11 +397,12 @@ def fine_tune(layers: list[SdaLayer], x: np.ndarray, y: np.ndarray,
     for _ in range(config.finetune_epochs):
         for idx in _minibatches(len(x), config.finetune_batch, rng):
             with np.errstate(over="ignore", invalid="ignore"):  # guarded here
-                g_w, g_b = finetune_grad(layers, out_w, out_b, x[idx], y[idx], bufs)
-                if not np.isfinite(sum(g.sum() for g in g_b)):
+                s_w, s_b = finetune_grad(layers, out_w, out_b, x[idx], y[idx],
+                                         bufs, config.finetune_lr)
+                if not np.isfinite(sum(s.sum() for s in s_b)):
                     raise NumericError("non-finite fine-tuning gradient")
-                _sgd_step(weights, g_w, config.finetune_lr)
-                _sgd_step(biases, g_b, config.finetune_lr)
+                _sgd_step(weights, s_w)
+                _sgd_step(biases, s_b)
     return SdaModel(layers, out_w, out_b, config.window_length,
                     config.corruption, scale_min, scale_max)
 

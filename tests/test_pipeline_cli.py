@@ -711,11 +711,14 @@ def _fresh_env(threads):
                     [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
-def test_cli_import_skips_scipy_signal_and_fft():
-    # a fresh process: importing the CLI must not pay for scipy.signal
-    # (resampling only) or scipy.fft (the frontend needs neither)
+def test_cli_import_skips_scipy_signal_and_fft(trained):
+    # a fresh process: importing the CLI and loading a bundle must not pay
+    # for any scipy module; scipy.signal is imported only to resample
+    _, path = trained
     probe = ("import sys, seqdet.cli\n"
-             "print(sorted({'scipy.signal', 'scipy.fft'} & set(sys.modules)))")
+             "from seqdet.bundle import Bundle\n"
+             f"Bundle.load({path!r})\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(1),
                          check=True, capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"

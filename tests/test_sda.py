@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from seqdet.errors import DataError, NumericError
 from seqdet.hmm import PosteriorGrid
 from seqdet.labels import TARGET_CLASSES, EventLabel
 from seqdet.sda import (PcaModel, SdaConfig, SdaLayer, SdaModel, _minibatches,
-                        _softmax, augment_rare, corrupt, dae_grad, dae_loss,
+                        _sigmoid, _softmax, augment_rare, corrupt,
+                        dae_buffers, dae_grad, dae_loss,
                         decode_pass2, detector_sequence, encode, enhance,
                         fine_tune, finetune_grad, finetune_loss, fit_pca,
                         fit_scaling, init_layer, init_stack, make_windows,
@@ -142,6 +145,44 @@ class TestLayers:
         assert ((h > 0) & (h < 1)).all()
 
 
+# float64 error model of a sigmoid computed as 1 / (1 + exp(-x)): the exp
+# (numpy's SIMD exp here, the C library's behind scipy's expit) is within 4
+# ulp, the add and the reciprocal round once each, so each side is within
+# 5 ulp of the true value wherever the result is normal (>= 1e-300 keeps a
+# margin above the subnormals), and the two within 10 ulp <= 10 eps relative
+# of each other. exp(-x) overflows for x < -OVERFLOW_X, where the true value
+# is below 1 / DBL_MAX = 5.6e-309.
+SIGMOID_BOUND = 10 * np.finfo(np.float64).eps
+OVERFLOW_X = np.log(np.finfo(np.float64).max)  # 709.78
+
+
+class TestSigmoid:
+    def test_matches_expit(self):
+        x = np.concatenate([
+            np.linspace(-800.0, 800.0, 160_001),
+            np.random.default_rng(30).uniform(-40.0, 40.0, 20_000),
+            np.nextafter(-OVERFLOW_X, [-np.inf, np.inf]),
+            [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        want = expit(x)
+        a = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(a)
+        assert got is a
+        normal = want >= 1e-300
+        np.testing.assert_array_less(
+            np.abs(got[normal] - want[normal]), SIGMOID_BOUND * want[normal])
+        tiny = ~normal & (x >= -OVERFLOW_X)
+        assert tiny.any()
+        np.testing.assert_array_less(np.abs(got[tiny] - want[tiny]),
+                                     SIGMOID_BOUND * 1e-300)
+        overflow = x < -OVERFLOW_X
+        assert overflow.sum() > 1
+        assert (got[overflow] == 0.0).all() and (want[overflow] < 1e-308).all()
+        assert np.isnan(got[np.isnan(x)]).all()
+        assert (got[x == np.inf] == 1.0).all() and (got[x == 0.0] == 0.5).all()
+
+
 # Central differences in float64. The difference quotient carries roundoff
 # of about C * machine epsilon * |loss| / eps and truncation error O(eps^2),
 # about 1e-7 relative at eps = 1e-4. A gradient entry below
@@ -177,7 +218,9 @@ def probe_relerr(loss_fn, param, grad, rng, probes=20, eps=FD_EPS):
 def dae_probe_relerr(layer, clean, noisy, rng, probes=20):
     """Worst error of dae_grad against central differences of dae_loss over
     the layer's w, b and b_prime, in that order."""
-    grads = dae_grad(layer, clean, noisy, np.empty_like(layer.w))
+    bufs = dae_buffers(layer, len(clean))
+    bufs[1][:len(clean)] = noisy
+    grads = dae_grad(layer, clean, bufs, 1.0)
     loss_fn = lambda: dae_loss(layer, clean, noisy)
     return max(probe_relerr(loss_fn, p, g, rng, probes)
                for p, g in zip((layer.w, layer.b, layer.b_prime), grads))
@@ -189,7 +232,7 @@ def finetune_probe_relerr(layers, out_w, out_b, x, y, rng, probes=20):
     weights = [layer.w for layer in layers] + [out_w]
     biases = [layer.b for layer in layers] + [out_b]
     g_w, g_b = finetune_grad(layers, out_w, out_b, x, y,
-                             [np.empty_like(w) for w in weights])
+                             [np.empty_like(w) for w in weights], 1.0)
     loss_fn = lambda: finetune_loss(layers, out_w, out_b, x, y)
     return max(probe_relerr(loss_fn, p, g, rng, probes)
                for pair in zip(zip(weights, g_w), zip(biases, g_b))
@@ -365,11 +408,16 @@ class TestTraining:
         after = dae_loss(layers[0], data, noisy)
         assert after < before
 
-    def test_fused_steps_match_reference_loop(self):
-        # 20 pretraining steps on each of two layers, then 20 fine-tuning steps
-        cfg = SdaConfig("diff", window_length=1, hidden=(10, 6), outputs=3,
-                        pretrain_epochs=5, pretrain_batch=30,
-                        finetune_epochs=5, finetune_batch=30)
+    DIFF = SdaConfig("diff", window_length=1, hidden=(10, 6), outputs=3,
+                     pretrain_epochs=5, pretrain_batch=30,
+                     finetune_epochs=5, finetune_batch=30)
+
+    @staticmethod
+    def fused_and_reference(cfg):
+        """Pretrain, then fine-tune, one initial stack with the fused trainer
+        and with the reference loops from equal RNGs. Returns the initial
+        layer parameters, then for each side its final parameters (layers,
+        then out_w and out_b) and its RNG's next draw."""
         data_rng = np.random.default_rng(26)
         x = data_rng.random((120, 12))
         y = data_rng.integers(0, 3, size=120)
@@ -380,31 +428,57 @@ class TestTraining:
         _, ref_out_w, ref_out_b = fine_tune_reference(ref_layers, x, y, cfg,
                                                       ref_rng)
         model = fine_tune(layers, x, y, cfg, rng, np.zeros(12), np.ones(12))
-        assert rng.random() == ref_rng.random()  # same draws, same order
-        for got, want in zip(
-                [p for l in model.layers for p in (l.w, l.b, l.b_prime)]
-                + [model.out_w, model.out_b],
-                [p for l in ref_layers for p in (l.w, l.b, l.b_prime)]
-                + [ref_out_w, ref_out_b]):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+        def params(layers, *out):
+            return [p for l in layers for p in (l.w, l.b, l.b_prime)] + list(out)
+
+        return (params(init), (params(model.layers, model.out_w, model.out_b),
+                               rng.random()),
+                (params(ref_layers, ref_out_w, ref_out_b), ref_rng.random()))
+
+    def test_fused_steps_match_reference_loop(self):
+        # 20 pretraining steps on each of two layers, then 20 fine-tuning
+        # steps; at corruption 0 the clean batch is the corrupted input
+        for corruption in (self.DIFF.corruption, 0.0):
+            cfg = dataclasses.replace(self.DIFF, corruption=corruption)
+            _, (got, draw), (want, ref_draw) = self.fused_and_reference(cfg)
+            assert draw == ref_draw  # same draws, same order
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    def test_zero_rates_leave_parameters_unchanged(self):
+        # the rate scales the whole step: at 0 nothing moves, bit for bit,
+        # and the RNG is drawn as the reference loops draw it
+        cfg = dataclasses.replace(self.DIFF, pretrain_lr=0.0, finetune_lr=0.0)
+        init, (got, draw), (want, ref_draw) = self.fused_and_reference(cfg)
+        assert draw == ref_draw
+        for g, w in zip(got, init + want[len(init):]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_pretrain_non_finite_weight_raises(self, value):
-        rng = np.random.default_rng(28)
-        layers = init_stack(12, FAST.hidden, rng)
-        layers[0].w[3, 5] = value
-        with pytest.raises(NumericError, match=r"^non-finite pretraining gradient "
-                                               r"on layer with shape \(16, 12\)$"):
-            pretrain(layers, rng.random((64, 12)), FAST, rng)
+        # also at rate 0, where the step is 0 times the gradient: 0 * inf is
+        # NaN, so the guard still sees it
+        for lr in (FAST.pretrain_lr, 0.0):
+            rng = np.random.default_rng(28)
+            layers = init_stack(12, FAST.hidden, rng)
+            layers[0].w[3, 5] = value
+            with pytest.raises(NumericError,
+                               match=r"^non-finite pretraining gradient "
+                                     r"on layer with shape \(16, 12\)$"):
+                pretrain(layers, rng.random((64, 12)),
+                         dataclasses.replace(FAST, pretrain_lr=lr), rng)
 
     def test_fine_tune_non_finite_weight_raises(self):
-        rng = np.random.default_rng(29)
-        layers = init_stack(12, FAST.hidden, rng)
-        layers[1].w[2, 7] = np.nan
-        with pytest.raises(NumericError,
-                           match="^non-finite fine-tuning gradient$"):
-            fine_tune(layers, rng.random((64, 12)), rng.integers(0, 2, 64),
-                      FAST, rng, np.zeros(4), np.ones(4))
+        for lr in (FAST.finetune_lr, 0.0):
+            rng = np.random.default_rng(29)
+            layers = init_stack(12, FAST.hidden, rng)
+            layers[1].w[2, 7] = np.nan
+            with pytest.raises(NumericError,
+                               match="^non-finite fine-tuning gradient$"):
+                fine_tune(layers, rng.random((64, 12)), rng.integers(0, 2, 64),
+                          dataclasses.replace(FAST, finetune_lr=lr), rng,
+                          np.zeros(4), np.ones(4))
 
     def test_fine_tune_learns_separable_problem(self):
         rng = np.random.default_rng(14)
