@@ -16,6 +16,7 @@ byte-deterministic for identical models.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
@@ -36,20 +37,24 @@ MAGIC = b"SEQD"
 VERSION = 2
 
 
-def _pack_payload(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
-    out = bytearray()
+def _write_payload(f, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write the payload of (meta, arrays) to the binary file `f`, each array
+    straight from its own buffer, so no copy of the payload is built."""
     meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
-    out += struct.pack("<I", len(meta_b)) + meta_b
-    out += struct.pack("<I", len(arrays))
+    f.write(struct.pack("<I", len(meta_b)) + meta_b)
+    f.write(struct.pack("<I", len(arrays)))
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
         name_b = name.encode("utf-8")
-        out += struct.pack("<I", len(name_b)) + name_b
-        out += struct.pack("<B", arr.ndim)
-        for d in arr.shape:
-            out += struct.pack("<Q", d)
-        out += arr.tobytes()
-    return bytes(out)
+        f.write(struct.pack(f"<I{len(name_b)}sB{arr.ndim}Q", len(name_b), name_b,
+                            arr.ndim, *arr.shape))
+        f.write(arr.data)
+
+
+def _pack_payload(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
+    buf = io.BytesIO()
+    _write_payload(buf, meta, arrays)
+    return buf.getvalue()
 
 
 def _unpack_payload(buf):
@@ -169,7 +174,7 @@ class Bundle:
         _flatten(self, type(self), "", meta, arrays)
         with open(path, "wb") as f:
             f.write(MAGIC + struct.pack("<I", VERSION))
-            f.write(_pack_payload(meta, arrays))
+            _write_payload(f, meta, arrays)
 
     @classmethod
     def load(cls, path: str) -> "Bundle":

@@ -205,23 +205,30 @@ def viterbi(model: GmmHmmModel, obs: np.ndarray):
 # ---------------------------------------------------------------------------
 # Initialization
 
+def _nearest(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Index of the nearest centroid (row of c) to each row of x: the argmin
+    of |c|^2 - 2 x.c, one GEMM; |x|^2 is the same in every column."""
+    return np.argmin((c * c).sum(axis=1) - 2.0 * (x @ c.T), axis=1)
+
+
 def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator,
             iters: int = 50) -> np.ndarray:
     """Plain seeded Lloyd iteration; empty clusters are reseeded to random
-    points so k centroids always come back."""
+    points, in cluster order, so k centroids always come back."""
     if len(x) < k:
         raise DataError(f"k-means needs >= {k} points, got {len(x)}")
     centroids = x[rng.choice(len(x), size=k, replace=False)].copy()
+    columns = np.ascontiguousarray(x.T)
     for _ in range(iters):
-        d2 = np.sum((x[:, None, :] - centroids[None]) ** 2, axis=2)
-        assign = np.argmin(d2, axis=1)
-        new = centroids.copy()
-        for j in range(k):
-            members = x[assign == j]
-            if len(members):
-                new[j] = members.mean(axis=0)
-            else:
-                new[j] = x[rng.integers(len(x))]
+        assign = _nearest(x, centroids)
+        counts = np.bincount(assign, minlength=k)
+        # Member sums in row order, as a per-cluster mean adds them.
+        sums = np.stack([np.bincount(assign, weights=col, minlength=k)
+                         for col in columns], axis=1)
+        empty = counts == 0
+        new = sums / np.where(empty, 1, counts)[:, None]
+        for j in np.flatnonzero(empty):
+            new[j] = x[rng.integers(len(x))]
         if np.allclose(new, centroids):
             break
         centroids = new
@@ -268,16 +275,14 @@ def init_model(label: EventLabel, epochs: np.ndarray, num_states: int = 3,
         else:
             centroids = np.repeat(vecs.mean(axis=0, keepdims=True),
                                   num_components, axis=0)
-        d2 = np.sum((vecs[:, None, :] - centroids[None]) ** 2, axis=2)
-        assign = np.argmin(d2, axis=1)
+        assign = _nearest(vecs, centroids)
+        counts = np.bincount(assign, minlength=num_components)
         for l in range(num_components):
-            members = vecs[assign == l]
-            if len(members) == 0:
-                members = vecs
-            weights[s, l] = max(len(vecs[assign == l]), 1)
+            members = vecs[assign == l] if counts[l] else vecs
             means[s, l] = members.mean(axis=0)
             variances[s, l] = np.maximum(members.var(axis=0), var_floor)
-        weights[s] /= weights[s].sum()
+        occupied = np.maximum(counts, 1)
+        weights[s] = occupied / occupied.sum()
 
     return GmmHmmModel(label, _left_right_trans(num_states), weights, means,
                        variances, var_floor)

@@ -6,6 +6,13 @@ All training is plain minibatch SGD with seeded shuffling, so results are
 bit-deterministic given (seed, data, config). The reconstruction loss is
 cross-entropy between the clean input and the sigmoid reconstruction,
 averaged over both batch and input dimensions.
+
+Training runs in single precision (_TRAIN_DTYPE): the 6-way first layer's
+GEMMs are bound by memory traffic over its weight matrix, which float32
+halves. `pretrain` and `fine_tune` cast the data and the parameters on entry
+and write float64 parameters back, so models and bundles stay float64. The
+step functions follow the dtype of their inputs, and inference runs in
+float64.
 """
 from __future__ import annotations
 
@@ -23,6 +30,8 @@ log = logging.getLogger(__name__)
 
 EXPECTED_CHANNELS = 22
 SUPERVECTOR_DIM = EXPECTED_CHANNELS * NUM_CLASSES  # 132
+# The one dtype pretrain and fine_tune train in.
+_TRAIN_DTYPE = np.float32
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +241,9 @@ def corrupt(x: np.ndarray, level: float, rng: np.random.Generator,
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid of a float64 array, in place; returns `a`. Where
-    exp(-a) overflows (a < -709.78) the result is exactly 0."""
+    """Logistic sigmoid of a float32 or float64 array, in place; returns `a`.
+    Where exp(-a) overflows (a < -88.72 in float32, a < -709.78 in float64)
+    the result is exactly 0."""
     np.negative(a, out=a)
     with np.errstate(over="ignore"):
         np.exp(a, out=a)
@@ -267,7 +277,8 @@ def dae_buffers(layer: SdaLayer, n: int):
     GEMM operands [dpre ; y] (2n, d_out) and [x_corrupt ; dz] (2n, d_in),
     then the (d_out, d_in) weight step."""
     d_out, d_in = layer.w.shape
-    return (np.empty((2 * n, d_out)), np.empty((2 * n, d_in)),
+    dtype = layer.w.dtype
+    return (np.empty((2 * n, d_out), dtype), np.empty((2 * n, d_in), dtype),
             np.empty_like(layer.w))
 
 
@@ -352,13 +363,28 @@ def _sgd_step(params, steps) -> None:
         p -= step
 
 
+def _params(layer: SdaLayer) -> tuple[np.ndarray, ...]:
+    return layer.w, layer.b, layer.b_prime
+
+
+def _in_train_dtype(layer: SdaLayer) -> SdaLayer:
+    return SdaLayer(*(p.astype(_TRAIN_DTYPE) for p in _params(layer)))
+
+
+def _write_back(layer: SdaLayer, trained: SdaLayer) -> None:
+    """Copy the trained parameters into `layer`'s own (float64) arrays."""
+    for dst, src in zip(_params(layer), _params(trained)):
+        np.copyto(dst, src)
+
+
 def pretrain(layers: list[SdaLayer], data: np.ndarray, config: SdaConfig,
              rng: np.random.Generator) -> list[SdaLayer]:
-    """Greedy layer-wise denoising-autoencoder training on [0,1]-scaled data."""
-    data = np.asarray(data, dtype=np.float64)
-    codes = data
+    """Greedy layer-wise denoising-autoencoder training on [0,1]-scaled data,
+    in _TRAIN_DTYPE; each layer of `layers` gets its trained parameters."""
+    codes = np.asarray(data, dtype=_TRAIN_DTYPE)
     n = min(config.pretrain_batch, len(codes))
-    for layer in layers:
+    for target in layers:
+        layer = _in_train_dtype(target)
         bufs = dae_buffers(layer, n)
         for _ in range(config.pretrain_epochs):
             for idx in _minibatches(len(codes), config.pretrain_batch, rng):
@@ -374,37 +400,42 @@ def pretrain(layers: list[SdaLayer], data: np.ndarray, config: SdaConfig,
                         raise NumericError(
                             f"non-finite pretraining gradient on layer with shape "
                             f"{layer.w.shape}")
-                    _sgd_step((layer.w, layer.b, layer.b_prime), (s_w, s_b, s_bp))
-        codes = encode([layer], codes)
+                    _sgd_step(_params(layer), (s_w, s_b, s_bp))
+        codes = _sigmoid(codes @ layer.w.T + layer.b)  # float32; encode upcasts
+        _write_back(target, layer)
     return layers
 
 
 def fine_tune(layers: list[SdaLayer], x: np.ndarray, y: np.ndarray,
               config: SdaConfig, rng: np.random.Generator,
               scale_min: np.ndarray, scale_max: np.ndarray) -> SdaModel:
-    """Supervised training of the encoder stack plus a fresh softmax layer."""
-    x = np.asarray(x, dtype=np.float64)
+    """Supervised training of the encoder stack plus a fresh softmax layer,
+    in _TRAIN_DTYPE; each layer of `layers` gets its trained parameters."""
+    x = np.asarray(x, dtype=_TRAIN_DTYPE)
     y = np.asarray(y, dtype=np.intp)
     if y.min() < 0 or y.max() >= config.outputs:
         raise DataError(
             f"labels outside [0, {config.outputs}): {sorted(set(y.tolist()))}")
+    work = [_in_train_dtype(layer) for layer in layers]
     top_dim = layers[-1].w.shape[0]
-    out_w = init_layer(top_dim, config.outputs, rng).w
-    out_b = np.zeros(config.outputs)
-    weights = [layer.w for layer in layers] + [out_w]
-    biases = [layer.b for layer in layers] + [out_b]
+    out_w = init_layer(top_dim, config.outputs, rng).w.astype(_TRAIN_DTYPE)
+    out_b = np.zeros(config.outputs, _TRAIN_DTYPE)
+    weights = [layer.w for layer in work] + [out_w]
+    biases = [layer.b for layer in work] + [out_b]
     bufs = [np.empty_like(w) for w in weights]
     for _ in range(config.finetune_epochs):
         for idx in _minibatches(len(x), config.finetune_batch, rng):
             with np.errstate(over="ignore", invalid="ignore"):  # guarded here
-                s_w, s_b = finetune_grad(layers, out_w, out_b, x[idx], y[idx],
+                s_w, s_b = finetune_grad(work, out_w, out_b, x[idx], y[idx],
                                          bufs, config.finetune_lr)
                 if not np.isfinite(sum(s.sum() for s in s_b)):
                     raise NumericError("non-finite fine-tuning gradient")
                 _sgd_step(weights, s_w)
                 _sgd_step(biases, s_b)
-    return SdaModel(layers, out_w, out_b, config.window_length,
-                    config.corruption, scale_min, scale_max)
+    for layer, trained in zip(layers, work):
+        _write_back(layer, trained)
+    return SdaModel(layers, out_w.astype(np.float64), out_b.astype(np.float64),
+                    config.window_length, config.corruption, scale_min, scale_max)
 
 
 def augment_rare(samples: np.ndarray, target: int,

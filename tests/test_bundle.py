@@ -1,10 +1,11 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from seqdet.bundle import (MAGIC, VERSION, Bundle, _pack_payload,
-                           _unpack_payload)
+                           _unpack_payload, _write_payload)
 from seqdet.errors import DataError
 from seqdet.features import FEATURE_DIM
 from seqdet.grammar import default_bigram
@@ -51,6 +52,21 @@ class TestPayload:
     def test_deterministic_bytes(self):
         arrays = {"x": np.arange(6.0).reshape(2, 3)}
         assert _pack_payload({"k": 1}, arrays) == _pack_payload({"k": 1}, arrays)
+
+    def test_write_streams_arrays(self, tmp_path):
+        # each array goes to the file from its own buffer: writing an 8 MB
+        # payload allocates no payload-sized copy
+        arrays = {"w": np.ones((1024, 1024)), "b": np.arange(3.0)}
+        path = tmp_path / "payload"
+        with open(path, "wb") as f:
+            tracemalloc.start()
+            try:
+                _write_payload(f, {"k": 1}, arrays)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20
+        assert path.read_bytes() == _pack_payload({"k": 1}, arrays)
 
     def test_truncation_detected(self):
         buf = _pack_payload({}, {"x": np.zeros(5)})

@@ -10,7 +10,7 @@ from seqdet.hmm import (GmmHmmModel, HmmConfig, decode_pass1,
                         forward_backward, init_model, log_emissions,
                         score_batch, train, viterbi, _bank, _chunk,
                         _emissions, _kmeans, _left_right_trans, _loglik,
-                        _logsumexp, _reestimate_one)
+                        _logsumexp, _nearest, _reestimate_one)
 from seqdet.labels import EventLabel
 
 
@@ -261,6 +261,99 @@ class TestLogsumexp:
         np.testing.assert_array_equal(a, before)
 
 
+# k-means and flat-start initialization as first written, with a
+# (points, k, D) broadcast distance and a per-cluster loop: the references for
+# _nearest, _kmeans and init_model.
+
+def kmeans_reference(x, k, rng, iters=50):
+    centroids = x[rng.choice(len(x), size=k, replace=False)].copy()
+    for _ in range(iters):
+        d2 = np.sum((x[:, None, :] - centroids[None]) ** 2, axis=2)
+        assign = np.argmin(d2, axis=1)
+        new = centroids.copy()
+        for j in range(k):
+            members = x[assign == j]
+            if len(members):
+                new[j] = members.mean(axis=0)
+            else:
+                new[j] = x[rng.integers(len(x))]
+        if np.allclose(new, centroids):
+            break
+        centroids = new
+    return centroids
+
+
+def init_model_reference(label, epochs, num_states, num_components, seed):
+    rng = np.random.default_rng(seed)
+    b, t_len, dim = epochs.shape
+    var_floor = np.maximum(1e-3 * epochs.reshape(-1, dim).var(axis=0), 1e-8)
+    weights = np.zeros((num_states, num_components))
+    means = np.zeros((num_states, num_components, dim))
+    variances = np.zeros((num_states, num_components, dim))
+    for s, frame_idx in enumerate(np.array_split(np.arange(t_len), num_states)):
+        vecs = epochs[:, frame_idx, :].reshape(-1, dim)
+        if len(vecs) >= num_components and num_components > 1:
+            centroids = kmeans_reference(vecs, num_components, rng)
+        else:
+            centroids = np.repeat(vecs.mean(axis=0, keepdims=True),
+                                  num_components, axis=0)
+        d2 = np.sum((vecs[:, None, :] - centroids[None]) ** 2, axis=2)
+        assign = np.argmin(d2, axis=1)
+        for l in range(num_components):
+            members = vecs[assign == l]
+            if len(members) == 0:
+                members = vecs
+            weights[s, l] = max(len(vecs[assign == l]), 1)
+            means[s, l] = members.mean(axis=0)
+            variances[s, l] = np.maximum(members.var(axis=0), var_floor)
+        weights[s] /= weights[s].sum()
+    return GmmHmmModel(label, _left_right_trans(num_states), weights, means,
+                       variances, var_floor)
+
+
+def distance_tolerance(x, c, d2):
+    """(points, k) bound on the rounding error of each squared distance as
+    _nearest ranks it plus as the broadcast reference d2 computes it.
+
+    With u = eps / 2 and gamma_m = m u / (1 - m u): _nearest ranks
+    |c|^2 - 2 x.c, which is d2 - |x|^2 exactly. Its two D-term sums carry
+    errors under gamma_D |c|^2 and gamma_D sum |x_i c_i| <= gamma_D |x| |c|
+    (in any summation order), the factor 2 is exact and the difference
+    rounds once: under gamma_(D+1) (|c|^2 + 2 |x| |c|). The reference rounds
+    each x_i - c_i, its square and a D-term sum: under gamma_(D+2) d2. Both
+    together stay under (D + 2) eps (|c|^2 + 2 |x| |c| + d2)."""
+    xn = np.linalg.norm(x, axis=1)[:, None]
+    cn = np.linalg.norm(c, axis=1)[None]
+    return (x.shape[1] + 2) * np.finfo(np.float64).eps * (cn * cn + 2 * xn * cn + d2)
+
+
+class TestNearest:
+    def test_matches_broadcast_argmin_outside_near_ties(self):
+        # 400 random points, then points a roundoff away from the bisector
+        # of each pair of eight well-separated centroids, where the pair's
+        # distances tie
+        rng = np.random.default_rng(31)
+        c = 10.0 * np.eye(8, 26) + rng.normal(0.0, 0.1, (8, 26))
+        pairs = list(itertools.combinations(range(8), 2))
+        mids = np.stack([(c[i] + c[j]) / 2 for i, j in pairs] * 4)
+        x = np.concatenate([rng.normal(0.0, 4.0, (400, 26)),
+                            mids * (1.0 + rng.normal(0.0, 1e-15, mids.shape))])
+        d2 = np.sum((x[:, None, :] - c[None]) ** 2, axis=2)
+        tol = distance_tolerance(x, c, d2)
+        want = np.argmin(d2, axis=1)
+        rows = np.arange(len(x))
+        # a near tie: another centroid whose distance the two computations
+        # could rank either side of the nearest one's
+        near = ((d2 - d2[rows, want][:, None] <= tol + tol[rows, want][:, None])
+                .sum(axis=1) > 1)
+        assert not near[:400].any()   # ruled out on random points
+        assert near[400:].all()   # present on every bisector point
+        got = _nearest(x, c)
+        np.testing.assert_array_equal(got[~near], want[~near])
+        apart = d2[rows, got] - d2[rows, want]
+        assert (apart <= tol[rows, got] + tol[rows, want]).all()
+
+
 class TestKmeans:
     def test_vs_exhaustive_two_means(self):
         # enumerate all 2-partitions of 12 points; SSE of the k-means result
@@ -295,6 +388,22 @@ class TestKmeans:
         b = _kmeans(x, 4, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_empty_cluster_reseeds_as_reference(self, seed):
+        # three distinct points, five copies each, and five clusters: two
+        # starting centroids coincide, so a cluster is empty and is reseeded
+        # by the same draws, in the same order, as the reference loop
+        x = np.repeat(np.random.default_rng(40).normal(size=(3, 4)), 5, axis=0)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _kmeans(x, 5, rng)
+        want = kmeans_reference(x, 5, ref_rng)
+        assert got.tobytes() == want.tobytes()
+        draw = rng.random()
+        assert draw == ref_rng.random()
+        start_only = np.random.default_rng(seed)
+        start_only.choice(len(x), size=5, replace=False)
+        assert draw != start_only.random()  # reseeding drew from the RNG
+
 
 class TestInit:
     def test_structure(self):
@@ -317,6 +426,18 @@ class TestInit:
     def test_too_few_epochs(self):
         with pytest.raises(DataError):
             init_model(EventLabel.BCKG, np.zeros((1, 3, 2)), 3, 8)
+
+    @pytest.mark.parametrize("case", [
+        (18, (30, 10, 4), 1.0, EventLabel.PLED, 4, 1),
+        (19, (20, 10, 3), 5.0, EventLabel.GPED, 2, 0)])
+    def test_bit_identical_to_reference(self, case):
+        # the inputs of test_structure and test_variance_floor_value
+        data_seed, shape, scale, label, comps, seed = case
+        epochs = np.random.default_rng(data_seed).normal(size=shape) * scale
+        got = init_model(label, epochs, 3, comps, seed=seed)
+        want = init_model_reference(label, epochs, 3, comps, seed)
+        for name in ("trans", "weights", "means", "variances", "var_floor"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestReestimate:

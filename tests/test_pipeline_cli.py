@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqdet import cli, grammar, hmm, pipeline, sda, signal_io, synth
-from seqdet.bundle import Bundle, _pack_payload, _unpack_payload
+from seqdet.bundle import (MAGIC, Bundle, _flatten, _pack_payload,
+                           _unpack_payload)
 from seqdet.errors import DataError
 from seqdet.features import FrameSpec, extract_features
 from seqdet.grammar import GrammarParams
@@ -253,6 +254,23 @@ class TestTraining:
         assert bundle.second_pass.pca_detector.out_dim == 13
         assert bundle.second_pass.pca_sixway.out_dim == 20
         np.testing.assert_allclose(bundle.bigram.probs.sum(axis=1), 1.0)
+
+    def test_bundle_arrays_are_float64(self, trained):
+        # the SdAs train in float32, yet the bundle holds float64 arrays and
+        # its container (version 2, every array little-endian f8) is the
+        # one it was before
+        bundle, path = trained
+        meta, arrays = {}, {}
+        _flatten(bundle, Bundle, "", meta, arrays)
+        assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
+        with open(path, "rb") as f:
+            buf = f.read()
+        assert buf[:8] == MAGIC + (2).to_bytes(4, "little")
+        stored = _unpack_payload(buf[8:])[1]
+        assert stored.keys() == arrays.keys()
+        for name, a in stored.items():
+            assert a.dtype == np.dtype("<f8")
+            assert a.tobytes() == arrays[name].tobytes()
 
     def test_missing_class_rejected(self, tmp_path):
         script = [synth.ScriptEntry(EventLabel.BCKG, 30.0, None)]
@@ -727,10 +745,11 @@ def test_cli_import_skips_scipy_signal_and_fft(trained):
 class TestBlasThreads:
     # Largest posterior difference between a train + decode at 1 and at 2
     # BLAS threads, with TINY_INI on the `corpus` fixture. Measured on a
-    # 2-core x86-64 with scipy-openblas 0.3.31: pass 1 equal in all ten
-    # printed digits (the bound is the dump's resolution), pass 2 2.4e-9 and
-    # pass 3 3.6e-9. This corpus gives a threefold eigenvalue in the PCA
-    # covariance, whose eigenspace fit_pca gives a canonical basis.
+    # 2-core x86-64 with scipy-openblas 0.3.31, with the SdAs trained in
+    # float32: pass 1 equal in all ten printed digits (the bound is the
+    # dump's resolution), pass 2 2.3e-9 and pass 3 3.7e-9. This corpus gives
+    # a threefold eigenvalue in the PCA covariance, whose eigenspace fit_pca
+    # gives a canonical basis.
     BOUNDS = {"pass1": 1e-9, "pass2": 1e-6, "pass3": 1e-6}
 
     @staticmethod

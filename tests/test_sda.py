@@ -145,42 +145,53 @@ class TestLayers:
         assert ((h > 0) & (h < 1)).all()
 
 
-# float64 error model of a sigmoid computed as 1 / (1 + exp(-x)): the exp
-# (numpy's SIMD exp here, the C library's behind scipy's expit) is within 4
-# ulp, the add and the reciprocal round once each, so each side is within
-# 5 ulp of the true value wherever the result is normal (>= 1e-300 keeps a
-# margin above the subnormals), and the two within 10 ulp <= 10 eps relative
-# of each other. exp(-x) overflows for x < -OVERFLOW_X, where the true value
-# is below 1 / DBL_MAX = 5.6e-309.
-SIGMOID_BOUND = 10 * np.finfo(np.float64).eps
-OVERFLOW_X = np.log(np.finfo(np.float64).max)  # 709.78
+# Error model of a sigmoid computed as 1 / (1 + exp(-x)) in float64 or
+# float32: the exp (numpy's SIMD exp here, the C library's behind scipy's
+# expit) is within 4 ulp, the add and the reciprocal round once each, so the
+# result is within 5 ulp of the true value wherever it is normal (TINY keeps
+# a margin above the subnormals), and within 10 ulp <= 10 eps relative of
+# expit, which is itself within 5 ulp in float64 (and far closer than a
+# float32 ulp when it is given the float32 input in float64). exp(-x)
+# overflows for x < -log(max), 709.78 in float64 and 88.72 in float32, where
+# the true value is below 1 / max.
+TINY = {np.float64: 1e-300, np.float32: 1e-36}
+
+
+def assert_sigmoid_matches_expit(dtype):
+    info = np.finfo(dtype)
+    overflow_x = np.log(info.max)  # in float64
+    bound = 10 * info.eps
+    x = np.concatenate([
+        np.linspace(-800.0, 800.0, 160_001),
+        np.random.default_rng(30).uniform(-40.0, 40.0, 20_000),
+        np.nextafter(dtype(-overflow_x), [dtype(-np.inf), dtype(np.inf)]),
+        [0.0, -0.0, np.inf, -np.inf, np.nan]]).astype(dtype)
+    want = expit(x.astype(np.float64))
+    a = x.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(a)
+    assert got is a and got.dtype == dtype
+    normal = want >= TINY[dtype]
+    np.testing.assert_array_less(
+        np.abs(got[normal] - want[normal]), bound * want[normal])
+    tiny = ~normal & (x >= -overflow_x)
+    assert tiny.any()
+    np.testing.assert_array_less(np.abs(got[tiny] - want[tiny]),
+                                 bound * TINY[dtype])
+    overflow = x < -overflow_x
+    assert overflow.sum() > 1
+    assert (got[overflow] == 0.0).all() and (want[overflow] < 1 / info.max).all()
+    assert np.isnan(got[np.isnan(x)]).all()
+    assert (got[x == np.inf] == 1.0).all() and (got[x == 0.0] == 0.5).all()
 
 
 class TestSigmoid:
     def test_matches_expit(self):
-        x = np.concatenate([
-            np.linspace(-800.0, 800.0, 160_001),
-            np.random.default_rng(30).uniform(-40.0, 40.0, 20_000),
-            np.nextafter(-OVERFLOW_X, [-np.inf, np.inf]),
-            [0.0, -0.0, np.inf, -np.inf, np.nan]])
-        want = expit(x)
-        a = x.copy()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _sigmoid(a)
-        assert got is a
-        normal = want >= 1e-300
-        np.testing.assert_array_less(
-            np.abs(got[normal] - want[normal]), SIGMOID_BOUND * want[normal])
-        tiny = ~normal & (x >= -OVERFLOW_X)
-        assert tiny.any()
-        np.testing.assert_array_less(np.abs(got[tiny] - want[tiny]),
-                                     SIGMOID_BOUND * 1e-300)
-        overflow = x < -OVERFLOW_X
-        assert overflow.sum() > 1
-        assert (got[overflow] == 0.0).all() and (want[overflow] < 1e-308).all()
-        assert np.isnan(got[np.isnan(x)]).all()
-        assert (got[x == np.inf] == 1.0).all() and (got[x == 0.0] == 0.5).all()
+        assert_sigmoid_matches_expit(np.float64)
+
+    def test_matches_expit_float32(self):
+        assert_sigmoid_matches_expit(np.float32)
 
 
 # Central differences in float64. The difference quotient carries roundoff
@@ -258,16 +269,16 @@ def finetune_gradient_relerr(seed):
 
 
 # The trainer's gradients as first written, one fresh array per term, kept
-# as references for the fused in-place dae_grad and finetune_grad.
+# as references for the fused in-place dae_grad and finetune_grad. They
+# follow the dtype of their inputs, so the loops below run in float64 or in
+# float32.
 
-def dae_loss_and_grad_reference(layer, x_clean, x_corrupt):
+def dae_grad_reference(layer, x_clean, x_corrupt):
     x_clean = np.atleast_2d(x_clean)
     x_corrupt = np.atleast_2d(x_corrupt)
     n, d = x_clean.shape
     y = expit(x_corrupt @ layer.w.T + layer.b)
     z = expit(y @ layer.w + layer.b_prime)
-    zc = np.clip(z, 1e-12, 1.0 - 1e-12)
-    loss = -np.mean(x_clean * np.log(zc) + (1.0 - x_clean) * np.log(1.0 - zc))
     dz = (z - x_clean) / (n * d)
     g_bp = dz.sum(axis=0)
     g_w_dec = y.T @ dz
@@ -275,10 +286,10 @@ def dae_loss_and_grad_reference(layer, x_clean, x_corrupt):
     dpre = dy * y * (1.0 - y)
     g_w_enc = dpre.T @ x_corrupt
     g_b = dpre.sum(axis=0)
-    return loss, g_w_enc + g_w_dec, g_b, g_bp
+    return g_w_enc + g_w_dec, g_b, g_bp
 
 
-def finetune_loss_and_grad_reference(layers, out_w, out_b, x, y):
+def finetune_grad_reference(layers, out_w, out_b, x, y):
     x = np.atleast_2d(x)
     y = np.asarray(y, dtype=np.intp)
     n = x.shape[0]
@@ -288,7 +299,6 @@ def finetune_loss_and_grad_reference(layers, out_w, out_b, x, y):
         h = expit(h @ layer.w.T + layer.b)
         acts.append(h)
     probs = _softmax(h @ out_w.T + out_b)
-    loss = -np.mean(np.log(np.clip(probs[np.arange(n), y], 1e-300, None)))
 
     dlogits = probs.copy()
     dlogits[np.arange(n), y] -= 1.0
@@ -303,33 +313,44 @@ def finetune_loss_and_grad_reference(layers, out_w, out_b, x, y):
         g_layers.append((dpre.T @ a_in, dpre.sum(axis=0)))
         dh = dpre @ layer.w
     g_layers.reverse()
-    return loss, g_layers, g_out_w, g_out_b
+    return g_layers, g_out_w, g_out_b
 
 
-def pretrain_reference(layers, data, config, rng):
-    """The pretraining loop over dae_loss_and_grad_reference."""
+def pretrain_reference(layers, data, config, rng, on_step=None):
+    """The pretraining loop over dae_grad_reference, in the dtype of `data`
+    and `layers`. `on_step(layer, clean, noisy, grads)` sees each step's
+    reference gradients before they are applied."""
     codes = data
     for layer in layers:
         for _ in range(config.pretrain_epochs):
             for idx in _minibatches(len(codes), config.pretrain_batch, rng):
                 clean = codes[idx]
                 noisy = corrupt(clean, config.corruption, rng)
-                _, gw, gb, gbp = dae_loss_and_grad_reference(layer, clean, noisy)
+                grads = dae_grad_reference(layer, clean, noisy)
+                if on_step:
+                    on_step(layer, clean, noisy, grads)
+                gw, gb, gbp = grads
                 layer.w -= config.pretrain_lr * gw
                 layer.b -= config.pretrain_lr * gb
                 layer.b_prime -= config.pretrain_lr * gbp
-        codes = encode([layer], codes)
+        codes = expit(codes @ layer.w.T + layer.b)
     return layers
 
 
-def fine_tune_reference(layers, x, y, config, rng):
-    """The fine-tuning loop over finetune_loss_and_grad_reference."""
+def fine_tune_reference(layers, x, y, config, rng, on_step=None):
+    """The fine-tuning loop over finetune_grad_reference, in the dtype of `x`
+    and `layers`; the output layer is drawn in float64 and rounded to it.
+    `on_step(layers, out_w, out_b, x, y, grads)` sees each step's reference
+    gradients before they are applied."""
     out_w = init_layer(layers[-1].w.shape[0], config.outputs, rng).w
-    out_b = np.zeros(config.outputs)
+    out_w = out_w.astype(x.dtype)
+    out_b = np.zeros(config.outputs, x.dtype)
     for _ in range(config.finetune_epochs):
         for idx in _minibatches(len(x), config.finetune_batch, rng):
-            _, g_layers, g_ow, g_ob = finetune_loss_and_grad_reference(
-                layers, out_w, out_b, x[idx], y[idx])
+            grads = finetune_grad_reference(layers, out_w, out_b, x[idx], y[idx])
+            if on_step:
+                on_step(layers, out_w, out_b, x[idx], y[idx], grads)
+            g_layers, g_ow, g_ob = grads
             for layer, (gw, gb) in zip(layers, g_layers):
                 layer.w -= config.finetune_lr * gw
                 layer.b -= config.finetune_lr * gb
@@ -413,47 +434,114 @@ class TestTraining:
                      finetune_epochs=5, finetune_batch=30)
 
     @staticmethod
-    def fused_and_reference(cfg):
-        """Pretrain, then fine-tune, one initial stack with the fused trainer
-        and with the reference loops from equal RNGs. Returns the initial
-        layer parameters, then for each side its final parameters (layers,
-        then out_w and out_b) and its RNG's next draw."""
+    def problem():
+        """The data, labels and initial float64 stack every trainer test
+        starts from."""
         data_rng = np.random.default_rng(26)
         x = data_rng.random((120, 12))
         y = data_rng.integers(0, 3, size=120)
-        init = init_stack(12, cfg.hidden, data_rng)
+        return x, y, init_stack(12, TestTraining.DIFF.hidden, data_rng)
+
+    @staticmethod
+    def params(layers, *out):
+        return [p for l in layers for p in (l.w, l.b, l.b_prime)] + list(out)
+
+    @staticmethod
+    def fused_and_reference(cfg, ref_dtype):
+        """Pretrain, then fine-tune, one initial stack with the trainer and
+        with the reference loops run in `ref_dtype`, from equal RNGs. Returns
+        the initial layer parameters, then for each side its final
+        parameters (layers, then out_w and out_b) and its RNG's next draw."""
+        x, y, init = TestTraining.problem()
+        params = TestTraining.params
+        ref_init = [SdaLayer(*(p.astype(ref_dtype) for p in params([l])))
+                    for l in init]
+        ref_x = x.astype(ref_dtype)
         ref_rng, rng = np.random.default_rng(27), np.random.default_rng(27)
-        ref_layers = pretrain_reference(copy.deepcopy(init), x, cfg, ref_rng)
+        ref_layers = pretrain_reference(ref_init, ref_x, cfg, ref_rng)
         layers = pretrain(copy.deepcopy(init), x, cfg, rng)
-        _, ref_out_w, ref_out_b = fine_tune_reference(ref_layers, x, y, cfg,
+        _, ref_out_w, ref_out_b = fine_tune_reference(ref_layers, ref_x, y, cfg,
                                                       ref_rng)
         model = fine_tune(layers, x, y, cfg, rng, np.zeros(12), np.ones(12))
-
-        def params(layers, *out):
-            return [p for l in layers for p in (l.w, l.b, l.b_prime)] + list(out)
-
         return (params(init), (params(model.layers, model.out_w, model.out_b),
                                rng.random()),
                 (params(ref_layers, ref_out_w, ref_out_b), ref_rng.random()))
 
-    def test_fused_steps_match_reference_loop(self):
-        # 20 pretraining steps on each of two layers, then 20 fine-tuning
-        # steps; at corruption 0 the clean batch is the corrupted input
+    def test_fused_gradients_match_reference_step_by_step(self):
+        # float64: at every step of the reference loops' trajectory (20
+        # pretraining steps on each of two layers, then 20 fine-tuning
+        # steps), dae_grad and finetune_grad give lr times the reference
+        # gradients; at corruption 0 the clean batch is the corrupted input
+        x, y, init = self.problem()
+        steps = []
+
+        def check(got, want, lr):
+            steps.append(len(got))
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64
+                np.testing.assert_allclose(g, lr * w, rtol=0, atol=1e-12)
+
         for corruption in (self.DIFF.corruption, 0.0):
             cfg = dataclasses.replace(self.DIFF, corruption=corruption)
-            _, (got, draw), (want, ref_draw) = self.fused_and_reference(cfg)
+
+            def on_dae(layer, clean, noisy, grads):
+                bufs = dae_buffers(layer, len(clean))
+                bufs[1][:len(clean)] = noisy
+                check(dae_grad(layer, clean, bufs, cfg.pretrain_lr), grads,
+                      cfg.pretrain_lr)
+
+            def on_finetune(layers, out_w, out_b, xb, yb, grads):
+                g_layers, g_ow, g_ob = grads
+                weights = [l.w for l in layers] + [out_w]
+                g_w, g_b = finetune_grad(layers, out_w, out_b, xb, yb,
+                                         [np.empty_like(w) for w in weights],
+                                         cfg.finetune_lr)
+                check(g_w + g_b, [g for g, _ in g_layers] + [g_ow]
+                      + [g for _, g in g_layers] + [g_ob], cfg.finetune_lr)
+
+            rng = np.random.default_rng(27)
+            layers = pretrain_reference(copy.deepcopy(init), x, cfg, rng, on_dae)
+            fine_tune_reference(layers, x, y, cfg, rng, on_finetune)
+        assert steps == 2 * (40 * [3] + 20 * [6])
+
+    # The trainer (float32) against the reference loops run in float32. Both
+    # start from the same rounded parameters and draw the same batches, so
+    # they differ only in the order and placement of roundings. A step sets
+    # p to fl(p - s): the subtraction rounds once, by at most half an ulp of
+    # P = max |p|, eps * P / 2. Each side computes s = lr * gradient along at
+    # most K = 70 roundings (a GEMM sum over 2n = 60 rows, then the sigmoid
+    # and the elementwise steps), so the two sides' s differ by at most
+    # K * eps * max |s|; here max |s| < 0.06 < P / 50, which makes that under
+    # 1.4 eps * P. Each step thus adds under 2 eps * P to the difference, and
+    # S steps under 2 S eps * P; a factor 2 covers the growth of earlier
+    # differences through later steps (a step map 1 + lr * L with
+    # (1 + lr * L)^S < 2). S = 40 for the layers (20 pretraining and 20
+    # fine-tuning steps). Measured: 2.4e-7 against a bound of 5.8e-5.
+    TRAIN_STEPS = 40
+
+    def test_fused_steps_match_reference_loop(self):
+        for corruption in (self.DIFF.corruption, 0.0):
+            cfg = dataclasses.replace(self.DIFF, corruption=corruption)
+            _, (got, draw), (want, ref_draw) = self.fused_and_reference(
+                cfg, np.float32)
             assert draw == ref_draw  # same draws, same order
+            bound = (4 * self.TRAIN_STEPS * np.finfo(np.float32).eps
+                     * max(np.abs(w).max() for w in want))
             for g, w in zip(got, want):
-                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+                assert g.dtype == np.float64 and w.dtype == np.float32
+                np.testing.assert_allclose(g, w, rtol=0, atol=bound)
 
     def test_zero_rates_leave_parameters_unchanged(self):
-        # the rate scales the whole step: at 0 nothing moves, bit for bit,
-        # and the RNG is drawn as the reference loops draw it
+        # the rate scales the whole step: at 0 nothing moves from the
+        # float32-rounded start, bit for bit, and the RNG is drawn as the
+        # reference loops draw it
         cfg = dataclasses.replace(self.DIFF, pretrain_lr=0.0, finetune_lr=0.0)
-        init, (got, draw), (want, ref_draw) = self.fused_and_reference(cfg)
+        init, (got, draw), (want, ref_draw) = self.fused_and_reference(
+            cfg, np.float64)
         assert draw == ref_draw
         for g, w in zip(got, init + want[len(init):]):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            rounded = w.astype(np.float32).astype(np.float64)
+            assert g.shape == w.shape and g.tobytes() == rounded.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_pretrain_non_finite_weight_raises(self, value):
@@ -494,6 +582,25 @@ class TestTraining:
                      np.zeros(12), np.ones(12)), x)
         acc = np.mean(np.argmax(probs, axis=1) == y)
         assert acc > 0.95
+
+    def test_trained_model_is_float64(self):
+        # training runs in float32, but what it hands back, and inference,
+        # are float64
+        rng = np.random.default_rng(31)
+        x = rng.random((64, 12))
+        layers = init_stack(12, FAST.hidden, rng)
+        assert pretrain(layers, x, FAST, rng) is layers
+        model = fine_tune(layers, x, rng.integers(0, 2, 64), FAST, rng,
+                          np.zeros(4), np.ones(4))
+        arrays = [p for l in model.layers for p in (l.w, l.b, l.b_prime)]
+        arrays += [model.out_w, model.out_b, model.scale_min, model.scale_max]
+        assert model.layers is layers
+        assert all(a.dtype == np.float64 for a in arrays)
+        assert encode(model.layers, x).dtype == np.float64
+        assert encode(model.layers, x.astype(np.float32)).dtype == np.float64
+        assert predict_sequence(
+            dataclasses.replace(model, window_length=1, scale_min=np.zeros(12),
+                                scale_max=np.ones(12)), x).dtype == np.float64
 
     def test_deterministic_given_seed(self):
         rng1 = np.random.default_rng(15)
