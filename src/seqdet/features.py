@@ -91,21 +91,15 @@ class FeatureGrid:
     def num_epochs(self) -> int:
         return -(-self.num_frames // self.frames_per_epoch)
 
-    def cells(self) -> np.ndarray:
-        """The (epochs, channels, frames_per_epoch, 26) observation blocks of
-        every cell, built in one allocation; a trailing partial epoch is
-        padded by repeating the final frame."""
-        fpe = self.frames_per_epoch
-        n_ch, n_fr, dim = self.vectors.shape
-        out = np.empty((self.num_epochs, n_ch, fpe, dim), dtype=self.vectors.dtype)
-        full = n_fr // fpe
-        out[:full] = self.vectors[:, :full * fpe].reshape(
-            n_ch, full, fpe, dim).transpose(1, 0, 2, 3)
-        rest = n_fr - full * fpe
-        if rest:
-            out[full, :, :rest] = self.vectors[:, full * fpe:]
-            out[full, :, rest:] = self.vectors[:, -1:]
-        return out
+    def frame_rows(self, cells: np.ndarray) -> np.ndarray:
+        """The rows of vectors.reshape(-1, 26) that hold each cell's frames,
+        as a (frames_per_epoch, len(cells)) index array: frame-major, the
+        order in which the emission GEMM reads them. Cell c is epoch
+        c // channels of channel c % channels; a trailing partial epoch
+        repeats the final frame."""
+        epoch, channel = np.divmod(cells, self.num_channels)
+        frame = epoch * self.frames_per_epoch + np.arange(self.frames_per_epoch)[:, None]
+        return channel * self.num_frames + np.minimum(frame, self.num_frames - 1)
 
 
 def _filterbank_matrix(spec: FrameSpec, rate_hz: float) -> np.ndarray:

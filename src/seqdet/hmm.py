@@ -78,18 +78,21 @@ class PosteriorGrid:
 # Emission densities
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(a))) along `axis`, shifted by the maximum; a row that is
-    all -inf gives -inf. Rows with a finite maximum clamp their shifted terms
-    at _EXP_FLOOR, which leaves every sum bit-identical."""
+    """log(sum(exp(a))) along `axis`, shifted by the maximum. Shifted terms
+    are clamped at _EXP_FLOOR, which leaves every sum bit-identical; a row
+    whose maximum is not finite gives that maximum (-inf for a row that is
+    all -inf, NaN or +inf), as the unclamped sum would."""
     m = np.max(a, axis=axis, keepdims=True)
-    live = np.isfinite(m)
-    m[~live] = 0.0
+    dead = ~np.isfinite(m)
+    held = m[dead]
+    m[dead] = 0.0
     e = a - m
-    np.maximum(e, _EXP_FLOOR, out=e, where=live)
+    np.maximum(e, _EXP_FLOOR, out=e)
     np.exp(e, out=e)
-    with np.errstate(divide="ignore"):
-        out = np.log(e.sum(axis=axis, keepdims=True))
-    return (out + m).squeeze(axis)
+    out = np.log(e.sum(axis=axis, keepdims=True))
+    out += m
+    out[dead] = held
+    return out.squeeze(axis)
 
 
 def _bank(models: list[GmmHmmModel]):
@@ -114,21 +117,30 @@ def _chunk(w: np.ndarray, frames: int) -> int:
     return 1 << (cells.bit_length() - 1)
 
 
-def _emissions(w: np.ndarray, const: np.ndarray, batch: np.ndarray):
+def _emissions(w: np.ndarray, const: np.ndarray, frames: np.ndarray):
     """Component log-likelihoods (M, N, L, T, B), log w included, and per-state
-    log emissions (M, N, T, B) of a batch (B, T, D): one GEMM of the bank's
-    terms against the frames [x^2 | x], plus the constants."""
-    x = batch.transpose(1, 0, 2).reshape(-1, batch.shape[-1])
+    log emissions (M, N, T, B) of B sequences given frame-major, (T, B, D):
+    one GEMM of the bank's terms against the frames [x^2 | x], plus the
+    constants."""
+    x = frames.reshape(-1, frames.shape[-1])
     comp = w.reshape(-1, w.shape[-1]) @ np.hstack([x * x, x]).T
     comp += const.reshape(-1, 1)
-    comp = comp.reshape(*const.shape, *batch.shape[1::-1])
+    comp = comp.reshape(*const.shape, *frames.shape[:2])
     return comp, _logsumexp(comp, axis=2)
+
+
+def _batch_rows(batch: np.ndarray) -> np.ndarray:
+    """The (T, B) rows of batch.reshape(-1, D) that hold each sequence of a
+    (B, T, D) batch, frame-major as _emissions reads them."""
+    b, t = batch.shape[:2]
+    return np.arange(t)[:, None] + t * np.arange(b)
 
 
 def log_emissions(model: GmmHmmModel, obs: np.ndarray) -> np.ndarray:
     """Per-frame log emission likelihood for each state: (..., T, N)."""
     obs = np.asarray(obs, dtype=np.float64)
-    logb = _emissions(*_bank([model]), obs.reshape(-1, *obs.shape[-2:]))[1][0]
+    batch = obs.reshape(-1, *obs.shape[-2:])
+    logb = _emissions(*_bank([model]), batch.transpose(1, 0, 2))[1][0]
     return logb.transpose(2, 1, 0).reshape(*obs.shape[:-1], -1)
 
 
@@ -171,14 +183,16 @@ def forward_backward(model: GmmHmmModel, obs: np.ndarray):
     return la, lb, float(_logsumexp(la[:, -1]))
 
 
-def _loglik(models: list[GmmHmmModel], obs_batch: np.ndarray) -> np.ndarray:
-    """Log P(O|M) (B, M) of each of M stacked models for a batch (B, T, D)."""
-    obs_batch = np.asarray(obs_batch, dtype=np.float64)
+def _loglik(models: list[GmmHmmModel], frames: np.ndarray,
+            rows: np.ndarray) -> np.ndarray:
+    """Log P(O|M) (B, M) of each of M stacked models for B sequences of T
+    frames: column b of rows (T, B) indexes sequence b's frames among the
+    rows of frames (n, D). Each chunk is gathered straight from frames."""
     bank, log_a = _bank(models), np.stack([_log_trans(m) for m in models])
-    out = np.empty((obs_batch.shape[0], len(models)))
-    step = _chunk(bank[0], obs_batch.shape[1])
-    for lo in range(0, obs_batch.shape[0], step):
-        logb = _emissions(*bank, obs_batch[lo:lo + step])[1]
+    out = np.empty((rows.shape[1], len(models)))
+    step = _chunk(bank[0], rows.shape[0])
+    for lo in range(0, rows.shape[1], step):
+        logb = _emissions(*bank, frames[rows[:, lo:lo + step]])[1]
         out[lo:lo + step] = _logsumexp(_forward_batch(log_a, logb)[..., -1, :], axis=1).T
     return out
 
@@ -304,7 +318,7 @@ def _reestimate_one(model: GmmHmmModel, epochs: np.ndarray):
 
     step = _chunk(bank[0], epochs.shape[1])
     for lo in range(0, epochs.shape[0], step):
-        chunk = epochs[lo:lo + step]
+        chunk = np.ascontiguousarray(epochs[lo:lo + step].transpose(1, 0, 2))
         comp_ll, logb = [a[0] for a in _emissions(*bank, chunk)]
         la = _forward_batch(log_a, logb)                   # (N, T, B)
         lb = _backward_batch(log_a, logb)
@@ -314,7 +328,7 @@ def _reestimate_one(model: GmmHmmModel, epochs: np.ndarray):
         lgamma = la + lb - loglik                          # (N, T, B)
         # Per-component occupancy: gamma split by within-state posterior.
         r = np.exp(lgamma[:, None] + comp_ll - logb[:, None]).reshape(n * comps, -1)
-        x = chunk.transpose(1, 0, 2).reshape(-1, dim)      # frames, as in r
+        x = chunk.reshape(-1, dim)                         # frames, as in r
         moments += r @ np.hstack([np.ones((len(x), 1)), x * x, x])
 
         xi = np.exp(la[:, None, :-1] + log_a[..., None, None]
@@ -382,23 +396,35 @@ def train(corpus: dict[EventLabel, np.ndarray],
 # ---------------------------------------------------------------------------
 # Scoring
 
-def score_batch(models: dict[EventLabel, GmmHmmModel], obs_batch: np.ndarray,
-                priors: np.ndarray | None = None) -> np.ndarray:
-    """(B, 6) class posteriors of a (B, T, D) batch of observation
-    sequences, scored against the six models stacked into one bank."""
+def _posteriors(models: dict[EventLabel, GmmHmmModel], frames: np.ndarray,
+                rows: np.ndarray, priors: np.ndarray | None) -> np.ndarray:
+    """(B, 6) class posteriors of the B sequences that rows (T, B) picks
+    from frames (n, D), scored against the six models stacked into one
+    bank."""
     if len(models) != NUM_CLASSES:
         raise DataError(f"need {NUM_CLASSES} models, got {len(models)}")
     with np.errstate(divide="ignore"):
         log_priors = np.log(np.ones(NUM_CLASSES) if priors is None
                             else np.asarray(priors, dtype=np.float64))
-    scores = _loglik([models[lab] for lab in EventLabel], obs_batch) + log_priors
+    scores = _loglik([models[lab] for lab in EventLabel], frames, rows) + log_priors
     scores -= _logsumexp(scores, axis=1)[:, None]
     return np.exp(scores)
 
 
+def score_batch(models: dict[EventLabel, GmmHmmModel], obs_batch: np.ndarray,
+                priors: np.ndarray | None = None) -> np.ndarray:
+    """(B, 6) class posteriors of a (B, T, D) batch of observation
+    sequences."""
+    obs = np.asarray(obs_batch, dtype=np.float64)
+    return _posteriors(models, obs.reshape(-1, obs.shape[-1]), _batch_rows(obs),
+                       priors)
+
+
 def decode_pass1(grid: FeatureGrid, models: dict[EventLabel, GmmHmmModel],
                  priors: np.ndarray | None = None) -> PosteriorGrid:
-    """Score every (epoch, channel) cell independently."""
-    cells = grid.cells()
-    post = score_batch(models, cells.reshape(-1, *cells.shape[2:]), priors)
-    return PosteriorGrid(post.reshape(*cells.shape[:2], NUM_CLASSES))
+    """Score every (epoch, channel) cell independently, each chunk of cells
+    gathered from the feature array as it is scored."""
+    frames = grid.vectors.reshape(-1, grid.vectors.shape[-1])
+    rows = grid.frame_rows(np.arange(grid.num_epochs * grid.num_channels))
+    post = _posteriors(models, frames, rows, priors)
+    return PosteriorGrid(post.reshape(grid.num_epochs, grid.num_channels, NUM_CLASSES))

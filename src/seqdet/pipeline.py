@@ -234,9 +234,10 @@ def _pass1_corpus(grids: list[FeatureGrid],
     for grid, ann in zip(grids, anns):
         refs = evaluation.channel_epoch_reference_labels(
             ann, grid.num_epochs, grid.num_channels)
-        cells = grid.cells()
+        frames = grid.vectors.reshape(-1, grid.vectors.shape[-1])
         for lab in EventLabel:
-            parts[lab].append(cells[refs == int(lab)])
+            rows = grid.frame_rows(np.flatnonzero(refs == int(lab)))
+            parts[lab].append(frames[rows.T])
     missing = [lab.name for lab in EventLabel if not sum(map(len, parts[lab]))]
     if missing:
         raise DataError(f"training data has no epochs for: {missing}")
@@ -323,8 +324,9 @@ def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3):
     if stop_after not in (1, 2, 3):
         raise DataError("stop_after must be 1, 2 or 3")
     cfg = PipelineConfig.from_dict(bundle.manifest.get("config"))
-    rec = load_recording(rec_path, _manifest_montage(bundle.manifest))
-    grid = extract_features(rec, cfg.frame)
+    # No name holds the recording: it is freed once the features exist.
+    grid = extract_features(
+        load_recording(rec_path, _manifest_montage(bundle.manifest)), cfg.frame)
     pgrid = hmm.decode_pass1(grid, bundle.hmm_models)
     dumps = {"pass1": pgrid.posteriors}
     if stop_after == 1:

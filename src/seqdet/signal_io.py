@@ -114,6 +114,9 @@ class AnnotationSet:
 # raw_matrix format: text header line "channels=<n> rate_hz=<r> samples=<m>"
 # followed by little-endian float32, channel-major.
 
+_READ_BLOCK = 1 << 16  # float32 samples staged per read: 256 KB
+
+
 def read_recording(path: str) -> Recording:
     """An EDF file if the name ends in .edf, a raw matrix otherwise."""
     if path.lower().endswith(".edf"):
@@ -122,6 +125,9 @@ def read_recording(path: str) -> Recording:
 
 
 def _read_raw_matrix(path: str) -> Recording:
+    """The header is checked against the file's size before anything is
+    allocated; the float32 payload then goes through one small staging
+    buffer straight into the float64 matrix."""
     with open(path, "rb") as f:
         header = f.readline().decode("ascii", errors="replace").strip()
         fields = {}
@@ -136,14 +142,24 @@ def _read_raw_matrix(path: str) -> Recording:
             m = int(fields["samples"])
         except (KeyError, ValueError):
             raise DataError(f"malformed raw_matrix header: {header!r}") from None
-        if n < 0 or m < 0:
+        if n < 1 or m < 1:
             raise DataError(f"malformed raw_matrix header: {header!r}")
-        payload = f.read()
-    if len(payload) != 4 * n * m:
-        raise DataError(f"raw_matrix payload has {len(payload)} bytes, "
-                        f"expected {4 * n * m}")
-    data = np.frombuffer(payload, dtype="<f4")
-    return Recording(data.reshape(n, m), tuple(f"CH{i}" for i in range(n)),
+        expected = 4 * n * m
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != expected:
+            raise DataError(f"raw_matrix payload has {size} bytes, "
+                            f"expected {expected}")
+        data = np.empty((n, m))
+        flat = data.reshape(-1)
+        buf = np.empty(min(_READ_BLOCK, flat.size), dtype="<f4")
+        for lo in range(0, flat.size, len(buf)):
+            block = buf[:flat.size - lo]
+            got = f.readinto(block)
+            if got != block.nbytes:
+                raise DataError(f"raw_matrix payload has {4 * lo + got} bytes, "
+                                f"expected {expected}")
+            flat[lo:lo + len(block)] = block
+    return Recording(data, tuple(f"CH{i}" for i in range(n)),
                      rate, id=os.path.basename(path))
 
 
@@ -236,9 +252,13 @@ def read_edf(path: str) -> Recording:
         flat = np.flatnonzero(dscale == 0)[0]
         raise DataError(f"signal {labels[flat]!r}: digital min == max")
     gain = (phys_max - phys_min) / dscale
-    # Each record holds spr samples of every signal in turn.
+    # Each record holds spr samples of every signal in turn. The integer
+    # difference is exact in float64, so the matrix is built in place.
     dig = payload.reshape(num_records, ns, spr[0]).transpose(1, 0, 2)
-    phys = (dig.reshape(ns, -1) - dig_min) * gain + phys_min
+    phys = np.empty((ns, num_records * spr[0]))
+    np.subtract(dig, dig_min[..., None], out=phys.reshape(dig.shape))
+    phys *= gain
+    phys += phys_min
     return Recording(phys, tuple(labels), rate, id=os.path.basename(path))
 
 

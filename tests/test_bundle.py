@@ -1,3 +1,4 @@
+import json
 import struct
 import tracemalloc
 
@@ -11,6 +12,7 @@ from seqdet.features import FEATURE_DIM
 from seqdet.grammar import default_bigram
 from seqdet.hmm import init_model
 from seqdet.labels import EventLabel
+from seqdet.pipeline import PipelineConfig
 from seqdet.sda import (SUPERVECTOR_DIM, PcaModel, SdaModel, SecondPassModels,
                         init_stack)
 
@@ -24,7 +26,9 @@ def tiny_sda(rng, pca_dim, outputs=2, window=3):
 
 def tiny_bundle(seed=0):
     """Small models whose shapes chain as a trained bundle's do: 26-dim
-    features, PCA from 132 supervector dims, each SdA fed by its PCA."""
+    features, PCA from 132 supervector dims, each SdA fed by its PCA. The
+    manifest holds the default config, so `seqdet decode` with this bundle
+    goes on to read the recording."""
     rng = np.random.default_rng(seed)
     epochs = rng.standard_normal((20, 10, FEATURE_DIM))
     models = {lab: init_model(lab, epochs, 3, 2, seed=int(lab))
@@ -34,7 +38,8 @@ def tiny_bundle(seed=0):
         PcaModel(rng.standard_normal(SUPERVECTOR_DIM), np.eye(4, SUPERVECTOR_DIM)),
         tiny_sda(rng, 3), tiny_sda(rng, 3), tiny_sda(rng, 4, outputs=6))
     return Bundle(models, second, default_bigram(),
-                  {"seed": seed, "note": "test"})
+                  {"seed": seed, "note": "test",
+                   "config": json.loads(json.dumps(PipelineConfig().to_dict()))})
 
 
 class TestPayload:

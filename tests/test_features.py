@@ -438,6 +438,14 @@ class TestVectorLayout:
         np.testing.assert_array_equal(mat[:, 18:26], deltas(mat[:, 9:17].T, 3).T)
 
 
+def gathered(grid):
+    """Every cell's frames, (epochs, channels, frames_per_epoch, 26), taken
+    from the feature array through FeatureGrid.frame_rows."""
+    cells = np.arange(grid.num_epochs * grid.num_channels)
+    frames = grid.vectors.reshape(-1, FEATURE_DIM)[grid.frame_rows(cells).T]
+    return frames.reshape(grid.num_epochs, grid.num_channels, -1, FEATURE_DIM)
+
+
 class TestGrid:
     def test_epoch_grouping(self):
         rng = np.random.default_rng(5)
@@ -446,7 +454,7 @@ class TestGrid:
         assert grid.num_channels == 2
         assert grid.num_frames == 99
         assert grid.num_epochs == 10
-        block = grid.cells()[3, 1]
+        block = gathered(grid)[3, 1]
         assert block.shape == (10, 26)
         np.testing.assert_array_equal(block, grid.vectors[1, 30:40])
 
@@ -455,7 +463,7 @@ class TestGrid:
         rec = rec_from(rng.standard_normal((1, 2500)))
         grid = extract_features(rec)
         # last epoch only has 9 real frames; the final frame repeats
-        block = grid.cells()[9, 0]
+        block = gathered(grid)[9, 0]
         np.testing.assert_array_equal(block[:9], grid.vectors[0, 90:99])
         np.testing.assert_array_equal(block[9], grid.vectors[0, 98])
 
@@ -463,16 +471,21 @@ class TestGrid:
         rng = np.random.default_rng(7)
         rec = rec_from(rng.standard_normal((3, 2500)))
         grid = extract_features(rec)
-        cells = grid.cells()
+        cells = gathered(grid)
         assert cells.shape == (10, 3, 10, FEATURE_DIM)
         np.testing.assert_array_equal(cells[4, 2], grid.vectors[2, 40:50])
         np.testing.assert_array_equal(cells[9, :, 9], grid.vectors[:, 98])
+        # frame-major rows: row k holds frame k of every cell, in cell order
+        rows = grid.frame_rows(np.array([0, 5, 29]))
+        assert rows.shape == (10, 3)
+        np.testing.assert_array_equal(rows[:, 1], 2 * 99 + np.arange(10, 20))
+        np.testing.assert_array_equal(rows[:, 2], 2 * 99 + np.array([*range(90, 99), 98]))
 
     def test_cells_shorter_than_one_epoch(self):
         rng = np.random.default_rng(8)
         grid = extract_features(rec_from(rng.standard_normal((2, 200))))
         assert grid.num_frames == 7
-        cells = grid.cells()
+        cells = gathered(grid)
         assert cells.shape == (1, 2, 10, FEATURE_DIM)
         np.testing.assert_array_equal(cells[0, :, :7], grid.vectors)
         np.testing.assert_array_equal(cells[0, :, 7:],

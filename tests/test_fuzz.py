@@ -9,14 +9,14 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seqdet import cli, pipeline, signal_io, synth
 from seqdet.bundle import Bundle
 from seqdet.errors import DataError
 from tests.test_bundle import tiny_bundle
-from tests.test_signal_io import write_edf
+from tests.test_signal_io import HUGE_RAW, write_edf
 
 CONFIG = ("[pipeline]\nseed = 3\nbigram_source = estimate\npca_sixway_dim = 12\n"
           "[frontend]\ndelta_width_first = 5\n[hmm]\nnum_components = 2\n"
@@ -71,6 +71,16 @@ def files(tmp_path_factory):
     return root, valid, bundle, rec_path, ann_path
 
 
+class _Fixed:
+    """An explicit example for a test that draws once from st.data()."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy):
+        return self.value
+
+
 def _run_cli(args) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -109,6 +119,7 @@ SUFFIX = {"edf": ".edf", "raw": ".rm", "bundle": ".seqd", "config": ".ini"}
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
+@example(data=_Fixed(HUGE_RAW))  # a 40 TB matrix declared over 16 bytes
 def test_reader_raises_only_data_errors(files, name, data):
     root, valid, bundle, rec_path, ann_path = files
     raw = data.draw(st.binary(max_size=300) | mutated(valid[name]))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from seqdet.errors import DataError
 from seqdet.features import FeatureGrid
 from seqdet.hmm import (GmmHmmModel, HmmConfig, decode_pass1,
                         forward_backward, init_model, log_emissions,
-                        score_batch, train, viterbi, _bank, _chunk,
-                        _emissions, _kmeans, _left_right_trans, _loglik,
+                        score_batch, train, viterbi, _bank, _batch_rows,
+                        _chunk, _emissions, _kmeans, _left_right_trans, _loglik,
                         _logsumexp, _nearest, _reestimate_one)
 from seqdet.labels import EventLabel
 
@@ -32,7 +33,25 @@ def random_model(rng, n=3, comps=2, dim=2, label=EventLabel.BCKG):
 def loglikelihood(model, obs_batch):
     """Log P(O|M) of one model for a batch (B, T, D) of equal-length
     sequences: the per-model reference for score_batch."""
-    return _loglik([model], obs_batch)[:, 0]
+    return _loglik([model], obs_batch.reshape(-1, obs_batch.shape[-1]),
+                   _batch_rows(obs_batch))[:, 0]
+
+
+def cells_reference(grid):
+    """Every cell's observation block, (epochs, channels, frames_per_epoch,
+    D), copied out of the feature array as the old FeatureGrid.cells() did;
+    a trailing partial epoch repeats the final frame."""
+    fpe = grid.frames_per_epoch
+    n_ch, n_fr, dim = grid.vectors.shape
+    out = np.empty((grid.num_epochs, n_ch, fpe, dim))
+    full = n_fr // fpe
+    out[:full] = grid.vectors[:, :full * fpe].reshape(
+        n_ch, full, fpe, dim).transpose(1, 0, 2, 3)
+    rest = n_fr - full * fpe
+    if rest:
+        out[full, :, :rest] = grid.vectors[:, full * fpe:]
+        out[full, :, rest:] = grid.vectors[:, -1:]
+    return out
 
 
 def logsumexp_reference(a, axis=-1):
@@ -161,7 +180,7 @@ class TestEmissionKernel:
                                 models[1].means, models[1].variances,
                                 models[1].var_floor)
         obs = rng.normal(0, 3, size=(9, 7, 5))                 # (B, T, D)
-        comp, logb = _emissions(*_bank(models), obs)           # (M, N, L, T, B)
+        comp, logb = _emissions(*_bank(models), obs.transpose(1, 0, 2))  # (M, N, L, T, B)
         for m, model in enumerate(models):
             ref = component_loglik_reference(model, obs).transpose(2, 3, 1, 0)
             np.testing.assert_array_equal(np.isinf(comp[m]), np.isinf(ref))
@@ -533,6 +552,40 @@ class TestScoring:
         # a flat prior changes nothing
         even = score_batch(models, obs[None], priors=np.full(6, 1 / 6))[0]
         np.testing.assert_allclose(even, flat, atol=1e-12)
+
+    @pytest.mark.parametrize("channels, frames", [(7, 1503), (3, 25), (2, 7)])
+    def test_decode_pass1_equals_score_batch_on_cells(self, channels, frames):
+        # partial final epochs, and 1057 cells: a full 1024-cell chunk and a
+        # partial one
+        rng = np.random.default_rng(frames)
+        models = {lab: random_model(rng, comps=2, dim=3, label=lab)
+                  for lab in EventLabel}
+        grid = FeatureGrid(rng.normal(0, 2, size=(channels, frames, 3)))
+        assert _chunk(_bank(list(models.values()))[0], 10) == 1024
+        cells = cells_reference(grid)
+        priors = rng.uniform(0.1, 1.0, size=6)
+        for p in (None, priors / priors.sum()):
+            want = score_batch(models, cells.reshape(-1, 10, 3), p)
+            np.testing.assert_array_equal(
+                decode_pass1(grid, models, p).posteriors,
+                want.reshape(*cells.shape[:2], 6))
+
+    def test_decode_pass1_allocates_under_half_the_features(self):
+        # a 10 min, 22-channel grid with the default model shapes: 13 200
+        # cells scored in 256-cell chunks gathered from the feature array,
+        # with no copy of all cells
+        rng = np.random.default_rng(32)
+        models = {lab: random_model(rng, n=3, comps=8, dim=26, label=lab)
+                  for lab in EventLabel}
+        grid = FeatureGrid(rng.normal(size=(22, 5999, 26)))
+        tracemalloc.start()
+        try:
+            post = decode_pass1(grid, models)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert post.posteriors.shape == (600, 22, 6)
+        assert peak < grid.vectors.nbytes / 2
 
     def test_decode_pass1_shape(self):
         models = self.make_separable_models()

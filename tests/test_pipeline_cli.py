@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqdet import cli, grammar, hmm, pipeline, sda, signal_io, synth
+from seqdet import (cli, evaluation, grammar, hmm, pipeline, sda, signal_io,
+                    synth)
 from seqdet.bundle import (MAGIC, Bundle, _flatten, _pack_payload,
                            _unpack_payload)
 from seqdet.errors import DataError
@@ -21,6 +23,7 @@ from seqdet.pipeline import (PipelineConfig, load_config, read_posterior_csv,
                              train_pipeline, write_posterior_csv,
                              decode_recording, score_files)
 from seqdet.sda import SdaConfig
+from tests.test_hmm import cells_reference
 
 FAST_DET = SdaConfig("spsw", window_length=3, hidden=(16, 16), outputs=2,
                      pretrain_epochs=10, pretrain_batch=64,
@@ -282,6 +285,22 @@ class TestTraining:
             train_pipeline(FAST_CONFIG, [(rp, ap)])
 
 
+class TestPass1Corpus:
+    def test_equals_reference_cells_per_class(self, corpus):
+        rec_path, ann_path = corpus["train"]
+        grid = extract_features(pipeline.load_recording(rec_path, None))
+        ann = signal_io.read_annotations(ann_path)
+        assert grid.num_frames % grid.frames_per_epoch  # a partial epoch
+        refs = evaluation.channel_epoch_reference_labels(
+            ann, grid.num_epochs, grid.num_channels)
+        cells = cells_reference(grid)
+        got = pipeline._pass1_corpus([grid, grid], [ann, ann])
+        for lab in EventLabel:
+            want = cells[refs == int(lab)]
+            np.testing.assert_array_equal(got[lab], np.concatenate([want, want]))
+            assert got[lab].flags.c_contiguous
+
+
 class TestDecoding:
     def test_stop_after_shapes(self, trained, corpus):
         bundle, _ = trained
@@ -304,6 +323,24 @@ class TestDecoding:
         assert events[-1].stop_s == 30.0
         for a, b in zip(events, events[1:]):
             assert a.stop_s == b.start_s
+
+    def test_recording_freed_before_pass1(self, trained, corpus, monkeypatch):
+        loaded, alive = [], []
+
+        def load(*args):
+            rec = load_recording(*args)
+            loaded.append(weakref.ref(rec))
+            return rec
+
+        def pass1(*args):
+            alive.append(loaded[0]() is not None)
+            return decode_pass1(*args)
+
+        load_recording, decode_pass1 = pipeline.load_recording, hmm.decode_pass1
+        monkeypatch.setattr(pipeline, "load_recording", load)
+        monkeypatch.setattr(hmm, "decode_pass1", pass1)
+        decode_recording(trained[0], corpus["eval"][0])
+        assert alive == [False]
 
     def test_decode_deterministic(self, trained, corpus):
         bundle, _ = trained

@@ -1,6 +1,11 @@
+import contextlib
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from seqdet import cli, signal_io
 from seqdet.errors import DataError
 from seqdet.labels import EventLabel
 from seqdet.signal_io import (ALL_CHANNELS, AnnotationSet, Event,
@@ -8,6 +13,7 @@ from seqdet.signal_io import (ALL_CHANNELS, AnnotationSet, Event,
                               read_annotations, read_edf,
                               read_recording, resample, write_annotations,
                               write_recording)
+from tests.test_bundle import tiny_bundle
 
 
 def make_recording(data, rate=250.0, labels=None):
@@ -125,7 +131,121 @@ class TestRawMatrix:
             read_recording(str(path))
 
 
+# A 40 TB matrix declared over a 16-byte payload.
+HUGE_RAW = b"channels=100000 rate_hz=250 samples=100000000\n" + b"\0" * 16
+
+
+class _ShortReads:
+    """A file whose readinto fills only half of what is asked for."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def readinto(self, buf):
+        view = memoryview(buf).cast("B")
+        return self.f.readinto(view[:max(len(view) // 2, 1)])
+
+
+class TestRawMatrixErrors:
+    def test_huge_header_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.rm"
+        path.write_bytes(HUGE_RAW)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="payload has 16 bytes, "
+                                                "expected 40000000000000"):
+                read_recording(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_zero_samples_rejected(self, tmp_path):
+        # zero channels or samples: nothing to decode, no label tuple sized
+        # by the header, and no matrix shape numpy cannot make
+        for header in (b"channels=1000000000 rate_hz=250 samples=0\n",
+                       b"channels=0 rate_hz=250 samples=10\n",
+                       b"channels=0 rate_hz=250 samples=%d\n" % 10 ** 30):
+            path = tmp_path / "empty.rm"
+            path.write_bytes(header)
+            with pytest.raises(DataError, match="malformed"):
+                read_recording(str(path))
+
+    def test_reads_across_staging_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(signal_io, "_READ_BLOCK", 7)
+        rng = np.random.default_rng(9)
+        rec = make_recording(rng.standard_normal((3, 11)).astype(np.float32))
+        write_recording(rec, str(tmp_path / "r.rm"))
+        back = read_recording(str(tmp_path / "r.rm"))
+        assert back.data.dtype == np.float64 and back.data.flags.c_contiguous
+        np.testing.assert_array_equal(back.data, rec.data)
+
+    @pytest.mark.parametrize("case", ["short", "trailing", "short_readinto"])
+    def test_cli_exits_2_with_one_line(self, tmp_path, monkeypatch, case):
+        bundle = str(tmp_path / "model.seqd")
+        tiny_bundle().save(bundle)
+        path = tmp_path / "r.rm"
+        write_recording(make_recording(np.ones((22, 3000))), str(path))
+        raw = path.read_bytes()
+        if case == "short":
+            path.write_bytes(raw[:-6])
+        elif case == "trailing":
+            path.write_bytes(raw + b"\0" * 8)
+        else:
+            monkeypatch.setattr(signal_io, "open",
+                                lambda *a: _ShortReads(open(*a)), raising=False)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["decode", bundle, str(path),
+                             "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert err.getvalue().startswith("data error: ")
+        assert "payload has" in err.getvalue()
+        assert err.getvalue().count("\n") == 1
+
+
+def edf_formula_reference(path):
+    """The physical matrix as first computed: an int64 difference of the
+    de-interleaved records, times the gain, plus the physical minimum."""
+    raw = open(path, "rb").read()
+    ns = int(raw[252:256])
+    fields = [raw[256 + off * ns:256 + (off + 8) * ns] for off in (104, 112, 120, 128, 216)]
+    col = [np.array([float(f[i * 8:(i + 1) * 8]) for i in range(ns)])[:, None]
+           for f in fields]
+    phys_min, phys_max, dig_min, dig_max, spr = col
+    dig_min, spr = dig_min.astype(np.int64), int(spr[0, 0])
+    payload = np.frombuffer(raw, dtype="<i2", offset=256 + 256 * ns)
+    dig = payload.reshape(-1, ns, spr).transpose(1, 0, 2)
+    gain = (phys_max - phys_min) / (dig_max.astype(np.int64) - dig_min)
+    return (dig.reshape(ns, -1) - dig_min) * gain + phys_min
+
+
 class TestEdf:
+    def test_in_place_scaling_equals_formula(self, tmp_path):
+        rng = np.random.default_rng(12)
+        for k in range(20):
+            ns, records = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            lo = int(rng.integers(-32768, 0))
+            hi = int(rng.integers(lo + 1, 32768))
+            p0 = float(np.round(rng.uniform(-5000, 0), 2))
+            p1 = float(np.round(rng.uniform(1, 5000), 2))
+            signals = [rng.integers(lo, hi + 1, size=256 * records)
+                       for _ in range(ns)]
+            path = str(tmp_path / f"r{k}.edf")
+            write_edf(path, signals, phys=(p0, p1), dig=(lo, hi))
+            rec = read_edf(path)
+            np.testing.assert_array_equal(rec.data, edf_formula_reference(path))
+
     def test_read_22_channels_256hz(self, tmp_path):
         rng = np.random.default_rng(1)
         signals = [rng.integers(-100, 100, size=512) for _ in range(22)]
