@@ -83,15 +83,18 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     whose maximum is not finite gives that maximum (-inf for a row that is
     all -inf, NaN or +inf), as the unclamped sum would."""
     m = np.max(a, axis=axis, keepdims=True)
-    dead = ~np.isfinite(m)
-    held = m[dead]
-    m[dead] = 0.0
+    finite = np.isfinite(m)
+    dead = None if finite.all() else ~finite
+    if dead is not None:  # rare, so the common case pays for no mask
+        held = m[dead]
+        m[dead] = 0.0
     e = a - m
     np.maximum(e, _EXP_FLOOR, out=e)
     np.exp(e, out=e)
     out = np.log(e.sum(axis=axis, keepdims=True))
     out += m
-    out[dead] = held
+    if dead is not None:
+        out[dead] = held
     return out.squeeze(axis)
 
 

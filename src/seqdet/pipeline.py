@@ -8,9 +8,11 @@ with identical inputs produce byte-identical bundles and hypothesis files.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import json
 import os
+import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
@@ -83,17 +85,17 @@ def _config_from(base, data, section: str):
     if not isinstance(data, dict):
         raise DataError(f"config [{section}] must be a table, got {data!r}")
     known = {f.name: f for f in fields(base)}
-    types = typing.get_type_hints(type(base))
+    hints = _field_types(type(base))
     kwargs = {}
     for key, value in data.items():
         if key not in known:
             raise DataError(f"unknown config key [{section}] {key}")
-        if is_dataclass(types[key]):
+        if is_dataclass(hints[key]):
             kwargs[key] = _config_from(getattr(base, key), value,
                                        known[key].metadata["section"])
             continue
         try:
-            kwargs[key] = _cast(types[key], value)
+            kwargs[key] = _cast(hints[key], value)
         except (TypeError, ValueError):
             raise DataError(f"bad config value [{section}] {key} = {value!r}") from None
     try:
@@ -102,6 +104,14 @@ def _config_from(base, data, section: str):
         if isinstance(base, PipelineConfig):  # its checks name their sections
             raise
         raise DataError(f"config [{section}] {exc}") from None
+
+
+@functools.cache
+def _field_types(cls) -> types.MappingProxyType:
+    """The resolved field types of a config dataclass, read-only. One of the
+    five config classes per entry; resolving them costs more than the rest
+    of a parse."""
+    return types.MappingProxyType(typing.get_type_hints(cls))
 
 
 def _cast(tp, value):

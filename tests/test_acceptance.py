@@ -4,6 +4,7 @@ Each test prints a single [PASS]/[FAIL] line through `capsys.disabled()` so
 the verdict survives pytest's output capture.
 """
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,7 +308,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
         hyp, _ = decode_recording(bundle, rp)
         hpath = str(root / f"hyp{run}.csv")
         signal_io.write_annotations(hyp, hpath)
-        artifacts.append((open(bpath, "rb").read(), open(hpath, "rb").read()))
+        artifacts.append((Path(bpath).read_bytes(), Path(hpath).read_bytes()))
 
     bundles_equal = artifacts[0][0] == artifacts[1][0]
     hyps_equal = artifacts[0][1] == artifacts[1][1]

@@ -1,6 +1,7 @@
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ class TestPayload:
 def saved_tiny_bundle(tmp_path):
     path = str(tmp_path / "m.seqd")
     tiny_bundle().save(path)
-    return path, open(path, "rb").read()
+    return path, Path(path).read_bytes()
 
 
 class TestContainer:
@@ -90,7 +91,7 @@ class TestContainer:
         path, data = saved_tiny_bundle(tmp_path)
         again = str(tmp_path / "again.seqd")
         Bundle.load(path).save(again)
-        assert open(again, "rb").read() == data
+        assert Path(again).read_bytes() == data
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.seqd"
@@ -101,13 +102,13 @@ class TestContainer:
     def test_version_checked(self, tmp_path):
         path, data = saved_tiny_bundle(tmp_path)
         for version in (1, 99):
-            open(path, "wb").write(MAGIC + struct.pack("<I", version) + data[8:])
+            Path(path).write_bytes(MAGIC + struct.pack("<I", version) + data[8:])
             with pytest.raises(DataError, match=f"container version {version}"):
                 Bundle.load(path)
 
     def test_truncated_payload(self, tmp_path):
         path, data = saved_tiny_bundle(tmp_path)
-        open(path, "wb").write(data[:-10])
+        Path(path).write_bytes(data[:-10])
         with pytest.raises(DataError, match="truncated"):
             Bundle.load(path)
 
@@ -118,7 +119,7 @@ class TestContainer:
         path, data = saved_tiny_bundle(tmp_path)
         length = cut if cut < 64 else int(
             np.linspace(64, len(data) - 1, 50)[cut - 64])
-        open(path, "wb").write(data[:length])
+        Path(path).write_bytes(data[:length])
         with pytest.raises(DataError):
             Bundle.load(path)
 
@@ -160,13 +161,13 @@ class TestBundle:
         p1, p2 = str(tmp_path / "a.seqd"), str(tmp_path / "b.seqd")
         bundle.save(p1)
         bundle.save(p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_missing_entry_rejected(self, tmp_path):
         path, data = saved_tiny_bundle(tmp_path)
         meta, arrays = _unpack_payload(data[8:])
         del arrays["/second_pass/sda_eyem/out_w"]
-        open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
+        Path(path).write_bytes(data[:8] + _pack_payload(meta, arrays))
         with pytest.raises(DataError, match="sda_eyem/out_w"):
             Bundle.load(path)
 
@@ -182,7 +183,7 @@ class TestBundle:
         meta, arrays = _unpack_payload(data[8:])
         assert key in meta
         meta[key] = value
-        open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
+        Path(path).write_bytes(data[:8] + _pack_payload(meta, arrays))
         with pytest.raises(DataError, match=f"{key} must be "):
             Bundle.load(path)
 
@@ -190,7 +191,7 @@ class TestBundle:
         path, data = saved_tiny_bundle(tmp_path)
         meta, arrays = _unpack_payload(data[8:])
         meta["/second_pass/sda_eyem/corruption"] = 1
-        open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
+        Path(path).write_bytes(data[:8] + _pack_payload(meta, arrays))
         assert Bundle.load(path).second_pass.sda_eyem.corruption == 1
 
 
@@ -199,7 +200,7 @@ def rewrite(path, data, **changes):
     meta, arrays = _unpack_payload(data[8:])
     for key, fn in changes.items():
         arrays[key] = fn(arrays[key])
-    open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
+    Path(path).write_bytes(data[:8] + _pack_payload(meta, arrays))
 
 
 class TestShapeCrossChecks:

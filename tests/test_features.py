@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from scipy.fft import dct, rfft
 
 from seqdet import synth
 from seqdet.errors import DataError
-from seqdet.features import (ENERGY_FLOOR, FEATURE_DIM, FrameSpec, _dct_basis,
-                             _filterbank_matrix, deltas, differential_energy,
-                             extract_features, filterbank_energies,
-                             frequency_energy)
+from seqdet.features import (_CHUNK, ENERGY_FLOOR, FEATURE_DIM, FrameSpec,
+                             _dct_basis, _filterbank_matrix, _Spectrum, deltas,
+                             differential_energy, extract_features,
+                             filterbank_energies, frequency_energy)
 from seqdet.signal_io import Recording
 
 RATE = 250.0
@@ -208,28 +209,102 @@ class TestAgainstReference:
                                    rtol=1e-9)
 
 
+def extract_features_reference(rec, spec=SPEC):
+    """The frontend before channel groups: each channel's 26 rows finished on
+    their own, with np.pad-padded derivatives, then copied out."""
+    spectrum = _Spectrum(spec, rec.sample_rate_hz, rec.num_samples)
+    dct_rows = _dct_basis(spec.num_filters, spec.num_cepstra)
+    out = np.empty((rec.data.shape[0], spectrum.num_frames, FEATURE_DIM))
+    rows = np.empty((FEATURE_DIM, spectrum.num_frames))
+    for samples, vectors in zip(rec.data, out):
+        for t0, t1 in spectrum.chunks():
+            energies = spectrum.energies(samples, t0, t1)
+            rows[7, t0:t1] = frequency_energy(energies.T)
+            np.matmul(dct_rows, np.log(energies, out=energies), out=rows[:7, t0:t1])
+        rows[8] = ref_differential_energy(rows[7], spec.diff_energy_window_frames)
+        rows[9:18] = ref_deltas(rows[:9].T, spec.delta_width_first).T
+        rows[18:] = ref_deltas(rows[9:17].T, spec.delta_width_second).T
+        vectors[...] = rows.T
+    return out
+
+
+class TestChannelGroups:
+    @pytest.mark.parametrize("channels, seconds, group", [
+        (22, 30, 16),   # 299 frames: groups of 16 + 6
+        (4, 30, 16),    # one group
+        (5, 200, 2),    # 1 999 frames, two full frontend chunks and a
+                        # partial one: groups of 2 + 2 + 1
+        (22, 600, 1),   # 10 min: one channel a group, six chunks + a partial
+        (10, 61.3, 8),  # 612 frames: groups of 8 + 2
+    ])
+    def test_equal_to_per_channel_loop(self, channels, seconds, group):
+        rng = np.random.default_rng(channels + int(seconds))
+        rec = rec_from(rng.standard_normal((channels, int(seconds * RATE))) * 30)
+        frames = (rec.num_samples - 50) // 25 + 1
+        assert max(_CHUNK // (FEATURE_DIM * frames), 1) == group
+        np.testing.assert_array_equal(extract_features(rec).vectors,
+                                      extract_features_reference(rec))
+
+    def test_long_recording_keeps_per_channel_memory(self):
+        # groups of one channel at 10 min: 3.8 MB beyond the 27.5 MB
+        # output, as with the per-channel loop (48 MB as one group)
+        rec = rec_from(np.random.default_rng(0).standard_normal((22, 150000)))
+        tracemalloc.start()
+        try:
+            vectors = extract_features(rec).vectors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - vectors.nbytes < 6e6
+
+    @pytest.mark.parametrize("frames", [1, 2, 3, 4, 20, 299])
+    @pytest.mark.parametrize("width", [1, 3, 9])
+    def test_batched_derivatives_equal_row_by_row(self, frames, width):
+        # (rows, channels, frames) input, each row a 1-D call; 1 and 3
+        # frames are shorter than the padding of the wider windows
+        x = np.random.default_rng(frames + width).standard_normal((9, 5, frames))
+        ed, d = differential_energy(x, width), deltas(x, width)
+        for i, j in np.ndindex(9, 5):
+            np.testing.assert_array_equal(ed[i, j], differential_energy(x[i, j], width))
+            np.testing.assert_array_equal(d[i, j], deltas(x[i, j], width))
+            np.testing.assert_array_equal(
+                ed[i, j], ref_differential_energy(x[i, j], width))
+
+
+def _features_at(tmp_path, threads, seconds, channels):
+    """extract_features' bytes in a fresh process whose BLAS thread count is
+    set before numpy loads."""
+    script = (
+        "import sys\nimport numpy as np\n"
+        "from seqdet.features import extract_features\n"
+        "from seqdet.signal_io import Recording\n"
+        f"data = np.random.default_rng(5).standard_normal(({channels}, "
+        f"{int(seconds * RATE)})) * 30\n"
+        f"rec = Recording(data, tuple(map(str, range({channels}))), 250.0)\n"
+        "np.save(sys.argv[1], extract_features(rec).vectors)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(synth.__file__)))
+    path = tmp_path / f"f{threads}.npy"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                   check=True, capture_output=True, timeout=300)
+    return path.read_bytes()
+
+
 class TestThreadCount:
     def test_features_equal_at_one_and_two_blas_threads(self, tmp_path):
-        """A fresh process per BLAS thread count, the count set before numpy
-        loads; 22 channels of 10 min give six full chunks and a partial one."""
-        script = (
-            "import sys\nimport numpy as np\n"
-            "from seqdet.features import extract_features\n"
-            "from seqdet.signal_io import Recording\n"
-            "data = np.random.default_rng(5).standard_normal((22, 150000)) * 30\n"
-            "rec = Recording(data, tuple(map(str, range(22))), 250.0)\n"
-            "np.save(sys.argv[1], extract_features(rec).vectors)\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(synth.__file__)))
-        out = []
-        for threads in (1, 2):
-            path = str(tmp_path / f"f{threads}.npy")
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                       PYTHONPATH=os.pathsep.join(
-                           [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-            subprocess.run([sys.executable, "-c", script, path], env=env,
-                           check=True, capture_output=True, timeout=300)
-            out.append(open(path, "rb").read())
-        assert out[0] == out[1]
+        """22 channels of 10 min give six full chunks and a partial one."""
+        assert (_features_at(tmp_path, 1, 600, 22)
+                == _features_at(tmp_path, 2, 600, 22))
+
+    @pytest.mark.parametrize("seconds", [30, 45])
+    def test_short_recording_equal_at_one_and_two_blas_threads(self, tmp_path,
+                                                               seconds):
+        """One partial chunk, 300 and 450 blocks wide before rounding: wide
+        enough for OpenBLAS to split the DFT product between threads."""
+        assert (_features_at(tmp_path, 1, seconds, 22)
+                == _features_at(tmp_path, 2, seconds, 22))
 
 
 class TestFraming:

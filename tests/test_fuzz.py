@@ -6,6 +6,7 @@ that reads it reports as a data error: exit 2 with one line on stderr.
 """
 import contextlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,10 +60,10 @@ def files(tmp_path_factory):
     pipeline.write_posterior_csv(str(root / "pass1.csv"),
                                  np.full((3, 2, 6), 1 / 6))
     valid = {
-        "bundle": open(bundle, "rb").read(),
+        "bundle": Path(bundle).read_bytes(),
         "edf": (root / "valid.edf").read_bytes(),
         "raw": (root / "valid.rm").read_bytes(),
-        "annotations": open(ann_path, "rb").read(),
+        "annotations": Path(ann_path).read_bytes(),
         "posteriors": (root / "pass1.csv").read_bytes(),
         "montage": MONTAGE.encode(),
         "script": SCRIPT.encode(),

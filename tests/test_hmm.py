@@ -11,7 +11,7 @@ from seqdet.hmm import (GmmHmmModel, HmmConfig, decode_pass1,
                         forward_backward, init_model, log_emissions,
                         score_batch, train, viterbi, _bank, _batch_rows,
                         _chunk, _emissions, _kmeans, _left_right_trans, _loglik,
-                        _logsumexp, _nearest, _reestimate_one)
+                        _EXP_FLOOR, _logsumexp, _nearest, _reestimate_one)
 from seqdet.labels import EventLabel
 
 
@@ -240,7 +240,50 @@ class TestChunk:
             assert 2 * step * gaussians * frames > 1 << 19
 
 
+def logsumexp_masked_reference(a, axis=-1):
+    """_logsumexp with its three mask fix-ups run on every call."""
+    m = np.max(a, axis=axis, keepdims=True)
+    dead = ~np.isfinite(m)
+    held = m[dead]
+    m[dead] = 0.0
+    e = a - m
+    np.maximum(e, _EXP_FLOOR, out=e)
+    np.exp(e, out=e)
+    out = np.log(e.sum(axis=axis, keepdims=True))
+    out += m
+    out[dead] = held
+    return out.squeeze(axis)
+
+
 class TestLogsumexp:
+    def test_live_rows_equal_masked_reference(self):
+        # no row maximum is non-finite, so no mask is built; -inf entries
+        # inside a live row and terms below the exp floor stay
+        rng = np.random.default_rng(35)
+        for spread in (1.0, 300.0, 1e4):
+            a = rng.normal(0, spread, size=(6, 3, 8, 10, 16))
+            a[rng.random(a.shape) < 0.2] = -np.inf
+            a[..., 0] = rng.normal(0, spread, size=a.shape[:-1])
+            for axis in (0, 2, -1):
+                live = a if axis == -1 else np.moveaxis(a, -1, axis)
+                np.testing.assert_array_equal(
+                    _logsumexp(live.copy(), axis=axis),
+                    logsumexp_masked_reference(live.copy(), axis=axis))
+
+    def test_dead_rows_among_live_rows_give_their_maxima(self):
+        rng = np.random.default_rng(36)
+        a = rng.normal(0, 50, size=(7, 9))
+        a[1] = -np.inf                  # all -inf
+        a[3, 4] = np.nan
+        a[5, 2] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = _logsumexp(a.copy())
+            want = logsumexp_masked_reference(a.copy())
+        assert np.isneginf(got[1]) and np.isnan(got[3]) and got[5] == np.inf
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got[[0, 2, 4, 6]],
+                                      _logsumexp(a[[0, 2, 4, 6]].copy()))
+
     def test_matches_scipy_with_neg_inf_rows(self):
         rng = np.random.default_rng(33)
         a = rng.normal(0, 300, size=(6, 8))

@@ -2,8 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import typing
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +243,46 @@ class TestConfig:
         with pytest.raises(DataError):
             load_config("/nonexistent/config.ini")
 
+    def test_field_types_resolved_once_per_class(self, trained, corpus,
+                                                 monkeypatch):
+        bundle, _ = trained
+        calls = []
+        resolve = typing.get_type_hints
+
+        def counted(cls, *args, **kwargs):
+            calls.append(cls)
+            return resolve(cls, *args, **kwargs)
+
+        monkeypatch.setattr(typing, "get_type_hints", counted)
+        pipeline._field_types.cache_clear()
+        for _ in range(20):
+            decode_recording(bundle, corpus["eval"][0], stop_after=1)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {PipelineConfig, FrameSpec, HmmConfig, SdaConfig,
+                              GrammarParams}
+
+    def test_cached_parse_equals_uncached(self):
+        cfg = replace(FAST_CONFIG, seed=3, montage_path="m.txt")
+        for data in (cfg.to_dict(), json.loads(json.dumps(cfg.to_dict()))):
+            pipeline._field_types.cache_clear()
+            cold = PipelineConfig.from_dict(data)
+            assert PipelineConfig.from_dict(data) == cold == cfg
+        for cls in (PipelineConfig, FrameSpec, HmmConfig, SdaConfig, GrammarParams):
+            assert dict(pipeline._field_types(cls)) == typing.get_type_hints(cls)
+
+    @pytest.mark.parametrize("data, section, key", [
+        ({"seed": "abc"}, "pipeline", "seed"),
+        ({"hmm": {"tol_per_frame": "small"}}, "hmm", "tol_per_frame"),
+        ({"sda_sixway": {"hidden": "64,x"}}, "sda.6way", "hidden"),
+        ({"grammar": {"iterations": "2.5"}}, "grammar", "iterations"),
+        ({"frame": {"fft_size": [64]}}, "frontend", "fft_size"),
+    ])
+    def test_bad_value_with_warm_cache_names_section_and_key(self, data,
+                                                             section, key):
+        PipelineConfig.from_dict(PipelineConfig().to_dict())
+        with pytest.raises(DataError, match=rf"\[{section}\] {key}"):
+            PipelineConfig.from_dict(data)
+
 
 class TestTraining:
     def test_manifest(self, trained, corpus):
@@ -456,7 +498,7 @@ class TestScoreFiles:
         matrix, summary = score_files(ref, ref, "two_way", "per_epoch")
         prefix = str(tmp_path / "report")
         pipeline.write_score_report(matrix, summary, prefix)
-        text = open(prefix + ".txt").read()
+        text = Path(prefix + ".txt").read_text()
         assert "sensitivity=100.00" in text
         assert os.path.exists(prefix + ".csv")
 
@@ -580,7 +622,7 @@ class TestCli:
         assert cli.main(["det", post_path, ref_path, "--offsets", "3",
                          "--out", det_out]) == 0
         # at offset -0.5 the rounded-up targets are still called
-        assert open(det_out).read().splitlines()[1] == "-0.5,0,0"
+        assert Path(det_out).read_text().splitlines()[1] == "-0.5,0,0"
 
     def test_synth_command(self, tmp_path, capsys):
         script = tmp_path / "s.csv"
@@ -621,7 +663,7 @@ class TestCli:
         det_out = str(tmp_path / "det.csv")
         assert cli.main(["det", os.path.join(out_dir, f"{stem}.pass3.csv"),
                          ref_path, "--offsets", "11", "--out", det_out]) == 0
-        lines = open(det_out).read().strip().splitlines()
+        lines = Path(det_out).read_text().strip().splitlines()
         assert lines[0] == "offset,false_alarm,miss"
         assert len(lines) >= 12  # 11 offsets plus the forced zero point
 
@@ -656,9 +698,9 @@ class TestCli:
     def test_truncated_bundle_exit_code(self, trained, corpus, tmp_path,
                                         capsys, length):
         _, bundle_path = trained
-        data = open(bundle_path, "rb").read()
+        data = Path(bundle_path).read_bytes()
         path = str(tmp_path / "cut.seqd")
-        open(path, "wb").write(data[:length])
+        Path(path).write_bytes(data[:length])
         code = cli.main(["decode", path, corpus["eval"][0],
                          "--out-dir", str(tmp_path)])
         assert code == 2
@@ -666,9 +708,9 @@ class TestCli:
 
     def test_v1_bundle_exit_code(self, trained, corpus, tmp_path, capsys):
         _, bundle_path = trained
-        data = open(bundle_path, "rb").read()
+        data = Path(bundle_path).read_bytes()
         path = str(tmp_path / "v1.seqd")
-        open(path, "wb").write(data[:4] + (1).to_bytes(4, "little") + data[8:])
+        Path(path).write_bytes(data[:4] + (1).to_bytes(4, "little") + data[8:])
         code = cli.main(["decode", path, corpus["eval"][0],
                          "--out-dir", str(tmp_path)])
         assert code == 2
@@ -677,11 +719,11 @@ class TestCli:
     def test_mistyped_bundle_leaf_exit_code(self, trained, corpus, tmp_path,
                                             capsys):
         _, bundle_path = trained
-        data = open(bundle_path, "rb").read()
+        data = Path(bundle_path).read_bytes()
         meta, arrays = _unpack_payload(data[8:])
         meta["/second_pass/sda_spsw/window_length"] = "3"
         path = str(tmp_path / "bad.seqd")
-        open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
+        Path(path).write_bytes(data[:8] + _pack_payload(meta, arrays))
         code = cli.main(["decode", path, corpus["eval"][0],
                          "--out-dir", str(tmp_path)])
         assert code == 2
@@ -700,12 +742,12 @@ class TestCli:
     def test_mismatched_shape_bundle_exit_code(self, trained, corpus, tmp_path,
                                                capsys, keys):
         _, bundle_path = trained
-        data = open(bundle_path, "rb").read()
+        data = Path(bundle_path).read_bytes()
         meta, arrays = _unpack_payload(data[8:])
         for key in keys:
             arrays[key] = arrays[key][..., :-1]
         path = str(tmp_path / "bad.seqd")
-        open(path, "wb").write(data[:8] + _pack_payload(meta, arrays))
+        Path(path).write_bytes(data[:8] + _pack_payload(meta, arrays))
         code = cli.main(["decode", path, corpus["eval"][0],
                          "--out-dir", str(tmp_path)])
         assert code == 2

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ class TestRawMatrixErrors:
 def edf_formula_reference(path):
     """The physical matrix as first computed: an int64 difference of the
     de-interleaved records, times the gain, plus the physical minimum."""
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     ns = int(raw[252:256])
     fields = [raw[256 + off * ns:256 + (off + 8) * ns] for off in (104, 112, 120, 128, 216)]
     col = [np.array([float(f[i * 8:(i + 1) * 8]) for i in range(ns)])[:, None]
