@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .labels import MODE_LABELS, NUM_CLASSES, TARG, EventLabel, collapse
+from .labels import (EPOCH_PRIORITY, MODE_LABELS, NUM_CLASSES, TARG, EventLabel,
+                     collapse)
+from .signal_io import ALL_CHANNELS
 
 
 # How far outside [0, 1] a DET score may lie: posteriors summed after the
@@ -144,14 +146,11 @@ def det_curve(scores, refs, offsets) -> DetCurve:
 # ---------------------------------------------------------------------------
 # Reference labels from annotations
 
-def epoch_reference_labels(ann, num_epochs: int,
-                           priority=None) -> np.ndarray:
+def epoch_reference_labels(ann, num_epochs: int) -> np.ndarray:
     """Per-epoch composite reference label: any annotation overlapping an
-    epoch competes, ties broken by class priority (rare target classes win);
+    epoch competes, ties broken by EPOCH_PRIORITY (rare target classes win);
     uncovered epochs are BCKG."""
-    from .labels import EPOCH_PRIORITY
-    priority = priority or EPOCH_PRIORITY
-    rank = {lab: i for i, lab in enumerate(priority)}
+    rank = {lab: i for i, lab in enumerate(EPOCH_PRIORITY)}
     out = np.full(num_epochs, int(EventLabel.BCKG), dtype=np.intp)
     # Only classes ranked above BCKG can win; the highest-ranked is written last.
     winners = [ev for ev in ann.events if rank[ev.label] < rank[EventLabel.BCKG]]
@@ -166,7 +165,6 @@ def channel_epoch_reference_labels(ann, num_epochs: int,
                                    num_channels: int) -> np.ndarray:
     """(epochs, channels) reference labels; all-channel events apply
     everywhere, uncovered cells are BCKG."""
-    from .signal_io import ALL_CHANNELS
     out = np.full((num_epochs, num_channels), int(EventLabel.BCKG), dtype=np.intp)
     for ev in ann.events:
         lo = max(0, int(np.floor(ev.start_s)))

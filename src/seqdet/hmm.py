@@ -56,24 +56,6 @@ class GmmHmmModel:
         return self.means.shape[2]
 
 
-@dataclass(frozen=True)
-class PosteriorGrid:
-    """Per-(epoch, channel) class posteriors from pass-1 scoring."""
-    posteriors: np.ndarray  # (epochs, channels, 6)
-
-    @property
-    def num_epochs(self) -> int:
-        return self.posteriors.shape[0]
-
-    @property
-    def num_channels(self) -> int:
-        return self.posteriors.shape[1]
-
-    def argmax_labels(self) -> np.ndarray:
-        """(epochs, channels) array of winning class codes."""
-        return np.argmax(self.posteriors, axis=2)
-
-
 # ---------------------------------------------------------------------------
 # Emission densities
 
@@ -130,13 +112,6 @@ def _emissions(w: np.ndarray, const: np.ndarray, frames: np.ndarray):
     comp += const.reshape(-1, 1)
     comp = comp.reshape(*const.shape, *frames.shape[:2])
     return comp, _logsumexp(comp, axis=2)
-
-
-def _batch_rows(batch: np.ndarray) -> np.ndarray:
-    """The (T, B) rows of batch.reshape(-1, D) that hold each sequence of a
-    (B, T, D) batch, frame-major as _emissions reads them."""
-    b, t = batch.shape[:2]
-    return np.arange(t)[:, None] + t * np.arange(b)
 
 
 def log_emissions(model: GmmHmmModel, obs: np.ndarray) -> np.ndarray:
@@ -399,35 +374,15 @@ def train(corpus: dict[EventLabel, np.ndarray],
 # ---------------------------------------------------------------------------
 # Scoring
 
-def _posteriors(models: dict[EventLabel, GmmHmmModel], frames: np.ndarray,
-                rows: np.ndarray, priors: np.ndarray | None) -> np.ndarray:
-    """(B, 6) class posteriors of the B sequences that rows (T, B) picks
-    from frames (n, D), scored against the six models stacked into one
-    bank."""
+def decode_pass1(grid: FeatureGrid,
+                 models: dict[EventLabel, GmmHmmModel]) -> np.ndarray:
+    """(epochs, channels, 6) class posteriors: every (epoch, channel) cell
+    scored independently against the six models stacked into one bank, each
+    chunk of cells gathered from the feature array as it is scored."""
     if len(models) != NUM_CLASSES:
         raise DataError(f"need {NUM_CLASSES} models, got {len(models)}")
-    with np.errstate(divide="ignore"):
-        log_priors = np.log(np.ones(NUM_CLASSES) if priors is None
-                            else np.asarray(priors, dtype=np.float64))
-    scores = _loglik([models[lab] for lab in EventLabel], frames, rows) + log_priors
-    scores -= _logsumexp(scores, axis=1)[:, None]
-    return np.exp(scores)
-
-
-def score_batch(models: dict[EventLabel, GmmHmmModel], obs_batch: np.ndarray,
-                priors: np.ndarray | None = None) -> np.ndarray:
-    """(B, 6) class posteriors of a (B, T, D) batch of observation
-    sequences."""
-    obs = np.asarray(obs_batch, dtype=np.float64)
-    return _posteriors(models, obs.reshape(-1, obs.shape[-1]), _batch_rows(obs),
-                       priors)
-
-
-def decode_pass1(grid: FeatureGrid, models: dict[EventLabel, GmmHmmModel],
-                 priors: np.ndarray | None = None) -> PosteriorGrid:
-    """Score every (epoch, channel) cell independently, each chunk of cells
-    gathered from the feature array as it is scored."""
     frames = grid.vectors.reshape(-1, grid.vectors.shape[-1])
     rows = grid.frame_rows(np.arange(grid.num_epochs * grid.num_channels))
-    post = _posteriors(models, frames, rows, priors)
-    return PosteriorGrid(post.reshape(grid.num_epochs, grid.num_channels, NUM_CLASSES))
+    scores = _loglik([models[lab] for lab in EventLabel], frames, rows)
+    scores -= _logsumexp(scores, axis=1)[:, None]
+    return np.exp(scores).reshape(grid.num_epochs, grid.num_channels, NUM_CLASSES)

@@ -211,11 +211,11 @@ def train_pipeline(config: PipelineConfig,
 
     models = hmm.train(_pass1_corpus(grids, anns), config.hmm)
 
-    pgrids = [hmm.decode_pass1(grid, models) for grid in grids]
+    pass1 = [hmm.decode_pass1(grid, models) for grid in grids]
     epoch_refs = [evaluation.epoch_reference_labels(ann, grid.num_epochs)
                   for ann, grid in zip(anns, grids)]
 
-    second = _train_second_pass(config, pgrids, epoch_refs)
+    second = _train_second_pass(config, pass1, epoch_refs)
 
     if config.bigram_source == "estimate":
         table = grammar.estimate_bigram(epoch_refs)
@@ -259,8 +259,8 @@ def _detector_labels(refs: np.ndarray,
     return np.where(np.isin(refs, [int(lab) for lab in positive]), 0, 1)
 
 
-def _train_second_pass(config: PipelineConfig, pgrids, epoch_refs):
-    supervectors = [sda.supervector_sequence(pg) for pg in pgrids]
+def _train_second_pass(config: PipelineConfig, pass1, epoch_refs):
+    supervectors = [sda.supervector_sequence(p) for p in pass1]
     all_sv = np.concatenate(supervectors)
     pca_det = sda.fit_pca(all_sv, config.pca_detector_dim)
     pca_six = sda.fit_pca(all_sv, config.pca_sixway_dim)
@@ -273,15 +273,12 @@ def _train_second_pass(config: PipelineConfig, pgrids, epoch_refs):
 
     refs = np.concatenate(epoch_refs)
 
-    def _windows(seqs, smin, smax, window):
-        return np.concatenate([sda.make_windows(sda.scale_input(s, smin, smax),
-                                                window) for s in seqs])
-
     def _train_one(cfg: sda.SdaConfig, seqs, smin, smax, y, seed_offset):
         rng = np.random.default_rng(config.seed + seed_offset)
-        x = _windows(seqs, smin, smax, cfg.window_length)
+        x = np.concatenate([sda.sda_input(s, smin, smax, cfg.window_length)
+                            for s in seqs])
         if cfg.outputs == 2:
-            x, y = _augment_binary(x, y, config.augment_cap, rng)
+            x, y = sda.augment_binary(x, y, config.augment_cap, rng)
         stack = sda.init_stack(x.shape[1], cfg.hidden, rng)
         sda.pretrain(stack, x, cfg, rng)
         return sda.fine_tune(stack, x, y, cfg, rng, smin, smax)
@@ -294,23 +291,6 @@ def _train_second_pass(config: PipelineConfig, pgrids, epoch_refs):
                            refs.copy(), 103)
     return sda.SecondPassModels(pca_det, pca_six, model_spsw, model_eyem,
                                 model_six)
-
-
-def _augment_binary(x: np.ndarray, y: np.ndarray, cap: int,
-                    rng: np.random.Generator):
-    """Grow the minority class with out-of-sample synthesis so the detectors
-    see a usable balance; synthetic windows are clipped back to [0, 1]."""
-    counts = [int(np.sum(y == c)) for c in (0, 1)]
-    minority = int(np.argmin(counts))
-    target = min(max(counts), cap)
-    members = x[y == minority]
-    if len(members) >= target or len(members) < 2:
-        return x, y
-    grown = sda.augment_rare(members, target, rng)
-    extra = np.clip(grown[len(members):], 0.0, 1.0)
-    x_out = np.concatenate([x, extra])
-    y_out = np.concatenate([y, np.full(len(extra), minority, dtype=y.dtype)])
-    return x_out, y_out
 
 
 # ---------------------------------------------------------------------------
@@ -337,23 +317,22 @@ def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3):
     # No name holds the recording: it is freed once the features exist.
     grid = extract_features(
         load_recording(rec_path, _manifest_montage(bundle.manifest)), cfg.frame)
-    pgrid = hmm.decode_pass1(grid, bundle.hmm_models)
-    dumps = {"pass1": pgrid.posteriors}
+    post1 = hmm.decode_pass1(grid, bundle.hmm_models)
+    dumps = {"pass1": post1}
     if stop_after == 1:
-        cell_labels = pgrid.argmax_labels()  # (E, C)
+        cell_labels = np.argmax(post1, axis=2)  # (E, C)
         events = []
-        for c in range(pgrid.num_channels):
+        for c in range(cell_labels.shape[1]):
             events.extend(_merge_runs(cell_labels[:, c], c))
         return AnnotationSet(tuple(events)), dumps
 
-    seq2 = sda.decode_pass2(pgrid, bundle.second_pass)
-    dumps["pass2"] = seq2.posteriors
+    post2 = sda.decode_pass2(post1, bundle.second_pass)
+    dumps["pass2"] = post2
     if stop_after == 2:
-        labels = seq2.argmax_labels()
+        labels = np.argmax(post2, axis=1)
         return AnnotationSet(tuple(_merge_runs(labels, ALL_CHANNELS))), dumps
 
-    labels, post3 = grammar.decode_pass3(seq2.posteriors, bundle.bigram,
-                                         cfg.grammar)
+    labels, post3 = grammar.decode_pass3(post2, bundle.bigram, cfg.grammar)
     dumps["pass3"] = post3
     return AnnotationSet(tuple(_merge_runs(labels, ALL_CHANNELS))), dumps
 
@@ -383,14 +362,16 @@ def read_posterior_csv(path: str) -> np.ndarray:
         table = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    index = table[:, :n_index]
-    valid = (index >= 0) & (index < len(table)) & (index == np.floor(index))
-    if table.shape[1] != n_index + NUM_CLASSES or not valid.all():
+    # The writer's rows: every index once, in np.indices order, so a
+    # pass-1 dump's epoch 0 has one row per channel.
+    per_epoch = np.count_nonzero(table[:, 0] == 0) if n_index == 2 else 1
+    shape = (len(table) // max(per_epoch, 1), per_epoch)[:n_index]
+    if table.shape[1] != n_index + NUM_CLASSES or not np.array_equal(
+            table[:, :n_index], np.indices(shape).reshape(n_index, -1).T):
         raise DataError(f"{path}: expected rows of {n_index} index "
-                        f"column(s) and {NUM_CLASSES} posteriors")
-    out = np.zeros(tuple(index.max(axis=0).astype(int) + 1) + (NUM_CLASSES,))
-    out[tuple(index.astype(int).T)] = table[:, n_index:]
-    return out
+                        f"column(s), numbered in order from 0, and "
+                        f"{NUM_CLASSES} posteriors")
+    return table[:, n_index:].reshape(*shape, NUM_CLASSES)
 
 
 # ---------------------------------------------------------------------------

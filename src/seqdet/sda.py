@@ -23,7 +23,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericError, check_shape
-from .hmm import PosteriorGrid
 from .labels import NUM_CLASSES, TARGET_CLASSES, EventLabel
 
 log = logging.getLogger(__name__)
@@ -37,12 +36,13 @@ _TRAIN_DTYPE = np.float32
 # ---------------------------------------------------------------------------
 # Supervectors and PCA
 
-def supervector_sequence(grid: PosteriorGrid) -> np.ndarray:
-    """(epochs, 132) supervector matrix for a whole grid."""
-    if grid.num_channels != EXPECTED_CHANNELS:
+def supervector_sequence(pass1: np.ndarray) -> np.ndarray:
+    """(epochs, 132) supervectors of the (epochs, channels, 6) pass-1
+    posteriors: each epoch's scores, channel-major."""
+    if pass1.shape[1] != EXPECTED_CHANNELS:
         raise DataError(
-            f"expected {EXPECTED_CHANNELS} channels, got {grid.num_channels}")
-    return grid.posteriors.reshape(grid.num_epochs, -1).copy()
+            f"expected {EXPECTED_CHANNELS} channels, got {pass1.shape[1]}")
+    return pass1.reshape(len(pass1), -1)
 
 
 @dataclass(frozen=True)
@@ -438,23 +438,29 @@ def fine_tune(layers: list[SdaLayer], x: np.ndarray, y: np.ndarray,
                     config.window_length, config.corruption, scale_min, scale_max)
 
 
-def augment_rare(samples: np.ndarray, target: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Grow a class to `target` samples with convex combinations of random
-    same-class pairs plus small Gaussian jitter."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if len(samples) >= target:
-        return samples
-    if len(samples) < 2:
-        raise DataError("augmentation needs at least 2 seed samples")
-    sigma = 0.05 * samples.std(axis=0)
+def augment_binary(x: np.ndarray, y: np.ndarray, cap: int,
+                   rng: np.random.Generator):
+    """Grow the minority class of (x, y), labels 0 and 1, towards the
+    majority count, at most `cap`: each synthetic window is a convex
+    combination of a random pair of minority windows plus Gaussian jitter of
+    5 % of their spread, clipped back to [0, 1]. A class already large
+    enough, or with fewer than 2 windows to combine, is left as it is."""
+    counts = [int(np.sum(y == c)) for c in (0, 1)]
+    minority = int(np.argmin(counts))
+    target = min(max(counts), cap)
+    members = x[y == minority]
+    if len(members) >= target or len(members) < 2:
+        return x, y
+    sigma = 0.05 * members.std(axis=0)
     extra = []
-    for _ in range(target - len(samples)):
-        i, j = rng.choice(len(samples), size=2, replace=False)
+    for _ in range(target - len(members)):
+        i, j = rng.choice(len(members), size=2, replace=False)
         t = rng.random()
-        v = t * samples[i] + (1.0 - t) * samples[j]
+        v = t * members[i] + (1.0 - t) * members[j]
         extra.append(v + rng.normal(0.0, 1.0, size=v.shape) * sigma)
-    return np.concatenate([samples, np.stack(extra)])
+    extra = np.clip(np.stack(extra), 0.0, 1.0)
+    return (np.concatenate([x, extra]),
+            np.concatenate([y, np.full(len(extra), minority, dtype=y.dtype)]))
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +492,17 @@ def make_windows(seq: np.ndarray, window_length: int) -> np.ndarray:
     return np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(len(seq), -1)
 
 
-def predict_windows(model: SdaModel, windows: np.ndarray) -> np.ndarray:
-    h = encode(model.layers, np.atleast_2d(windows))
-    return _softmax(h @ model.out_w.T + model.out_b)
+def sda_input(seq: np.ndarray, scale_min: np.ndarray, scale_max: np.ndarray,
+              window_length: int) -> np.ndarray:
+    """An SdA's input rows for a (T, d) reduced sequence, in training and
+    decoding alike: the sequence scaled to [0, 1], then windowed."""
+    return make_windows(scale_input(seq, scale_min, scale_max), window_length)
 
 
 def predict_sequence(model: SdaModel, reduced_seq: np.ndarray) -> np.ndarray:
-    scaled = scale_input(reduced_seq, model.scale_min, model.scale_max)
-    return predict_windows(model, make_windows(scaled, model.window_length))
+    windows = sda_input(reduced_seq, model.scale_min, model.scale_max,
+                        model.window_length)
+    return _softmax(encode(model.layers, windows) @ model.out_w.T + model.out_b)
 
 
 # ---------------------------------------------------------------------------
@@ -518,18 +527,6 @@ def enhance(p6: np.ndarray, p_spsw: np.ndarray, p_eyem: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 # Pass-2 decoding
 
-@dataclass(frozen=True)
-class EpochPosteriorSequence:
-    posteriors: np.ndarray  # (epochs, 6)
-
-    @property
-    def num_epochs(self) -> int:
-        return self.posteriors.shape[0]
-
-    def argmax_labels(self) -> np.ndarray:
-        return np.argmax(self.posteriors, axis=1)
-
-
 @dataclass
 class SecondPassModels:
     pca_detector: PcaModel   # 132 -> 13, shared by the two detectors
@@ -539,17 +536,13 @@ class SecondPassModels:
     sda_sixway: SdaModel
 
 
-def detector_sequence(models: SecondPassModels,
-                      supervectors: np.ndarray) -> np.ndarray:
-    return reduce_sequence_for_detectors(models.pca_detector.project(supervectors))
-
-
-def decode_pass2(grid: PosteriorGrid,
-                 models: SecondPassModels) -> EpochPosteriorSequence:
-    sv = supervector_sequence(grid)
-    det_seq = detector_sequence(models, sv)
+def decode_pass2(pass1: np.ndarray, models: SecondPassModels) -> np.ndarray:
+    """(epochs, 6) posteriors from the (epochs, channels, 6) pass-1
+    posteriors, reduced and windowed as in training."""
+    sv = supervector_sequence(pass1)
+    det_seq = reduce_sequence_for_detectors(models.pca_detector.project(sv))
     six_seq = models.pca_sixway.project(sv)
     p_spsw = predict_sequence(models.sda_spsw, det_seq)
     p_eyem = predict_sequence(models.sda_eyem, det_seq)
     p_six = predict_sequence(models.sda_sixway, six_seq)
-    return EpochPosteriorSequence(enhance(p_six, p_spsw, p_eyem))
+    return enhance(p_six, p_spsw, p_eyem)

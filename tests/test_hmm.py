@@ -9,8 +9,8 @@ from seqdet.errors import DataError
 from seqdet.features import FeatureGrid
 from seqdet.hmm import (GmmHmmModel, HmmConfig, decode_pass1,
                         forward_backward, init_model, log_emissions,
-                        score_batch, train, viterbi, _bank, _batch_rows,
-                        _chunk, _emissions, _kmeans, _left_right_trans, _loglik,
+                        train, viterbi, _bank, _chunk, _emissions,
+                        _kmeans, _left_right_trans, _loglik,
                         _EXP_FLOOR, _logsumexp, _nearest, _reestimate_one)
 from seqdet.labels import EventLabel
 
@@ -32,9 +32,26 @@ def random_model(rng, n=3, comps=2, dim=2, label=EventLabel.BCKG):
 
 def loglikelihood(model, obs_batch):
     """Log P(O|M) of one model for a batch (B, T, D) of equal-length
-    sequences: the per-model reference for score_batch."""
+    sequences, through the batched forward pass that decode_pass1 uses."""
+    b, t = obs_batch.shape[:2]
     return _loglik([model], obs_batch.reshape(-1, obs_batch.shape[-1]),
-                   _batch_rows(obs_batch))[:, 0]
+                   np.arange(t)[:, None] + t * np.arange(b))[:, 0]
+
+
+def score_cells(models, obs_batch):
+    """decode_pass1's (B, 6) posteriors of B sequences (B, T, D), scored as
+    the B channels of a one-epoch grid."""
+    return decode_pass1(FeatureGrid(obs_batch, obs_batch.shape[1]), models)[0]
+
+
+def posteriors_reference(models, cells):
+    """Class posteriors of each (T, D) sequence in cells (..., T, D) from
+    per-model forward_backward log-likelihoods and a flat prior."""
+    flat = cells.reshape(-1, *cells.shape[-2:])
+    ll = np.array([[forward_backward(models[lab], obs)[2] for lab in EventLabel]
+                   for obs in flat])
+    post = np.exp(ll - logsumexp(ll, axis=1, keepdims=True))
+    return post.reshape(*cells.shape[:-2], len(EventLabel))
 
 
 def cells_reference(grid):
@@ -192,20 +209,6 @@ class TestEmissionKernel:
             log_emissions(models[1], obs),
             logsumexp(component_loglik_reference(models[1], obs), axis=-1),
             rtol=0, atol=1e-9)
-
-    def test_score_batch_is_per_model_stack_plus_priors(self):
-        rng = np.random.default_rng(31)
-        models = {lab: random_model(rng, comps=2, dim=3, label=lab)
-                  for lab in EventLabel}
-        step = _chunk(_bank([models[lab] for lab in EventLabel])[0], 4)
-        obs = rng.normal(0, 2, size=(step + 3, 4, 3))         # two chunks
-        priors = rng.uniform(0.1, 1.0, size=6)
-        priors /= priors.sum()
-        scores = np.stack([loglikelihood(models[lab], obs) for lab in EventLabel],
-                          axis=1) + np.log(priors)
-        expect = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
-        np.testing.assert_allclose(score_batch(models, obs, priors), expect,
-                                   rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("field, shape", [
         ("trans", (2, 2)), ("weights", (3, 3)), ("means", (3, 2)),
@@ -572,7 +575,7 @@ class TestScoring:
     def test_posterior_normalized(self):
         models = self.make_separable_models()
         rng = np.random.default_rng(24)
-        post = score_batch(models, rng.normal(size=(7, 10, 2)))
+        post = score_cells(models, rng.normal(size=(7, 10, 2)))
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matched_class_wins(self):
@@ -580,24 +583,11 @@ class TestScoring:
         rng = np.random.default_rng(25)
         for lab in EventLabel:
             obs = rng.normal(10.0 * int(lab), 1.0, size=(10, 2))
-            post = score_batch(models, obs[None])[0]
+            post = score_cells(models, obs[None])[0]
             assert int(np.argmax(post)) == int(lab)
 
-    def test_prior_shifts_posterior(self):
-        models = self.make_separable_models()
-        rng = np.random.default_rng(26)
-        obs = rng.normal(0, 30, size=(10, 2))
-        flat = score_batch(models, obs[None])[0]
-        prior = np.zeros(6)
-        prior[int(EventLabel.PLED)] = 1.0
-        forced = score_batch(models, obs[None], priors=prior)[0]
-        assert forced[int(EventLabel.PLED)] > 0.999
-        # a flat prior changes nothing
-        even = score_batch(models, obs[None], priors=np.full(6, 1 / 6))[0]
-        np.testing.assert_allclose(even, flat, atol=1e-12)
-
     @pytest.mark.parametrize("channels, frames", [(7, 1503), (3, 25), (2, 7)])
-    def test_decode_pass1_equals_score_batch_on_cells(self, channels, frames):
+    def test_decode_pass1_equals_forward_backward_on_cells(self, channels, frames):
         # partial final epochs, and 1057 cells: a full 1024-cell chunk and a
         # partial one
         rng = np.random.default_rng(frames)
@@ -605,13 +595,10 @@ class TestScoring:
                   for lab in EventLabel}
         grid = FeatureGrid(rng.normal(0, 2, size=(channels, frames, 3)))
         assert _chunk(_bank(list(models.values()))[0], 10) == 1024
-        cells = cells_reference(grid)
-        priors = rng.uniform(0.1, 1.0, size=6)
-        for p in (None, priors / priors.sum()):
-            want = score_batch(models, cells.reshape(-1, 10, 3), p)
-            np.testing.assert_array_equal(
-                decode_pass1(grid, models, p).posteriors,
-                want.reshape(*cells.shape[:2], 6))
+        np.testing.assert_allclose(
+            decode_pass1(grid, models),
+            posteriors_reference(models, cells_reference(grid)),
+            rtol=1e-10, atol=1e-14)
 
     def test_decode_pass1_allocates_under_half_the_features(self):
         # a 10 min, 22-channel grid with the default model shapes: 13 200
@@ -627,7 +614,7 @@ class TestScoring:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert post.posteriors.shape == (600, 22, 6)
+        assert post.shape == (600, 22, 6)
         assert peak < grid.vectors.nbytes / 2
 
     def test_decode_pass1_shape(self):
@@ -635,9 +622,8 @@ class TestScoring:
         rng = np.random.default_rng(27)
         grid = FeatureGrid(rng.normal(size=(4, 30, 2)))
         post = decode_pass1(grid, models)
-        assert post.posteriors.shape == (3, 4, 6)
-        assert post.argmax_labels().shape == (3, 4)
-        np.testing.assert_allclose(post.posteriors.sum(axis=2), 1.0, atol=1e-12)
+        assert post.shape == (3, 4, 6)
+        np.testing.assert_allclose(post.sum(axis=2), 1.0, atol=1e-12)
 
 
 class TestTrain:
@@ -650,7 +636,7 @@ class TestTrain:
         correct = 0
         for lab in EventLabel:
             obs = rng.normal(4.0 * int(lab), 1.0, size=(10, 3))
-            if int(np.argmax(score_batch(models, obs[None])[0])) == int(lab):
+            if int(np.argmax(score_cells(models, obs[None])[0])) == int(lab):
                 correct += 1
         assert correct == 6
 

@@ -317,6 +317,35 @@ class TestTraining:
             assert a.dtype == np.dtype("<f8")
             assert a.tobytes() == arrays[name].tobytes()
 
+    def test_sdas_train_on_the_windows_decode_builds(self, corpus, monkeypatch):
+        # each SdA's training rows start with the windows that decoding the
+        # training recording builds for it, scaled and windowed; the
+        # detectors' synthetic minority windows follow
+        seen, pretrain = {}, sda.pretrain
+
+        def capture(stack, x, cfg, rng):
+            seen[cfg.name] = np.array(x)
+            return pretrain(stack, x, cfg, rng)
+
+        monkeypatch.setattr(sda, "pretrain", capture)
+        quick = {key: replace(getattr(FAST_CONFIG, key), pretrain_epochs=1,
+                              finetune_epochs=1)
+                 for key in ("sda_spsw", "sda_eyem", "sda_sixway")}
+        bundle = train_pipeline(replace(FAST_CONFIG, **quick), [corpus["train"]])
+        second = bundle.second_pass
+        grid = extract_features(pipeline.load_recording(corpus["train"][0], None))
+        sv = sda.supervector_sequence(hmm.decode_pass1(grid, bundle.hmm_models))
+        det = sda.reduce_sequence_for_detectors(second.pca_detector.project(sv))
+        for name, model, seq in (("spsw", second.sda_spsw, det),
+                                 ("eyem", second.sda_eyem, det),
+                                 ("6way", second.sda_sixway,
+                                  second.pca_sixway.project(sv))):
+            want = sda.make_windows(
+                sda.scale_input(seq, model.scale_min, model.scale_max),
+                model.window_length)
+            np.testing.assert_array_equal(seen[name][:len(want)], want)
+        assert len(seen["6way"]) == len(want)
+
     def test_missing_class_rejected(self, tmp_path):
         script = [synth.ScriptEntry(EventLabel.BCKG, 30.0, None)]
         rec, ann = synth.generate(script, seed=5)
@@ -405,7 +434,7 @@ class TestDecoding:
 
         def pass1(frame):
             return hmm.decode_pass1(extract_features(rec, frame),
-                                    bundle.hmm_models).posteriors
+                                    bundle.hmm_models)
 
         def pass3(params):
             return grammar.decode_pass3(dumps["pass2"], bundle.bigram,
@@ -481,6 +510,17 @@ class TestPosteriorCsv:
         path = str(tmp_path / "p.csv")
         write_posterior_csv(path, p)
         np.testing.assert_allclose(read_posterior_csv(path), p, atol=1e-9)
+
+    @pytest.mark.parametrize("edit", ["drop", "repeat", "swap"])
+    def test_grid_rows_out_of_write_order_rejected(self, tmp_path, edit):
+        path = tmp_path / "p.csv"
+        write_posterior_csv(str(path), np.full((4, 3, 6), 1 / 6))
+        header, *rows = path.read_text().splitlines()
+        rows = {"drop": rows[:5] + rows[6:], "repeat": rows[:6] + rows[5:],
+                "swap": rows[:4] + rows[5:6] + rows[4:5] + rows[6:]}[edit]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(DataError, match="numbered in order"):
+            read_posterior_csv(str(path))
 
 
 class TestScoreFiles:
@@ -788,10 +828,16 @@ class TestCli:
         assert code == 2
         one_line_data_error(capsys)
 
-    @pytest.mark.parametrize("row", ["0,0.5,0.5,0,0,0,x", "0,0.5,0.5,0,0,0"])
-    def test_bad_posterior_row_exit_code(self, corpus, tmp_path, capsys, row):
+    @pytest.mark.parametrize("rows", [
+        "0,0.5,0.5,0,0,0,x", "0,0.5,0.5,0,0,0",
+        pytest.param("0,0.5,0.5,0,0,0,0\n0,0.5,0.5,0,0,0,0", id="repeated"),
+        pytest.param("0,0.5,0.5,0,0,0,0\n2,0.5,0.5,0,0,0,0\n2,0.5,0.5,0,0,0,0",
+                     id="missing"),
+        pytest.param("1,0.5,0.5,0,0,0,0\n0,0.5,0.5,0,0,0,0", id="out_of_order")])
+    def test_bad_posterior_row_exit_code(self, corpus, tmp_path, capsys, rows):
+        # only the rows write_posterior_csv writes, in its order, are a dump
         post = tmp_path / "p.pass3.csv"
-        post.write_text("epoch,SPSW,PLED,GPED,EYEM,ARTF,BCKG\n" + row + "\n")
+        post.write_text("epoch,SPSW,PLED,GPED,EYEM,ARTF,BCKG\n" + rows + "\n")
         code = cli.main(["det", str(post), corpus["eval"][1],
                          "--out", str(tmp_path / "det.csv")])
         assert code == 2

@@ -8,29 +8,29 @@ import pytest
 from scipy.special import expit
 
 from seqdet.errors import DataError, NumericError
-from seqdet.hmm import PosteriorGrid
 from seqdet.labels import TARGET_CLASSES, EventLabel
 from seqdet.sda import (PcaModel, SdaConfig, SdaLayer, SdaModel, _minibatches,
-                        _sigmoid, _softmax, augment_rare, corrupt,
+                        _sigmoid, _softmax, augment_binary, corrupt,
                         dae_buffers, dae_grad, dae_loss,
-                        decode_pass2, detector_sequence, encode, enhance,
+                        decode_pass2, encode, enhance,
                         fine_tune, finetune_grad, finetune_loss, fit_pca,
                         fit_scaling, init_layer, init_stack, make_windows,
-                        predict_sequence, pretrain,
+                        predict_sequence, pretrain, sda_input,
                         reduce_sequence_for_detectors, scale_input,
                         supervector_sequence, SecondPassModels)
 
 
 def random_grid(rng, epochs=5, channels=22):
+    """Pass-1 posteriors, (epochs, channels, 6)."""
     p = rng.random((epochs, channels, 6))
     p /= p.sum(axis=2, keepdims=True)
-    return PosteriorGrid(p)
+    return p
 
 
 def build_supervector(grid, epoch):
     """Reference for supervector_sequence: one epoch's (channels, 6) scores
     flattened channel-major."""
-    return grid.posteriors[epoch].reshape(-1).copy()
+    return grid[epoch].reshape(-1).copy()
 
 
 class TestSupervectors:
@@ -39,8 +39,8 @@ class TestSupervectors:
         grid = random_grid(rng)
         sv = supervector_sequence(grid)[2]
         assert sv.shape == (132,)
-        np.testing.assert_array_equal(sv[:6], grid.posteriors[2, 0])
-        np.testing.assert_array_equal(sv[6:12], grid.posteriors[2, 1])
+        np.testing.assert_array_equal(sv[:6], grid[2, 0])
+        np.testing.assert_array_equal(sv[6:12], grid[2, 1])
 
     def test_sequence_matches_single(self):
         rng = np.random.default_rng(1)
@@ -617,15 +617,69 @@ class TestTraining:
             fine_tune(layers, np.random.rand(10, 6), np.full(10, 5), FAST, rng,
                       np.zeros(2), np.ones(2))
 
-    def test_augment_rare(self):
+    def test_augment_binary(self):
         rng = np.random.default_rng(17)
-        x = rng.random((5, 8))
-        out = augment_rare(x, 40, rng)
-        assert out.shape == (40, 8)
-        np.testing.assert_array_equal(out[:5], x)
-        # synthetic samples stay near the seed hull
-        assert out.min() > -0.5 and out.max() < 1.5
-        np.testing.assert_array_equal(augment_rare(x, 3, rng), x)
+        x = (rng.random((45, 8)) > 0.5).astype(np.float64)  # on the range's ends
+        y = np.r_[np.ones(40, dtype=np.intp), np.zeros(5, dtype=np.intp)]
+        out, labels = augment_binary(x, y, 2000, rng)
+        assert out.shape == (80, 8)
+        np.testing.assert_array_equal(out[:45], x)
+        np.testing.assert_array_equal(labels, np.r_[y, np.zeros(35, dtype=np.intp)])
+        # synthetic windows stay in the scaled range
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        same = augment_binary(x, y, 5, rng)
+        assert same[0] is x and same[1] is y
+
+    @pytest.mark.parametrize("minority, n_minority, cap", [
+        (0, 6, 2000), (1, 6, 2000), (0, 6, 20), (1, 6, 20), (0, 1, 2000),
+        (1, 0, 2000)], ids=["minority0", "minority1", "cap_below0", "cap_below1",
+                            "one_minority", "no_minority"])
+    def test_augment_binary_matches_reference(self, minority, n_minority, cap):
+        # same windows, labels and generator state as the two-function
+        # augmenter it replaced
+        rng = np.random.default_rng(18)
+        x = rng.uniform(-0.1, 1.1, size=(40 + n_minority, 5))
+        y = np.full(len(x), 1 - minority, dtype=np.intp)
+        y[rng.permutation(len(x))[:n_minority]] = minority
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = augment_binary(x, y, cap, got_rng)
+        want = augment_binary_reference(x, y, cap, want_rng)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+            assert g.dtype == w.dtype
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def augment_rare_reference(samples, target, rng):
+    """The per-class augmenter of augment_binary's two-function form."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if len(samples) >= target:
+        return samples
+    if len(samples) < 2:
+        raise DataError("augmentation needs at least 2 seed samples")
+    sigma = 0.05 * samples.std(axis=0)
+    extra = []
+    for _ in range(target - len(samples)):
+        i, j = rng.choice(len(samples), size=2, replace=False)
+        t = rng.random()
+        v = t * samples[i] + (1.0 - t) * samples[j]
+        extra.append(v + rng.normal(0.0, 1.0, size=v.shape) * sigma)
+    return np.concatenate([samples, np.stack(extra)])
+
+
+def augment_binary_reference(x, y, cap, rng):
+    """The two-function form of augment_binary: the reference for it."""
+    counts = [int(np.sum(y == c)) for c in (0, 1)]
+    minority = int(np.argmin(counts))
+    target = min(max(counts), cap)
+    members = x[y == minority]
+    if len(members) >= target or len(members) < 2:
+        return x, y
+    grown = augment_rare_reference(members, target, rng)
+    extra = np.clip(grown[len(members):], 0.0, 1.0)
+    x_out = np.concatenate([x, extra])
+    y_out = np.concatenate([y, np.full(len(extra), minority, dtype=y.dtype)])
+    return x_out, y_out
 
 
 class TestInference:
@@ -739,7 +793,7 @@ class TestDecodePass2:
                                   tiny_model(2, 3, 15), tiny_model(2, 3, 15),
                                   tiny_model(6, 3, 15))
         out = decode_pass2(grid, models)
-        assert out.posteriors.shape == (6, 6)
-        np.testing.assert_allclose(out.posteriors.sum(axis=1), 1.0, atol=1e-12)
-        det = detector_sequence(models, sv)
+        assert out.shape == (6, 6)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        det = reduce_sequence_for_detectors(pca_det.project(sv))
         assert det.shape == (6, 5)
