@@ -14,6 +14,8 @@ chunks of frames small enough to stay in cache. The rest of the vector (the
 differential energy, both delta passes and the copy into the output) runs
 over groups of channels whose 26 rows fit the same cache budget: all 22
 channels of a 30 s clip in two groups, one channel at a time for 10 min.
+The GEMMs run with numpy's OpenBLAS held at one thread (`parallel`); the
+features are the same bits at one and two threads.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import DataError
 from .signal_io import Recording
 
@@ -299,15 +302,16 @@ def extract_features(rec: Recording, spec: FrameSpec | None = None) -> FeatureGr
     out = np.empty((channels, frames, FEATURE_DIM))
     group = min(max(_CHUNK // (FEATURE_DIM * frames), 1), channels)
     rows = np.empty((group, FEATURE_DIM, frames))  # a group of channels, frame-last
-    for c0 in range(0, channels, group):
-        block = rows[:min(group, channels - c0)]
-        for samples, row in zip(rec.data[c0:c0 + group], block):
-            for t0, t1 in spectrum.chunks():
-                energies = spectrum.energies(samples, t0, t1)
-                row[7, t0:t1] = frequency_energy(energies.T)
-                np.matmul(dct, np.log(energies, out=energies), out=row[:7, t0:t1])
-        block[:, 8] = differential_energy(block[:, 7], spec.diff_energy_window_frames)
-        deltas(block[:, :9], spec.delta_width_first, out=block[:, 9:18])
-        deltas(block[:, 9:17], spec.delta_width_second, out=block[:, 18:])  # c1..c7, Ef
-        out[c0:c0 + len(block)] = block.transpose(0, 2, 1)
+    with parallel.one_blas_thread():
+        for c0 in range(0, channels, group):
+            block = rows[:min(group, channels - c0)]
+            for samples, row in zip(rec.data[c0:c0 + group], block):
+                for t0, t1 in spectrum.chunks():
+                    energies = spectrum.energies(samples, t0, t1)
+                    row[7, t0:t1] = frequency_energy(energies.T)
+                    np.matmul(dct, np.log(energies, out=energies), out=row[:7, t0:t1])
+            block[:, 8] = differential_energy(block[:, 7], spec.diff_energy_window_frames)
+            deltas(block[:, :9], spec.delta_width_first, out=block[:, 9:18])
+            deltas(block[:, 9:17], spec.delta_width_second, out=block[:, 18:])  # c1..c7, Ef
+            out[c0:c0 + len(block)] = block.transpose(0, 2, 1)
     return FeatureGrid(out, spec.frames_per_epoch)

@@ -6,6 +6,11 @@ densities are diagonal-covariance Gaussian mixtures attached to states. All
 probability computations run in log space, batched over epochs. Emissions come
 from one GEMM kernel over a bank of stacked models (all six when scoring, one in
 Baum-Welch): const - x^2 (1/(2 sigma^2))^T + x (mu/sigma^2)^T, as in HTK and Kaldi.
+
+Scoring splits its chunks of cells across the CPUs of the process's affinity
+mask when each CPU gets at least two, with numpy's OpenBLAS held at one thread
+(`parallel`); Baum-Welch stays serial, because its moment sums follow chunk
+order. No result depends on the number of workers.
 """
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import parallel
 from .errors import DataError, check_shape
 from .features import FeatureGrid
 from .labels import NUM_CLASSES, EventLabel
@@ -94,23 +100,36 @@ def _bank(models: list[GmmHmmModel]):
     return np.concatenate([-0.5 / var, wmean], axis=-1), const
 
 
-def _chunk(w: np.ndarray, frames: int) -> int:
+def _chunk(w: np.ndarray, frames: int, block: int = _BLOCK) -> int:
     """Cells per chunk for a bank w (..., 2D): the largest power of two whose
-    emission block (Gaussians x frames x cells) fits in _BLOCK doubles. Power-
-    of-two chunks keep every GEMM column at the same kernel position."""
-    cells = max(_BLOCK // (w[..., 0].size * frames), 1)
+    emission block (Gaussians x frames x cells) fits in `block` doubles.
+    Power-of-two chunks keep every GEMM column at the same kernel position."""
+    cells = max(block // (w[..., 0].size * frames), 1)
     return 1 << (cells.bit_length() - 1)
 
 
-def _emissions(w: np.ndarray, const: np.ndarray, frames: np.ndarray):
+def _buffers(w: np.ndarray, frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat buffers for the emissions of `frames` frames against a bank w
+    (..., 2D): the GEMM operand [x^2 | x] and the component block."""
+    return np.empty(frames * w.shape[-1]), np.empty(w[..., 0].size * frames)
+
+
+def _emissions(w: np.ndarray, const: np.ndarray, frames: np.ndarray, work=None):
     """Component log-likelihoods (M, N, L, T, B), log w included, and per-state
     log emissions (M, N, T, B) of B sequences given frame-major, (T, B, D):
     one GEMM of the bank's terms against the frames [x^2 | x], plus the
-    constants."""
-    x = frames.reshape(-1, frames.shape[-1])
-    comp = w.reshape(-1, w.shape[-1]) @ np.hstack([x * x, x]).T
+    constants. The operand and the component block are written into `work`
+    (from _buffers, for at least T B frames) when it is given."""
+    t, b, d = frames.shape
+    op, comp = work or _buffers(w, t * b)
+    x = frames.reshape(t * b, d)
+    op = op[:x.size * 2].reshape(t * b, 2 * d)
+    np.multiply(x, x, out=op[:, :d])
+    op[:, d:] = x
+    comp = np.matmul(w.reshape(-1, 2 * d), op.T,
+                     out=comp[:const.size * t * b].reshape(const.size, t * b))
     comp += const.reshape(-1, 1)
-    comp = comp.reshape(*const.shape, *frames.shape[:2])
+    comp = comp.reshape(*const.shape, t, b)
     return comp, _logsumexp(comp, axis=2)
 
 
@@ -165,13 +184,33 @@ def _loglik(models: list[GmmHmmModel], frames: np.ndarray,
             rows: np.ndarray) -> np.ndarray:
     """Log P(O|M) (B, M) of each of M stacked models for B sequences of T
     frames: column b of rows (T, B) indexes sequence b's frames among the
-    rows of frames (n, D). Each chunk is gathered straight from frames."""
+    rows of frames (n, D). Each chunk is gathered straight from frames.
+
+    The chunks are split across parallel.cpus() workers when that gives each
+    worker at least two full-_BLOCK chunks, and are scored by one otherwise.
+    Each worker scores chunks of a _BLOCK / workers budget, k, k + workers,
+    ... for worker k, in buffers allocated here once; the chunk size is a
+    power of two either way, so every result is bit-identical."""
     bank, log_a = _bank(models), np.stack([_log_trans(m) for m in models])
-    out = np.empty((rows.shape[1], len(models)))
-    step = _chunk(bank[0], rows.shape[0])
-    for lo in range(0, rows.shape[1], step):
-        logb = _emissions(*bank, frames[rows[:, lo:lo + step]])[1]
-        out[lo:lo + step] = _logsumexp(_forward_batch(log_a, logb)[..., -1, :], axis=1).T
+    t, cells = rows.shape
+    d = frames.shape[1]
+    out = np.empty((cells, len(models)))
+    cpus = parallel.cpus()
+    workers = cpus if -(-cells // _chunk(bank[0], t)) >= 2 * cpus else 1
+    step = _chunk(bank[0], t, _BLOCK // workers)
+    spaces = [(np.empty(t * step * d), _buffers(bank[0], t * step))
+              for _ in range(workers)]
+
+    def score(k: int) -> None:
+        gathered, work = spaces[k]
+        for lo in range(k * step, cells, workers * step):
+            index = rows[:, lo:lo + step]
+            x = np.take(frames, index, axis=0, mode="clip",
+                        out=gathered[:index.size * d].reshape(*index.shape, d))
+            logb = _emissions(*bank, x, work)[1]
+            out[lo:lo + step] = _logsumexp(_forward_batch(log_a, logb)[..., -1, :], axis=1).T
+
+    parallel.run(score, workers)
     return out
 
 
@@ -378,11 +417,15 @@ def decode_pass1(grid: FeatureGrid,
                  models: dict[EventLabel, GmmHmmModel]) -> np.ndarray:
     """(epochs, channels, 6) class posteriors: every (epoch, channel) cell
     scored independently against the six models stacked into one bank, each
-    chunk of cells gathered from the feature array as it is scored."""
+    chunk of cells gathered from the feature array as it is scored. The
+    chunks are scored at one BLAS thread, by the caller and one helper
+    thread per extra CPU when there are at least two chunks per CPU; the
+    posteriors are bit-identical for any number of workers."""
     if len(models) != NUM_CLASSES:
         raise DataError(f"need {NUM_CLASSES} models, got {len(models)}")
     frames = grid.vectors.reshape(-1, grid.vectors.shape[-1])
     rows = grid.frame_rows(np.arange(grid.num_epochs * grid.num_channels))
-    scores = _loglik([models[lab] for lab in EventLabel], frames, rows)
+    with parallel.one_blas_thread():
+        scores = _loglik([models[lab] for lab in EventLabel], frames, rows)
     scores -= _logsumexp(scores, axis=1)[:, None]
     return np.exp(scores).reshape(grid.num_epochs, grid.num_channels, NUM_CLASSES)

@@ -1,10 +1,13 @@
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from seqdet import hmm, parallel
 from seqdet.errors import DataError
 from seqdet.features import FeatureGrid
 from seqdet.hmm import (GmmHmmModel, HmmConfig, decode_pass1,
@@ -600,10 +603,11 @@ class TestScoring:
             posteriors_reference(models, cells_reference(grid)),
             rtol=1e-10, atol=1e-14)
 
-    def test_decode_pass1_allocates_under_half_the_features(self):
+    def test_decode_pass1_allocates_under_half_the_features(self, monkeypatch):
         # a 10 min, 22-channel grid with the default model shapes: 13 200
-        # cells scored in 256-cell chunks gathered from the feature array,
-        # with no copy of all cells
+        # cells scored by two workers in 128-cell chunks gathered from the
+        # feature array, with no copy of all cells
+        monkeypatch.setattr(parallel, "cpus", lambda: 2)
         rng = np.random.default_rng(32)
         models = {lab: random_model(rng, n=3, comps=8, dim=26, label=lab)
                   for lab in EventLabel}
@@ -624,6 +628,102 @@ class TestScoring:
         post = decode_pass1(grid, models)
         assert post.shape == (3, 4, 6)
         np.testing.assert_allclose(post.sum(axis=2), 1.0, atol=1e-12)
+
+
+def default_shape_models(rng, dim):
+    """Six random models with the default 3 states x 8 components: the
+    scoring bank's full-_BLOCK chunk is 256 cells."""
+    return {lab: random_model(rng, n=3, comps=8, dim=dim, label=lab)
+            for lab in EventLabel}
+
+
+class TestWorkers:
+    # 2 105 cells in 9 full-_BLOCK chunks and 2 334 in 10; per-worker
+    # chunks of 128 (2 workers) and 64 (3 and 4) cells leave a partial final
+    # chunk, and every worker count leaves a chunk count it does not divide
+    @pytest.mark.parametrize("channels, frames", [(5, 4203), (3, 7777)])
+    def test_decode_pass1_equal_for_any_worker_count(self, monkeypatch,
+                                                     channels, frames):
+        rng = np.random.default_rng(frames)
+        models = default_shape_models(rng, 4)
+        grid = FeatureGrid(rng.normal(0, 2, size=(channels, frames, 4)))
+        counts = []
+        real_run = parallel.run
+        monkeypatch.setattr(parallel, "run", lambda fn, count: (
+            counts.append(count), real_run(fn, count)))
+        posts = {}
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            posts[cpus] = decode_pass1(grid, models)
+        assert counts == [1, 2, 3, 4]
+        for cpus in (2, 3, 4):
+            np.testing.assert_array_equal(posts[cpus], posts[1])
+
+    def test_clip_never_uses_the_helpers(self, monkeypatch):
+        # a 30 s, 22-channel clip is 660 cells, 3 chunks: too few to give
+        # each of 2 CPUs two
+        def no_helpers():
+            raise AssertionError("a 30 s clip submitted to the helper pool")
+
+        monkeypatch.setattr(parallel, "_helpers", no_helpers)
+        monkeypatch.setattr(parallel, "cpus", lambda: 2)
+        rng = np.random.default_rng(33)
+        grid = FeatureGrid(rng.normal(size=(22, 299, 26)))
+        assert decode_pass1(grid, default_shape_models(rng, 26)).shape == (30, 22, 6)
+
+    @pytest.mark.skipif(not parallel._openblas(), reason="numpy's OpenBLAS not found")
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        error = FloatingPointError("a helper's chunk")
+        real_forward = hmm._forward_batch
+
+        def forward(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            return real_forward(*args)
+
+        monkeypatch.setattr(hmm, "_forward_batch", forward)
+        monkeypatch.setattr(parallel, "cpus", lambda: 2)
+        rng = np.random.default_rng(34)
+        grid = FeatureGrid(rng.normal(size=(5, 4203, 4)))
+        get_threads = parallel._openblas()[0]
+        before = get_threads()
+        with pytest.raises(FloatingPointError) as raised:
+            decode_pass1(grid, default_shape_models(rng, 4))
+        assert raised.value is error
+        assert get_threads() == before
+
+    def test_concurrent_callers(self, monkeypatch):
+        # more callers and workers than cores, switching threads often: each
+        # caller gets the serial result, and the BLAS count ends where it began
+        rng = np.random.default_rng(35)
+        models = default_shape_models(rng, 4)
+        grid = FeatureGrid(rng.normal(size=(5, 4203, 4)))
+        monkeypatch.setattr(parallel, "cpus", lambda: 1)
+        want = decode_pass1(grid, models)
+        monkeypatch.setattr(parallel, "cpus", lambda: 4)
+        blas = parallel._openblas()
+        before = blas[0]() if blas else None
+        results = [None] * 6
+
+        def caller(i):
+            results[i] = decode_pass1(grid, models)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,), daemon=True)
+                       for i in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for post in results:
+            np.testing.assert_array_equal(post, want)
+        if blas:
+            assert blas[0]() == before
 
 
 class TestTrain:

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqdet import (cli, evaluation, grammar, hmm, pipeline, sda, signal_io,
-                    synth)
+from seqdet import (cli, evaluation, grammar, hmm, parallel, pipeline, sda,
+                    signal_io, synth)
 from seqdet.bundle import (MAGIC, Bundle, _flatten, _pack_payload,
                            _unpack_payload)
 from seqdet.errors import DataError
@@ -716,6 +716,27 @@ class TestCli:
                          "--out", out]) == 0
         bundle = Bundle.load(out)
         assert bundle.manifest["seed"] == 5
+
+    def test_bundle_equal_on_one_and_two_cpus(self, corpus, tmp_path,
+                                              monkeypatch):
+        # 8 components (the default) give 256-cell pass-1 chunks: 6 of them
+        # over the corpus's 1 320 cells, so two CPUs split them
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(TINY_INI.replace("num_components = 2",
+                                             "num_components = 8"))
+        counts = []
+        real_run = parallel.run
+        monkeypatch.setattr(parallel, "run", lambda fn, count: (
+            counts.append(count), real_run(fn, count)))
+        bundles = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            out = tmp_path / f"m{cpus}.seqd"
+            assert cli.main(["train", corpus["train"][0], "--config",
+                             str(cfg_path), "--out", str(out)]) == 0
+            bundles.append(out.read_bytes())
+        assert counts == [1, 2]
+        assert bundles[0] == bundles[1]
 
     def test_seed_reaches_hmm(self, corpus, tmp_path):
         cfg_path = tmp_path / "c.ini"

@@ -42,6 +42,7 @@ class Fault(NamedTuple):
 
 HMM, SDA, PIPELINE = "src/seqdet/hmm.py", "src/seqdet/sda.py", "src/seqdet/pipeline.py"
 TEST_SDA, TEST_CLI = "tests/test_sda.py", "tests/test_pipeline_cli.py"
+WORKERS = "tests/test_hmm.py::TestWorkers"
 BAD_ROW = f"{TEST_CLI}::TestCli::test_bad_posterior_row_exit_code"
 
 FAULTS = [
@@ -104,6 +105,27 @@ FAULTS = [
           "sda.sda_input(s, smin, smax, cfg.window_length)",
           "sda.make_windows(s, cfg.window_length)",
           (f"{TEST_CLI}::TestTraining::test_sdas_train_on_the_windows_decode_builds",)),
+    Fault("pass-1 worker stride skips chunks", HMM,
+          "        for lo in range(k * step, cells, workers * step):\n",
+          "        for lo in range(k * step, cells, workers * workers * step):\n",
+          (f"{WORKERS}::test_decode_pass1_equal_for_any_worker_count",)),
+    Fault("pass-1 split at one chunk per CPU", HMM,
+          ">= 2 * cpus else 1",
+          ">= cpus else 1",
+          (f"{WORKERS}::test_clip_never_uses_the_helpers",)),
+    Fault("per-worker pass-1 block left at the full _BLOCK", HMM,
+          "step = _chunk(bank[0], t, _BLOCK // workers)",
+          "step = _chunk(bank[0], t, _BLOCK)",
+          ("tests/test_hmm.py::TestScoring::"
+           "test_decode_pass1_allocates_under_half_the_features",)),
+    Fault("BLAS thread count not restored", "src/seqdet/parallel.py",
+          "        put(before)\n",
+          "",
+          ("tests/test_parallel.py::test_one_blas_thread_restores_the_count",)),
+    Fault("helper pool kept across a fork", "src/seqdet/parallel.py",
+          "    if _pool is None or _pool[0] != os.getpid():\n",
+          "    if _pool is None:\n",
+          ("tests/test_parallel.py::test_forked_child_makes_its_own_helpers",)),
     Fault("synthetic minority windows not clipped", SDA,
           "    extra = np.clip(np.stack(extra), 0.0, 1.0)\n",
           "    extra = np.stack(extra)\n",
