@@ -34,7 +34,7 @@ from .labels import NUM_CLASSES, EventLabel
 from .sda import SUPERVECTOR_DIM, SecondPassModels
 
 MAGIC = b"SEQD"
-VERSION = 2
+VERSION = 3
 
 
 def _write_payload(f, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -135,8 +135,7 @@ def _build(tp, path: str, meta: dict, arrays: dict):
     if _is_enum(tp):
         return tp[meta[path]]
     value = meta[path]
-    allowed = (int, float) if tp is float else tp
-    if isinstance(value, bool) or not isinstance(value, allowed):
+    if isinstance(value, bool) or not isinstance(value, tp):
         raise DataError(f"{path} must be {tp.__name__}, got {value!r}")
     return value
 

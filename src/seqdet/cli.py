@@ -16,6 +16,7 @@ from . import evaluation, pipeline, signal_io, synth
 from .bundle import Bundle
 from .errors import DataError, NumericError
 from .labels import TARGET_CLASSES
+from .sda import EXPECTED_CHANNELS
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -59,7 +60,7 @@ def _build_parser() -> _Parser:
                          default="six_way")
     p_score.add_argument("--basis", choices=["per_epoch", "per_channel_event"],
                          default="per_epoch")
-    p_score.add_argument("--channels", type=int, default=22)
+    p_score.add_argument("--channels", type=int, default=EXPECTED_CHANNELS)
     p_score.add_argument("--out", required=True,
                          help="report prefix (writes .txt and .csv)")
 

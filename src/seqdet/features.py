@@ -54,11 +54,9 @@ class FrameSpec:
     window_s: float = 0.2
     fft_size: int = 64
     num_filters: int = 18
-    num_cepstra: int = 7
     diff_energy_window_frames: int = 9   # M, odd
     delta_width_first: int = 9           # N1
     delta_width_second: int = 3          # N2
-    frames_per_epoch: int = 10
 
     def __post_init__(self):
         if self.window_s < self.frame_s:
@@ -68,11 +66,6 @@ class FrameSpec:
                             f"sample at {PIPELINE_RATE_HZ:g} Hz")
         if self.fft_size < 1:
             raise DataError(f"fft_size = {self.fft_size} must be at least 1")
-        # c1..c7 come from a DCT of num_filters log energies; anything else
-        # changes the vector's width, which every trained model depends on
-        if self.num_cepstra != _CEPSTRA:
-            raise DataError(f"num_cepstra = {self.num_cepstra} must be "
-                            f"{_CEPSTRA} ({FEATURE_DIM}-dimensional vectors)")
         if self.num_filters < _CEPSTRA + 1:
             raise DataError(f"num_filters = {self.num_filters} must be at least "
                             f"{_CEPSTRA + 1} to give {_CEPSTRA} cepstra")
@@ -87,6 +80,10 @@ class FrameSpec:
 
     def step_samples(self, rate_hz: float) -> int:
         return int(round(self.frame_s * rate_hz))
+
+    @property
+    def frames_per_epoch(self) -> int:  # whole steps in a 1 s epoch
+        return int(PIPELINE_RATE_HZ) // self.step_samples(PIPELINE_RATE_HZ)
 
 
 @dataclass(frozen=True)
@@ -297,7 +294,7 @@ def extract_features(rec: Recording, spec: FrameSpec | None = None) -> FeatureGr
             f"feature extraction requires {PIPELINE_RATE_HZ:g} Hz input, "
             f"got {rec.sample_rate_hz:g} Hz (resample first)")
     spectrum = _Spectrum(spec, rec.sample_rate_hz, rec.num_samples)
-    dct = _dct_basis(spec.num_filters, spec.num_cepstra)
+    dct = _dct_basis(spec.num_filters, _CEPSTRA)
     channels, frames = rec.data.shape[0], spectrum.num_frames
     out = np.empty((channels, frames, FEATURE_DIM))
     group = min(max(_CHUNK // (FEATURE_DIM * frames), 1), channels)

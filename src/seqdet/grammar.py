@@ -45,7 +45,6 @@ class BigramTable:
 @dataclass(frozen=True)
 class GrammarParams:
     epsilon_prior: float = 0.1  # broadcast over the 6 classes
-    m_weight: float = 1.0
     decay: float = 0.2          # lambda
     alpha: float = 0.1
     gamma: float = 1.0
@@ -55,8 +54,8 @@ class GrammarParams:
     def __post_init__(self):
         if self.window < 1:
             raise DataError("context window must be >= 1")
-        if not all(0 <= v < np.inf for v in (self.epsilon_prior, self.m_weight,
-                                             self.decay, self.alpha, self.gamma)):
+        if not all(0 <= v < np.inf for v in (self.epsilon_prior, self.decay,
+                                             self.alpha, self.gamma)):
             raise DataError("grammar weights and decay must be finite and non-negative")
 
 
@@ -90,13 +89,13 @@ def estimate_bigram(sequences: list[np.ndarray], k: float = 0.1) -> BigramTable:
 # The smoothing iteration
 
 def global_prior(posteriors: np.ndarray, params: GrammarParams) -> np.ndarray:
-    """Mean posterior blended with the broadcast epsilon prior, renormalized."""
+    """The posteriors summed over epochs plus epsilon_prior in each class,
+    normalized."""
     p = np.asarray(posteriors, dtype=np.float64)
     if p.shape[0] < 1:
         raise DataError("need at least one epoch")
-    num = p.sum(axis=0) + params.epsilon_prior * params.m_weight
-    g = num / (p.shape[0] + params.m_weight)
-    return g / g.sum()
+    num = p.sum(axis=0) + params.epsilon_prior
+    return num / num.sum()
 
 
 def _context(windows: np.ndarray, exists: np.ndarray, weights: np.ndarray,

@@ -52,10 +52,13 @@ class PipelineConfig:
         if self.bigram_source not in ("table1", "estimate"):
             raise DataError(f"config [pipeline] bigram_source must be "
                             f"table1|estimate, got {self.bigram_source!r}")
-        if self.hmm.num_states > self.frame.frames_per_epoch:
+        step = self.frame.step_samples(PIPELINE_RATE_HZ)
+        if (self.frame.frames_per_epoch * step != PIPELINE_RATE_HZ
+                or self.frame.frames_per_epoch < self.hmm.num_states):
             raise DataError(
-                f"config [hmm] num_states = {self.hmm.num_states} exceeds "
-                f"[frontend] frames_per_epoch = {self.frame.frames_per_epoch}")
+                f"config [frontend] frame_s = {self.frame.frame_s} steps {step} "
+                f"samples; a 1 s epoch must hold a whole number of steps, at "
+                f"least [hmm] num_states = {self.hmm.num_states}")
         for key in ("pca_detector_dim", "pca_sixway_dim"):
             if not 1 <= getattr(self, key) <= sda.SUPERVECTOR_DIM:
                 raise DataError(f"config [pipeline] {key} = {getattr(self, key)} "
@@ -378,7 +381,7 @@ def read_posterior_csv(path: str) -> np.ndarray:
 # Scoring
 
 def score_files(ref_path: str, hyp_path: str, mode: str, basis: str,
-                num_channels: int = 22):
+                num_channels: int = sda.EXPECTED_CHANNELS):
     """Confusion matrix + two-way summary for one (reference, hypothesis)
     annotation pair. The hypothesis determines the epoch count since decode
     emits full-coverage label runs."""

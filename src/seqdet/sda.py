@@ -185,7 +185,6 @@ class SdaModel:
     out_w: np.ndarray     # (classes, top_dim) logistic regression layer
     out_b: np.ndarray     # (classes,)
     window_length: int
-    corruption: float
     scale_min: np.ndarray  # per-dim min/max of the reduced per-epoch vectors
     scale_max: np.ndarray
 
@@ -435,7 +434,7 @@ def fine_tune(layers: list[SdaLayer], x: np.ndarray, y: np.ndarray,
     for layer, trained in zip(layers, work):
         _write_back(layer, trained)
     return SdaModel(layers, out_w.astype(np.float64), out_b.astype(np.float64),
-                    config.window_length, config.corruption, scale_min, scale_max)
+                    config.window_length, scale_min, scale_max)
 
 
 def augment_binary(x: np.ndarray, y: np.ndarray, cap: int,

@@ -21,7 +21,7 @@ from seqdet.sda import (SUPERVECTOR_DIM, PcaModel, SdaModel, SecondPassModels,
 def tiny_sda(rng, pca_dim, outputs=2, window=3):
     layers = init_stack(window * pca_dim, (4, 4), rng)
     return SdaModel(layers, rng.standard_normal((outputs, 4)),
-                    rng.standard_normal(outputs), window, 0.3,
+                    rng.standard_normal(outputs), window,
                     np.zeros(pca_dim), np.ones(pca_dim))
 
 
@@ -146,7 +146,6 @@ class TestBundle:
         for name in ("sda_spsw", "sda_eyem", "sda_sixway"):
             a, b = getattr(bundle.second_pass, name), getattr(back.second_pass, name)
             assert a.window_length == b.window_length
-            assert a.corruption == b.corruption
             assert len(a.layers) == len(b.layers)
             for la, lb in zip(a.layers, b.layers):
                 np.testing.assert_array_equal(la.w, lb.w)
@@ -175,7 +174,7 @@ class TestBundle:
         ("/second_pass/sda_spsw/window_length", "3"),
         ("/second_pass/sda_spsw/window_length", True),
         ("/second_pass/sda_spsw/window_length", 3.0),
-        ("/second_pass/sda_sixway/corruption", "0.3"),
+        ("/second_pass/sda_sixway/window_length", None),
         ("/manifest", ["seed", 0]),
     ])
     def test_mistyped_leaf_rejected(self, tmp_path, key, value):
@@ -186,13 +185,6 @@ class TestBundle:
         Path(path).write_bytes(data[:8] + _pack_payload(meta, arrays))
         with pytest.raises(DataError, match=f"{key} must be "):
             Bundle.load(path)
-
-    def test_int_accepted_for_float_leaf(self, tmp_path):
-        path, data = saved_tiny_bundle(tmp_path)
-        meta, arrays = _unpack_payload(data[8:])
-        meta["/second_pass/sda_eyem/corruption"] = 1
-        Path(path).write_bytes(data[:8] + _pack_payload(meta, arrays))
-        assert Bundle.load(path).second_pass.sda_eyem.corruption == 1
 
 
 def rewrite(path, data, **changes):

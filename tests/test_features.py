@@ -13,10 +13,11 @@ from scipy.fft import dct, rfft
 
 from seqdet import synth
 from seqdet.errors import DataError
-from seqdet.features import (_CHUNK, ENERGY_FLOOR, FEATURE_DIM, FrameSpec,
-                             _dct_basis, _filterbank_matrix, _Spectrum, deltas,
-                             differential_energy, extract_features,
-                             filterbank_energies, frequency_energy)
+from seqdet.features import (_CEPSTRA, _CHUNK, ENERGY_FLOOR, FEATURE_DIM,
+                             FrameSpec, _dct_basis, _filterbank_matrix,
+                             _Spectrum, deltas, differential_energy,
+                             extract_features, filterbank_energies,
+                             frequency_energy)
 from seqdet.signal_io import Recording
 
 RATE = 250.0
@@ -56,7 +57,7 @@ def ref_filterbank_energies(frames, spec=SPEC, rate_hz=RATE):
 
 def ref_cepstra(energies, spec=SPEC):
     coeffs = dct(np.log(np.atleast_2d(energies)), type=2, norm="ortho", axis=-1)
-    return coeffs[..., 1:spec.num_cepstra + 1]
+    return coeffs[..., 1:_CEPSTRA + 1]
 
 
 def ref_differential_energy(ef, m):
@@ -132,7 +133,7 @@ def feature_error_bound(samples, spec=SPEC, rate_hz=RATE):
     log_e = np.log(energies)
     d_log = (d_energy / np.maximum(raw - d_energy, ENERGY_FLOOR)
              + 4 * U * np.abs(log_e))
-    basis = np.abs(_dct_basis(nf, spec.num_cepstra))
+    basis = np.abs(_dct_basis(nf, _CEPSTRA))
     d_ceps = d_log @ basis.T + 4 * nf * U * np.abs(log_e).sum(axis=1, keepdims=True)
     total = energies.sum(axis=1)
     ef = np.log(total)
@@ -213,7 +214,7 @@ def extract_features_reference(rec, spec=SPEC):
     """The frontend before channel groups: each channel's 26 rows finished on
     their own, with np.pad-padded derivatives, then copied out."""
     spectrum = _Spectrum(spec, rec.sample_rate_hz, rec.num_samples)
-    dct_rows = _dct_basis(spec.num_filters, spec.num_cepstra)
+    dct_rows = _dct_basis(spec.num_filters, _CEPSTRA)
     out = np.empty((rec.data.shape[0], spectrum.num_frames, FEATURE_DIM))
     rows = np.empty((FEATURE_DIM, spectrum.num_frames))
     for samples, vectors in zip(rec.data, out):
@@ -333,13 +334,18 @@ class TestFraming:
 
 class TestFrameSpec:
     @pytest.mark.parametrize("key, value", [
-        ("num_cepstra", 5), ("num_cepstra", 8), ("num_filters", 4),
-        ("num_filters", 7), ("frame_s", 0.001), ("fft_size", 0),
-        ("diff_energy_window_frames", -1), ("diff_energy_window_frames", 4),
+        ("num_filters", 4), ("num_filters", 7), ("frame_s", 0.001),
+        ("fft_size", 0), ("diff_energy_window_frames", -1),
+        ("diff_energy_window_frames", 4),
     ])
     def test_rejected(self, key, value):
         with pytest.raises(DataError, match=f"{key} = {value}"):
             FrameSpec(**{key: value})
+
+    @pytest.mark.parametrize("frame_s, frames", [(0.1, 10), (0.2, 5),
+                                                 (0.02, 50), (1.0, 1)])
+    def test_frames_per_epoch_follow_from_the_step(self, frame_s, frames):
+        assert FrameSpec(frame_s=frame_s, window_s=1.0).frames_per_epoch == frames
 
     def test_every_valid_spec_gives_feature_dim(self):
         spec = FrameSpec(num_filters=8, fft_size=16)

@@ -132,7 +132,7 @@ class TestPriors:
         p = rand_post(rng, 12)
         params = GrammarParams()
         g = global_prior(p, params)
-        expect = (p.sum(axis=0) + 0.1) / (12 + 1.0)
+        expect = p.sum(axis=0) + 0.1
         expect /= expect.sum()
         np.testing.assert_allclose(g, expect)
         assert g.sum() == pytest.approx(1.0)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from seqdet import (cli, evaluation, grammar, hmm, parallel, pipeline, sda,
                     signal_io, synth)
-from seqdet.bundle import (MAGIC, Bundle, _flatten, _pack_payload,
+from seqdet.bundle import (MAGIC, VERSION, Bundle, _flatten, _pack_payload,
                            _unpack_payload)
 from seqdet.errors import DataError
 from seqdet.features import FrameSpec, extract_features
@@ -65,26 +65,26 @@ def _sda_configs(outputs):
 
 
 # Every valid config: the ranges stop where PipelineConfig's own checks do
-# (a FrameSpec must give 26-dimensional vectors: 7 cepstra from at least 8
-# filters).
+# (a FrameSpec must give 26-dimensional vectors, 7 cepstra from at least 8
+# filters, and a frame step that divides the 250-sample epoch into at least
+# num_states frames).
 _configs = st.builds(
     PipelineConfig,
     frame=st.builds(
-        FrameSpec, frame_s=st.floats(0.01, 0.1), window_s=st.floats(0.1, 1.0),
-        fft_size=_pos_ints, num_filters=st.integers(8, 10_000),
-        num_cepstra=st.just(7),
+        FrameSpec, frame_s=st.sampled_from([0.004, 0.02, 0.04, 0.1]),
+        window_s=st.floats(0.1, 1.0), fft_size=_pos_ints,
+        num_filters=st.integers(8, 10_000),
         diff_energy_window_frames=_pos_ints.map(lambda n: 2 * n + 1),
-        delta_width_first=_pos_ints, delta_width_second=_pos_ints,
-        frames_per_epoch=st.integers(20, 10_000)),
-    hmm=st.builds(HmmConfig, num_states=st.integers(1, 20),
+        delta_width_first=_pos_ints, delta_width_second=_pos_ints),
+    hmm=st.builds(HmmConfig, num_states=st.integers(1, 10),
                   num_components=_pos_ints,
                   max_iterations=_pos_ints, tol_per_frame=_weights,
                   seed=st.integers(0, 2**32)),
     sda_spsw=_sda_configs(2), sda_eyem=_sda_configs(2),
     sda_sixway=_sda_configs(6),
-    grammar=st.builds(GrammarParams, epsilon_prior=_weights, m_weight=_weights,
-                      decay=_weights, alpha=_weights, gamma=_weights,
-                      iterations=_pos_ints, window=_pos_ints),
+    grammar=st.builds(GrammarParams, epsilon_prior=_weights, decay=_weights,
+                      alpha=_weights, gamma=_weights, iterations=_pos_ints,
+                      window=_pos_ints),
     # an empty montage_path reads back as None (no montage)
     montage_path=st.none() | st.text(min_size=1),
     bigram_source=st.sampled_from(["table1", "estimate"]),
@@ -302,15 +302,14 @@ class TestTraining:
 
     def test_bundle_arrays_are_float64(self, trained):
         # the SdAs train in float32, yet the bundle holds float64 arrays and
-        # its container (version 2, every array little-endian f8) is the
-        # one it was before
+        # its container stores every array as little-endian f8
         bundle, path = trained
         meta, arrays = {}, {}
         _flatten(bundle, Bundle, "", meta, arrays)
         assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
         with open(path, "rb") as f:
             buf = f.read()
-        assert buf[:8] == MAGIC + (2).to_bytes(4, "little")
+        assert buf[:8] == MAGIC + VERSION.to_bytes(4, "little")
         stored = _unpack_payload(buf[8:])[1]
         assert stored.keys() == arrays.keys()
         for name, a in stored.items():
@@ -573,7 +572,7 @@ class TestCli:
         ("sda.6way", "outputs", "3"),
         ("sda.eyem", "window_length", "0"),
         ("sda.6way", "pretrain_batch", "0"),
-        ("frontend", "num_cepstra", "5"),
+        ("frontend", "frame_s", "0.05"),
         ("frontend", "num_filters", "4"),
     ])
     def test_config_out_of_range_exit_code(self, corpus, tmp_path, capsys,
@@ -589,6 +588,37 @@ class TestCli:
         err = one_line_data_error(capsys)
         assert f"[{section}] {key} = {value}" in err
         assert calls == []
+
+    @pytest.mark.parametrize("section, key", [
+        ("frontend", "num_cepstra"), ("frontend", "frames_per_epoch"),
+        ("grammar", "m_weight")])
+    def test_removed_key_exit_code(self, corpus, tmp_path, capsys, section,
+                                   key):
+        # the cepstra count has one valid value, the frames per epoch follow
+        # from frame_s, and m_weight acted only through epsilon_prior
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(f"[{section}]\n{key} = 7\n")
+        code = cli.main(["train", corpus["train"][0], "--config",
+                         str(cfg_path), "--out", str(tmp_path / "m.seqd")])
+        assert code == 2
+        assert f"unknown config key [{section}] {key}" in \
+            one_line_data_error(capsys)
+
+    def test_frame_step_sets_the_epoch_grid(self, corpus, tmp_path):
+        # 0.2 s frames give 5 frames an epoch, and the 60 s recording still
+        # decodes to 60 one-second epochs
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text("[frontend]\nframe_s = 0.2\n" + TINY_INI)
+        out = str(tmp_path / "m.seqd")
+        rec_path = corpus["train"][0]
+        assert cli.main(["train", rec_path, "--config", str(cfg_path),
+                         "--out", out]) == 0
+        bundle = Bundle.load(out)
+        frame = PipelineConfig.from_dict(bundle.manifest["config"]).frame
+        grid = extract_features(signal_io.read_recording(rec_path), frame)
+        assert (grid.frames_per_epoch, grid.num_epochs) == (5, 60)
+        hyp, _ = decode_recording(bundle, rec_path)
+        assert max(ev.stop_s for ev in hyp.events) == 60.0
 
     @pytest.mark.parametrize("target", ["bundle", "recording", "det --out",
                                         "--out-dir"])
@@ -776,6 +806,20 @@ class TestCli:
                          "--out-dir", str(tmp_path)])
         assert code == 2
         assert "container version 1" in one_line_data_error(capsys)
+
+    def test_v2_bundle_exit_code(self, trained, corpus, tmp_path, capsys):
+        # a version-2 bundle holds a config with keys that are gone since
+        # (num_cepstra, frames_per_epoch, m_weight): refused as it loads,
+        # not at decode
+        _, bundle_path = trained
+        data = Path(bundle_path).read_bytes()
+        path = str(tmp_path / "v2.seqd")
+        Path(path).write_bytes(data[:4] + (2).to_bytes(4, "little") + data[8:])
+        code = cli.main(["decode", path, corpus["eval"][0],
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"container version 2, expected {VERSION}" in \
+            one_line_data_error(capsys)
 
     def test_mistyped_bundle_leaf_exit_code(self, trained, corpus, tmp_path,
                                             capsys):

@@ -387,8 +387,8 @@ class TestSelfChecks:
         with `changes` applied."""
         fields = {"layers": init_stack(12, (5,), np.random.default_rng(22)),
                   "out_w": np.zeros((2, 5)), "out_b": np.zeros(2),
-                  "window_length": 3, "corruption": 0.3,
-                  "scale_min": np.zeros(4), "scale_max": np.ones(4)}
+                  "window_length": 3, "scale_min": np.zeros(4),
+                  "scale_max": np.ones(4)}
         return {**fields, **changes}
 
     @pytest.mark.parametrize("key", ["scale_min", "scale_max", "out_b"])
@@ -578,8 +578,8 @@ class TestTraining:
         pretrain(layers, x, FAST, rng)
         model = fine_tune(layers, x, y, FAST, rng, np.zeros(4), np.ones(4))
         probs = predict_sequence(
-            SdaModel(model.layers, model.out_w, model.out_b, 1, 0.3,
-                     np.zeros(12), np.ones(12)), x)
+            SdaModel(model.layers, model.out_w, model.out_b, 1, np.zeros(12),
+                     np.ones(12)), x)
         acc = np.mean(np.argmax(probs, axis=1) == y)
         assert acc > 0.95
 
@@ -786,8 +786,8 @@ class TestDecodePass2:
             r = np.random.default_rng(20)
             layers = init_stack(input_dim, (8,), r)
             return SdaModel(layers, init_layer(8, outputs, r).w,
-                            np.zeros(outputs), window, 0.3,
-                            np.zeros(5), np.ones(5))
+                            np.zeros(outputs), window, np.zeros(5),
+                            np.ones(5))
 
         models = SecondPassModels(pca_det, pca_six,
                                   tiny_model(2, 3, 15), tiny_model(2, 3, 15),

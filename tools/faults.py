@@ -42,6 +42,7 @@ class Fault(NamedTuple):
 
 HMM, SDA, PIPELINE = "src/seqdet/hmm.py", "src/seqdet/sda.py", "src/seqdet/pipeline.py"
 TEST_SDA, TEST_CLI = "tests/test_sda.py", "tests/test_pipeline_cli.py"
+KNOB = "tests/test_knobs.py::test_key_changes_its_stage_output"
 WORKERS = "tests/test_hmm.py::TestWorkers"
 BAD_ROW = f"{TEST_CLI}::TestCli::test_bad_posterior_row_exit_code"
 
@@ -131,6 +132,22 @@ FAULTS = [
           "    extra = np.stack(extra)\n",
           (f"{TEST_SDA}::TestTraining::test_augment_binary",
            f"{TEST_SDA}::TestTraining::test_augment_binary_matches_reference")),
+    Fault("second delta width fixed at 3", "src/seqdet/features.py",
+          "deltas(block[:, 9:17], spec.delta_width_second,",
+          "deltas(block[:, 9:17], 3,",
+          (f"{KNOB}[frontend-delta_width_second]",)),
+    Fault("grammar iteration cap ignored", "src/seqdet/grammar.py",
+          "    for it in range(1, params.iterations + 1):\n",
+          "    for it in range(1, 21):\n",
+          (f"{KNOB}[grammar-iterations]",)),
+    Fault("augmentation cap ignored", PIPELINE,
+          "sda.augment_binary(x, y, config.augment_cap, rng)",
+          "sda.augment_binary(x, y, 2000, rng)",
+          (f"{KNOB}[pipeline-augment_cap]",)),
+    Fault("frames per epoch fixed at 10", "src/seqdet/features.py",
+          "        return int(PIPELINE_RATE_HZ) // self.step_samples(PIPELINE_RATE_HZ)\n",
+          "        return 10\n",
+          (f"{TEST_CLI}::TestCli::test_frame_step_sets_the_epoch_grid",)),
 ]
 
 
