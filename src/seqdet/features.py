@@ -7,18 +7,22 @@ first and second derivatives complete the vector:
     [c1..c7, Ef, Ed, delta(c1..c7, Ef, Ed), deltadelta(c1..c7, Ef)]
 
 No frames are built. A channel is cut into contiguous step-sized blocks, and
-the Hamming-windowed real DFT of every frame is one wide GEMM of a
-precomputed basis against those blocks, followed by one shifted add per
-step-sized slice of the window. Power, filterbank, log and DCT then run over
-chunks of frames small enough to stay in cache. The rest of the vector (the
+the Hamming-windowed real DFT of every frame is one wide GEMM of a basis
+against those blocks, followed by one shifted add per step-sized slice of
+the window. The basis and the filter taps are built once per frame spec and
+rate, on first use. Power, filterbank, log and DCT then run over chunks of
+frames small enough to stay in cache. The rest of the vector (the
 differential energy, both delta passes and the copy into the output) runs
 over groups of channels whose 26 rows fit the same cache budget: all 22
 channels of a 30 s clip in two groups, one channel at a time for 10 min.
-The GEMMs run with numpy's OpenBLAS held at one thread (`parallel`); the
-features are the same bits at one and two threads.
+The groups are split across the CPUs of the process when each CPU gets at
+least two, as pass 1 splits its chunks; each worker has its own buffers.
+Everything runs with numpy's OpenBLAS held at one thread (`parallel`); the
+features are the same bits for any number of workers and BLAS threads.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,13 +43,16 @@ _CEPSTRA = 7  # the vector above holds c1..c7
 _CHUNK = 1 << 17
 
 
-def _gemm_width(blocks: int) -> int:
-    """`blocks` rounded up to a multiple of 8. Measured with OpenBLAS 0.3.31
-    on x86-64, the 132 x 25 DFT product has the same bits at 1 and 2 threads
-    only when its width is below 159 or a multiple of 8; at a 30 s clip's
-    300 blocks the features moved by up to 3.9e-13. The extra columns are
-    never read."""
-    return -(-blocks // 8) * 8
+def gemm_width(columns: int) -> int:
+    """`columns` rounded up to a multiple of 8: the width of a GEMM whose
+    every column gets the same bits whatever the width and the thread count.
+    Measured with OpenBLAS 0.3.31 on x86-64: the 132 x 25 DFT product has
+    the same bits at 1 and 2 threads only when its width is below 159 or a
+    multiple of 8 (at a 30 s clip's 300 blocks the features moved by up to
+    3.9e-13), and a pass-1 emission GEMM of 300 columns (a 30 s channel)
+    gave 107 of its 3 960 posteriors other bits than the same cells in one
+    of 3 300. The extra columns are never read."""
+    return -(-columns // 8) * 8
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,15 @@ class FrameSpec:
 
     def step_samples(self, rate_hz: float) -> int:
         return int(round(self.frame_s * rate_hz))
+
+    def num_frames(self, num_samples: int, rate_hz: float) -> int:
+        """Whole frames in `num_samples`; a trailing partial frame is
+        dropped."""
+        win = self.window_samples(rate_hz)
+        if num_samples < win:
+            raise DataError(f"signal of {num_samples} samples shorter than "
+                            f"one {win}-sample window")
+        return (num_samples - win) // self.step_samples(rate_hz) + 1
 
     @property
     def frames_per_epoch(self) -> int:  # whole steps in a 1 s epoch
@@ -131,42 +147,49 @@ def _filterbank_matrix(spec: FrameSpec, rate_hz: float) -> np.ndarray:
     return fb
 
 
+@functools.lru_cache(maxsize=8)
+def _tables(spec: FrameSpec, rate_hz: float):
+    """The read-only parts of a _Spectrum: the DFT basis, and each filter's
+    tap bins and weights. Built on first use for a (spec, rate) and shared
+    by every _Spectrum of it, in every worker."""
+    win, step = spec.window_samples(rate_hz), spec.step_samples(rate_hz)
+    slices, n = -(-win // step), spec.fft_size
+    bins = n // 2 + 1
+    # the DFT basis: slice j holds the cosine then the sine rows for window
+    # samples j*step .. (j+1)*step - 1; samples at or past min(window,
+    # fft_size) get zeros, as rfft(n=fft_size) truncates
+    taper = np.zeros(slices * step)
+    taper[:min(win, n)] = np.hamming(win)[:n]
+    angle = (2 * np.pi / n) * (np.outer(np.arange(bins), np.arange(len(taper))) % n)
+    basis = np.concatenate([np.cos(angle), np.sin(angle)]) * taper
+    basis = np.ascontiguousarray(
+        basis.reshape(2 * bins, slices, step).transpose(1, 0, 2).reshape(-1, step))
+    # each filter's support is a run of at most `taps` bins; a filter is
+    # summed over that run in bin order, so no BLAS call (whose summation
+    # order may follow the thread count) touches the energies
+    fb = _filterbank_matrix(spec, rate_hz)
+    support = fb > 0
+    width = support.sum(axis=1)
+    offset = np.arange(max(width.max(), 1))[:, None]
+    tap_bins = np.minimum(support.argmax(axis=1) + offset, bins - 1)  # (taps, filters)
+    tap_weights = np.where(offset < width, fb[np.arange(len(fb)), tap_bins], 0.0)
+    for table in (basis, tap_bins, tap_weights):
+        table.flags.writeable = False
+    return basis, tap_bins, tap_weights
+
+
 class _Spectrum:
     """Filterbank energies of one channel, chunk by chunk, in buffers that
     are allocated once and reused for every chunk and channel."""
 
     def __init__(self, spec: FrameSpec, rate_hz: float, num_samples: int):
-        win, self.step = spec.window_samples(rate_hz), spec.step_samples(rate_hz)
-        if num_samples < win:
-            raise DataError(f"signal of {num_samples} samples shorter than "
-                            f"one {win}-sample window")
-        self.num_frames = (num_samples - win) // self.step + 1
-        self.slices = -(-win // self.step)  # step-sized blocks per window
-        n = spec.fft_size
-        self.bins = n // 2 + 1
-        # the DFT basis: slice j holds the cosine then the sine rows for
-        # window samples j*step .. (j+1)*step - 1; samples at or past
-        # min(window, fft_size) get zeros, as rfft(n=fft_size) truncates
-        taper = np.zeros(self.slices * self.step)
-        taper[:min(win, n)] = np.hamming(win)[:n]
-        angle = (2 * np.pi / n) * (np.outer(np.arange(self.bins), np.arange(len(taper))) % n)
-        basis = np.concatenate([np.cos(angle), np.sin(angle)]) * taper
-        self.basis = np.ascontiguousarray(
-            basis.reshape(2 * self.bins, self.slices, self.step).transpose(1, 0, 2)
-            .reshape(-1, self.step))
-        # each filter's support is a run of at most `taps` bins; a filter is
-        # summed over that run in bin order, so no BLAS call (whose summation
-        # order may follow the thread count) touches the energies
-        fb = _filterbank_matrix(spec, rate_hz)
-        support = fb > 0
-        width = support.sum(axis=1)
-        offset = np.arange(max(width.max(), 1))[:, None]
-        self.tap_bins = np.minimum(support.argmax(axis=1) + offset,
-                                   self.bins - 1)                  # (taps, filters)
-        self.tap_weights = np.where(
-            offset < width, fb[np.arange(len(fb)), self.tap_bins], 0.0)
+        self.num_frames = spec.num_frames(num_samples, rate_hz)
+        self.step = spec.step_samples(rate_hz)
+        self.slices = -(-spec.window_samples(rate_hz) // self.step)  # blocks per window
+        self.bins = spec.fft_size // 2 + 1
+        self.basis, self.tap_bins, self.tap_weights = _tables(spec, rate_hz)
         self.chunk = max(_CHUNK // len(self.basis) - self.slices + 1, 1)
-        cols = _gemm_width(min(self.chunk, self.num_frames) + self.slices - 1)
+        cols = gemm_width(min(self.chunk, self.num_frames) + self.slices - 1)
         self._prod = np.empty(len(self.basis) * cols)
         self._taps = np.empty(self.tap_bins.size * cols)
 
@@ -180,7 +203,7 @@ class _Spectrum:
         q, step, b = self.slices, self.step, self.bins
         # the blocks that the chunk's frames touch, and the unread ones up to
         # a thread-invariant GEMM width
-        cols = _gemm_width(t1 - t0 + q - 1)
+        cols = gemm_width(t1 - t0 + q - 1)
         blocks = samples[t0 * step:(t0 + cols) * step]
         if len(blocks) < cols * step:
             # past the end of the signal: the unread blocks, and the end of a
@@ -287,20 +310,45 @@ def deltas(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndar
     return out
 
 
+def _group(channels: int, frames: int) -> int:
+    """Channels in one frontend group: as many as fit their 26 frame-last
+    rows in _CHUNK doubles, at least one."""
+    return min(max(_CHUNK // (FEATURE_DIM * frames), 1), channels)
+
+
+def block_channels(rec: Recording, spec: FrameSpec) -> int:
+    """Channels per block when `rec` is decoded a block at a time: two
+    frontend groups per CPU, the fewest on which extract_features runs on
+    every CPU."""
+    frames = spec.num_frames(rec.num_samples, rec.sample_rate_hz)
+    return 2 * parallel.cpus() * _group(len(rec.data), frames)
+
+
 def extract_features(rec: Recording, spec: FrameSpec | None = None) -> FeatureGrid:
+    """The feature grid of every channel of `rec`. Worker k of w finishes
+    groups k, k + w, ...; w is parallel.cpus() when that gives each worker
+    at least two groups, and 1 otherwise."""
     spec = spec or FrameSpec()
     if abs(rec.sample_rate_hz - PIPELINE_RATE_HZ) > 1e-9:
         raise DataError(
             f"feature extraction requires {PIPELINE_RATE_HZ:g} Hz input, "
             f"got {rec.sample_rate_hz:g} Hz (resample first)")
-    spectrum = _Spectrum(spec, rec.sample_rate_hz, rec.num_samples)
+    channels = rec.data.shape[0]
+    frames = spec.num_frames(rec.num_samples, rec.sample_rate_hz)
+    group = _group(channels, frames)
+    cpus = parallel.cpus()
+    workers = cpus if -(-channels // group) >= 2 * cpus else 1
     dct = _dct_basis(spec.num_filters, _CEPSTRA)
-    channels, frames = rec.data.shape[0], spectrum.num_frames
     out = np.empty((channels, frames, FEATURE_DIM))
-    group = min(max(_CHUNK // (FEATURE_DIM * frames), 1), channels)
-    rows = np.empty((group, FEATURE_DIM, frames))  # a group of channels, frame-last
-    with parallel.one_blas_thread():
-        for c0 in range(0, channels, group):
+    # each worker's spectrum and the rows of a group of its channels,
+    # frame-last: allocated in the calling thread, so that no helper
+    # thread's malloc arena keeps them after the call
+    spaces = [(_Spectrum(spec, rec.sample_rate_hz, rec.num_samples),
+               np.empty((group, FEATURE_DIM, frames))) for _ in range(workers)]
+
+    def finish(k: int) -> None:
+        spectrum, rows = spaces[k]
+        for c0 in range(k * group, channels, workers * group):
             block = rows[:min(group, channels - c0)]
             for samples, row in zip(rec.data[c0:c0 + group], block):
                 for t0, t1 in spectrum.chunks():
@@ -311,4 +359,7 @@ def extract_features(rec: Recording, spec: FrameSpec | None = None) -> FeatureGr
             deltas(block[:, :9], spec.delta_width_first, out=block[:, 9:18])
             deltas(block[:, 9:17], spec.delta_width_second, out=block[:, 18:])  # c1..c7, Ef
             out[c0:c0 + len(block)] = block.transpose(0, 2, 1)
+
+    with parallel.one_blas_thread():
+        parallel.run(finish, workers)
     return FeatureGrid(out, spec.frames_per_epoch)

@@ -10,7 +10,9 @@ Baum-Welch): const - x^2 (1/(2 sigma^2))^T + x (mu/sigma^2)^T, as in HTK and Kal
 Scoring splits its chunks of cells across the CPUs of the process's affinity
 mask when each CPU gets at least two, with numpy's OpenBLAS held at one thread
 (`parallel`); Baum-Welch stays serial, because its moment sums follow chunk
-order. No result depends on the number of workers.
+order. Each scoring GEMM is padded to a width that is a multiple of 8, so a
+cell's posteriors are the same bits whichever chunk it falls in: no result
+depends on the number of workers, or on which channels a grid holds.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import parallel
 from .errors import DataError, check_shape
-from .features import FeatureGrid
+from .features import FeatureGrid, gemm_width
 from .labels import NUM_CLASSES, EventLabel
 
 LOG_ZERO = -np.inf
@@ -65,18 +67,19 @@ class GmmHmmModel:
 # ---------------------------------------------------------------------------
 # Emission densities
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+def _logsumexp(a: np.ndarray, axis: int = -1, overwrite: bool = False) -> np.ndarray:
     """log(sum(exp(a))) along `axis`, shifted by the maximum. Shifted terms
     are clamped at _EXP_FLOOR, which leaves every sum bit-identical; a row
     whose maximum is not finite gives that maximum (-inf for a row that is
-    all -inf, NaN or +inf), as the unclamped sum would."""
+    all -inf, NaN or +inf), as the unclamped sum would. With `overwrite`,
+    the terms are computed in `a` itself instead of in a copy."""
     m = np.max(a, axis=axis, keepdims=True)
     finite = np.isfinite(m)
     dead = None if finite.all() else ~finite
     if dead is not None:  # rare, so the common case pays for no mask
         held = m[dead]
         m[dead] = 0.0
-    e = a - m
+    e = np.subtract(a, m, out=a if overwrite else None)
     np.maximum(e, _EXP_FLOOR, out=e)
     np.exp(e, out=e)
     out = np.log(e.sum(axis=axis, keepdims=True))
@@ -114,22 +117,32 @@ def _buffers(w: np.ndarray, frames: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(frames * w.shape[-1]), np.empty(w[..., 0].size * frames)
 
 
-def _emissions(w: np.ndarray, const: np.ndarray, frames: np.ndarray, work=None):
-    """Component log-likelihoods (M, N, L, T, B), log w included, and per-state
-    log emissions (M, N, T, B) of B sequences given frame-major, (T, B, D):
-    one GEMM of the bank's terms against the frames [x^2 | x], plus the
-    constants. The operand and the component block are written into `work`
-    (from _buffers, for at least T B frames) when it is given."""
+def _components(w: np.ndarray, const: np.ndarray, frames: np.ndarray, work=None,
+                width: int | None = None) -> np.ndarray:
+    """Component log-likelihoods (M, N, L, T, B), log w included, of B
+    sequences given frame-major, (T, B, D): one GEMM of the bank's terms
+    against the frames [x^2 | x], plus the constants. The GEMM is `width`
+    columns wide (T B by default); the columns past T B are zeros and never
+    read. The operand and the block are written into `work` (from _buffers,
+    for at least `width` frames) when it is given."""
     t, b, d = frames.shape
-    op, comp = work or _buffers(w, t * b)
+    cols = width or t * b
+    op, comp = work or _buffers(w, cols)
     x = frames.reshape(t * b, d)
-    op = op[:x.size * 2].reshape(t * b, 2 * d)
-    np.multiply(x, x, out=op[:, :d])
-    op[:, d:] = x
+    op = op[:cols * 2 * d].reshape(cols, 2 * d)
+    np.multiply(x, x, out=op[:t * b, :d])
+    op[:t * b, d:] = x
+    op[t * b:] = 0.0
     comp = np.matmul(w.reshape(-1, 2 * d), op.T,
-                     out=comp[:const.size * t * b].reshape(const.size, t * b))
+                     out=comp[:const.size * cols].reshape(const.size, cols))[:, :t * b]
     comp += const.reshape(-1, 1)
-    comp = comp.reshape(*const.shape, t, b)
+    return comp.reshape(*const.shape, t, b)
+
+
+def _emissions(w: np.ndarray, const: np.ndarray, frames: np.ndarray):
+    """The component log-likelihoods (M, N, L, T, B) of _components, and the
+    per-state log emissions (M, N, T, B)."""
+    comp = _components(w, const, frames)
     return comp, _logsumexp(comp, axis=2)
 
 
@@ -189,8 +202,9 @@ def _loglik(models: list[GmmHmmModel], frames: np.ndarray,
     The chunks are split across parallel.cpus() workers when that gives each
     worker at least two full-_BLOCK chunks, and are scored by one otherwise.
     Each worker scores chunks of a _BLOCK / workers budget, k, k + workers,
-    ... for worker k, in buffers allocated here once; the chunk size is a
-    power of two either way, so every result is bit-identical."""
+    ... for worker k, in buffers allocated here once. The chunk size is a
+    power of two either way, and every emission GEMM is gemm_width columns
+    wide, so every result is bit-identical, wherever a chunk ends."""
     bank, log_a = _bank(models), np.stack([_log_trans(m) for m in models])
     t, cells = rows.shape
     d = frames.shape[1]
@@ -198,7 +212,7 @@ def _loglik(models: list[GmmHmmModel], frames: np.ndarray,
     cpus = parallel.cpus()
     workers = cpus if -(-cells // _chunk(bank[0], t)) >= 2 * cpus else 1
     step = _chunk(bank[0], t, _BLOCK // workers)
-    spaces = [(np.empty(t * step * d), _buffers(bank[0], t * step))
+    spaces = [(np.empty(t * step * d), _buffers(bank[0], gemm_width(t * step)))
               for _ in range(workers)]
 
     def score(k: int) -> None:
@@ -207,7 +221,8 @@ def _loglik(models: list[GmmHmmModel], frames: np.ndarray,
             index = rows[:, lo:lo + step]
             x = np.take(frames, index, axis=0, mode="clip",
                         out=gathered[:index.size * d].reshape(*index.shape, d))
-            logb = _emissions(*bank, x, work)[1]
+            comp = _components(*bank, x, work, gemm_width(index.size))
+            logb = _logsumexp(comp, axis=2, overwrite=True)
             out[lo:lo + step] = _logsumexp(_forward_batch(log_a, logb)[..., -1, :], axis=1).T
 
     parallel.run(score, workers)

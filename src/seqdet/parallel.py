@@ -1,4 +1,5 @@
-"""Pass-1 scoring on every CPU the process may use.
+"""The frontend's channel groups and pass-1 scoring on every CPU the process
+may use.
 
 `run` calls a function for worker 0 in the calling thread and for the other
 workers on a pool of helper threads, which is created on first use and kept

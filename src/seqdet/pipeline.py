@@ -21,7 +21,8 @@ import numpy as np
 from . import evaluation, grammar, hmm, sda, signal_io
 from .bundle import Bundle
 from .errors import DataError
-from .features import PIPELINE_RATE_HZ, FeatureGrid, FrameSpec, extract_features
+from .features import (PIPELINE_RATE_HZ, FeatureGrid, FrameSpec, block_channels,
+                       extract_features)
 from .labels import (EPOCH_PRIORITY, LABEL_NAMES, NUM_CLASSES, TARGET_CLASSES,
                      EventLabel)
 from .signal_io import ALL_CHANNELS, AnnotationSet, Event
@@ -310,6 +311,18 @@ def _merge_runs(labels: np.ndarray, channel: int) -> list[Event]:
     return events
 
 
+def _decode_pass1(rec: signal_io.Recording, spec: FrameSpec,
+                  models: dict[EventLabel, hmm.GmmHmmModel]) -> np.ndarray:
+    """Pass-1 posteriors (epochs, channels, 6) of `rec`, a block of channels
+    at a time: the features of one block are scored, then freed, before the
+    next block's are extracted. The posteriors do not depend on the block
+    size."""
+    step = block_channels(rec, spec)
+    return np.concatenate(
+        [hmm.decode_pass1(extract_features(rec.rows(c0, c0 + step), spec), models)
+         for c0 in range(0, len(rec.data), step)], axis=1)
+
+
 def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3):
     """Run the pipeline on one recording with the config and montage stored
     in the bundle. Returns (AnnotationSet hypothesis, dict of per-pass posterior
@@ -317,10 +330,9 @@ def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3):
     if stop_after not in (1, 2, 3):
         raise DataError("stop_after must be 1, 2 or 3")
     cfg = PipelineConfig.from_dict(bundle.manifest.get("config"))
-    # No name holds the recording: it is freed once the features exist.
-    grid = extract_features(
-        load_recording(rec_path, _manifest_montage(bundle.manifest)), cfg.frame)
-    post1 = hmm.decode_pass1(grid, bundle.hmm_models)
+    # No name here holds the recording: it is freed once pass 1 ends.
+    post1 = _decode_pass1(load_recording(rec_path, _manifest_montage(bundle.manifest)),
+                          cfg.frame, bundle.hmm_models)
     dumps = {"pass1": post1}
     if stop_after == 1:
         cell_labels = np.argmax(post1, axis=2)  # (E, C)

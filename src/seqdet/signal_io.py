@@ -8,6 +8,7 @@ DataError rather than being guessed at.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import os
@@ -45,12 +46,20 @@ class Recording:
         if len(self.labels) != len(data):
             raise DataError(
                 f"{len(self.labels)} channel labels for {len(data)} channels")
-        finite = np.isfinite(data).all(axis=1)
-        if not finite.all():
-            raise DataError(f"channel {self.labels[np.argmin(finite)]!r}: "
-                            f"non-finite samples rejected")
+        for label, row in zip(self.labels, data):  # no (channels, samples) mask
+            if not np.isfinite(row).all():
+                raise DataError(f"channel {label!r}: non-finite samples rejected")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "labels", tuple(self.labels))
+
+    def rows(self, lo: int, hi: int) -> "Recording":
+        """Channels lo..hi-1, a view of this recording's data. The rows were
+        checked when this recording was built, so they are not checked
+        again."""
+        part = copy.copy(self)
+        object.__setattr__(part, "data", self.data[lo:hi])
+        object.__setattr__(part, "labels", self.labels[lo:hi])
+        return part
 
     @property
     def num_samples(self) -> int:

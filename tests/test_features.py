@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, rfft
 
-from seqdet import synth
+from seqdet import features, parallel, synth
 from seqdet.errors import DataError
 from seqdet.features import (_CEPSTRA, _CHUNK, ENERGY_FLOOR, FEATURE_DIM,
                              FrameSpec, _dct_basis, _filterbank_matrix,
@@ -246,17 +246,19 @@ class TestChannelGroups:
         np.testing.assert_array_equal(extract_features(rec).vectors,
                                       extract_features_reference(rec))
 
-    def test_long_recording_keeps_per_channel_memory(self):
-        # groups of one channel at 10 min: 3.8 MB beyond the 27.5 MB
-        # output, as with the per-channel loop (48 MB as one group)
+    def test_long_recording_keeps_per_channel_memory(self, monkeypatch):
+        # groups of one channel at 10 min: 3.8 MB a worker beyond the
+        # 27.5 MB output, as with the per-channel loop (48 MB as one group)
         rec = rec_from(np.random.default_rng(0).standard_normal((22, 150000)))
-        tracemalloc.start()
-        try:
-            vectors = extract_features(rec).vectors
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - vectors.nbytes < 6e6
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                vectors = extract_features(rec).vectors
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - vectors.nbytes < 6e6 * cpus
 
     @pytest.mark.parametrize("frames", [1, 2, 3, 4, 20, 299])
     @pytest.mark.parametrize("width", [1, 3, 9])
@@ -306,6 +308,49 @@ class TestThreadCount:
         enough for OpenBLAS to split the DFT product between threads."""
         assert (_features_at(tmp_path, 1, seconds, 22)
                 == _features_at(tmp_path, 2, seconds, 22))
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("seconds, counts", [
+        (30, [1, 1, 1, 1]),    # 2 groups: fewer than two for each of 2 CPUs
+        (45, [1, 1, 1, 1]),    # 449 frames, groups of 11 + 11
+        (600, [1, 2, 3, 4]),   # 22 groups of one channel
+    ])
+    def test_equal_for_any_cpu_count(self, monkeypatch, seconds, counts):
+        rng = np.random.default_rng(seconds)
+        rec = rec_from(rng.standard_normal((22, int(seconds * RATE))) * 30)
+        runs = []
+        real_run = parallel.run
+        monkeypatch.setattr(parallel, "run", lambda fn, count: (
+            runs.append(count), real_run(fn, count)))
+        grids = {}
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            grids[cpus] = extract_features(rec).vectors
+        assert runs == counts
+        for cpus in (2, 3, 4):
+            np.testing.assert_array_equal(grids[cpus], grids[1])
+
+    @pytest.mark.parametrize("seconds, cpus, channels", [
+        (600, 2, 4),    # one channel a group
+        (600, 1, 2),
+        (30, 2, 64),    # groups of 16: a clip is one block
+        (240, 2, 8),    # 2 399 frames, groups of 2
+    ])
+    def test_block_channels(self, monkeypatch, seconds, cpus, channels):
+        monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+        rec = rec_from(np.zeros((22, int(seconds * RATE))))
+        assert features.block_channels(rec, SPEC) == channels
+
+    def test_tables_built_once_per_spec(self):
+        spec = FrameSpec(delta_width_first=7)  # a spec no other test builds
+        before = features._tables.cache_info().misses
+        a = _Spectrum(spec, RATE, 7500)
+        b = _Spectrum(spec, RATE, 150000)
+        assert features._tables.cache_info().misses == before + 1
+        assert a.basis is b.basis and a.tap_weights is b.tap_weights
+        assert not a.basis.flags.writeable
+        assert a._prod is not b._prod
 
 
 class TestFraming:

@@ -606,7 +606,9 @@ class TestScoring:
     def test_decode_pass1_allocates_under_half_the_features(self, monkeypatch):
         # a 10 min, 22-channel grid with the default model shapes: 13 200
         # cells scored by two workers in 128-cell chunks gathered from the
-        # feature array, with no copy of all cells
+        # feature array, with no copy of all cells, and each chunk's
+        # component block reduced in place (7.9 MB; 13.5-14.0 MB with
+        # 256-cell chunks on each worker)
         monkeypatch.setattr(parallel, "cpus", lambda: 2)
         rng = np.random.default_rng(32)
         models = {lab: random_model(rng, n=3, comps=8, dim=26, label=lab)
@@ -619,7 +621,22 @@ class TestScoring:
         finally:
             tracemalloc.stop()
         assert post.shape == (600, 22, 6)
-        assert peak < grid.vectors.nbytes / 2
+        assert peak < grid.vectors.nbytes / 3
+
+    @pytest.mark.parametrize("frames", [299, 310])
+    def test_decode_pass1_equal_in_channel_blocks(self, frames):
+        # 30 and 31 epochs of 22 channels with the default model shapes:
+        # blocks of 1, 3, 7 and 11 channels score chunks of 30 to 330 cells,
+        # and 31 epochs leave chunks whose frames x cells (310, 930, 2 170,
+        # 3 410, and 6 820 for the whole grid) are no multiple of 8
+        rng = np.random.default_rng(frames)
+        models = default_shape_models(rng, 26)
+        vectors = rng.normal(0, 2, size=(22, frames, 26))
+        whole = decode_pass1(FeatureGrid(vectors), models)
+        for size in (1, 3, 7, 11):
+            blocks = [decode_pass1(FeatureGrid(vectors[c0:c0 + size]), models)
+                      for c0 in range(0, 22, size)]
+            np.testing.assert_array_equal(np.concatenate(blocks, axis=1), whole)
 
     def test_decode_pass1_shape(self):
         models = self.make_separable_models()

@@ -2,8 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import typing
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from seqdet.pipeline import (PipelineConfig, load_config, read_posterior_csv,
                              train_pipeline, write_posterior_csv,
                              decode_recording, score_files)
 from seqdet.sda import SdaConfig
-from tests.test_hmm import cells_reference
+from tests.test_hmm import cells_reference, default_shape_models
 
 FAST_DET = SdaConfig("spsw", window_length=3, hidden=(16, 16), outputs=2,
                      pretrain_epochs=10, pretrain_batch=64,
@@ -394,23 +394,54 @@ class TestDecoding:
         for a, b in zip(events, events[1:]):
             assert a.stop_s == b.start_s
 
-    def test_recording_freed_before_pass1(self, trained, corpus, monkeypatch):
-        loaded, alive = [], []
+    def test_decode_holds_the_recording_and_one_block(self, trained,
+                                                      tmp_path, monkeypatch):
+        # 10 min of 22 channels on 2 CPUs: 4-channel blocks, so a decode
+        # holds the 26.4 MB recording and a 5.0 MB block of features, never
+        # the 27.5 MB grid; the HMMs have the default shapes
+        monkeypatch.setattr(parallel, "cpus", lambda: 2)
+        rng = np.random.default_rng(36)
+        data = rng.standard_normal((22, 150000)) * 30
+        path = str(tmp_path / "long.rm")
+        signal_io.write_recording(signal_io.Recording(
+            data, tuple(f"CH{i}" for i in range(22)), 250.0), path)
+        bundle = trained[0]
+        bundle = Bundle(default_shape_models(rng, 26), bundle.second_pass,
+                        bundle.bigram, bundle.manifest)
+        tracemalloc.start()
+        try:
+            _, dumps = decode_recording(bundle, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dumps["pass1"].shape == (600, 22, 6)
+        assert peak < data.nbytes + 22 * 5999 * 26 * 8 / 2
 
-        def load(*args):
-            rec = load_recording(*args)
-            loaded.append(weakref.ref(rec))
-            return rec
-
-        def pass1(*args):
-            alive.append(loaded[0]() is not None)
-            return decode_pass1(*args)
-
-        load_recording, decode_pass1 = pipeline.load_recording, hmm.decode_pass1
-        monkeypatch.setattr(pipeline, "load_recording", load)
-        monkeypatch.setattr(hmm, "decode_pass1", pass1)
-        decode_recording(trained[0], corpus["eval"][0])
-        assert alive == [False]
+    @pytest.mark.parametrize("seconds", [30, 31])
+    def test_outputs_equal_for_any_block_size(self, trained, corpus, tmp_path,
+                                              monkeypatch, seconds):
+        # 31 epochs are 682 cells: whole-grid and block chunks whose frames
+        # x cells are no multiple of 8
+        rec = signal_io.read_recording(corpus["eval"][0])
+        data = np.concatenate([rec.data, rec.data[:, :250]], axis=1)
+        rec_path = str(tmp_path / "clip.rm")
+        signal_io.write_recording(replace(rec, data=data[:, :seconds * 250]),
+                                  rec_path)
+        names = ["clip.hyp.csv"] + [f"clip.pass{k}.csv" for k in (1, 2, 3)]
+        outputs, posts = [], []
+        for size in (1, 3, 7, 22):
+            monkeypatch.setattr(pipeline, "block_channels",
+                                lambda rec, spec: size)
+            out_dir = tmp_path / str(size)
+            assert cli.main(["decode", trained[1], rec_path, "--out-dir",
+                             str(out_dir), "--dump-posteriors"]) == 0
+            outputs.append([(out_dir / name).read_bytes() for name in names])
+            posts.append(decode_recording(trained[0], rec_path)[1])
+        assert posts[0]["pass1"].shape == (seconds, 22, 6)
+        for other, dumps in zip(outputs[1:], posts[1:]):
+            assert other == outputs[0]
+            for name, post in dumps.items():
+                np.testing.assert_array_equal(post, posts[0][name])
 
     def test_decode_deterministic(self, trained, corpus):
         bundle, _ = trained
@@ -765,7 +796,8 @@ class TestCli:
             assert cli.main(["train", corpus["train"][0], "--config",
                              str(cfg_path), "--out", str(out)]) == 0
             bundles.append(out.read_bytes())
-        assert counts == [1, 2]
+        # the frontend's three channel groups stay on one worker, then pass 1
+        assert counts == [1, 1, 1, 2]
         assert bundles[0] == bundles[1]
 
     def test_seed_reaches_hmm(self, corpus, tmp_path):

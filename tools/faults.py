@@ -41,10 +41,12 @@ class Fault(NamedTuple):
 
 
 HMM, SDA, PIPELINE = "src/seqdet/hmm.py", "src/seqdet/sda.py", "src/seqdet/pipeline.py"
+FEATURES = "src/seqdet/features.py"
 TEST_SDA, TEST_CLI = "tests/test_sda.py", "tests/test_pipeline_cli.py"
 KNOB = "tests/test_knobs.py::test_key_changes_its_stage_output"
 WORKERS = "tests/test_hmm.py::TestWorkers"
 BAD_ROW = f"{TEST_CLI}::TestCli::test_bad_posterior_row_exit_code"
+BLOCKS = f"{TEST_CLI}::TestDecoding::test_outputs_equal_for_any_block_size"
 
 FAULTS = [
     Fault("fused DAE step without its decoder term", SDA,
@@ -132,7 +134,7 @@ FAULTS = [
           "    extra = np.stack(extra)\n",
           (f"{TEST_SDA}::TestTraining::test_augment_binary",
            f"{TEST_SDA}::TestTraining::test_augment_binary_matches_reference")),
-    Fault("second delta width fixed at 3", "src/seqdet/features.py",
+    Fault("second delta width fixed at 3", FEATURES,
           "deltas(block[:, 9:17], spec.delta_width_second,",
           "deltas(block[:, 9:17], 3,",
           (f"{KNOB}[frontend-delta_width_second]",)),
@@ -144,7 +146,20 @@ FAULTS = [
           "sda.augment_binary(x, y, config.augment_cap, rng)",
           "sda.augment_binary(x, y, 2000, rng)",
           (f"{KNOB}[pipeline-augment_cap]",)),
-    Fault("frames per epoch fixed at 10", "src/seqdet/features.py",
+    Fault("frontend worker stride skips groups", FEATURES,
+          "        for c0 in range(k * group, channels, workers * group):\n",
+          "        for c0 in range(k * group, channels, workers * workers * group):\n",
+          ("tests/test_features.py::TestWorkers::test_equal_for_any_cpu_count",)),
+    Fault("decode block boundary off by one channel", PIPELINE,
+          "rec.rows(c0, c0 + step)",
+          "rec.rows(c0, c0 + step + 1)",
+          (BLOCKS,)),
+    Fault("pass-1 GEMM width not padded to a multiple of 8", HMM,
+          "comp = _components(*bank, x, work, gemm_width(index.size))",
+          "comp = _components(*bank, x, work)",
+          ("tests/test_hmm.py::TestScoring::test_decode_pass1_equal_in_channel_blocks",
+           BLOCKS)),
+    Fault("frames per epoch fixed at 10", FEATURES,
           "        return int(PIPELINE_RATE_HZ) // self.step_samples(PIPELINE_RATE_HZ)\n",
           "        return 10\n",
           (f"{TEST_CLI}::TestCli::test_frame_step_sets_the_epoch_grid",)),
