@@ -30,7 +30,7 @@ import numpy as np
 
 from . import parallel
 from .errors import DataError
-from .signal_io import Recording
+from .signal_io import LazyRecording, Recording
 
 PIPELINE_RATE_HZ = 250.0
 ENERGY_FLOOR = 1e-10
@@ -265,11 +265,13 @@ def frequency_energy(energies: np.ndarray) -> np.ndarray:
     return np.log(np.sum(np.atleast_2d(energies), axis=-1))
 
 
-def _edge_padded(a: np.ndarray, n: int) -> np.ndarray:
+def _edge_padded(a: np.ndarray, n: int, buf: np.ndarray | None = None) -> np.ndarray:
     """`a` with its first and last frames repeated n times at the two ends
-    of the last axis: np.pad's "edge" mode, written into one buffer."""
+    of the last axis: np.pad's "edge" mode, written into one buffer (the
+    leading elements of `buf`, when given)."""
     t = a.shape[-1]
-    padded = np.empty(a.shape[:-1] + (t + 2 * n,))
+    shape = a.shape[:-1] + (t + 2 * n,)
+    padded = np.empty(shape) if buf is None else _view(buf, shape)
     padded[..., n:n + t] = a
     padded[..., :n] = a[..., :1]
     padded[..., n + t:] = a[..., -1:]
@@ -293,15 +295,25 @@ def differential_energy(ef: np.ndarray, m: int = 9) -> np.ndarray:
     return np.subtract(hi, lo, out=hi)
 
 
-def deltas(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+def deltas_work(shape: tuple, n: int) -> int:
+    """Doubles of the `work` buffer that deltas of a `shape` array needs:
+    its edge-padded copy and one term."""
+    return math.prod(shape[:-1]) * (2 * shape[-1] + 2 * n)
+
+
+def deltas(coeffs: np.ndarray, n: int, out: np.ndarray | None = None,
+           work: np.ndarray | None = None) -> np.ndarray:
     """Regression-based derivative along the last (frame) axis with
-    edge-replicated padding: d_t = sum_n n*(c_{t+n} - c_{t-n}) / (2*sum_n n^2)."""
+    edge-replicated padding: d_t = sum_n n*(c_{t+n} - c_{t-n}) / (2*sum_n n^2).
+    `work`, when given, is a flat buffer of at least deltas_work doubles."""
     c = np.asarray(coeffs, dtype=np.float64)
     t = c.shape[-1]
-    padded = _edge_padded(c, n)
+    if work is None:
+        work = np.empty(deltas_work(c.shape, n))
+    padded = _edge_padded(c, n, work)
     out = np.empty_like(c) if out is None else out
     out[...] = 0.0
-    term = np.empty_like(c)
+    term = _view(work[padded.size:], c.shape)
     for k in range(1, n + 1):
         np.subtract(padded[..., n + k:n + k + t], padded[..., n - k:n - k + t], out=term)
         term *= k
@@ -316,12 +328,12 @@ def _group(channels: int, frames: int) -> int:
     return min(max(_CHUNK // (FEATURE_DIM * frames), 1), channels)
 
 
-def block_channels(rec: Recording, spec: FrameSpec) -> int:
+def block_channels(rec: Recording | LazyRecording, spec: FrameSpec) -> int:
     """Channels per block when `rec` is decoded a block at a time: two
     frontend groups per CPU, the fewest on which extract_features runs on
     every CPU."""
     frames = spec.num_frames(rec.num_samples, rec.sample_rate_hz)
-    return 2 * parallel.cpus() * _group(len(rec.data), frames)
+    return 2 * parallel.cpus() * _group(len(rec.labels), frames)
 
 
 def extract_features(rec: Recording, spec: FrameSpec | None = None) -> FeatureGrid:
@@ -340,14 +352,18 @@ def extract_features(rec: Recording, spec: FrameSpec | None = None) -> FeatureGr
     workers = cpus if -(-channels // group) >= 2 * cpus else 1
     dct = _dct_basis(spec.num_filters, _CEPSTRA)
     out = np.empty((channels, frames, FEATURE_DIM))
-    # each worker's spectrum and the rows of a group of its channels,
-    # frame-last: allocated in the calling thread, so that no helper
-    # thread's malloc arena keeps them after the call
+    # each worker's spectrum, the rows of a group of its channels,
+    # frame-last, and the delta passes' work buffer: allocated in the
+    # calling thread, so that no helper thread's malloc arena keeps them
+    # after the call
+    work_size = max(deltas_work((group, 9, frames), spec.delta_width_first),
+                    deltas_work((group, 8, frames), spec.delta_width_second))
     spaces = [(_Spectrum(spec, rec.sample_rate_hz, rec.num_samples),
-               np.empty((group, FEATURE_DIM, frames))) for _ in range(workers)]
+               np.empty((group, FEATURE_DIM, frames)), np.empty(work_size))
+              for _ in range(workers)]
 
     def finish(k: int) -> None:
-        spectrum, rows = spaces[k]
+        spectrum, rows, work = spaces[k]
         for c0 in range(k * group, channels, workers * group):
             block = rows[:min(group, channels - c0)]
             for samples, row in zip(rec.data[c0:c0 + group], block):
@@ -356,8 +372,9 @@ def extract_features(rec: Recording, spec: FrameSpec | None = None) -> FeatureGr
                     row[7, t0:t1] = frequency_energy(energies.T)
                     np.matmul(dct, np.log(energies, out=energies), out=row[:7, t0:t1])
             block[:, 8] = differential_energy(block[:, 7], spec.diff_energy_window_frames)
-            deltas(block[:, :9], spec.delta_width_first, out=block[:, 9:18])
-            deltas(block[:, 9:17], spec.delta_width_second, out=block[:, 18:])  # c1..c7, Ef
+            deltas(block[:, :9], spec.delta_width_first, block[:, 9:18], work)
+            # c1..c7, Ef
+            deltas(block[:, 9:17], spec.delta_width_second, block[:, 18:], work)
             out[c0:c0 + len(block)] = block.transpose(0, 2, 1)
 
     with parallel.one_blas_thread():

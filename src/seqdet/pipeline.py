@@ -174,16 +174,39 @@ def _sha256(path: str) -> str:
 
 
 def load_recording(path: str,
-                   montage: signal_io.MontageSpec | None) -> signal_io.Recording:
-    rec = signal_io.read_recording(path)
-    if abs(rec.sample_rate_hz - PIPELINE_RATE_HZ) > 1e-9:
-        rec = signal_io.resample(rec, PIPELINE_RATE_HZ)
+                   montage: signal_io.MontageSpec | None) -> signal_io.LazyRecording:
+    """The recording at `path`, resampled to the pipeline rate and through
+    `montage`. Every check of the file, the montage and the channel count
+    runs here; each block of rows is then read, resampled and derived when
+    it is asked for, from only the input channels that it needs."""
+    source = signal_io.open_recording(path)
+    rate, samples = source.sample_rate_hz, source.num_samples
+    resampled = abs(rate - PIPELINE_RATE_HZ) > 1e-9
+    if resampled:
+        samples = signal_io.resampled_length(samples, rate, PIPELINE_RATE_HZ)
+        rate = PIPELINE_RATE_HZ
+    labels = source.labels
     if montage is not None:
-        rec = signal_io.apply_montage(rec, montage)
-    if len(rec.data) != sda.EXPECTED_CHANNELS:
+        inputs = signal_io.montage_inputs(labels, montage)
+        labels = tuple(out for out, _, _ in montage.derivations)
+    if len(labels) != sda.EXPECTED_CHANNELS:
         raise DataError(f"{path}: expected {sda.EXPECTED_CHANNELS} "
-                        f"channels after the montage, got {len(rec.data)}")
-    return rec
+                        f"channels after the montage, got {len(labels)}")
+
+    def read(index: list[int]) -> np.ndarray:
+        if montage is None:
+            rec = source.take(index)
+        else:
+            derivations = tuple(montage.derivations[i] for i in index)
+            rec = source.take(sorted({inputs[name] for _, *names in derivations
+                                      for name in names if name is not None}))
+        if resampled:
+            rec = signal_io.resample(rec, PIPELINE_RATE_HZ)
+        if montage is not None:
+            rec = signal_io.apply_montage(rec, signal_io.MontageSpec(derivations))
+        return rec.data
+
+    return signal_io.LazyRecording(labels, rate, samples, source.id, read)
 
 
 def _manifest_montage(manifest: dict) -> signal_io.MontageSpec | None:
@@ -210,7 +233,7 @@ def train_pipeline(config: PipelineConfig,
     grids, anns = [], []
     for rec_path, ann_path in pairs:
         rec = load_recording(rec_path, montage)
-        grids.append(extract_features(rec, config.frame))
+        grids.append(extract_features(rec.rows(0, len(rec.labels)), config.frame))
         anns.append(signal_io.read_annotations(ann_path))
 
     models = hmm.train(_pass1_corpus(grids, anns), config.hmm)
@@ -311,16 +334,16 @@ def _merge_runs(labels: np.ndarray, channel: int) -> list[Event]:
     return events
 
 
-def _decode_pass1(rec: signal_io.Recording, spec: FrameSpec,
+def _decode_pass1(rec: signal_io.LazyRecording, spec: FrameSpec,
                   models: dict[EventLabel, hmm.GmmHmmModel]) -> np.ndarray:
     """Pass-1 posteriors (epochs, channels, 6) of `rec`, a block of channels
-    at a time: the features of one block are scored, then freed, before the
-    next block's are extracted. The posteriors do not depend on the block
-    size."""
+    at a time: one block's rows are read and its features extracted and
+    scored, and all of them are freed before the next block is read. The
+    posteriors do not depend on the block size."""
     step = block_channels(rec, spec)
     return np.concatenate(
         [hmm.decode_pass1(extract_features(rec.rows(c0, c0 + step), spec), models)
-         for c0 in range(0, len(rec.data), step)], axis=1)
+         for c0 in range(0, len(rec.labels), step)], axis=1)
 
 
 def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3):
@@ -330,7 +353,7 @@ def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3):
     if stop_after not in (1, 2, 3):
         raise DataError("stop_after must be 1, 2 or 3")
     cfg = PipelineConfig.from_dict(bundle.manifest.get("config"))
-    # No name here holds the recording: it is freed once pass 1 ends.
+    # Only a block of the recording's rows exists at a time, in pass 1.
     post1 = _decode_pass1(load_recording(rec_path, _manifest_montage(bundle.manifest)),
                           cfg.frame, bundle.hmm_models)
     dumps = {"pass1": post1}

@@ -27,6 +27,8 @@ from .labels import NUM_CLASSES, TARGET_CLASSES, EventLabel
 
 log = logging.getLogger(__name__)
 
+# Channels of every recording: synth writes them, and loading and scoring
+# expect them.
 EXPECTED_CHANNELS = 22
 SUPERVECTOR_DIM = EXPECTED_CHANNELS * NUM_CLASSES  # 132
 # The one dtype pretrain and fine_tune train in.

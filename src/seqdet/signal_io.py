@@ -1,5 +1,7 @@
-"""Recording and annotation ingestion: raw-matrix and EDF-subset readers,
-windowed-sinc resampling, montage derivation, annotation CSV round-trip.
+"""Recording and annotation ingestion: raw-matrix and EDF-subset readers
+that check a file when it is opened and build its float64 rows a block of
+channels at a time, windowed-sinc resampling, montage derivation,
+annotation CSV round-trip.
 
 EDF support is deliberately a strict read-only subset: plain header plus
 16-bit little-endian signal records with a uniform record duration. Anything
@@ -8,10 +10,11 @@ DataError rather than being guessed at.
 """
 from __future__ import annotations
 
-import copy
 import csv
+import functools
 import math
 import os
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,9 +36,7 @@ class Recording:
     id: str = ""
 
     def __post_init__(self):
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise DataError(f"sample_rate_hz must be positive and finite, "
-                            f"got {self.sample_rate_hz}")
+        _check_rate(self.sample_rate_hz)
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2:
             raise DataError(
@@ -46,9 +47,9 @@ class Recording:
         if len(self.labels) != len(data):
             raise DataError(
                 f"{len(self.labels)} channel labels for {len(data)} channels")
-        for label, row in zip(self.labels, data):  # no (channels, samples) mask
+        for i, row in enumerate(data):  # no (channels, samples) mask
             if not np.isfinite(row).all():
-                raise DataError(f"channel {label!r}: non-finite samples rejected")
+                raise _non_finite(self.labels, i)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -56,10 +57,8 @@ class Recording:
         """Channels lo..hi-1, a view of this recording's data. The rows were
         checked when this recording was built, so they are not checked
         again."""
-        part = copy.copy(self)
-        object.__setattr__(part, "data", self.data[lo:hi])
-        object.__setattr__(part, "labels", self.labels[lo:hi])
-        return part
+        return _trusted(self.data[lo:hi], self.labels[lo:hi],
+                        self.sample_rate_hz, self.id)
 
     @property
     def num_samples(self) -> int:
@@ -68,6 +67,11 @@ class Recording:
     @property
     def duration_s(self) -> float:
         return self.num_samples / self.sample_rate_hz
+
+
+def _check_rate(rate: float) -> None:
+    if not 0 < rate < math.inf:
+        raise DataError(f"sample_rate_hz must be positive and finite, got {rate}")
 
 
 @dataclass(frozen=True)
@@ -120,23 +124,86 @@ class AnnotationSet:
 
 
 # ---------------------------------------------------------------------------
+# Opening a recording file. Every check runs when the file is opened; the
+# float64 rows are built later, a block of channels at a time.
+
+@dataclass(frozen=True)
+class LazyRecording:
+    """A recording whose rows are built when they are asked for, so that its
+    (channels, samples) matrix need never exist. `read(index)` builds the
+    float64 rows of the channels in the list `index`, in that order."""
+    labels: tuple[str, ...]
+    sample_rate_hz: float
+    num_samples: int
+    id: str
+    read: Callable[[list[int]], np.ndarray] = field(repr=False, compare=False)
+
+    def take(self, index: Sequence[int]) -> Recording:
+        """Channels `index`, in that order. Their samples were checked when
+        the recording was opened, so they are not checked again."""
+        index = list(index)
+        return _trusted(self.read(index), tuple(self.labels[i] for i in index),
+                        self.sample_rate_hz, self.id)
+
+    def rows(self, lo: int, hi: int) -> Recording:
+        """Channels lo..hi-1; `hi` may pass the last channel, as in a
+        slice."""
+        return self.take(range(len(self.labels))[lo:hi])
+
+
+def open_recording(path: str) -> LazyRecording:
+    """An EDF file if the name ends in .edf, a raw matrix otherwise."""
+    if path.lower().endswith(".edf"):
+        return _open_edf(path)
+    return _open_raw_matrix(path)
+
+
+def read_recording(path: str) -> Recording:
+    """The whole recording at `path` as one matrix."""
+    rec = open_recording(path)
+    return rec.rows(0, len(rec.labels))
+
+
+def _trusted(data: np.ndarray, labels: tuple[str, ...], rate: float,
+             rec_id: str) -> Recording:
+    """A Recording of rows that were checked when their file was opened,
+    built without checking them again."""
+    rec = object.__new__(Recording)
+    for name, value in (("data", data), ("labels", labels),
+                        ("sample_rate_hz", rate), ("id", rec_id)):
+        object.__setattr__(rec, name, value)
+    return rec
+
+
+def _non_finite(labels: tuple[str, ...], channel: int) -> DataError:
+    return DataError(f"channel {labels[channel]!r}: non-finite samples rejected")
+
+
 # raw_matrix format: text header line "channels=<n> rate_hz=<r> samples=<m>"
 # followed by little-endian float32, channel-major.
 
 _READ_BLOCK = 1 << 16  # float32 samples staged per read: 256 KB
 
 
-def read_recording(path: str) -> Recording:
-    """An EDF file if the name ends in .edf, a raw matrix otherwise."""
-    if path.lower().endswith(".edf"):
-        return read_edf(path)
-    return _read_raw_matrix(path)
+def _staged(f, count: int, done: int, expected: int):
+    """The next `count` float32 samples of `f` as (offset, samples) pieces:
+    views of one staging buffer, which each piece overwrites. `done` bytes
+    of the `expected`-byte payload come before them."""
+    buf = np.empty(min(_READ_BLOCK, count), dtype="<f4")
+    for lo in range(0, count, len(buf)):
+        block = buf[:count - lo]
+        got = f.readinto(block)
+        if got != block.nbytes:
+            raise DataError(f"raw_matrix payload has {done + 4 * lo + got} "
+                            f"bytes, expected {expected}")
+        yield lo, block
 
 
-def _read_raw_matrix(path: str) -> Recording:
+def _open_raw_matrix(path: str) -> LazyRecording:
     """The header is checked against the file's size before anything is
-    allocated; the float32 payload then goes through one small staging
-    buffer straight into the float64 matrix."""
+    allocated, and one pass through the staging buffer checks that every
+    sample is finite. `read` reads each channel it returns through the
+    same buffer straight into its float64 row."""
     with open(path, "rb") as f:
         header = f.readline().decode("ascii", errors="replace").strip()
         fields = {}
@@ -154,22 +221,28 @@ def _read_raw_matrix(path: str) -> Recording:
         if n < 1 or m < 1:
             raise DataError(f"malformed raw_matrix header: {header!r}")
         expected = 4 * n * m
-        size = os.fstat(f.fileno()).st_size - f.tell()
+        start = f.tell()
+        size = os.fstat(f.fileno()).st_size - start
         if size != expected:
             raise DataError(f"raw_matrix payload has {size} bytes, "
                             f"expected {expected}")
-        data = np.empty((n, m))
-        flat = data.reshape(-1)
-        buf = np.empty(min(_READ_BLOCK, flat.size), dtype="<f4")
-        for lo in range(0, flat.size, len(buf)):
-            block = buf[:flat.size - lo]
-            got = f.readinto(block)
-            if got != block.nbytes:
-                raise DataError(f"raw_matrix payload has {4 * lo + got} bytes, "
-                                f"expected {expected}")
-            flat[lo:lo + len(block)] = block
-    return Recording(data, tuple(f"CH{i}" for i in range(n)),
-                     rate, id=os.path.basename(path))
+        _check_rate(rate)
+        labels = tuple(f"CH{i}" for i in range(n))
+        for lo, block in _staged(f, n * m, 0, expected):
+            finite = np.isfinite(block)
+            if not finite.all():
+                raise _non_finite(labels, (lo + int(finite.argmin())) // m)
+
+    def read(index: list[int]) -> np.ndarray:
+        data = np.empty((len(index), m))
+        with open(path, "rb") as f:
+            for i, row in zip(index, data):
+                f.seek(start + 4 * i * m)
+                for lo, block in _staged(f, m, 4 * i * m, expected):
+                    row[lo:lo + len(block)] = block
+        return data
+
+    return LazyRecording(labels, rate, m, os.path.basename(path), read)
 
 
 def write_recording(rec: Recording, path: str) -> None:
@@ -180,43 +253,43 @@ def write_recording(rec: Recording, path: str) -> None:
         f.write(rec.data.astype("<f4").tobytes())
 
 
-# ---------------------------------------------------------------------------
 # EDF subset reader
 
 _EDF_HEADER = 256
 
 
-def read_edf(path: str) -> Recording:
-    """Read a plain EDF file: 16-bit little-endian integer records scaled to
-    physical units by the per-signal calibration in the header."""
+def _open_edf(path: str) -> LazyRecording:
+    """A plain EDF file: 16-bit little-endian integer records scaled to
+    physical units by the per-signal calibration in the header. The headers
+    are checked against the file's size before the payload is read, and
+    only the int16 payload is kept; `read` calibrates the signals it
+    returns."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _EDF_HEADER:
-        raise DataError("EDF file shorter than fixed header")
-    head = raw[:_EDF_HEADER]
+        file_size = os.fstat(f.fileno()).st_size
+        head = f.read(_EDF_HEADER)
+        if len(head) < _EDF_HEADER:
+            raise DataError("EDF file shorter than fixed header")
 
-    def _field(buf, off, n):
-        return buf[off:off + n].decode("ascii", errors="replace").strip()
+        def _field(buf, off, n):
+            return buf[off:off + n].decode("ascii", errors="replace").strip()
 
-    version = _field(head, 0, 8)
-    if version != "0":
-        raise DataError(f"unsupported EDF version field: {version!r}")
-    try:
-        header_bytes = int(_field(head, 184, 8))
-        num_records = int(_field(head, 236, 8))
-        record_dur = float(_field(head, 244, 8))
-        ns = int(_field(head, 252, 4))
-    except ValueError:
-        raise DataError("malformed EDF fixed header") from None
-    if ns <= 0 or num_records < 0 or record_dur <= 0:
-        raise DataError("malformed EDF fixed header")
-    if header_bytes != _EDF_HEADER + 256 * ns:
-        raise DataError("EDF header size inconsistent with signal count")
-    if len(raw) < header_bytes:
-        raise DataError("EDF file truncated in signal headers")
-
-    sig = raw[_EDF_HEADER:header_bytes]
-
+        version = _field(head, 0, 8)
+        if version != "0":
+            raise DataError(f"unsupported EDF version field: {version!r}")
+        try:
+            header_bytes = int(_field(head, 184, 8))
+            num_records = int(_field(head, 236, 8))
+            record_dur = float(_field(head, 244, 8))
+            ns = int(_field(head, 252, 4))
+        except ValueError:
+            raise DataError("malformed EDF fixed header") from None
+        if ns <= 0 or num_records < 0 or record_dur <= 0:
+            raise DataError("malformed EDF fixed header")
+        if header_bytes != _EDF_HEADER + 256 * ns:
+            raise DataError("EDF header size inconsistent with signal count")
+        if file_size < header_bytes:
+            raise DataError("EDF file truncated in signal headers")
+        sig = f.read(header_bytes - _EDF_HEADER)
     # EDF signal header layout, stored column-wise (all labels, then all
     # transducers, ...): label 16, transducer 80, dimension 8, phys min 8,
     # phys max 8, dig min 8, dig max 8, prefilter 80, samples/record 8,
@@ -232,7 +305,7 @@ def read_edf(path: str) -> Recording:
             for i in range(ns)
         ]
 
-    labels = _column(0)
+    labels = tuple(_column(0))
     try:
         # Calibration as (ns, 1) columns that broadcast over the samples.
         phys_min, phys_max = (np.array([float(v) for v in _column(i)])[:, None]
@@ -252,23 +325,42 @@ def read_edf(path: str) -> Recording:
         raise DataError("non-positive samples-per-record")
 
     rate = spr[0] / record_dur
-    if len(raw) - header_bytes != 2 * num_records * ns * spr[0]:
-        raise DataError(f"EDF payload has {len(raw) - header_bytes} bytes, "
-                        f"expected {2 * num_records * ns * spr[0]}")
-    payload = np.frombuffer(raw, dtype="<i2", offset=header_bytes)
+    expected = 2 * num_records * ns * spr[0]
+    if file_size - header_bytes != expected:
+        raise DataError(f"EDF payload has {file_size - header_bytes} bytes, "
+                        f"expected {expected}")
     dscale = dig_max - dig_min
     if not dscale.all():
         flat = np.flatnonzero(dscale == 0)[0]
         raise DataError(f"signal {labels[flat]!r}: digital min == max")
     gain = (phys_max - phys_min) / dscale
-    # Each record holds spr samples of every signal in turn. The integer
-    # difference is exact in float64, so the matrix is built in place.
-    dig = payload.reshape(num_records, ns, spr[0]).transpose(1, 0, 2)
-    phys = np.empty((ns, num_records * spr[0]))
-    np.subtract(dig, dig_min[..., None], out=phys.reshape(dig.shape))
-    phys *= gain
-    phys += phys_min
-    return Recording(phys, tuple(labels), rate, id=os.path.basename(path))
+    _check_rate(rate)
+    dig = np.fromfile(path, dtype="<i2", count=expected // 2, offset=header_bytes)
+    if 2 * dig.size != expected:  # the file shrank after it was measured
+        raise DataError(f"EDF payload has {2 * dig.size} bytes, expected {expected}")
+    # Each record holds spr samples of every signal in turn.
+    dig = dig.reshape(num_records, ns, spr[0])
+    if dig.size:
+        # The calibration is monotonic in the digital value, so a signal
+        # has a non-finite sample only if one of its extremes does.
+        ends = np.stack([dig.min(axis=(0, 2)), dig.max(axis=(0, 2))], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite((ends - dig_min) * gain + phys_min).all(axis=1)
+        if not finite.all():
+            raise _non_finite(labels, int(finite.argmin()))
+
+    def read(index: list[int]) -> np.ndarray:
+        # The integer difference is exact in float64, so each row is built
+        # in place.
+        data = np.empty((len(index), num_records * spr[0]))
+        for i, row in zip(index, data):
+            np.subtract(dig[:, i], dig_min[i], out=row.reshape(num_records, spr[0]))
+            row *= gain[i]
+            row += phys_min[i]
+        return data
+
+    return LazyRecording(labels, rate, num_records * spr[0],
+                         os.path.basename(path), read)
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +370,37 @@ _KAISER_BETA = 8.0
 _TAPS_PER_PHASE = 64
 
 
+def resampled_length(num_samples: int, rate_hz: float, target_hz: float) -> int:
+    """The samples that `resample` returns for `num_samples` at `rate_hz`."""
+    return int(round(num_samples * target_hz / rate_hz))
+
+
+@functools.lru_cache(maxsize=8)
+def _resample_filter(up: int, down: int) -> np.ndarray:
+    """The windowed-sinc filter of an up/down resampling: 64 taps per
+    polyphase branch, cut off at the tighter of the two Nyquists. Built
+    once per ratio, however many blocks of channels are resampled."""
+    from scipy.signal import firwin  # slow to import; 250 Hz input never resamples
+    max_rate = max(up, down)
+    h = firwin(_TAPS_PER_PHASE * max_rate + 1, 1.0 / max_rate,
+               window=("kaiser", _KAISER_BETA))
+    h.flags.writeable = False
+    return h
+
+
 def resample(rec: Recording, target_hz: float) -> Recording:
+    """Every row is resampled on its own, so a block of rows gives the same
+    bits as those rows of the whole recording."""
     if target_hz <= 0:
         raise DataError("target_hz must be positive")
     if target_hz == rec.sample_rate_hz:
         return rec
     ratio = Fraction(target_hz / rec.sample_rate_hz).limit_denominator(1000)
     up, down = ratio.numerator, ratio.denominator
-    new_len = int(round(rec.num_samples * target_hz / rec.sample_rate_hz))
-    max_rate = max(up, down)
-    # imported here: it is slow to import, and 250 Hz input never resamples
-    from scipy.signal import firwin, resample_poly
-    # 64 taps per polyphase branch; cutoff at the tighter of the two Nyquists.
-    numtaps = _TAPS_PER_PHASE * max_rate + 1
-    h = firwin(numtaps, 1.0 / max_rate, window=("kaiser", _KAISER_BETA))
+    new_len = resampled_length(rec.num_samples, rec.sample_rate_hz, target_hz)
+    from scipy.signal import resample_poly
     # resample_poly scales a user-supplied filter by `up` itself.
-    y = resample_poly(rec.data, up, down, axis=-1, window=h)
+    y = resample_poly(rec.data, up, down, axis=-1, window=_resample_filter(up, down))
     if y.shape[1] < new_len:
         y = np.pad(y, ((0, 0), (0, new_len - y.shape[1])))
     return Recording(y[:, :new_len], rec.labels, float(target_hz), id=rec.id)
@@ -302,12 +409,20 @@ def resample(rec: Recording, target_hz: float) -> Recording:
 # ---------------------------------------------------------------------------
 # Montage
 
-def apply_montage(rec: Recording, spec: MontageSpec) -> Recording:
-    row = {label: i for i, label in enumerate(rec.labels)}
+def montage_inputs(labels: tuple[str, ...], spec: MontageSpec) -> dict[str, int]:
+    """The row of each channel label; DataError if `spec` reads a label that
+    is not there."""
+    row = {label: i for i, label in enumerate(labels)}
     for _, *inputs in spec.derivations:
         for name in inputs:
             if name is not None and name not in row:
                 raise DataError(f"montage input {name!r} not found in recording")
+    return row
+
+
+def apply_montage(rec: Recording, spec: MontageSpec) -> Recording:
+    """Each output row is computed from its own inputs alone."""
+    row = montage_inputs(rec.labels, spec)
     data = rec.data[[row[pos] for _, pos, _ in spec.derivations]]
     diff = [i for i, (_, _, neg) in enumerate(spec.derivations)
             if neg is not None]

@@ -15,10 +15,10 @@ import numpy as np
 from . import features as feat
 from .errors import DataError
 from .labels import EventLabel, parse_label
+from .sda import EXPECTED_CHANNELS
 from .signal_io import ALL_CHANNELS, AnnotationSet, Event, Recording
 
 RATE_HZ = 250.0
-NUM_CHANNELS = 22
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class ScriptEntry:
         if self.channels is not None:
             if not self.channels:
                 raise DataError("empty channel subset")
-            if any(c < 0 or c >= NUM_CHANNELS for c in self.channels):
+            if any(c < 0 or c >= EXPECTED_CHANNELS for c in self.channels):
                 raise DataError(f"channel subset out of range: {self.channels}")
 
 
@@ -145,15 +145,15 @@ def _generate_once(script: list[ScriptEntry],
     rng = np.random.default_rng(seed)
     total_s = sum(e.duration_s for e in script)
     n_total = int(round(total_s * RATE_HZ))
-    data = np.zeros((NUM_CHANNELS, n_total))
+    data = np.zeros((EXPECTED_CHANNELS, n_total))
     events = []
     t0 = 0.0
     for entry in script:
         n = int(round(entry.duration_s * RATE_HZ))
         lo = int(round(t0 * RATE_HZ))
-        subset = (tuple(range(NUM_CHANNELS)) if entry.channels is None
+        subset = (tuple(range(EXPECTED_CHANNELS)) if entry.channels is None
                   else entry.channels)
-        for ch in range(NUM_CHANNELS):
+        for ch in range(EXPECTED_CHANNELS):
             if ch in subset:
                 data[ch, lo:lo + n] = _class_signal(entry.label, n, rng)
             else:
@@ -164,7 +164,7 @@ def _generate_once(script: list[ScriptEntry],
             for ch in subset:
                 events.append(Event(ch, t0, t0 + entry.duration_s, entry.label))
         t0 += entry.duration_s
-    rec = Recording(data, tuple(f"CH{i:02d}" for i in range(NUM_CHANNELS)),
+    rec = Recording(data, tuple(f"CH{i:02d}" for i in range(EXPECTED_CHANNELS)),
                     RATE_HZ, id=f"synth-{seed}")
     return rec, AnnotationSet(tuple(events))
 
@@ -179,8 +179,8 @@ def _parse_channels(text: str) -> tuple[int, ...] | None:
         return None
     if "-" in text:
         lo, hi = (int(v) for v in text.split("-"))
-        if not 0 <= lo <= hi < NUM_CHANNELS:
-            raise DataError(f"channel range {text} outside 0-{NUM_CHANNELS - 1}")
+        if not 0 <= lo <= hi < EXPECTED_CHANNELS:
+            raise DataError(f"channel range {text} outside 0-{EXPECTED_CHANNELS - 1}")
         return tuple(range(lo, hi + 1))
     return tuple(int(v) for v in text.split(";"))
 

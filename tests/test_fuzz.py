@@ -96,8 +96,9 @@ def _reader_and_verb(name, path, root, bundle, rec_path, ann_path):
     montage_ini.write_text(f"[pipeline]\nmontage_path = {path}\n")
     return {
         "bundle": (Bundle.load, ["decode", path, rec_path, "--out-dir", out]),
-        "edf": (signal_io.read_edf, ["decode", bundle, path, "--out-dir", out]),
-        "raw": (signal_io._read_raw_matrix,
+        "edf": (signal_io.open_recording,
+                ["decode", bundle, path, "--out-dir", out]),
+        "raw": (signal_io.open_recording,
                 ["decode", bundle, path, "--out-dir", out]),
         "annotations": (signal_io.read_annotations,
                         ["score", path, ann_path, "--out", out]),

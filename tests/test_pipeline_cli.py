@@ -26,6 +26,7 @@ from seqdet.pipeline import (PipelineConfig, load_config, read_posterior_csv,
                              decode_recording, score_files)
 from seqdet.sda import SdaConfig
 from tests.test_hmm import cells_reference, default_shape_models
+from tests.test_signal_io import write_edf
 
 FAST_DET = SdaConfig("spsw", window_length=3, hidden=(16, 16), outputs=2,
                      pretrain_epochs=10, pretrain_batch=64,
@@ -104,6 +105,37 @@ def one_line_data_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     return err
+
+
+# Output D<i> of the montage the streamed-input tests use: CH<i> minus a
+# channel five rows on (even i), or a plain copy of CH<21 - i> (odd i), so a
+# block's inputs are neither contiguous nor inside the block.
+STREAM_MONTAGE = signal_io.MontageSpec(tuple(
+    (f"D{i}", f"CH{i}", f"CH{(i + 5) % 22}") if i % 2 == 0 else
+    (f"D{i}", f"CH{21 - i}", None) for i in range(22)))
+
+
+def streamed_input(kind, corpus, tmp_path):
+    """The eval clip as one of the inputs a decode streams: a raw matrix read
+    through STREAM_MONTAGE ("montage"), a raw matrix declared at 256 Hz that
+    is resampled ("resampled"), or an EDF file ("edf"). Returns its path and
+    montage."""
+    rec = signal_io.read_recording(corpus["eval"][0])
+    if kind == "edf":
+        path = str(tmp_path / "clip.edf")
+        write_edf(path, np.round(rec.data * 10).clip(-32768, 32767), rate=250,
+                  phys=(-3276.8, 3276.7))
+        return path, None
+    path = str(tmp_path / "clip.rm")
+    rate = 256.0 if kind == "resampled" else 250.0
+    signal_io.write_recording(replace(rec, sample_rate_hz=rate), path)
+    return path, STREAM_MONTAGE if kind == "montage" else None
+
+
+def with_montage(bundle, montage):
+    manifest = dict(bundle.manifest, montage=montage and [
+        list(d) for d in montage.derivations])
+    return Bundle(bundle.hmm_models, bundle.second_pass, bundle.bigram, manifest)
 
 
 @pytest.fixture(scope="module")
@@ -332,7 +364,8 @@ class TestTraining:
                  for key in ("sda_spsw", "sda_eyem", "sda_sixway")}
         bundle = train_pipeline(replace(FAST_CONFIG, **quick), [corpus["train"]])
         second = bundle.second_pass
-        grid = extract_features(pipeline.load_recording(corpus["train"][0], None))
+        rec = pipeline.load_recording(corpus["train"][0], None)
+        grid = extract_features(rec.rows(0, len(rec.labels)))
         sv = sda.supervector_sequence(hmm.decode_pass1(grid, bundle.hmm_models))
         det = sda.reduce_sequence_for_detectors(second.pca_detector.project(sv))
         for name, model, seq in (("spsw", second.sda_spsw, det),
@@ -358,7 +391,8 @@ class TestTraining:
 class TestPass1Corpus:
     def test_equals_reference_cells_per_class(self, corpus):
         rec_path, ann_path = corpus["train"]
-        grid = extract_features(pipeline.load_recording(rec_path, None))
+        rec = pipeline.load_recording(rec_path, None)
+        grid = extract_features(rec.rows(0, len(rec.labels)))
         ann = signal_io.read_annotations(ann_path)
         assert grid.num_frames % grid.frames_per_epoch  # a partial epoch
         refs = evaluation.channel_epoch_reference_labels(
@@ -369,6 +403,44 @@ class TestPass1Corpus:
             want = cells[refs == int(lab)]
             np.testing.assert_array_equal(got[lab], np.concatenate([want, want]))
             assert got[lab].flags.c_contiguous
+
+
+class TestLoadRecording:
+    @pytest.mark.parametrize("kind", ["montage", "resampled", "edf"])
+    def test_blocks_equal_the_whole_recording(self, corpus, tmp_path, kind):
+        # the whole recording read at once, then resampled and derived, as
+        # every stage ran before a decode read its rows a block at a time
+        rec_path, montage = streamed_input(kind, corpus, tmp_path)
+        whole = signal_io.read_recording(rec_path)
+        if whole.sample_rate_hz != 250.0:
+            whole = signal_io.resample(whole, 250.0)
+        if montage is not None:
+            whole = signal_io.apply_montage(whole, montage)
+        rec = pipeline.load_recording(rec_path, montage)
+        assert (rec.labels, rec.sample_rate_hz, rec.num_samples) == (
+            whole.labels, whole.sample_rate_hz, whole.num_samples)
+        for size in (1, 3, 7, 22):
+            blocks = [rec.rows(lo, lo + size) for lo in range(0, 22, size)]
+            np.testing.assert_array_equal(
+                np.concatenate([b.data for b in blocks]), whole.data)
+            assert sum((b.labels for b in blocks), ()) == whole.labels
+        picked = rec.take([17, 2, 9])
+        np.testing.assert_array_equal(picked.data, whole.data[[17, 2, 9]])
+
+    def test_train_reads_the_whole_recording_once(self, corpus, monkeypatch):
+        reads = []
+        real_open = signal_io.open_recording
+
+        def counting_open(path):
+            rec = real_open(path)
+            return replace(rec, read=lambda index: (
+                reads.append(index), rec.read(index))[1])
+
+        monkeypatch.setattr(signal_io, "open_recording", counting_open)
+        train_pipeline(replace(FAST_CONFIG, hmm=replace(FAST_CONFIG.hmm,
+                                                        max_iterations=1)),
+                       [corpus["train"]])
+        assert reads == [list(range(22))]
 
 
 class TestDecoding:
@@ -394,11 +466,14 @@ class TestDecoding:
         for a, b in zip(events, events[1:]):
             assert a.stop_s == b.start_s
 
-    def test_decode_holds_the_recording_and_one_block(self, trained,
-                                                      tmp_path, monkeypatch):
-        # 10 min of 22 channels on 2 CPUs: 4-channel blocks, so a decode
-        # holds the 26.4 MB recording and a 5.0 MB block of features, never
-        # the 27.5 MB grid; the HMMs have the default shapes
+    def test_decode_holds_one_block_of_the_recording(self, trained, tmp_path,
+                                                     monkeypatch):
+        # 10 min of 22 channels on 2 CPUs: 4-channel blocks. A decode holds
+        # one block's rows (4.8 MB), that block's features (5.0 MB), the
+        # frontend's per-worker buffers (3.8 MB each) and the posteriors:
+        # 18.0 MB at the peak. The recording's matrix alone would be
+        # 26.4 MB, so a peak under three quarters of it (19.8 MB) shows
+        # that the matrix never exists. The HMMs have the default shapes
         monkeypatch.setattr(parallel, "cpus", lambda: 2)
         rng = np.random.default_rng(36)
         data = rng.standard_normal((22, 150000)) * 30
@@ -408,6 +483,8 @@ class TestDecoding:
         bundle = trained[0]
         bundle = Bundle(default_shape_models(rng, 26), bundle.second_pass,
                         bundle.bigram, bundle.manifest)
+        recording_bytes = data.nbytes
+        del data
         tracemalloc.start()
         try:
             _, dumps = decode_recording(bundle, path)
@@ -415,29 +492,37 @@ class TestDecoding:
         finally:
             tracemalloc.stop()
         assert dumps["pass1"].shape == (600, 22, 6)
-        assert peak < data.nbytes + 22 * 5999 * 26 * 8 / 2
+        assert peak < 0.75 * recording_bytes
 
-    @pytest.mark.parametrize("seconds", [30, 31])
+    @pytest.mark.parametrize("case", ["30", "31", "montage", "resampled", "edf"])
     def test_outputs_equal_for_any_block_size(self, trained, corpus, tmp_path,
-                                              monkeypatch, seconds):
+                                              monkeypatch, case):
+        # 30 and 31 s raw matrices, and the 30 s clip as each streamed input;
         # 31 epochs are 682 cells: whole-grid and block chunks whose frames
         # x cells are no multiple of 8
-        rec = signal_io.read_recording(corpus["eval"][0])
-        data = np.concatenate([rec.data, rec.data[:, :250]], axis=1)
-        rec_path = str(tmp_path / "clip.rm")
-        signal_io.write_recording(replace(rec, data=data[:, :seconds * 250]),
-                                  rec_path)
+        if case.isdigit():
+            rec = signal_io.read_recording(corpus["eval"][0])
+            data = np.concatenate([rec.data, rec.data[:, :250]], axis=1)
+            rec_path, montage = str(tmp_path / "clip.rm"), None
+            signal_io.write_recording(replace(rec, data=data[:, :int(case) * 250]),
+                                      rec_path)
+        else:
+            rec_path, montage = streamed_input(case, corpus, tmp_path)
+        bundle = with_montage(trained[0], montage)
+        bundle_path = str(tmp_path / "model.seqd")
+        bundle.save(bundle_path)
         names = ["clip.hyp.csv"] + [f"clip.pass{k}.csv" for k in (1, 2, 3)]
         outputs, posts = [], []
         for size in (1, 3, 7, 22):
             monkeypatch.setattr(pipeline, "block_channels",
                                 lambda rec, spec: size)
             out_dir = tmp_path / str(size)
-            assert cli.main(["decode", trained[1], rec_path, "--out-dir",
+            assert cli.main(["decode", bundle_path, rec_path, "--out-dir",
                              str(out_dir), "--dump-posteriors"]) == 0
             outputs.append([(out_dir / name).read_bytes() for name in names])
-            posts.append(decode_recording(trained[0], rec_path)[1])
-        assert posts[0]["pass1"].shape == (seconds, 22, 6)
+            posts.append(decode_recording(bundle, rec_path)[1])
+        epochs = int(case) if case.isdigit() else 30
+        assert posts[0]["pass1"].shape == (epochs, 22, 6)
         for other, dumps in zip(outputs[1:], posts[1:]):
             assert other == outputs[0]
             for name, post in dumps.items():
@@ -460,7 +545,7 @@ class TestDecoding:
         bundle = train_pipeline(CUSTOM_CONFIG, [corpus["train"]])
         rec_path = corpus["eval"][0]
         _, dumps = decode_recording(bundle, rec_path)
-        rec = pipeline.load_recording(rec_path, None)
+        rec = pipeline.load_recording(rec_path, None).rows(0, 22)
 
         def pass1(frame):
             return hmm.decode_pass1(extract_features(rec, frame),
@@ -889,6 +974,40 @@ class TestCli:
                          "--out-dir", str(tmp_path)])
         assert code == 2
         assert keys[0] + " has shape" in one_line_data_error(capsys)
+
+    @pytest.mark.parametrize("case, message", [
+        ("non_finite", "channel 'CH21': non-finite samples rejected"),
+        ("truncated", "raw_matrix payload has 659992 bytes, expected 660000"),
+        ("montage_input", "montage input 'CH22' not found in recording"),
+        ("channels_21", "expected 22 channels after the montage, got 21"),
+    ])
+    def test_bad_recording_rejected_before_features(self, trained, corpus,
+                                                    tmp_path, capsys,
+                                                    monkeypatch, case, message):
+        # every check runs when the recording is opened, before any block of
+        # it reaches the frontend
+        rec = signal_io.read_recording(corpus["eval"][0])
+        path = tmp_path / "clip.rm"
+        rows = 21 if case == "channels_21" else 22
+        signal_io.write_recording(replace(rec, data=rec.data[:rows],
+                                          labels=rec.labels[:rows]), str(path))
+        if case == "non_finite":  # the last sample of the last channel
+            path.write_bytes(path.read_bytes()[:-4]
+                             + np.float32(np.nan).tobytes())
+        elif case == "truncated":
+            path.write_bytes(path.read_bytes()[:-8])
+        montage = (signal_io.MontageSpec(STREAM_MONTAGE.derivations[:21]
+                                         + (("D21", "CH22", None),))
+                   if case == "montage_input" else None)
+        bundle_path = str(tmp_path / "model.seqd")
+        with_montage(trained[0], montage).save(bundle_path)
+        calls = []
+        monkeypatch.setattr(pipeline, "extract_features",
+                            lambda *args: calls.append(args))
+        assert cli.main(["decode", bundle_path, str(path),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert message in one_line_data_error(capsys)
+        assert not calls
 
     @pytest.mark.parametrize("verb", ["train", "decode"])
     def test_wrong_channel_count_exit_code(self, trained, corpus, tmp_path,

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from seqdet.errors import DataError
 from seqdet.labels import EventLabel
 from seqdet.signal_io import (ALL_CHANNELS, AnnotationSet, Event,
                               MontageSpec, Recording, apply_montage,
-                              read_annotations, read_edf,
+                              open_recording, read_annotations,
                               read_recording, resample, write_annotations,
                               write_recording)
 from tests.test_bundle import tiny_bundle
@@ -244,7 +245,7 @@ class TestEdf:
                        for _ in range(ns)]
             path = str(tmp_path / f"r{k}.edf")
             write_edf(path, signals, phys=(p0, p1), dig=(lo, hi))
-            rec = read_edf(path)
+            rec = read_recording(path)
             np.testing.assert_array_equal(rec.data, edf_formula_reference(path))
 
     def test_read_22_channels_256hz(self, tmp_path):
@@ -252,7 +253,7 @@ class TestEdf:
         signals = [rng.integers(-100, 100, size=512) for _ in range(22)]
         path = tmp_path / "a.edf"
         write_edf(str(path), signals, rate=256)
-        rec = read_edf(str(path))
+        rec = read_recording(str(path))
         assert len(rec.data) == 22
         assert rec.sample_rate_hz == 256.0
         assert rec.num_samples == 512
@@ -261,14 +262,14 @@ class TestEdf:
         signals = [np.arange(-50, 206)]
         path = tmp_path / "a.edf"
         write_edf(str(path), signals, rate=256, phys=(-32768.0, 32767.0))
-        rec = read_edf(str(path))
+        rec = read_recording(str(path))
         np.testing.assert_allclose(rec.data[0], signals[0])
 
     def test_physical_scaling(self, tmp_path):
         signals = [np.array([0, 16384, -16384] * 86, dtype=np.int64)[:256]]
         path = tmp_path / "a.edf"
         write_edf(str(path), signals, phys=(-100.0, 100.0))
-        rec = read_edf(str(path))
+        rec = read_recording(str(path))
         gain = 200.0 / 65535
         expect = (signals[0] + 32768) * gain - 100.0
         np.testing.assert_allclose(rec.data[0], expect)
@@ -294,13 +295,13 @@ class TestEdf:
         raw[off:off + 8] = b"-32768".ljust(8)
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="'B': digital min == max"):
-            read_edf(str(path))
+            read_recording(str(path))
 
     def test_annotation_channel_rejected(self, tmp_path):
         path = tmp_path / "a.edf"
         write_edf(str(path), [np.zeros(256)], labels=["EDF Annotations"])
         with pytest.raises(DataError):
-            read_edf(str(path))
+            read_recording(str(path))
 
     def test_mixed_rates_rejected(self, tmp_path):
         path = tmp_path / "a.edf"
@@ -312,14 +313,105 @@ class TestEdf:
         raw[off:off + 8] = b"128".ljust(8)
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError):
-            read_edf(str(path))
+            read_recording(str(path))
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "a.edf"
         write_edf(str(path), [np.zeros(256)])
         path.write_bytes(path.read_bytes()[:300])
         with pytest.raises(DataError):
-            read_edf(str(path))
+            read_recording(str(path))
+
+
+class TestOpenRecording:
+    @pytest.mark.parametrize("read_block", [7, 1 << 16])
+    def test_raw_blocks_equal_the_file(self, tmp_path, monkeypatch, read_block):
+        # rows of 11 samples through a 7-sample staging buffer end mid-buffer
+        monkeypatch.setattr(signal_io, "_READ_BLOCK", read_block)
+        rng = np.random.default_rng(10)
+        rec = make_recording(rng.standard_normal((5, 11)).astype(np.float32))
+        path = tmp_path / "r.rm"
+        write_recording(rec, str(path))
+        header = path.read_bytes().index(b"\n") + 1
+        want = np.fromfile(path, dtype="<f4", offset=header).reshape(5, 11)
+        lazy = open_recording(str(path))
+        assert (lazy.num_samples, lazy.sample_rate_hz, lazy.id) == (11, 250.0, "r.rm")
+        for lo, hi in itertools.combinations(range(6), 2):
+            part = lazy.rows(lo, hi)
+            assert part.data.dtype == np.float64 and part.labels == lazy.labels[lo:hi]
+            np.testing.assert_array_equal(part.data, want[lo:hi])
+        np.testing.assert_array_equal(lazy.take([4, 0, 2]).data, want[[4, 0, 2]])
+
+    def test_edf_blocks_equal_the_formula(self, tmp_path):
+        rng = np.random.default_rng(11)
+        path = str(tmp_path / "a.edf")
+        write_edf(path, [rng.integers(-300, 300, size=768) for _ in range(4)],
+                  phys=(-12.5, 40.0), dig=(-400, 400), labels=list("ABCD"))
+        want = edf_formula_reference(path)
+        lazy = open_recording(path)
+        assert (lazy.labels, lazy.num_samples) == (("A", "B", "C", "D"), 768)
+        for lo, hi in itertools.combinations(range(5), 2):
+            np.testing.assert_array_equal(lazy.rows(lo, hi).data, want[lo:hi])
+        np.testing.assert_array_equal(lazy.take([3, 1]).data, want[[3, 1]])
+
+    @pytest.mark.parametrize("bad, channel", [
+        ([(4, 10)], "CH4"),          # the last sample: the staging tail
+        ([(3, 0), (4, 10)], "CH3"),  # the first bad channel is named
+    ])
+    def test_raw_non_finite_rejected_at_open(self, tmp_path, monkeypatch, bad,
+                                             channel):
+        monkeypatch.setattr(signal_io, "_READ_BLOCK", 7)
+        path = tmp_path / "r.rm"
+        write_recording(make_recording(np.ones((5, 11))), str(path))
+        raw = bytearray(path.read_bytes())
+        start = raw.index(b"\n") + 1
+        for row, col in bad:
+            at = start + 4 * (11 * row + col)
+            raw[at:at + 4] = np.float32(np.inf).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"channel '{channel}': non-finite"):
+            open_recording(str(path))
+
+    def test_edf_non_finite_rejected_at_open(self, tmp_path):
+        # signal B declares digital 0..1 over -1000..1e305 units; its one sample
+        # of 32767 overflows float64 once calibrated
+        path = tmp_path / "a.edf"
+        b = np.zeros(256)
+        b[-1] = 32767
+        write_edf(str(path), [np.zeros(256), b], labels=["A", "B"])
+        raw = bytearray(path.read_bytes())
+        for col, value in ((4, b"1e305"), (5, b"0"), (6, b"1")):  # phys max, dig min, max
+            off = 256 + (16 + 80 + 8 + 8 * (col - 3)) * 2 + 8
+            raw[off:off + 8] = value.ljust(8)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="channel 'B': non-finite"):
+            open_recording(str(path))
+
+    def test_huge_edf_rejected_before_allocating(self, tmp_path):
+        # 10^8 one-second records declared over one
+        path = tmp_path / "a.edf"
+        write_edf(str(path), [np.zeros(256)])
+        raw = bytearray(path.read_bytes())
+        raw[236:244] = b"99999999"
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="EDF payload has 512 bytes, "
+                                                "expected 51199999488"):
+                open_recording(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_file_shortened_after_open(self, tmp_path):
+        path = tmp_path / "r.rm"
+        write_recording(make_recording(np.ones((5, 11))), str(path))
+        lazy = open_recording(str(path))
+        path.write_bytes(path.read_bytes()[:-4])
+        np.testing.assert_array_equal(lazy.rows(0, 4).data, np.ones((4, 11)))
+        with pytest.raises(DataError, match="payload has 216 bytes, expected 220"):
+            lazy.rows(4, 5)
 
 
 class TestResample:

@@ -41,12 +41,14 @@ class Fault(NamedTuple):
 
 
 HMM, SDA, PIPELINE = "src/seqdet/hmm.py", "src/seqdet/sda.py", "src/seqdet/pipeline.py"
-FEATURES = "src/seqdet/features.py"
+FEATURES, SIGNAL_IO = "src/seqdet/features.py", "src/seqdet/signal_io.py"
 TEST_SDA, TEST_CLI = "tests/test_sda.py", "tests/test_pipeline_cli.py"
 KNOB = "tests/test_knobs.py::test_key_changes_its_stage_output"
 WORKERS = "tests/test_hmm.py::TestWorkers"
 BAD_ROW = f"{TEST_CLI}::TestCli::test_bad_posterior_row_exit_code"
 BLOCKS = f"{TEST_CLI}::TestDecoding::test_outputs_equal_for_any_block_size"
+LOADED = f"{TEST_CLI}::TestLoadRecording::test_blocks_equal_the_whole_recording"
+OPENED = "tests/test_signal_io.py::TestOpenRecording"
 
 FAULTS = [
     Fault("fused DAE step without its decoder term", SDA,
@@ -159,6 +161,24 @@ FAULTS = [
           "comp = _components(*bank, x, work)",
           ("tests/test_hmm.py::TestScoring::test_decode_pass1_equal_in_channel_blocks",
            BLOCKS)),
+    Fault("raw block read one row on", SIGNAL_IO,
+          "f.seek(start + 4 * i * m)",
+          "f.seek(start + 4 * (i + 1) * m)",
+          (f"{OPENED}::test_raw_blocks_equal_the_file", LOADED)),
+    Fault("staging buffer's tail dropped", SIGNAL_IO,
+          "    for lo in range(0, count, len(buf)):\n",
+          "    for lo in range(0, count - len(buf) + 1, len(buf)):\n",
+          (f"{OPENED}::test_raw_blocks_equal_the_file",
+           f"{OPENED}::test_raw_non_finite_rejected_at_open")),
+    Fault("montage block subtracts the next block's negative input", PIPELINE,
+          "derivations = tuple(montage.derivations[i] for i in index)",
+          "derivations = tuple(montage.derivations[i][:2] + montage.derivations["
+          "(i + len(index)) % len(montage.derivations)][2:] for i in index)",
+          (LOADED, BLOCKS)),
+    Fault("decode reads the whole recording at once", PIPELINE,
+          "    step = block_channels(rec, spec)\n",
+          "    rec = rec.rows(0, len(rec.labels))\n    step = block_channels(rec, spec)\n",
+          (f"{TEST_CLI}::TestDecoding::test_decode_holds_one_block_of_the_recording",)),
     Fault("frames per epoch fixed at 10", FEATURES,
           "        return int(PIPELINE_RATE_HZ) // self.step_samples(PIPELINE_RATE_HZ)\n",
           "        return 10\n",
