@@ -12,7 +12,10 @@ mask when each CPU gets at least two, with numpy's OpenBLAS held at one thread
 (`parallel`); Baum-Welch stays serial, because its moment sums follow chunk
 order. Each scoring GEMM is padded to a width that is a multiple of 8, so a
 cell's posteriors are the same bits whichever chunk it falls in: no result
-depends on the number of workers, or on which channels a grid holds.
+depends on the number of workers, or on which channels a grid holds. The
+scoring forward recursion runs over a wider batch of whole chunks than the
+emission GEMM and keeps only the current frame of alpha; Baum-Welch keeps
+the whole table. Both take the same recursion step (`_forward_step`).
 """
 from __future__ import annotations
 
@@ -32,6 +35,9 @@ LOG_ZERO = -np.inf
 _EXP_FLOOR = -700.0
 # Emission-block budget in doubles (4 MB): it sets the cells per chunk.
 _BLOCK = 1 << 19
+# Cells per forward batch in scoring, rounded down to whole chunks (at least
+# one): the recursion's per-step numpy calls are shared by this many cells.
+_FORWARD = 512
 
 
 @dataclass(frozen=True)
@@ -67,12 +73,14 @@ class GmmHmmModel:
 # ---------------------------------------------------------------------------
 # Emission densities
 
-def _logsumexp(a: np.ndarray, axis: int = -1, overwrite: bool = False) -> np.ndarray:
+def _logsumexp(a: np.ndarray, axis: int = -1, overwrite: bool = False,
+               out: np.ndarray | None = None) -> np.ndarray:
     """log(sum(exp(a))) along `axis`, shifted by the maximum. Shifted terms
     are clamped at _EXP_FLOOR, which leaves every sum bit-identical; a row
     whose maximum is not finite gives that maximum (-inf for a row that is
     all -inf, NaN or +inf), as the unclamped sum would. With `overwrite`,
-    the terms are computed in `a` itself instead of in a copy."""
+    the terms are computed in `a` itself instead of in a copy; with `out`
+    (a's shape without `axis`), the result is written there."""
     m = np.max(a, axis=axis, keepdims=True)
     finite = np.isfinite(m)
     dead = None if finite.all() else ~finite
@@ -82,11 +90,13 @@ def _logsumexp(a: np.ndarray, axis: int = -1, overwrite: bool = False) -> np.nda
     e = np.subtract(a, m, out=a if overwrite else None)
     np.maximum(e, _EXP_FLOOR, out=e)
     np.exp(e, out=e)
-    out = np.log(e.sum(axis=axis, keepdims=True))
-    out += m
+    s = e.sum(axis=axis, keepdims=True,
+              out=None if out is None else np.expand_dims(out, axis))
+    np.log(s, out=s)
+    s += m
     if dead is not None:
-        out[dead] = held
-    return out.squeeze(axis)
+        s[dead] = held
+    return s.squeeze(axis)
 
 
 def _bank(models: list[GmmHmmModel]):
@@ -162,16 +172,40 @@ def _log_trans(model: GmmHmmModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Forward / backward / Viterbi
 
+def _forward_start(logb: np.ndarray) -> np.ndarray:
+    """Log alpha (..., N, B) of the first frame from log emissions (..., N,
+    T, B): every chain starts in state 0."""
+    alpha = np.full(logb.shape[:-2] + logb.shape[-1:], LOG_ZERO)
+    alpha[..., 0, :] = logb[..., 0, 0, :]
+    return alpha
+
+
+def _forward_step(alpha: np.ndarray, log_a: np.ndarray, logb_t: np.ndarray) -> np.ndarray:
+    """The recursion: log alpha (..., N, B) of the next frame from this
+    frame's, the log transitions (..., N, N) and the next frame's log
+    emissions (..., N, B)."""
+    nxt = _logsumexp(alpha[..., :, None, :] + log_a[..., None], axis=-3, overwrite=True)
+    nxt += logb_t
+    return nxt
+
+
 def _forward_batch(log_a: np.ndarray, logb: np.ndarray) -> np.ndarray:
     """Log-alpha (..., N, T, B) of B same-length sequences from log emissions
-    (..., N, T, B) and log transitions (..., N, N); every chain starts in
-    state 0."""
-    la = np.full(logb.shape, LOG_ZERO)
-    la[..., 0, 0, :] = logb[..., 0, 0, :]
+    (..., N, T, B) and log transitions (..., N, N)."""
+    la = np.empty(logb.shape)
+    la[..., 0, :] = _forward_start(logb)
     for t in range(1, logb.shape[-2]):
-        la[..., t, :] = (_logsumexp(la[..., :, None, t - 1, :] + log_a[..., None],
-                                    axis=-3) + logb[..., t, :])
+        la[..., t, :] = _forward_step(la[..., t - 1, :], log_a, logb[..., t, :])
     return la
+
+
+def _forward_last(log_a: np.ndarray, logb: np.ndarray) -> np.ndarray:
+    """The last frame of _forward_batch, (..., N, B), keeping one frame of
+    alpha at a time."""
+    alpha = _forward_start(logb)
+    for t in range(1, logb.shape[-2]):
+        alpha = _forward_step(alpha, log_a, logb[..., t, :])
+    return alpha
 
 
 def _backward_batch(log_a: np.ndarray, logb: np.ndarray) -> np.ndarray:
@@ -193,37 +227,51 @@ def forward_backward(model: GmmHmmModel, obs: np.ndarray):
     return la, lb, float(_logsumexp(la[:, -1]))
 
 
-def _loglik(models: list[GmmHmmModel], frames: np.ndarray,
-            rows: np.ndarray) -> np.ndarray:
-    """Log P(O|M) (B, M) of each of M stacked models for B sequences of T
-    frames: column b of rows (T, B) indexes sequence b's frames among the
-    rows of frames (n, D). Each chunk is gathered straight from frames.
+def _loglik(models: list[GmmHmmModel], grid: FeatureGrid) -> np.ndarray:
+    """Log P(O|M) (cells, M) of each of M stacked models for every cell of
+    grid, in frame_rows' cell order. Each chunk of cells is gathered straight
+    from the feature array through its frame_rows, built as it is scored.
+
+    Two widths: a chunk is the largest power of two of cells whose emission
+    block fits in _BLOCK / workers doubles, and its GEMM is gemm_width
+    columns wide, so a cell's emissions are the same bits wherever its chunk
+    ends. Each chunk's per-state log emissions go into its columns of a
+    forward batch of _FORWARD cells (at least one chunk), and the forward
+    recursion runs once over the batch, keeping one frame of alpha.
 
     The chunks are split across parallel.cpus() workers when that gives each
-    worker at least two full-_BLOCK chunks, and are scored by one otherwise.
-    Each worker scores chunks of a _BLOCK / workers budget, k, k + workers,
-    ... for worker k, in buffers allocated here once. The chunk size is a
-    power of two either way, and every emission GEMM is gemm_width columns
-    wide, so every result is bit-identical, wherever a chunk ends."""
+    worker at least two full-_BLOCK chunks, and are scored by one otherwise:
+    worker k takes the k-th of `workers` runs of whole chunks, in batches,
+    with buffers allocated here once. Every step is elementwise per cell
+    after the GEMM, so every result is bit-identical for any worker count,
+    chunk size and batch width."""
     bank, log_a = _bank(models), np.stack([_log_trans(m) for m in models])
-    t, cells = rows.shape
-    d = frames.shape[1]
+    frames = grid.vectors.reshape(-1, grid.vectors.shape[-1])
+    t, d = grid.frames_per_epoch, frames.shape[1]
+    cells = grid.num_epochs * grid.num_channels
     out = np.empty((cells, len(models)))
     cpus = parallel.cpus()
     workers = cpus if -(-cells // _chunk(bank[0], t)) >= 2 * cpus else 1
     step = _chunk(bank[0], t, _BLOCK // workers)
-    spaces = [(np.empty(t * step * d), _buffers(bank[0], gemm_width(t * step)))
-              for _ in range(workers)]
+    width = max(_FORWARD // step, 1) * step
+    chunks = -(-cells // step)
+    spaces = [(np.empty(t * step * d), _buffers(bank[0], gemm_width(t * step)),
+               np.empty((*bank[1].shape[:2], t, width))) for _ in range(workers)]
 
     def score(k: int) -> None:
-        gathered, work = spaces[k]
-        for lo in range(k * step, cells, workers * step):
-            index = rows[:, lo:lo + step]
-            x = np.take(frames, index, axis=0, mode="clip",
-                        out=gathered[:index.size * d].reshape(*index.shape, d))
-            comp = _components(*bank, x, work, gemm_width(index.size))
-            logb = _logsumexp(comp, axis=2, overwrite=True)
-            out[lo:lo + step] = _logsumexp(_forward_batch(log_a, logb)[..., -1, :], axis=1).T
+        gathered, work, logb = spaces[k]
+        first = chunks * k // workers * step
+        last = min(chunks * (k + 1) // workers * step, cells)
+        for b0 in range(first, last, width):
+            b1 = min(b0 + width, last)
+            for lo in range(b0, b1, step):
+                index = grid.frame_rows(np.arange(lo, min(lo + step, b1)))
+                x = np.take(frames, index, axis=0, mode="clip",
+                            out=gathered[:index.size * d].reshape(*index.shape, d))
+                comp = _components(*bank, x, work, gemm_width(index.size))
+                _logsumexp(comp, axis=2, overwrite=True,
+                           out=logb[..., lo - b0:lo - b0 + index.shape[1]])
+            out[b0:b1] = _logsumexp(_forward_last(log_a, logb[..., :b1 - b0]), axis=1).T
 
     parallel.run(score, workers)
     return out
@@ -438,9 +486,7 @@ def decode_pass1(grid: FeatureGrid,
     posteriors are bit-identical for any number of workers."""
     if len(models) != NUM_CLASSES:
         raise DataError(f"need {NUM_CLASSES} models, got {len(models)}")
-    frames = grid.vectors.reshape(-1, grid.vectors.shape[-1])
-    rows = grid.frame_rows(np.arange(grid.num_epochs * grid.num_channels))
     with parallel.one_blas_thread():
-        scores = _loglik([models[lab] for lab in EventLabel], frames, rows)
+        scores = _loglik([models[lab] for lab in EventLabel], grid)
     scores -= _logsumexp(scores, axis=1)[:, None]
     return np.exp(scores).reshape(grid.num_epochs, grid.num_channels, NUM_CLASSES)

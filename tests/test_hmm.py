@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from seqdet import hmm, parallel
@@ -13,8 +15,9 @@ from seqdet.features import FeatureGrid
 from seqdet.hmm import (GmmHmmModel, HmmConfig, decode_pass1,
                         forward_backward, init_model, log_emissions,
                         train, viterbi, _bank, _chunk, _emissions,
-                        _kmeans, _left_right_trans, _loglik,
-                        _EXP_FLOOR, _logsumexp, _nearest, _reestimate_one)
+                        _forward_batch, _forward_last, _kmeans,
+                        _left_right_trans, _loglik, _EXP_FLOOR, _logsumexp,
+                        _nearest, _reestimate_one)
 from seqdet.labels import EventLabel
 
 
@@ -36,9 +39,7 @@ def random_model(rng, n=3, comps=2, dim=2, label=EventLabel.BCKG):
 def loglikelihood(model, obs_batch):
     """Log P(O|M) of one model for a batch (B, T, D) of equal-length
     sequences, through the batched forward pass that decode_pass1 uses."""
-    b, t = obs_batch.shape[:2]
-    return _loglik([model], obs_batch.reshape(-1, obs_batch.shape[-1]),
-                   np.arange(t)[:, None] + t * np.arange(b))[:, 0]
+    return _loglik([model], FeatureGrid(obs_batch, obs_batch.shape[1]))[:, 0]
 
 
 def score_cells(models, obs_batch):
@@ -167,6 +168,21 @@ class TestForwardBackward:
         for i in range(20):
             _, _, ll = forward_backward(model, batch[i])
             assert abs(lls[i] - ll) < 1e-10
+
+    def test_last_frame_equals_the_table(self):
+        # scoring keeps one frame of alpha, Baum-Welch the whole table: the
+        # same bits, also where _logsumexp takes its dead-row path (states
+        # at -inf, an all -inf cell, a NaN cell)
+        rng = np.random.default_rng(14)
+        log_a = np.stack([hmm._log_trans(random_model(rng, n=4)) for _ in range(5)])
+        logb = rng.normal(-40.0, 30.0, size=(5, 4, 10, 37))
+        logb[rng.random(logb.shape) < 0.2] = -np.inf
+        logb[..., 6] = -np.inf
+        logb[2, 1, 4, 9] = np.nan
+        last = _forward_last(log_a, logb)
+        np.testing.assert_array_equal(last, _forward_batch(log_a, logb)[..., -1, :])
+        assert np.all(last[..., 6] == -np.inf)
+        assert np.isnan(last[2, :, 9]).all() and not np.isnan(np.delete(last, 9, -1)).any()
 
 
 class TestViterbi:
@@ -606,9 +622,10 @@ class TestScoring:
     def test_decode_pass1_allocates_under_half_the_features(self, monkeypatch):
         # a 10 min, 22-channel grid with the default model shapes: 13 200
         # cells scored by two workers in 128-cell chunks gathered from the
-        # feature array, with no copy of all cells, and each chunk's
-        # component block reduced in place (7.9 MB; 13.5-14.0 MB with
-        # 256-cell chunks on each worker)
+        # feature array through each chunk's own frame rows, with no copy of
+        # all cells, each chunk's component block reduced in place and
+        # 512-cell forward batches (7.7-7.8 MB; 13.5-14.0 MB with 256-cell
+        # chunks on each worker)
         monkeypatch.setattr(parallel, "cpus", lambda: 2)
         rng = np.random.default_rng(32)
         models = {lab: random_model(rng, n=3, comps=8, dim=26, label=lab)
@@ -654,27 +671,57 @@ def default_shape_models(rng, dim):
             for lab in EventLabel}
 
 
+# A 5-channel grid of up to 90 epochs and default-shape models for
+# test_decode_pass1_equal_for_any_chunking: 5 channels give an odd number of
+# cells for an odd number of epochs.
+CHUNKING_MODELS = default_shape_models(np.random.default_rng(36), 4)
+CHUNKING_VECTORS = np.random.default_rng(37).normal(0, 2, size=(5, 900, 4))
+
+
 class TestWorkers:
     # 2 105 cells in 9 full-_BLOCK chunks and 2 334 in 10; per-worker
     # chunks of 128 (2 workers) and 64 (3 and 4) cells leave a partial final
-    # chunk, and every worker count leaves a chunk count it does not divide
+    # chunk, and every worker count leaves a chunk count it does not divide.
+    # Forward batches of one chunk, of the default width (2 to 8 chunks,
+    # the last one partial) and wider than the grid.
     @pytest.mark.parametrize("channels, frames", [(5, 4203), (3, 7777)])
     def test_decode_pass1_equal_for_any_worker_count(self, monkeypatch,
                                                      channels, frames):
         rng = np.random.default_rng(frames)
         models = default_shape_models(rng, 4)
         grid = FeatureGrid(rng.normal(0, 2, size=(channels, frames, 4)))
-        counts = []
+        counts, widths = [], (1, hmm._FORWARD, 1 << 12)
         real_run = parallel.run
         monkeypatch.setattr(parallel, "run", lambda fn, count: (
             counts.append(count), real_run(fn, count)))
         posts = {}
         for cpus in (1, 2, 3, 4):
             monkeypatch.setattr(parallel, "cpus", lambda: cpus)
-            posts[cpus] = decode_pass1(grid, models)
-        assert counts == [1, 2, 3, 4]
-        for cpus in (2, 3, 4):
-            np.testing.assert_array_equal(posts[cpus], posts[1])
+            for width in widths:
+                monkeypatch.setattr(hmm, "_FORWARD", width)
+                posts[cpus, width] = decode_pass1(grid, models)
+        assert counts == [cpus for cpus in (1, 2, 3, 4) for _ in widths]
+        for post in posts.values():
+            np.testing.assert_array_equal(post, posts[1, widths[1]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(block=st.integers(16, 20),
+           batch=st.sampled_from(["one chunk", "three chunks", "wider than the grid"]),
+           cpus=st.integers(1, 4), epochs=st.integers(40, 90), cut=st.integers(0, 9))
+    def test_decode_pass1_equal_for_any_chunking(self, block, batch, cpus, epochs, cut):
+        # the chunk is 8 (2^16 doubles on 4 workers) to 512 cells (2^20 on
+        # one); an odd number of cells always leaves a partial last batch,
+        # and `cut` a partial final epoch
+        grid = FeatureGrid(CHUNKING_VECTORS[:, :10 * epochs - cut])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "cpus", lambda: 1)
+            want = decode_pass1(grid, CHUNKING_MODELS)
+            chunk = _chunk(_bank(list(CHUNKING_MODELS.values()))[0], 10, 1 << block)
+            patch.setattr(hmm, "_BLOCK", 1 << block)
+            patch.setattr(hmm, "_FORWARD", {"one chunk": 1, "three chunks": 3 * chunk,
+                                            "wider than the grid": 10 * epochs}[batch])
+            patch.setattr(parallel, "cpus", lambda: cpus)
+            np.testing.assert_array_equal(decode_pass1(grid, CHUNKING_MODELS), want)
 
     def test_clip_never_uses_the_helpers(self, monkeypatch):
         # a 30 s, 22-channel clip is 660 cells, 3 chunks: too few to give
@@ -691,14 +738,14 @@ class TestWorkers:
     @pytest.mark.skipif(not parallel._openblas(), reason="numpy's OpenBLAS not found")
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
         error = FloatingPointError("a helper's chunk")
-        real_forward = hmm._forward_batch
+        real_forward = hmm._forward_last
 
         def forward(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise error
             return real_forward(*args)
 
-        monkeypatch.setattr(hmm, "_forward_batch", forward)
+        monkeypatch.setattr(hmm, "_forward_last", forward)
         monkeypatch.setattr(parallel, "cpus", lambda: 2)
         rng = np.random.default_rng(34)
         grid = FeatureGrid(rng.normal(size=(5, 4203, 4)))

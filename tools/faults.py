@@ -45,6 +45,7 @@ FEATURES, SIGNAL_IO = "src/seqdet/features.py", "src/seqdet/signal_io.py"
 TEST_SDA, TEST_CLI = "tests/test_sda.py", "tests/test_pipeline_cli.py"
 KNOB = "tests/test_knobs.py::test_key_changes_its_stage_output"
 WORKERS = "tests/test_hmm.py::TestWorkers"
+CHUNKING = f"{WORKERS}::test_decode_pass1_equal_for_any_chunking"
 BAD_ROW = f"{TEST_CLI}::TestCli::test_bad_posterior_row_exit_code"
 BLOCKS = f"{TEST_CLI}::TestDecoding::test_outputs_equal_for_any_block_size"
 LOADED = f"{TEST_CLI}::TestLoadRecording::test_blocks_equal_the_whole_recording"
@@ -110,10 +111,18 @@ FAULTS = [
           "sda.sda_input(s, smin, smax, cfg.window_length)",
           "sda.make_windows(s, cfg.window_length)",
           (f"{TEST_CLI}::TestTraining::test_sdas_train_on_the_windows_decode_builds",)),
-    Fault("pass-1 worker stride skips chunks", HMM,
-          "        for lo in range(k * step, cells, workers * step):\n",
-          "        for lo in range(k * step, cells, workers * workers * step):\n",
+    Fault("pass-1 worker range starts a chunk late", HMM,
+          "        first = chunks * k // workers * step\n",
+          "        first = -(-chunks * k // workers) * step\n",
           (f"{WORKERS}::test_decode_pass1_equal_for_any_worker_count",)),
+    Fault("pass-1 forward batch offset one chunk out", HMM,
+          "        for b0 in range(first, last, width):\n",
+          "        for b0 in range(first, last, width + step):\n",
+          (f"{WORKERS}::test_decode_pass1_equal_for_any_worker_count", CHUNKING)),
+    Fault("partial last forward batch scored over the previous batch's columns", HMM,
+          "_forward_last(log_a, logb[..., :b1 - b0])",
+          "_forward_last(log_a, logb[..., width - (b1 - b0):])",
+          (f"{WORKERS}::test_decode_pass1_equal_for_any_worker_count", CHUNKING)),
     Fault("pass-1 split at one chunk per CPU", HMM,
           ">= 2 * cpus else 1",
           ">= cpus else 1",
