@@ -16,7 +16,7 @@ from . import evaluation, pipeline, signal_io, synth
 from .bundle import Bundle
 from .errors import DataError, NumericError
 from .labels import TARGET_CLASSES
-from .sda import EXPECTED_CHANNELS
+from .signal_io import CHANNELS
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
                          default="six_way")
     p_score.add_argument("--basis", choices=["per_epoch", "per_channel_event"],
                          default="per_epoch")
-    p_score.add_argument("--channels", type=int, default=EXPECTED_CHANNELS)
+    p_score.add_argument("--channels", type=int, default=CHANNELS)
     p_score.add_argument("--out", required=True,
                          help="report prefix (writes .txt and .csv)")
 
@@ -153,7 +153,7 @@ def _cmd_synth(args) -> int:
     signal_io.write_recording(rec, args.out + ".rm")
     signal_io.write_annotations(ann, args.out + ".csv")
     print(f"recording written: {args.out}.rm ({rec.duration_s:g} s, "
-          f"{len(rec.data)} channels)")
+          f"{len(rec.labels)} channels)")
     return 0
 
 

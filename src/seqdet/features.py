@@ -1,4 +1,5 @@
-"""Cepstral frontend: 26-dimensional feature vectors at 0.1 s frame steps.
+"""Cepstral frontend: 26-dimensional feature vectors at 0.1 s frame steps,
+from rows sampled at signal_io.RATE_HZ, the one rate the frontend runs at.
 
 Each frame yields 7 linear-frequency cepstral coefficients plus a frequency
 energy term; a differential (max-minus-min) energy track and regression-based
@@ -9,9 +10,9 @@ first and second derivatives complete the vector:
 No frames are built. A channel is cut into contiguous step-sized blocks, and
 the Hamming-windowed real DFT of every frame is one wide GEMM of a basis
 against those blocks, followed by one shifted add per step-sized slice of
-the window. The basis and the filter taps are built once per frame spec and
-rate, on first use. Power, filterbank, log and DCT then run over chunks of
-frames small enough to stay in cache. The rest of the vector (the
+the window. The basis and the filter taps are built once per frame spec, on
+first use. Power, filterbank, log and DCT then run over chunks of frames
+small enough to stay in cache. The rest of the vector (the
 differential energy, both delta passes and the copy into the output) runs
 over groups of channels whose 26 rows fit the same cache budget: all 22
 channels of a 30 s clip in two groups, one channel at a time for 10 min.
@@ -30,9 +31,8 @@ import numpy as np
 
 from . import parallel
 from .errors import DataError
-from .signal_io import LazyRecording, Recording
+from .signal_io import RATE_HZ, Recording
 
-PIPELINE_RATE_HZ = 250.0
 ENERGY_FLOOR = 1e-10
 FEATURE_DIM = 26
 _CEPSTRA = 7  # the vector above holds c1..c7
@@ -68,9 +68,9 @@ class FrameSpec:
     def __post_init__(self):
         if self.window_s < self.frame_s:
             raise DataError("window_s must be >= frame_s")
-        if self.step_samples(PIPELINE_RATE_HZ) < 1:
+        if self.step_samples < 1:
             raise DataError(f"frame_s = {self.frame_s} is shorter than one "
-                            f"sample at {PIPELINE_RATE_HZ:g} Hz")
+                            f"sample at {RATE_HZ:g} Hz")
         if self.fft_size < 1:
             raise DataError(f"fft_size = {self.fft_size} must be at least 1")
         if self.num_filters < _CEPSTRA + 1:
@@ -82,31 +82,41 @@ class FrameSpec:
         if self.delta_width_first < 1 or self.delta_width_second < 1:
             raise DataError("delta widths must be >= 1")
 
-    def window_samples(self, rate_hz: float) -> int:
-        return int(round(self.window_s * rate_hz))
+    @property
+    def window_samples(self) -> int:
+        return int(round(self.window_s * RATE_HZ))
 
-    def step_samples(self, rate_hz: float) -> int:
-        return int(round(self.frame_s * rate_hz))
+    @property
+    def step_samples(self) -> int:
+        return int(round(self.frame_s * RATE_HZ))
 
-    def num_frames(self, num_samples: int, rate_hz: float) -> int:
+    def num_frames(self, num_samples: int) -> int:
         """Whole frames in `num_samples`; a trailing partial frame is
         dropped."""
-        win = self.window_samples(rate_hz)
+        win = self.window_samples
         if num_samples < win:
             raise DataError(f"signal of {num_samples} samples shorter than "
                             f"one {win}-sample window")
-        return (num_samples - win) // self.step_samples(rate_hz) + 1
+        return (num_samples - win) // self.step_samples + 1
 
     @property
-    def frames_per_epoch(self) -> int:  # whole steps in a 1 s epoch
-        return int(PIPELINE_RATE_HZ) // self.step_samples(PIPELINE_RATE_HZ)
+    def frames_per_epoch(self) -> int:
+        """Steps in a 1 s epoch. The frontend takes any step, but a step that
+        does not divide the epoch would give epochs that drift from the 1 s
+        labels, so it is a DataError here."""
+        per_epoch, rest = divmod(int(RATE_HZ), self.step_samples)
+        if rest:
+            raise DataError(f"frame_s = {self.frame_s} steps {self.step_samples} "
+                            f"samples, which do not divide a "
+                            f"{int(RATE_HZ)}-sample epoch")
+        return per_epoch
 
 
 @dataclass(frozen=True)
 class FeatureGrid:
     """Per-channel frame features plus the 1 s epoch grouping."""
     vectors: np.ndarray  # (channels, frames, 26)
-    frames_per_epoch: int = 10
+    frames_per_epoch: int
 
     @property
     def num_channels(self) -> int:
@@ -131,12 +141,12 @@ class FeatureGrid:
         return channel * self.num_frames + np.minimum(frame, self.num_frames - 1)
 
 
-def _filterbank_matrix(spec: FrameSpec, rate_hz: float) -> np.ndarray:
+def _filterbank_matrix(spec: FrameSpec) -> np.ndarray:
     """Triangular filters linearly spaced from 0 to Nyquist with 50% overlap,
     applied to the magnitude-squared rfft bins."""
     n_bins = spec.fft_size // 2 + 1
-    freqs = np.arange(n_bins) * rate_hz / spec.fft_size
-    nyq = rate_hz / 2.0
+    freqs = np.arange(n_bins) * RATE_HZ / spec.fft_size
+    nyq = RATE_HZ / 2.0
     centers = np.linspace(0.0, nyq, spec.num_filters + 2)
     fb = np.zeros((spec.num_filters, n_bins))
     for j in range(spec.num_filters):
@@ -148,11 +158,11 @@ def _filterbank_matrix(spec: FrameSpec, rate_hz: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _tables(spec: FrameSpec, rate_hz: float):
+def _tables(spec: FrameSpec):
     """The read-only parts of a _Spectrum: the DFT basis, and each filter's
-    tap bins and weights. Built on first use for a (spec, rate) and shared
-    by every _Spectrum of it, in every worker."""
-    win, step = spec.window_samples(rate_hz), spec.step_samples(rate_hz)
+    tap bins and weights. Built on first use for a spec and shared by every
+    _Spectrum of it, in every worker."""
+    win, step = spec.window_samples, spec.step_samples
     slices, n = -(-win // step), spec.fft_size
     bins = n // 2 + 1
     # the DFT basis: slice j holds the cosine then the sine rows for window
@@ -167,7 +177,7 @@ def _tables(spec: FrameSpec, rate_hz: float):
     # each filter's support is a run of at most `taps` bins; a filter is
     # summed over that run in bin order, so no BLAS call (whose summation
     # order may follow the thread count) touches the energies
-    fb = _filterbank_matrix(spec, rate_hz)
+    fb = _filterbank_matrix(spec)
     support = fb > 0
     width = support.sum(axis=1)
     offset = np.arange(max(width.max(), 1))[:, None]
@@ -182,12 +192,12 @@ class _Spectrum:
     """Filterbank energies of one channel, chunk by chunk, in buffers that
     are allocated once and reused for every chunk and channel."""
 
-    def __init__(self, spec: FrameSpec, rate_hz: float, num_samples: int):
-        self.num_frames = spec.num_frames(num_samples, rate_hz)
-        self.step = spec.step_samples(rate_hz)
-        self.slices = -(-spec.window_samples(rate_hz) // self.step)  # blocks per window
+    def __init__(self, spec: FrameSpec, num_samples: int):
+        self.num_frames = spec.num_frames(num_samples)
+        self.step = spec.step_samples
+        self.slices = -(-spec.window_samples // self.step)  # blocks per window
         self.bins = spec.fft_size // 2 + 1
-        self.basis, self.tap_bins, self.tap_weights = _tables(spec, rate_hz)
+        self.basis, self.tap_bins, self.tap_weights = _tables(spec)
         self.chunk = max(_CHUNK // len(self.basis) - self.slices + 1, 1)
         cols = gemm_width(min(self.chunk, self.num_frames) + self.slices - 1)
         self._prod = np.empty(len(self.basis) * cols)
@@ -238,14 +248,13 @@ def _view(buf: np.ndarray, shape: tuple) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def filterbank_energies(samples: np.ndarray, spec: FrameSpec,
-                        rate_hz: float = PIPELINE_RATE_HZ) -> np.ndarray:
+def filterbank_energies(samples: np.ndarray, spec: FrameSpec) -> np.ndarray:
     """(frames, filters) energies of one channel, floored at ENERGY_FLOOR.
 
     Frame t covers samples [t*frame_s, t*frame_s + window_s); a trailing
     partial frame is dropped."""
     samples = np.asarray(samples, dtype=np.float64)
-    spectrum = _Spectrum(spec, rate_hz, len(samples))
+    spectrum = _Spectrum(spec, len(samples))
     out = np.empty((spectrum.num_frames, spec.num_filters))
     for t0, t1 in spectrum.chunks():
         out[t0:t1] = spectrum.energies(samples, t0, t1).T
@@ -328,25 +337,23 @@ def _group(channels: int, frames: int) -> int:
     return min(max(_CHUNK // (FEATURE_DIM * frames), 1), channels)
 
 
-def block_channels(rec: Recording | LazyRecording, spec: FrameSpec) -> int:
+def block_channels(rec: Recording, spec: FrameSpec) -> int:
     """Channels per block when `rec` is decoded a block at a time: two
     frontend groups per CPU, the fewest on which extract_features runs on
     every CPU."""
-    frames = spec.num_frames(rec.num_samples, rec.sample_rate_hz)
+    frames = spec.num_frames(rec.num_samples)
     return 2 * parallel.cpus() * _group(len(rec.labels), frames)
 
 
-def extract_features(rec: Recording, spec: FrameSpec | None = None) -> FeatureGrid:
-    """The feature grid of every channel of `rec`. Worker k of w finishes
-    groups k, k + w, ...; w is parallel.cpus() when that gives each worker
-    at least two groups, and 1 otherwise."""
+def extract_features(data: np.ndarray, spec: FrameSpec | None = None) -> FeatureGrid:
+    """The feature grid of the (channels, samples) rows `data`, sampled at
+    RATE_HZ. Worker k of w finishes groups k, k + w, ...; w is
+    parallel.cpus() when that gives each worker at least two groups, and 1
+    otherwise."""
     spec = spec or FrameSpec()
-    if abs(rec.sample_rate_hz - PIPELINE_RATE_HZ) > 1e-9:
-        raise DataError(
-            f"feature extraction requires {PIPELINE_RATE_HZ:g} Hz input, "
-            f"got {rec.sample_rate_hz:g} Hz (resample first)")
-    channels = rec.data.shape[0]
-    frames = spec.num_frames(rec.num_samples, rec.sample_rate_hz)
+    per_epoch = spec.frames_per_epoch
+    channels, num_samples = data.shape
+    frames = spec.num_frames(num_samples)
     group = _group(channels, frames)
     cpus = parallel.cpus()
     workers = cpus if -(-channels // group) >= 2 * cpus else 1
@@ -358,7 +365,7 @@ def extract_features(rec: Recording, spec: FrameSpec | None = None) -> FeatureGr
     # after the call
     work_size = max(deltas_work((group, 9, frames), spec.delta_width_first),
                     deltas_work((group, 8, frames), spec.delta_width_second))
-    spaces = [(_Spectrum(spec, rec.sample_rate_hz, rec.num_samples),
+    spaces = [(_Spectrum(spec, num_samples),
                np.empty((group, FEATURE_DIM, frames)), np.empty(work_size))
               for _ in range(workers)]
 
@@ -366,7 +373,7 @@ def extract_features(rec: Recording, spec: FrameSpec | None = None) -> FeatureGr
         spectrum, rows, work = spaces[k]
         for c0 in range(k * group, channels, workers * group):
             block = rows[:min(group, channels - c0)]
-            for samples, row in zip(rec.data[c0:c0 + group], block):
+            for samples, row in zip(data[c0:c0 + group], block):
                 for t0, t1 in spectrum.chunks():
                     energies = spectrum.energies(samples, t0, t1)
                     row[7, t0:t1] = frequency_energy(energies.T)
@@ -379,4 +386,4 @@ def extract_features(rec: Recording, spec: FrameSpec | None = None) -> FeatureGr
 
     with parallel.one_blas_thread():
         parallel.run(finish, workers)
-    return FeatureGrid(out, spec.frames_per_epoch)
+    return FeatureGrid(out, per_epoch)

@@ -170,7 +170,7 @@ def _log_trans(model: GmmHmmModel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Forward / backward / Viterbi
+# Forward / backward
 
 def _forward_start(logb: np.ndarray) -> np.ndarray:
     """Log alpha (..., N, B) of the first frame from log emissions (..., N,
@@ -249,9 +249,9 @@ def _loglik(models: list[GmmHmmModel], grid: FeatureGrid) -> np.ndarray:
     frames = grid.vectors.reshape(-1, grid.vectors.shape[-1])
     t, d = grid.frames_per_epoch, frames.shape[1]
     cells = grid.num_epochs * grid.num_channels
-    out = np.empty((cells, len(models)))
+    out = np.full((cells, len(models)), np.nan)  # a cell never scored stays NaN
     cpus = parallel.cpus()
-    workers = cpus if -(-cells // _chunk(bank[0], t)) >= 2 * cpus else 1
+    workers = cpus if -(-cells // _chunk(bank[0], t, _BLOCK)) >= 2 * cpus else 1
     step = _chunk(bank[0], t, _BLOCK // workers)
     width = max(_FORWARD // step, 1) * step
     chunks = -(-cells // step)
@@ -275,25 +275,6 @@ def _loglik(models: list[GmmHmmModel], grid: FeatureGrid) -> np.ndarray:
 
     parallel.run(score, workers)
     return out
-
-
-def viterbi(model: GmmHmmModel, obs: np.ndarray):
-    """Best state path and its log score (max-product forward pass)."""
-    logb = log_emissions(model, obs)                  # (T, N)
-    log_a = _log_trans(model)
-    t_len, n = logb.shape
-    delta = np.full((t_len, n), LOG_ZERO)
-    back = np.zeros((t_len, n), dtype=np.intp)
-    delta[0, 0] = logb[0, 0]
-    for t in range(1, t_len):
-        scores = delta[t - 1, :, None] + log_a
-        back[t] = np.argmax(scores, axis=0)
-        delta[t] = scores[back[t], np.arange(n)] + logb[t]
-    path = np.zeros(t_len, dtype=np.intp)
-    path[-1] = int(np.argmax(delta[-1]))
-    for t in range(t_len - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path, float(np.max(delta[-1]))
 
 
 # ---------------------------------------------------------------------------

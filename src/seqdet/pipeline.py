@@ -1,6 +1,11 @@
 """Train / decode / score orchestration across the three passes, with an INI
 config, versioned model bundles, and reproducible seeding.
 
+Every recording is opened through load_recording, which runs every check
+of the file and returns a signal_io.Recording at RATE_HZ with CHANNELS
+channels. Training reads each recording whole; decode reads, featurizes and
+scores it a block of channels at a time.
+
 Everything downstream of the config is deterministic: the manifest records
 the config hash, the seed, and checksums of the training data, and two runs
 with identical inputs produce byte-identical bundles and hypothesis files.
@@ -21,11 +26,10 @@ import numpy as np
 from . import evaluation, grammar, hmm, sda, signal_io
 from .bundle import Bundle
 from .errors import DataError
-from .features import (PIPELINE_RATE_HZ, FeatureGrid, FrameSpec, block_channels,
-                       extract_features)
+from .features import FeatureGrid, FrameSpec, block_channels, extract_features
 from .labels import (EPOCH_PRIORITY, LABEL_NAMES, NUM_CLASSES, TARGET_CLASSES,
                      EventLabel)
-from .signal_io import ALL_CHANNELS, AnnotationSet, Event
+from .signal_io import ALL_CHANNELS, CHANNELS, RATE_HZ, AnnotationSet, Event
 
 
 @dataclass(frozen=True)
@@ -53,13 +57,16 @@ class PipelineConfig:
         if self.bigram_source not in ("table1", "estimate"):
             raise DataError(f"config [pipeline] bigram_source must be "
                             f"table1|estimate, got {self.bigram_source!r}")
-        step = self.frame.step_samples(PIPELINE_RATE_HZ)
-        if (self.frame.frames_per_epoch * step != PIPELINE_RATE_HZ
-                or self.frame.frames_per_epoch < self.hmm.num_states):
+        try:
+            per_epoch = self.frame.frames_per_epoch
+        except DataError:  # a step that does not divide the epoch
+            per_epoch = 0
+        if per_epoch < self.hmm.num_states:
             raise DataError(
-                f"config [frontend] frame_s = {self.frame.frame_s} steps {step} "
-                f"samples; a 1 s epoch must hold a whole number of steps, at "
-                f"least [hmm] num_states = {self.hmm.num_states}")
+                f"config [frontend] frame_s = {self.frame.frame_s} steps "
+                f"{self.frame.step_samples} samples; a 1 s epoch must hold a "
+                f"whole number of steps, at least [hmm] num_states = "
+                f"{self.hmm.num_states}")
         for key in ("pca_detector_dim", "pca_sixway_dim"):
             if not 1 <= getattr(self, key) <= sda.SUPERVECTOR_DIM:
                 raise DataError(f"config [pipeline] {key} = {getattr(self, key)} "
@@ -174,39 +181,39 @@ def _sha256(path: str) -> str:
 
 
 def load_recording(path: str,
-                   montage: signal_io.MontageSpec | None) -> signal_io.LazyRecording:
-    """The recording at `path`, resampled to the pipeline rate and through
-    `montage`. Every check of the file, the montage and the channel count
-    runs here; each block of rows is then read, resampled and derived when
-    it is asked for, from only the input channels that it needs."""
+                   montage: signal_io.MontageSpec | None) -> signal_io.Recording:
+    """The recording at `path`, resampled to RATE_HZ and through `montage`.
+    Every check of the file, the montage and the channel count runs here;
+    each block of rows is then read, resampled and derived when it is asked
+    for, from only the input channels that it needs."""
     source = signal_io.open_recording(path)
     rate, samples = source.sample_rate_hz, source.num_samples
-    resampled = abs(rate - PIPELINE_RATE_HZ) > 1e-9
+    resampled = abs(rate - RATE_HZ) > 1e-9
     if resampled:
-        samples = signal_io.resampled_length(samples, rate, PIPELINE_RATE_HZ)
-        rate = PIPELINE_RATE_HZ
+        samples = signal_io.resampled_length(samples, rate, RATE_HZ)
     labels = source.labels
     if montage is not None:
         inputs = signal_io.montage_inputs(labels, montage)
         labels = tuple(out for out, _, _ in montage.derivations)
-    if len(labels) != sda.EXPECTED_CHANNELS:
-        raise DataError(f"{path}: expected {sda.EXPECTED_CHANNELS} "
-                        f"channels after the montage, got {len(labels)}")
+    if len(labels) != CHANNELS:
+        raise DataError(f"{path}: expected {CHANNELS} channels after the "
+                        f"montage, got {len(labels)}")
 
     def read(index: list[int]) -> np.ndarray:
-        if montage is None:
-            rec = source.take(index)
-        else:
-            derivations = tuple(montage.derivations[i] for i in index)
-            rec = source.take(sorted({inputs[name] for _, *names in derivations
-                                      for name in names if name is not None}))
-        if resampled:
-            rec = signal_io.resample(rec, PIPELINE_RATE_HZ)
         if montage is not None:
-            rec = signal_io.apply_montage(rec, signal_io.MontageSpec(derivations))
-        return rec.data
+            derivations = signal_io.MontageSpec(
+                tuple(montage.derivations[i] for i in index))
+            index = sorted({inputs[name] for _, *names in derivations.derivations
+                            for name in names if name is not None})
+        data = source.read(index)
+        if resampled:
+            data = signal_io.resample(data, rate, RATE_HZ)
+        if montage is not None:
+            data = signal_io.apply_montage(
+                data, tuple(source.labels[i] for i in index), derivations)
+        return data
 
-    return signal_io.LazyRecording(labels, rate, samples, source.id, read)
+    return signal_io.Recording(labels, RATE_HZ if resampled else rate, samples, read)
 
 
 def _manifest_montage(manifest: dict) -> signal_io.MontageSpec | None:
@@ -334,7 +341,7 @@ def _merge_runs(labels: np.ndarray, channel: int) -> list[Event]:
     return events
 
 
-def _decode_pass1(rec: signal_io.LazyRecording, spec: FrameSpec,
+def _decode_pass1(rec: signal_io.Recording, spec: FrameSpec,
                   models: dict[EventLabel, hmm.GmmHmmModel]) -> np.ndarray:
     """Pass-1 posteriors (epochs, channels, 6) of `rec`, a block of channels
     at a time: one block's rows are read and its features extracted and
@@ -416,7 +423,7 @@ def read_posterior_csv(path: str) -> np.ndarray:
 # Scoring
 
 def score_files(ref_path: str, hyp_path: str, mode: str, basis: str,
-                num_channels: int = sda.EXPECTED_CHANNELS):
+                num_channels: int = CHANNELS):
     """Confusion matrix + two-way summary for one (reference, hypothesis)
     annotation pair. The hypothesis determines the epoch count since decode
     emits full-coverage label runs."""

@@ -24,13 +24,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericError, check_shape
 from .labels import NUM_CLASSES, TARGET_CLASSES, EventLabel
+from .signal_io import CHANNELS
 
 log = logging.getLogger(__name__)
 
-# Channels of every recording: synth writes them, and loading and scoring
-# expect them.
-EXPECTED_CHANNELS = 22
-SUPERVECTOR_DIM = EXPECTED_CHANNELS * NUM_CLASSES  # 132
+SUPERVECTOR_DIM = CHANNELS * NUM_CLASSES  # 132
 # The one dtype pretrain and fine_tune train in.
 _TRAIN_DTYPE = np.float32
 
@@ -41,9 +39,8 @@ _TRAIN_DTYPE = np.float32
 def supervector_sequence(pass1: np.ndarray) -> np.ndarray:
     """(epochs, 132) supervectors of the (epochs, channels, 6) pass-1
     posteriors: each epoch's scores, channel-major."""
-    if pass1.shape[1] != EXPECTED_CHANNELS:
-        raise DataError(
-            f"expected {EXPECTED_CHANNELS} channels, got {pass1.shape[1]}")
+    if pass1.shape[1] != CHANNELS:
+        raise DataError(f"expected {CHANNELS} channels, got {pass1.shape[1]}")
     return pass1.reshape(len(pass1), -1)
 
 

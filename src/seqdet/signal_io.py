@@ -1,7 +1,8 @@
-"""Recording and annotation ingestion: raw-matrix and EDF-subset readers
-that check a file when it is opened and build its float64 rows a block of
-channels at a time, windowed-sinc resampling, montage derivation,
-annotation CSV round-trip.
+"""Recordings and annotations: the pipeline's rate and channel count
+(RATE_HZ, CHANNELS), the one Recording type, raw-matrix and EDF-subset
+readers that check a file when it is opened and build its float64 rows a
+block of channels at a time, windowed-sinc resampling and montage derivation
+of plain (channels, samples) arrays, and the annotation CSV round-trip.
 
 EDF support is deliberately a strict read-only subset: plain header plus
 16-bit little-endian signal records with a uniform record duration. Anything
@@ -25,44 +26,53 @@ from .labels import EventLabel, parse_label
 
 ALL_CHANNELS = -1  # channel index meaning "event applies to every channel"
 
+# The recording contract of the pipeline: load_recording resamples every
+# recording to RATE_HZ, and it has CHANNELS channels after the montage. The
+# pipeline labels 1 s epochs, so an epoch is RATE_HZ samples and holds a
+# whole number of frame steps (features.FrameSpec.frames_per_epoch).
+# Annotations are in seconds, and these readers take a second as an epoch
+# index: evaluation.epoch_reference_labels and
+# channel_epoch_reference_labels, pipeline._merge_runs and score_files.
+RATE_HZ = 250.0
+CHANNELS = 22
+
 
 @dataclass(frozen=True)
 class Recording:
-    """A multichannel recording: one (channels, samples) float64 matrix in
-    microvolts, with one label per row."""
-    data: np.ndarray
+    """A multichannel recording in microvolts, one label per channel, whose
+    rows are built when they are asked for, so that its (channels, samples)
+    matrix need never exist. `read(index)` builds the float64 rows of the
+    channels in the list `index`, in that order. Every sample was checked
+    when the recording was opened or made, so no read checks it again."""
     labels: tuple[str, ...]
     sample_rate_hz: float
-    id: str = ""
+    num_samples: int
+    read: Callable[[list[int]], np.ndarray] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        _check_rate(self.sample_rate_hz)
-        data = np.asarray(self.data, dtype=np.float64)
+    @classmethod
+    def of(cls, data, labels: Sequence[str], sample_rate_hz: float) -> "Recording":
+        """An in-memory (channels, samples) matrix, checked here: a positive
+        finite rate, one label per row, at least one row, finite samples.
+        Each read returns a copy of its rows."""
+        _check_rate(sample_rate_hz)
+        data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2:
-            raise DataError(
-                f"recording data must be a (channels, samples) matrix, "
-                f"got {data.ndim}-D")
+            raise DataError(f"recording data must be a (channels, samples) "
+                            f"matrix, got {data.ndim}-D")
         if not len(data):
             raise DataError("recording must have at least one channel")
-        if len(self.labels) != len(data):
-            raise DataError(
-                f"{len(self.labels)} channel labels for {len(data)} channels")
+        labels = tuple(labels)
+        if len(labels) != len(data):
+            raise DataError(f"{len(labels)} channel labels for {len(data)} channels")
         for i, row in enumerate(data):  # no (channels, samples) mask
             if not np.isfinite(row).all():
-                raise _non_finite(self.labels, i)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "labels", tuple(self.labels))
+                raise _non_finite(labels, i)
+        return cls(labels, sample_rate_hz, data.shape[1], lambda index: data[index])
 
-    def rows(self, lo: int, hi: int) -> "Recording":
-        """Channels lo..hi-1, a view of this recording's data. The rows were
-        checked when this recording was built, so they are not checked
-        again."""
-        return _trusted(self.data[lo:hi], self.labels[lo:hi],
-                        self.sample_rate_hz, self.id)
-
-    @property
-    def num_samples(self) -> int:
-        return self.data.shape[1]
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Channels lo..hi-1; `hi` may pass the last channel, as in a
+        slice."""
+        return self.read(list(range(len(self.labels))[lo:hi]))
 
     @property
     def duration_s(self) -> float:
@@ -127,52 +137,11 @@ class AnnotationSet:
 # Opening a recording file. Every check runs when the file is opened; the
 # float64 rows are built later, a block of channels at a time.
 
-@dataclass(frozen=True)
-class LazyRecording:
-    """A recording whose rows are built when they are asked for, so that its
-    (channels, samples) matrix need never exist. `read(index)` builds the
-    float64 rows of the channels in the list `index`, in that order."""
-    labels: tuple[str, ...]
-    sample_rate_hz: float
-    num_samples: int
-    id: str
-    read: Callable[[list[int]], np.ndarray] = field(repr=False, compare=False)
-
-    def take(self, index: Sequence[int]) -> Recording:
-        """Channels `index`, in that order. Their samples were checked when
-        the recording was opened, so they are not checked again."""
-        index = list(index)
-        return _trusted(self.read(index), tuple(self.labels[i] for i in index),
-                        self.sample_rate_hz, self.id)
-
-    def rows(self, lo: int, hi: int) -> Recording:
-        """Channels lo..hi-1; `hi` may pass the last channel, as in a
-        slice."""
-        return self.take(range(len(self.labels))[lo:hi])
-
-
-def open_recording(path: str) -> LazyRecording:
+def open_recording(path: str) -> Recording:
     """An EDF file if the name ends in .edf, a raw matrix otherwise."""
     if path.lower().endswith(".edf"):
         return _open_edf(path)
     return _open_raw_matrix(path)
-
-
-def read_recording(path: str) -> Recording:
-    """The whole recording at `path` as one matrix."""
-    rec = open_recording(path)
-    return rec.rows(0, len(rec.labels))
-
-
-def _trusted(data: np.ndarray, labels: tuple[str, ...], rate: float,
-             rec_id: str) -> Recording:
-    """A Recording of rows that were checked when their file was opened,
-    built without checking them again."""
-    rec = object.__new__(Recording)
-    for name, value in (("data", data), ("labels", labels),
-                        ("sample_rate_hz", rate), ("id", rec_id)):
-        object.__setattr__(rec, name, value)
-    return rec
 
 
 def _non_finite(labels: tuple[str, ...], channel: int) -> DataError:
@@ -199,7 +168,7 @@ def _staged(f, count: int, done: int, expected: int):
         yield lo, block
 
 
-def _open_raw_matrix(path: str) -> LazyRecording:
+def _open_raw_matrix(path: str) -> Recording:
     """The header is checked against the file's size before anything is
     allocated, and one pass through the staging buffer checks that every
     sample is finite. `read` reads each channel it returns through the
@@ -242,15 +211,17 @@ def _open_raw_matrix(path: str) -> LazyRecording:
                     row[lo:lo + len(block)] = block
         return data
 
-    return LazyRecording(labels, rate, m, os.path.basename(path), read)
+    return Recording(labels, rate, m, read)
 
 
 def write_recording(rec: Recording, path: str) -> None:
-    header = (f"channels={len(rec.data)} rate_hz={rec.sample_rate_hz:g} "
+    """The raw_matrix file of `rec`, written a channel at a time."""
+    header = (f"channels={len(rec.labels)} rate_hz={rec.sample_rate_hz:g} "
               f"samples={rec.num_samples}\n")
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        f.write(rec.data.astype("<f4").tobytes())
+        for i in range(len(rec.labels)):
+            f.write(rec.read([i]).astype("<f4").tobytes())
 
 
 # EDF subset reader
@@ -258,7 +229,7 @@ def write_recording(rec: Recording, path: str) -> None:
 _EDF_HEADER = 256
 
 
-def _open_edf(path: str) -> LazyRecording:
+def _open_edf(path: str) -> Recording:
     """A plain EDF file: 16-bit little-endian integer records scaled to
     physical units by the per-signal calibration in the header. The headers
     are checked against the file's size before the payload is read, and
@@ -359,8 +330,7 @@ def _open_edf(path: str) -> LazyRecording:
             row += phys_min[i]
         return data
 
-    return LazyRecording(labels, rate, num_records * spr[0],
-                         os.path.basename(path), read)
+    return Recording(labels, rate, num_records * spr[0], read)
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +358,23 @@ def _resample_filter(up: int, down: int) -> np.ndarray:
     return h
 
 
-def resample(rec: Recording, target_hz: float) -> Recording:
-    """Every row is resampled on its own, so a block of rows gives the same
-    bits as those rows of the whole recording."""
+def resample(data: np.ndarray, rate_hz: float, target_hz: float) -> np.ndarray:
+    """The (channels, samples) rows `data` at `rate_hz`, resampled to
+    `target_hz`. Every row is resampled on its own, so a block of rows gives
+    the same bits as those rows of the whole recording."""
     if target_hz <= 0:
         raise DataError("target_hz must be positive")
-    if target_hz == rec.sample_rate_hz:
-        return rec
-    ratio = Fraction(target_hz / rec.sample_rate_hz).limit_denominator(1000)
+    if target_hz == rate_hz:
+        return data
+    ratio = Fraction(target_hz / rate_hz).limit_denominator(1000)
     up, down = ratio.numerator, ratio.denominator
-    new_len = resampled_length(rec.num_samples, rec.sample_rate_hz, target_hz)
+    new_len = resampled_length(data.shape[1], rate_hz, target_hz)
     from scipy.signal import resample_poly
     # resample_poly scales a user-supplied filter by `up` itself.
-    y = resample_poly(rec.data, up, down, axis=-1, window=_resample_filter(up, down))
+    y = resample_poly(data, up, down, axis=-1, window=_resample_filter(up, down))
     if y.shape[1] < new_len:
         y = np.pad(y, ((0, 0), (0, new_len - y.shape[1])))
-    return Recording(y[:, :new_len], rec.labels, float(target_hz), id=rec.id)
+    return y[:, :new_len]
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +391,16 @@ def montage_inputs(labels: tuple[str, ...], spec: MontageSpec) -> dict[str, int]
     return row
 
 
-def apply_montage(rec: Recording, spec: MontageSpec) -> Recording:
-    """Each output row is computed from its own inputs alone."""
-    row = montage_inputs(rec.labels, spec)
-    data = rec.data[[row[pos] for _, pos, _ in spec.derivations]]
+def apply_montage(data: np.ndarray, labels: tuple[str, ...],
+                  spec: MontageSpec) -> np.ndarray:
+    """The rows of `spec`'s outputs, from the rows `data` that carry
+    `labels`; each output row is computed from its own inputs alone."""
+    row = montage_inputs(labels, spec)
+    out = data[[row[pos] for _, pos, _ in spec.derivations]]
     diff = [i for i, (_, _, neg) in enumerate(spec.derivations)
             if neg is not None]
-    data[diff] -= rec.data[[row[spec.derivations[i][2]] for i in diff]]
-    return Recording(data, tuple(out for out, _, _ in spec.derivations),
-                     rec.sample_rate_hz, id=rec.id)
+    out[diff] -= data[[row[spec.derivations[i][2]] for i in diff]]
+    return out
 
 
 def read_montage(path: str) -> MontageSpec:

@@ -15,10 +15,8 @@ import numpy as np
 from . import features as feat
 from .errors import DataError
 from .labels import EventLabel, parse_label
-from .sda import EXPECTED_CHANNELS
-from .signal_io import ALL_CHANNELS, AnnotationSet, Event, Recording
-
-RATE_HZ = 250.0
+from .signal_io import (ALL_CHANNELS, CHANNELS, RATE_HZ, AnnotationSet, Event,
+                        Recording)
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,7 @@ class ScriptEntry:
         if self.channels is not None:
             if not self.channels:
                 raise DataError("empty channel subset")
-            if any(c < 0 or c >= EXPECTED_CHANNELS for c in self.channels):
+            if any(c < 0 or c >= CHANNELS for c in self.channels):
                 raise DataError(f"channel subset out of range: {self.channels}")
 
 
@@ -106,7 +104,7 @@ def _spectrally_separated(signals: dict[EventLabel, np.ndarray]) -> bool:
     spec = feat.FrameSpec()
     profiles = {}
     for lab, x in signals.items():
-        le = np.log(feat.filterbank_energies(x, spec, RATE_HZ))
+        le = np.log(feat.filterbank_energies(x, spec))
         profiles[lab] = (le.mean(axis=0), le.std(axis=0) / np.sqrt(le.shape[0]))
     labs = list(profiles)
     for i, a in enumerate(labs):
@@ -145,15 +143,15 @@ def _generate_once(script: list[ScriptEntry],
     rng = np.random.default_rng(seed)
     total_s = sum(e.duration_s for e in script)
     n_total = int(round(total_s * RATE_HZ))
-    data = np.zeros((EXPECTED_CHANNELS, n_total))
+    data = np.zeros((CHANNELS, n_total))
     events = []
     t0 = 0.0
     for entry in script:
         n = int(round(entry.duration_s * RATE_HZ))
         lo = int(round(t0 * RATE_HZ))
-        subset = (tuple(range(EXPECTED_CHANNELS)) if entry.channels is None
+        subset = (tuple(range(CHANNELS)) if entry.channels is None
                   else entry.channels)
-        for ch in range(EXPECTED_CHANNELS):
+        for ch in range(CHANNELS):
             if ch in subset:
                 data[ch, lo:lo + n] = _class_signal(entry.label, n, rng)
             else:
@@ -164,8 +162,7 @@ def _generate_once(script: list[ScriptEntry],
             for ch in subset:
                 events.append(Event(ch, t0, t0 + entry.duration_s, entry.label))
         t0 += entry.duration_s
-    rec = Recording(data, tuple(f"CH{i:02d}" for i in range(EXPECTED_CHANNELS)),
-                    RATE_HZ, id=f"synth-{seed}")
+    rec = Recording.of(data, tuple(f"CH{i:02d}" for i in range(CHANNELS)), RATE_HZ)
     return rec, AnnotationSet(tuple(events))
 
 
@@ -179,8 +176,8 @@ def _parse_channels(text: str) -> tuple[int, ...] | None:
         return None
     if "-" in text:
         lo, hi = (int(v) for v in text.split("-"))
-        if not 0 <= lo <= hi < EXPECTED_CHANNELS:
-            raise DataError(f"channel range {text} outside 0-{EXPECTED_CHANNELS - 1}")
+        if not 0 <= lo <= hi < CHANNELS:
+            raise DataError(f"channel range {text} outside 0-{CHANNELS - 1}")
         return tuple(range(lo, hi + 1))
     return tuple(int(v) for v in text.split(";"))
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -25,13 +26,19 @@ SPEC = FrameSpec()
 U = np.finfo(np.float64).eps / 2  # unit roundoff
 
 
-def rec_from(data, rate=RATE):
-    data = np.atleast_2d(data)
-    return Recording(data, tuple(f"CH{i}" for i in range(len(data))), rate)
-
-
 def channel_features(samples, spec=SPEC):
-    return extract_features(rec_from(samples), spec).vectors[0]
+    return extract_features(np.atleast_2d(samples), spec).vectors[0]
+
+
+@dataclass(frozen=True)
+class AnyStep(FrameSpec):
+    """A frame spec whose epoch is one frame, so that extract_features takes
+    a step that does not divide the 250-sample epoch: the frontend handles
+    any step, and only the epoch grouping needs one that divides."""
+
+    @property
+    def frames_per_epoch(self) -> int:
+        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -39,20 +46,19 @@ def channel_features(samples, spec=SPEC):
 # built with a fancy-index gather, rfft(n=fft_size), a filterbank GEMM,
 # scipy's DCT-II, and derivatives along the frame axis of (frames, dims).
 
-def frame_signal(samples, spec=SPEC, rate_hz=RATE):
+def frame_signal(samples, spec=SPEC):
     """Hamming-windowed overlapping frames; a trailing partial frame is
     dropped."""
     samples = np.asarray(samples, dtype=np.float64)
-    win, step = spec.window_samples(rate_hz), spec.step_samples(rate_hz)
+    win, step = spec.window_samples, spec.step_samples
     n_frames = (len(samples) - win) // step + 1
     idx = np.arange(win)[None, :] + step * np.arange(n_frames)[:, None]
     return samples[idx] * np.hamming(win)
 
 
-def ref_filterbank_energies(frames, spec=SPEC, rate_hz=RATE):
+def ref_filterbank_energies(frames, spec=SPEC):
     spectrum = np.abs(rfft(np.atleast_2d(frames), n=spec.fft_size, axis=-1)) ** 2
-    return np.maximum(spectrum @ _filterbank_matrix(spec, rate_hz).T,
-                      ENERGY_FLOOR)
+    return np.maximum(spectrum @ _filterbank_matrix(spec).T, ENERGY_FLOOR)
 
 
 def ref_cepstra(energies, spec=SPEC):
@@ -76,10 +82,9 @@ def ref_deltas(coeffs, n):
     return out
 
 
-def extract_channel(samples, spec=SPEC, rate_hz=RATE):
+def extract_channel(samples, spec=SPEC):
     """(frames, 26) features of one channel."""
-    energies = ref_filterbank_energies(frame_signal(samples, spec, rate_hz),
-                                       spec, rate_hz)
+    energies = ref_filterbank_energies(frame_signal(samples, spec), spec)
     ceps = ref_cepstra(energies, spec)
     ef = np.log(np.sum(energies, axis=-1))
     ed = ref_differential_energy(ef, spec.diff_energy_window_frames)
@@ -100,7 +105,7 @@ def _spread(bound, n):
     return out / (2.0 * sum(k * k for k in range(1, n + 1)))
 
 
-def feature_error_bound(samples, spec=SPEC, rate_hz=RATE):
+def feature_error_bound(samples, spec=SPEC):
     """Elementwise bound on |extract_features - extract_channel| for one
     channel, from the float64 error model (u = 2^-53) taken stage by stage.
 
@@ -119,14 +124,14 @@ def feature_error_bound(samples, spec=SPEC, rate_hz=RATE):
       min, regression derivatives), so bounds go through with absolute
       weights, and each stage adds the rounding of its own sums.
     """
-    frames = frame_signal(samples, spec, rate_hz)
+    frames = frame_signal(samples, spec)
     nf, n = spec.num_filters, spec.fft_size
     used = min(frames.shape[1], n)
     a = np.abs(frames[:, :used]).sum(axis=1, keepdims=True)
     delta = 2 * (used + 2 * np.log2(max(n, 2)) + 4) * U * a
     mag = np.abs(rfft(frames, n=n, axis=-1))
     d_power = 2 * np.sqrt(2) * mag * delta + 2 * delta ** 2 + 6 * U * mag ** 2
-    fb = _filterbank_matrix(spec, rate_hz)
+    fb = _filterbank_matrix(spec)
     raw = mag ** 2 @ fb.T
     d_energy = d_power @ fb.T + 4 * fb.shape[1] * U * raw
     energies = np.maximum(raw, ENERGY_FLOOR)
@@ -158,7 +163,7 @@ def assert_matches_reference(data, spec=SPEC):
     """extract_features against the per-channel reference, channel by
     channel, within the error-model bound; returns the worst absolute gap
     and the worst gap as a fraction of its bound."""
-    grid = extract_features(rec_from(data), spec)
+    grid = extract_features(np.atleast_2d(data), spec)
     worst_abs = worst_frac = 0.0
     for samples, got in zip(np.atleast_2d(data), grid.vectors):
         want = extract_channel(samples, spec)
@@ -180,7 +185,7 @@ class TestAgainstReference:
         script = synth.balanced_script(10, 5, seed=20,
                                        channel_profile=synth.FOCAL_PROFILE)
         rec, _ = synth.generate(script, seed=21)
-        assert_matches_reference(rec.data)
+        assert_matches_reference(rec.rows(0, 22))
 
     @pytest.mark.parametrize("n", [50, 74, 75, 200, 2500])
     def test_random_signals(self, n):
@@ -198,7 +203,19 @@ class TestAgainstReference:
     def test_other_frame_specs(self, window_s, frame_s, fft_size):
         # windows of 12, 32 and 38 samples, steps of 8 and 12 (so 12 and 38
         # are not always a whole number of steps, and 12 can be one step),
-        # FFTs shorter and longer than the window
+        # FFTs shorter and longer than the window; neither step divides the
+        # epoch, so the spec groups one frame an epoch
+        spec = AnyStep(frame_s=frame_s, window_s=window_s, fft_size=fft_size)
+        rng = np.random.default_rng(int(1000 * (window_s + frame_s)) + fft_size)
+        assert_matches_reference(rng.standard_normal((2, 2503)) * 30, spec)
+
+    @pytest.mark.parametrize("window_s", [0.04, 0.13])
+    @pytest.mark.parametrize("frame_s", [0.02, 0.04])
+    @pytest.mark.parametrize("fft_size", [8, 128])
+    def test_dividing_frame_specs(self, window_s, frame_s, fft_size):
+        # steps of 5 and 10 samples, which divide the epoch: a window of 10
+        # samples is one or two steps, one of 32 is not a whole number of
+        # either, and the FFTs are shorter and longer than the window
         spec = FrameSpec(frame_s=frame_s, window_s=window_s, fft_size=fft_size)
         rng = np.random.default_rng(int(1000 * (window_s + frame_s)) + fft_size)
         assert_matches_reference(rng.standard_normal((2, 2503)) * 30, spec)
@@ -210,14 +227,14 @@ class TestAgainstReference:
                                    rtol=1e-9)
 
 
-def extract_features_reference(rec, spec=SPEC):
+def extract_features_reference(data, spec=SPEC):
     """The frontend before channel groups: each channel's 26 rows finished on
     their own, with np.pad-padded derivatives, then copied out."""
-    spectrum = _Spectrum(spec, rec.sample_rate_hz, rec.num_samples)
+    spectrum = _Spectrum(spec, data.shape[1])
     dct_rows = _dct_basis(spec.num_filters, _CEPSTRA)
-    out = np.empty((rec.data.shape[0], spectrum.num_frames, FEATURE_DIM))
+    out = np.empty((len(data), spectrum.num_frames, FEATURE_DIM))
     rows = np.empty((FEATURE_DIM, spectrum.num_frames))
-    for samples, vectors in zip(rec.data, out):
+    for samples, vectors in zip(data, out):
         for t0, t1 in spectrum.chunks():
             energies = spectrum.energies(samples, t0, t1)
             rows[7, t0:t1] = frequency_energy(energies.T)
@@ -240,21 +257,21 @@ class TestChannelGroups:
     ])
     def test_equal_to_per_channel_loop(self, channels, seconds, group):
         rng = np.random.default_rng(channels + int(seconds))
-        rec = rec_from(rng.standard_normal((channels, int(seconds * RATE))) * 30)
-        frames = (rec.num_samples - 50) // 25 + 1
+        data = rng.standard_normal((channels, int(seconds * RATE))) * 30
+        frames = (data.shape[1] - 50) // 25 + 1
         assert max(_CHUNK // (FEATURE_DIM * frames), 1) == group
-        np.testing.assert_array_equal(extract_features(rec).vectors,
-                                      extract_features_reference(rec))
+        np.testing.assert_array_equal(extract_features(data).vectors,
+                                      extract_features_reference(data))
 
     def test_long_recording_keeps_per_channel_memory(self, monkeypatch):
         # groups of one channel at 10 min: 3.8 MB a worker beyond the
         # 27.5 MB output, as with the per-channel loop (48 MB as one group)
-        rec = rec_from(np.random.default_rng(0).standard_normal((22, 150000)))
+        data = np.random.default_rng(0).standard_normal((22, 150000))
         for cpus in (1, 2):
             monkeypatch.setattr(parallel, "cpus", lambda: cpus)
             tracemalloc.start()
             try:
-                vectors = extract_features(rec).vectors
+                vectors = extract_features(data).vectors
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -280,11 +297,9 @@ def _features_at(tmp_path, threads, seconds, channels):
     script = (
         "import sys\nimport numpy as np\n"
         "from seqdet.features import extract_features\n"
-        "from seqdet.signal_io import Recording\n"
         f"data = np.random.default_rng(5).standard_normal(({channels}, "
         f"{int(seconds * RATE)})) * 30\n"
-        f"rec = Recording(data, tuple(map(str, range({channels}))), 250.0)\n"
-        "np.save(sys.argv[1], extract_features(rec).vectors)\n")
+        "np.save(sys.argv[1], extract_features(data).vectors)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(synth.__file__)))
     path = tmp_path / f"f{threads}.npy"
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
@@ -318,7 +333,7 @@ class TestWorkers:
     ])
     def test_equal_for_any_cpu_count(self, monkeypatch, seconds, counts):
         rng = np.random.default_rng(seconds)
-        rec = rec_from(rng.standard_normal((22, int(seconds * RATE))) * 30)
+        data = rng.standard_normal((22, int(seconds * RATE))) * 30
         runs = []
         real_run = parallel.run
         monkeypatch.setattr(parallel, "run", lambda fn, count: (
@@ -326,7 +341,7 @@ class TestWorkers:
         grids = {}
         for cpus in (1, 2, 3, 4):
             monkeypatch.setattr(parallel, "cpus", lambda: cpus)
-            grids[cpus] = extract_features(rec).vectors
+            grids[cpus] = extract_features(data).vectors
         assert runs == counts
         for cpus in (2, 3, 4):
             np.testing.assert_array_equal(grids[cpus], grids[1])
@@ -339,14 +354,15 @@ class TestWorkers:
     ])
     def test_block_channels(self, monkeypatch, seconds, cpus, channels):
         monkeypatch.setattr(parallel, "cpus", lambda: cpus)
-        rec = rec_from(np.zeros((22, int(seconds * RATE))))
+        rec = Recording.of(np.zeros((22, int(seconds * RATE))),
+                           tuple(map(str, range(22))), RATE)
         assert features.block_channels(rec, SPEC) == channels
 
     def test_tables_built_once_per_spec(self):
         spec = FrameSpec(delta_width_first=7)  # a spec no other test builds
         before = features._tables.cache_info().misses
-        a = _Spectrum(spec, RATE, 7500)
-        b = _Spectrum(spec, RATE, 150000)
+        a = _Spectrum(spec, 7500)
+        b = _Spectrum(spec, 150000)
         assert features._tables.cache_info().misses == before + 1
         assert a.basis is b.basis and a.tap_weights is b.tap_weights
         assert not a.basis.flags.writeable
@@ -357,7 +373,7 @@ class TestFraming:
     def test_frame_count(self):
         # 10 s at 250 Hz: windows of 50 samples every 25 samples.
         assert filterbank_energies(np.zeros(2500), SPEC).shape == (99, 18)
-        assert extract_features(rec_from(np.zeros(2500))).num_frames == 99
+        assert extract_features(np.zeros((1, 2500))).num_frames == 99
 
     def test_frame_alignment(self):
         # frame 3 covers samples 75..124 and nothing else
@@ -374,7 +390,7 @@ class TestFraming:
             with pytest.raises(DataError):
                 filterbank_energies(np.zeros(n), SPEC)
             with pytest.raises(DataError):
-                extract_features(rec_from(np.zeros((2, n))))
+                extract_features(np.zeros((2, n)))
 
 
 class TestFrameSpec:
@@ -392,6 +408,16 @@ class TestFrameSpec:
     def test_frames_per_epoch_follow_from_the_step(self, frame_s, frames):
         assert FrameSpec(frame_s=frame_s, window_s=1.0).frames_per_epoch == frames
 
+    def test_step_that_does_not_divide_the_epoch_rejected(self, monkeypatch):
+        # 0.05 s is a 12-sample step: 20 frames would make a 0.96 s epoch
+        spec = FrameSpec(frame_s=0.05)
+        with pytest.raises(DataError, match="frame_s = 0.05 steps 12 samples"):
+            spec.frames_per_epoch
+        # extract_features reads it before any work
+        monkeypatch.setattr(features, "_Spectrum", None)
+        with pytest.raises(DataError, match="frame_s = 0.05"):
+            extract_features(np.zeros((2, 2500)), spec)
+
     def test_every_valid_spec_gives_feature_dim(self):
         spec = FrameSpec(num_filters=8, fft_size=16)
         assert channel_features(np.ones(300), spec).shape[1] == FEATURE_DIM
@@ -399,12 +425,12 @@ class TestFrameSpec:
 
 class TestFilterbank:
     def test_shape_and_support(self):
-        fb = _filterbank_matrix(SPEC, RATE)
+        fb = _filterbank_matrix(SPEC)
         assert fb.shape == (18, 33)
         assert (fb >= 0).all()
 
     def test_triangle_peaks(self):
-        fb = _filterbank_matrix(SPEC, RATE)
+        fb = _filterbank_matrix(SPEC)
         centers = np.linspace(0.0, RATE / 2, 20)[1:-1]
         freqs = np.arange(33) * RATE / SPEC.fft_size
         for j in range(18):
@@ -584,8 +610,7 @@ def gathered(grid):
 class TestGrid:
     def test_epoch_grouping(self):
         rng = np.random.default_rng(5)
-        rec = rec_from(rng.standard_normal((2, 2500)))
-        grid = extract_features(rec)
+        grid = extract_features(rng.standard_normal((2, 2500)))
         assert grid.num_channels == 2
         assert grid.num_frames == 99
         assert grid.num_epochs == 10
@@ -595,8 +620,7 @@ class TestGrid:
 
     def test_partial_trailing_epoch_padded(self):
         rng = np.random.default_rng(6)
-        rec = rec_from(rng.standard_normal((1, 2500)))
-        grid = extract_features(rec)
+        grid = extract_features(rng.standard_normal((1, 2500)))
         # last epoch only has 9 real frames; the final frame repeats
         block = gathered(grid)[9, 0]
         np.testing.assert_array_equal(block[:9], grid.vectors[0, 90:99])
@@ -604,8 +628,7 @@ class TestGrid:
 
     def test_cells_block(self):
         rng = np.random.default_rng(7)
-        rec = rec_from(rng.standard_normal((3, 2500)))
-        grid = extract_features(rec)
+        grid = extract_features(rng.standard_normal((3, 2500)))
         cells = gathered(grid)
         assert cells.shape == (10, 3, 10, FEATURE_DIM)
         np.testing.assert_array_equal(cells[4, 2], grid.vectors[2, 40:50])
@@ -618,15 +641,10 @@ class TestGrid:
 
     def test_cells_shorter_than_one_epoch(self):
         rng = np.random.default_rng(8)
-        grid = extract_features(rec_from(rng.standard_normal((2, 200))))
+        grid = extract_features(rng.standard_normal((2, 200)))
         assert grid.num_frames == 7
         cells = gathered(grid)
         assert cells.shape == (1, 2, 10, FEATURE_DIM)
         np.testing.assert_array_equal(cells[0, :, :7], grid.vectors)
         np.testing.assert_array_equal(cells[0, :, 7:],
                                       np.repeat(grid.vectors[:, 6:], 3, axis=1))
-
-    def test_wrong_rate_rejected(self):
-        rec = rec_from(np.zeros((1, 1000)), rate=256.0)
-        with pytest.raises(DataError):
-            extract_features(rec)

@@ -55,7 +55,7 @@ def files(tmp_path_factory):
     signal_io.write_recording(rec, rec_path)
     signal_io.write_annotations(ann, ann_path)
     write_edf(str(root / "valid.edf"), [np.sin(np.arange(512) / 9.0)] * 3)
-    signal_io.write_recording(signal_io.Recording(
+    signal_io.write_recording(signal_io.Recording.of(
         np.arange(20.0).reshape(2, 10), ("A", "B"), 250.0), str(root / "valid.rm"))
     pipeline.write_posterior_csv(str(root / "pass1.csv"),
                                  np.full((3, 2, 6), 1 / 6))

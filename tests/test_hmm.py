@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -14,7 +14,7 @@ from seqdet.errors import DataError
 from seqdet.features import FeatureGrid
 from seqdet.hmm import (GmmHmmModel, HmmConfig, decode_pass1,
                         forward_backward, init_model, log_emissions,
-                        train, viterbi, _bank, _chunk, _emissions,
+                        train, _bank, _chunk, _emissions,
                         _forward_batch, _forward_last, _kmeans,
                         _left_right_trans, _loglik, _EXP_FLOOR, _logsumexp,
                         _nearest, _reestimate_one)
@@ -111,14 +111,12 @@ def gauss_mix_pdf(model, s, x):
 
 
 def brute_force(model, obs):
-    """Enumerate every state path; returns (total likelihood, best path,
-    best path likelihood)."""
+    """P(O|M) as a sum over every state path."""
     t_len = len(obs)
     n = model.num_states
     emis = np.array([[gauss_mix_pdf(model, s, obs[t]) for s in range(n)]
                      for t in range(t_len)])
     total = 0.0
-    best_p, best = None, -1.0
     for path in itertools.product(range(n), repeat=t_len):
         if path[0] != 0:
             continue
@@ -126,9 +124,7 @@ def brute_force(model, obs):
         for t in range(1, t_len):
             p *= model.trans[path[t - 1], path[t]] * emis[t, path[t]]
         total += p
-        if p > best:
-            best, best_p = p, path
-    return total, np.array(best_p), best
+    return total
 
 
 class TestForwardBackward:
@@ -139,7 +135,7 @@ class TestForwardBackward:
             t_len = int(rng.integers(2, 7))
             model = random_model(rng, n=n, comps=int(rng.integers(1, 3)))
             obs = rng.normal(0, 2, size=(t_len, 2))
-            total, _, _ = brute_force(model, obs)
+            total = brute_force(model, obs)
             _, _, ll = forward_backward(model, obs)
             assert abs(ll - np.log(total)) < 1e-8
 
@@ -183,26 +179,6 @@ class TestForwardBackward:
         np.testing.assert_array_equal(last, _forward_batch(log_a, logb)[..., -1, :])
         assert np.all(last[..., 6] == -np.inf)
         assert np.isnan(last[2, :, 9]).all() and not np.isnan(np.delete(last, 9, -1)).any()
-
-
-class TestViterbi:
-    def test_vs_brute_force(self):
-        rng = np.random.default_rng(14)
-        for _ in range(30):
-            model = random_model(rng, n=int(rng.integers(2, 4)))
-            obs = rng.normal(0, 2, size=(int(rng.integers(2, 7)), 2))
-            _, best_path, best_p = brute_force(model, obs)
-            path, score = viterbi(model, obs)
-            assert abs(score - np.log(best_p)) < 1e-8
-            np.testing.assert_array_equal(path, best_path)
-
-    def test_path_is_monotone(self):
-        rng = np.random.default_rng(15)
-        model = random_model(rng)
-        path, _ = viterbi(model, rng.normal(size=(10, 2)))
-        assert path[0] == 0
-        assert (np.diff(path) >= 0).all()
-        assert (np.diff(path) <= 1).all()
 
 
 class TestEmissionKernel:
@@ -612,7 +588,7 @@ class TestScoring:
         rng = np.random.default_rng(frames)
         models = {lab: random_model(rng, comps=2, dim=3, label=lab)
                   for lab in EventLabel}
-        grid = FeatureGrid(rng.normal(0, 2, size=(channels, frames, 3)))
+        grid = FeatureGrid(rng.normal(0, 2, size=(channels, frames, 3)), 10)
         assert _chunk(_bank(list(models.values()))[0], 10) == 1024
         np.testing.assert_allclose(
             decode_pass1(grid, models),
@@ -630,7 +606,7 @@ class TestScoring:
         rng = np.random.default_rng(32)
         models = {lab: random_model(rng, n=3, comps=8, dim=26, label=lab)
                   for lab in EventLabel}
-        grid = FeatureGrid(rng.normal(size=(22, 5999, 26)))
+        grid = FeatureGrid(rng.normal(size=(22, 5999, 26)), 10)
         tracemalloc.start()
         try:
             post = decode_pass1(grid, models)
@@ -649,16 +625,16 @@ class TestScoring:
         rng = np.random.default_rng(frames)
         models = default_shape_models(rng, 26)
         vectors = rng.normal(0, 2, size=(22, frames, 26))
-        whole = decode_pass1(FeatureGrid(vectors), models)
+        whole = decode_pass1(FeatureGrid(vectors, 10), models)
         for size in (1, 3, 7, 11):
-            blocks = [decode_pass1(FeatureGrid(vectors[c0:c0 + size]), models)
+            blocks = [decode_pass1(FeatureGrid(vectors[c0:c0 + size], 10), models)
                       for c0 in range(0, 22, size)]
             np.testing.assert_array_equal(np.concatenate(blocks, axis=1), whole)
 
     def test_decode_pass1_shape(self):
         models = self.make_separable_models()
         rng = np.random.default_rng(27)
-        grid = FeatureGrid(rng.normal(size=(4, 30, 2)))
+        grid = FeatureGrid(rng.normal(size=(4, 30, 2)), 10)
         post = decode_pass1(grid, models)
         assert post.shape == (3, 4, 6)
         np.testing.assert_allclose(post.sum(axis=2), 1.0, atol=1e-12)
@@ -689,7 +665,7 @@ class TestWorkers:
                                                      channels, frames):
         rng = np.random.default_rng(frames)
         models = default_shape_models(rng, 4)
-        grid = FeatureGrid(rng.normal(0, 2, size=(channels, frames, 4)))
+        grid = FeatureGrid(rng.normal(0, 2, size=(channels, frames, 4)), 10)
         counts, widths = [], (1, hmm._FORWARD, 1 << 12)
         real_run = parallel.run
         monkeypatch.setattr(parallel, "run", lambda fn, count: (
@@ -708,11 +684,13 @@ class TestWorkers:
     @given(block=st.integers(16, 20),
            batch=st.sampled_from(["one chunk", "three chunks", "wider than the grid"]),
            cpus=st.integers(1, 4), epochs=st.integers(40, 90), cut=st.integers(0, 9))
+    @example(block=16, batch="one chunk", cpus=2, epochs=41, cut=0)
     def test_decode_pass1_equal_for_any_chunking(self, block, batch, cpus, epochs, cut):
         # the chunk is 8 (2^16 doubles on 4 workers) to 512 cells (2^20 on
         # one); an odd number of cells always leaves a partial last batch,
-        # and `cut` a partial final epoch
-        grid = FeatureGrid(CHUNKING_VECTORS[:, :10 * epochs - cut])
+        # and `cut` a partial final epoch. The example splits 13 chunks of
+        # 16 cells between 2 workers.
+        grid = FeatureGrid(CHUNKING_VECTORS[:, :10 * epochs - cut], 10)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(parallel, "cpus", lambda: 1)
             want = decode_pass1(grid, CHUNKING_MODELS)
@@ -732,7 +710,7 @@ class TestWorkers:
         monkeypatch.setattr(parallel, "_helpers", no_helpers)
         monkeypatch.setattr(parallel, "cpus", lambda: 2)
         rng = np.random.default_rng(33)
-        grid = FeatureGrid(rng.normal(size=(22, 299, 26)))
+        grid = FeatureGrid(rng.normal(size=(22, 299, 26)), 10)
         assert decode_pass1(grid, default_shape_models(rng, 26)).shape == (30, 22, 6)
 
     @pytest.mark.skipif(not parallel._openblas(), reason="numpy's OpenBLAS not found")
@@ -748,7 +726,7 @@ class TestWorkers:
         monkeypatch.setattr(hmm, "_forward_last", forward)
         monkeypatch.setattr(parallel, "cpus", lambda: 2)
         rng = np.random.default_rng(34)
-        grid = FeatureGrid(rng.normal(size=(5, 4203, 4)))
+        grid = FeatureGrid(rng.normal(size=(5, 4203, 4)), 10)
         get_threads = parallel._openblas()[0]
         before = get_threads()
         with pytest.raises(FloatingPointError) as raised:
@@ -761,7 +739,7 @@ class TestWorkers:
         # caller gets the serial result, and the BLAS count ends where it began
         rng = np.random.default_rng(35)
         models = default_shape_models(rng, 4)
-        grid = FeatureGrid(rng.normal(size=(5, 4203, 4)))
+        grid = FeatureGrid(rng.normal(size=(5, 4203, 4)), 10)
         monkeypatch.setattr(parallel, "cpus", lambda: 1)
         want = decode_pass1(grid, models)
         monkeypatch.setattr(parallel, "cpus", lambda: 4)

@@ -124,7 +124,7 @@ def _leaves(obj, tp) -> dict:
 
 
 def features_stage(cfg, data):
-    return {"vectors": extract_features(data["rec"], cfg.frame).vectors}
+    return {"vectors": extract_features(data["rows"], cfg.frame).vectors}
 
 
 def hmm_stage(cfg, data):
@@ -176,7 +176,7 @@ def changed(a: dict, b: dict) -> bool:
 @pytest.fixture(scope="module")
 def data(tmp_path_factory):
     rec, ann = synth.generate(synth.balanced_script(5, 1, seed=2), seed=4)
-    grid = extract_features(rec, BASE.frame)
+    grid = extract_features(rec.rows(0, 22), BASE.frame)
     prefix = str(tmp_path_factory.mktemp("knobs") / "clip")
     signal_io.write_recording(rec, prefix + ".rm")
     signal_io.write_annotations(ann, prefix + ".csv")
@@ -186,7 +186,7 @@ def data(tmp_path_factory):
     runs = [np.full(rng.integers(2, 8), rng.choice(
         6, p=[0.1, 0.05, 0.05, 0.15, 0.1, 0.55])) for _ in range(60)]
     refs = np.concatenate(runs)[:120]
-    return {"rec": rec, "corpus": pipeline._pass1_corpus([grid], [ann]),
+    return {"rows": rec.rows(0, 22), "corpus": pipeline._pass1_corpus([grid], [ann]),
             "pass1": rng.dirichlet(np.ones(6), size=(120, 22)), "refs": refs,
             "posteriors": rng.dirichlet(np.ones(6), size=200),
             "table": grammar.default_bigram(),

@@ -26,7 +26,7 @@ from seqdet.pipeline import (PipelineConfig, load_config, read_posterior_csv,
                              decode_recording, score_files)
 from seqdet.sda import SdaConfig
 from tests.test_hmm import cells_reference, default_shape_models
-from tests.test_signal_io import write_edf
+from tests.test_signal_io import read_whole, write_edf
 
 FAST_DET = SdaConfig("spsw", window_length=3, hidden=(16, 16), outputs=2,
                      pretrain_epochs=10, pretrain_batch=64,
@@ -120,10 +120,10 @@ def streamed_input(kind, corpus, tmp_path):
     through STREAM_MONTAGE ("montage"), a raw matrix declared at 256 Hz that
     is resampled ("resampled"), or an EDF file ("edf"). Returns its path and
     montage."""
-    rec = signal_io.read_recording(corpus["eval"][0])
+    rec, data = read_whole(corpus["eval"][0])
     if kind == "edf":
         path = str(tmp_path / "clip.edf")
-        write_edf(path, np.round(rec.data * 10).clip(-32768, 32767), rate=250,
+        write_edf(path, np.round(data * 10).clip(-32768, 32767), rate=250,
                   phys=(-3276.8, 3276.7))
         return path, None
     path = str(tmp_path / "clip.rm")
@@ -411,21 +411,20 @@ class TestLoadRecording:
         # the whole recording read at once, then resampled and derived, as
         # every stage ran before a decode read its rows a block at a time
         rec_path, montage = streamed_input(kind, corpus, tmp_path)
-        whole = signal_io.read_recording(rec_path)
-        if whole.sample_rate_hz != 250.0:
-            whole = signal_io.resample(whole, 250.0)
+        source, whole = read_whole(rec_path)
+        rate, labels = source.sample_rate_hz, source.labels
+        if rate != 250.0:
+            whole, rate = signal_io.resample(whole, rate, 250.0), 250.0
         if montage is not None:
-            whole = signal_io.apply_montage(whole, montage)
+            whole = signal_io.apply_montage(whole, labels, montage)
+            labels = tuple(out for out, _, _ in montage.derivations)
         rec = pipeline.load_recording(rec_path, montage)
         assert (rec.labels, rec.sample_rate_hz, rec.num_samples) == (
-            whole.labels, whole.sample_rate_hz, whole.num_samples)
+            labels, rate, whole.shape[1])
         for size in (1, 3, 7, 22):
             blocks = [rec.rows(lo, lo + size) for lo in range(0, 22, size)]
-            np.testing.assert_array_equal(
-                np.concatenate([b.data for b in blocks]), whole.data)
-            assert sum((b.labels for b in blocks), ()) == whole.labels
-        picked = rec.take([17, 2, 9])
-        np.testing.assert_array_equal(picked.data, whole.data[[17, 2, 9]])
+            np.testing.assert_array_equal(np.concatenate(blocks), whole)
+        np.testing.assert_array_equal(rec.read([17, 2, 9]), whole[[17, 2, 9]])
 
     def test_train_reads_the_whole_recording_once(self, corpus, monkeypatch):
         reads = []
@@ -478,7 +477,7 @@ class TestDecoding:
         rng = np.random.default_rng(36)
         data = rng.standard_normal((22, 150000)) * 30
         path = str(tmp_path / "long.rm")
-        signal_io.write_recording(signal_io.Recording(
+        signal_io.write_recording(signal_io.Recording.of(
             data, tuple(f"CH{i}" for i in range(22)), 250.0), path)
         bundle = trained[0]
         bundle = Bundle(default_shape_models(rng, 26), bundle.second_pass,
@@ -501,11 +500,11 @@ class TestDecoding:
         # 31 epochs are 682 cells: whole-grid and block chunks whose frames
         # x cells are no multiple of 8
         if case.isdigit():
-            rec = signal_io.read_recording(corpus["eval"][0])
-            data = np.concatenate([rec.data, rec.data[:, :250]], axis=1)
+            rec, data = read_whole(corpus["eval"][0])
+            data = np.concatenate([data, data[:, :250]], axis=1)
             rec_path, montage = str(tmp_path / "clip.rm"), None
-            signal_io.write_recording(replace(rec, data=data[:, :int(case) * 250]),
-                                      rec_path)
+            signal_io.write_recording(signal_io.Recording.of(
+                data[:, :int(case) * 250], rec.labels, 250.0), rec_path)
         else:
             rec_path, montage = streamed_input(case, corpus, tmp_path)
         bundle = with_montage(trained[0], montage)
@@ -731,7 +730,7 @@ class TestCli:
                          "--out", out]) == 0
         bundle = Bundle.load(out)
         frame = PipelineConfig.from_dict(bundle.manifest["config"]).frame
-        grid = extract_features(signal_io.read_recording(rec_path), frame)
+        grid = extract_features(read_whole(rec_path)[1], frame)
         assert (grid.frames_per_epoch, grid.num_epochs) == (5, 60)
         hyp, _ = decode_recording(bundle, rec_path)
         assert max(ev.stop_s for ev in hyp.events) == 60.0
@@ -816,7 +815,7 @@ class TestCli:
         out = str(tmp_path / "rec")
         assert cli.main(["synth", str(script), "--seed", "3",
                          "--out", out]) == 0
-        rec = signal_io.read_recording(out + ".rm")
+        rec = signal_io.open_recording(out + ".rm")
         assert rec.duration_s == pytest.approx(5.0)
         ann = signal_io.read_annotations(out + ".csv")
         assert len(ann.events) == 2
@@ -986,11 +985,11 @@ class TestCli:
                                                     monkeypatch, case, message):
         # every check runs when the recording is opened, before any block of
         # it reaches the frontend
-        rec = signal_io.read_recording(corpus["eval"][0])
+        rec, data = read_whole(corpus["eval"][0])
         path = tmp_path / "clip.rm"
         rows = 21 if case == "channels_21" else 22
-        signal_io.write_recording(replace(rec, data=rec.data[:rows],
-                                          labels=rec.labels[:rows]), str(path))
+        signal_io.write_recording(signal_io.Recording.of(
+            data[:rows], rec.labels[:rows], 250.0), str(path))
         if case == "non_finite":  # the last sample of the last channel
             path.write_bytes(path.read_bytes()[:-4]
                              + np.float32(np.nan).tobytes())
@@ -1015,8 +1014,8 @@ class TestCli:
         rec, ann = synth.generate(synth.balanced_script(2, 1, seed=5), seed=6)
         rec_path = str(tmp_path / "r21.rm")
         signal_io.write_recording(
-            signal_io.Recording(rec.data[:21], rec.labels[:21],
-                                rec.sample_rate_hz), rec_path)
+            signal_io.Recording.of(rec.rows(0, 21), rec.labels[:21],
+                                   rec.sample_rate_hz), rec_path)
         signal_io.write_annotations(ann, str(tmp_path / "r21.csv"))
         args = (["train", rec_path, "--out", str(tmp_path / "m.seqd")]
                 if verb == "train" else

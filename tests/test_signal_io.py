@@ -12,16 +12,21 @@ from seqdet.errors import DataError
 from seqdet.labels import EventLabel
 from seqdet.signal_io import (ALL_CHANNELS, AnnotationSet, Event,
                               MontageSpec, Recording, apply_montage,
-                              open_recording, read_annotations,
-                              read_recording, resample, write_annotations,
-                              write_recording)
+                              open_recording, read_annotations, resample,
+                              write_annotations, write_recording)
 from tests.test_bundle import tiny_bundle
 
 
 def make_recording(data, rate=250.0, labels=None):
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     labels = labels or [f"CH{i}" for i in range(data.shape[0])]
-    return Recording(data, tuple(labels), rate)
+    return Recording.of(data, tuple(labels), rate)
+
+
+def read_whole(path):
+    """The recording at `path`, and all of its rows."""
+    rec = open_recording(str(path))
+    return rec, rec.rows(0, len(rec.labels))
 
 
 def write_edf(path, signals, rate=256, record_dur=1.0, phys=(-1000.0, 1000.0),
@@ -68,20 +73,20 @@ def write_edf(path, signals, rate=256, record_dur=1.0, phys=(-1000.0, 1000.0),
 class TestRecording:
     def test_label_count_must_match_rows(self):
         with pytest.raises(DataError, match="1 channel labels for 2"):
-            Recording(np.zeros((2, 5)), ("A",), 250.0)
+            Recording.of(np.zeros((2, 5)), ("A",), 250.0)
 
     def test_one_dimensional_data_rejected(self):
         with pytest.raises(DataError, match="matrix"):
-            Recording(np.zeros(5), ("A",), 250.0)
+            Recording.of(np.zeros(5), ("A",), 250.0)
 
     def test_zero_channels_rejected(self):
         with pytest.raises(DataError, match="at least one channel"):
-            Recording(np.zeros((0, 5)), (), 250.0)
+            Recording.of(np.zeros((0, 5)), (), 250.0)
 
     @pytest.mark.parametrize("rate", [0.0, -250.0, np.nan, np.inf])
     def test_rate_must_be_positive_and_finite(self, rate):
         with pytest.raises(DataError, match="positive and finite"):
-            Recording(np.zeros((1, 5)), ("A",), rate)
+            Recording.of(np.zeros((1, 5)), ("A",), rate)
 
 
 class TestRawMatrix:
@@ -89,36 +94,36 @@ class TestRawMatrix:
         path = tmp_path / "r.rm"
         rec = make_recording(np.zeros((2, 1000)), rate=250.0)
         write_recording(rec, str(path))
-        back = read_recording(str(path))
+        back, data = read_whole(path)
         assert back.duration_s == pytest.approx(4.0)
-        assert len(back.data) == 2
+        assert len(data) == 2
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         rec = make_recording(rng.standard_normal((3, 500)).astype(np.float32))
         path = tmp_path / "r.rm"
         write_recording(rec, str(path))
-        back = read_recording(str(path))
-        np.testing.assert_array_equal(back.data, rec.data)
+        back, data = read_whole(path)
+        np.testing.assert_array_equal(data, rec.rows(0, 3))
         assert back.sample_rate_hz == rec.sample_rate_hz
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.rm"
         path.write_bytes(b"not a header\n")
         with pytest.raises(DataError):
-            read_recording(str(path))
+            open_recording(str(path))
 
     def test_negative_dimensions_rejected(self, tmp_path):
         path = tmp_path / "bad.rm"
         path.write_bytes(b"channels=-1 rate_hz=250 samples=-4\n" + b"\0" * 16)
         with pytest.raises(DataError, match="malformed"):
-            read_recording(str(path))
+            open_recording(str(path))
 
     def test_payload_size_mismatch(self, tmp_path):
         path = tmp_path / "bad.rm"
         path.write_bytes(b"channels=2 rate_hz=250 samples=100\n" + b"\0" * 16)
         with pytest.raises(DataError):
-            read_recording(str(path))
+            open_recording(str(path))
 
     @pytest.mark.parametrize("name", ["a.rm", "a.edf"])
     def test_partial_sample_rejected(self, tmp_path, name):
@@ -130,7 +135,7 @@ class TestRawMatrix:
             write_recording(make_recording(np.ones((2, 4))), str(path))
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(DataError, match="payload has"):
-            read_recording(str(path))
+            open_recording(str(path))
 
 
 # A 40 TB matrix declared over a 16-byte payload.
@@ -165,7 +170,7 @@ class TestRawMatrixErrors:
         try:
             with pytest.raises(DataError, match="payload has 16 bytes, "
                                                 "expected 40000000000000"):
-                read_recording(str(path))
+                open_recording(str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -180,16 +185,16 @@ class TestRawMatrixErrors:
             path = tmp_path / "empty.rm"
             path.write_bytes(header)
             with pytest.raises(DataError, match="malformed"):
-                read_recording(str(path))
+                open_recording(str(path))
 
     def test_reads_across_staging_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(signal_io, "_READ_BLOCK", 7)
         rng = np.random.default_rng(9)
         rec = make_recording(rng.standard_normal((3, 11)).astype(np.float32))
         write_recording(rec, str(tmp_path / "r.rm"))
-        back = read_recording(str(tmp_path / "r.rm"))
-        assert back.data.dtype == np.float64 and back.data.flags.c_contiguous
-        np.testing.assert_array_equal(back.data, rec.data)
+        _, data = read_whole(tmp_path / "r.rm")
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        np.testing.assert_array_equal(data, rec.rows(0, 3))
 
     @pytest.mark.parametrize("case", ["short", "trailing", "short_readinto"])
     def test_cli_exits_2_with_one_line(self, tmp_path, monkeypatch, case):
@@ -245,16 +250,16 @@ class TestEdf:
                        for _ in range(ns)]
             path = str(tmp_path / f"r{k}.edf")
             write_edf(path, signals, phys=(p0, p1), dig=(lo, hi))
-            rec = read_recording(path)
-            np.testing.assert_array_equal(rec.data, edf_formula_reference(path))
+            _, data = read_whole(path)
+            np.testing.assert_array_equal(data, edf_formula_reference(path))
 
     def test_read_22_channels_256hz(self, tmp_path):
         rng = np.random.default_rng(1)
         signals = [rng.integers(-100, 100, size=512) for _ in range(22)]
         path = tmp_path / "a.edf"
         write_edf(str(path), signals, rate=256)
-        rec = read_recording(str(path))
-        assert len(rec.data) == 22
+        rec, data = read_whole(path)
+        assert len(data) == 22
         assert rec.sample_rate_hz == 256.0
         assert rec.num_samples == 512
 
@@ -262,17 +267,17 @@ class TestEdf:
         signals = [np.arange(-50, 206)]
         path = tmp_path / "a.edf"
         write_edf(str(path), signals, rate=256, phys=(-32768.0, 32767.0))
-        rec = read_recording(str(path))
-        np.testing.assert_allclose(rec.data[0], signals[0])
+        _, data = read_whole(path)
+        np.testing.assert_allclose(data[0], signals[0])
 
     def test_physical_scaling(self, tmp_path):
         signals = [np.array([0, 16384, -16384] * 86, dtype=np.int64)[:256]]
         path = tmp_path / "a.edf"
         write_edf(str(path), signals, phys=(-100.0, 100.0))
-        rec = read_recording(str(path))
+        _, data = read_whole(path)
         gain = 200.0 / 65535
         expect = (signals[0] + 32768) * gain - 100.0
-        np.testing.assert_allclose(rec.data[0], expect)
+        np.testing.assert_allclose(data[0], expect)
 
     def test_records_deinterleaved(self, tmp_path):
         # 3 signals, 4 one-second records: each record holds 256 samples of
@@ -281,9 +286,9 @@ class TestEdf:
         path = tmp_path / "a.edf"
         write_edf(str(path), signals, phys=(-32768.0, 32767.0),
                   labels=["A", "B", "C"])
-        rec = read_recording(str(path))
+        rec, data = read_whole(path)
         assert rec.labels == ("A", "B", "C")
-        np.testing.assert_array_equal(rec.data, np.stack(signals))
+        np.testing.assert_array_equal(data, np.stack(signals))
 
     def test_zero_digital_range_names_signal(self, tmp_path):
         path = tmp_path / "a.edf"
@@ -295,13 +300,13 @@ class TestEdf:
         raw[off:off + 8] = b"-32768".ljust(8)
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="'B': digital min == max"):
-            read_recording(str(path))
+            open_recording(str(path))
 
     def test_annotation_channel_rejected(self, tmp_path):
         path = tmp_path / "a.edf"
         write_edf(str(path), [np.zeros(256)], labels=["EDF Annotations"])
         with pytest.raises(DataError):
-            read_recording(str(path))
+            open_recording(str(path))
 
     def test_mixed_rates_rejected(self, tmp_path):
         path = tmp_path / "a.edf"
@@ -313,14 +318,14 @@ class TestEdf:
         raw[off:off + 8] = b"128".ljust(8)
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError):
-            read_recording(str(path))
+            open_recording(str(path))
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "a.edf"
         write_edf(str(path), [np.zeros(256)])
         path.write_bytes(path.read_bytes()[:300])
         with pytest.raises(DataError):
-            read_recording(str(path))
+            open_recording(str(path))
 
 
 class TestOpenRecording:
@@ -335,12 +340,13 @@ class TestOpenRecording:
         header = path.read_bytes().index(b"\n") + 1
         want = np.fromfile(path, dtype="<f4", offset=header).reshape(5, 11)
         lazy = open_recording(str(path))
-        assert (lazy.num_samples, lazy.sample_rate_hz, lazy.id) == (11, 250.0, "r.rm")
+        assert (lazy.labels, lazy.num_samples, lazy.sample_rate_hz) == (
+            ("CH0", "CH1", "CH2", "CH3", "CH4"), 11, 250.0)
         for lo, hi in itertools.combinations(range(6), 2):
             part = lazy.rows(lo, hi)
-            assert part.data.dtype == np.float64 and part.labels == lazy.labels[lo:hi]
-            np.testing.assert_array_equal(part.data, want[lo:hi])
-        np.testing.assert_array_equal(lazy.take([4, 0, 2]).data, want[[4, 0, 2]])
+            assert part.dtype == np.float64
+            np.testing.assert_array_equal(part, want[lo:hi])
+        np.testing.assert_array_equal(lazy.read([4, 0, 2]), want[[4, 0, 2]])
 
     def test_edf_blocks_equal_the_formula(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -351,8 +357,8 @@ class TestOpenRecording:
         lazy = open_recording(path)
         assert (lazy.labels, lazy.num_samples) == (("A", "B", "C", "D"), 768)
         for lo, hi in itertools.combinations(range(5), 2):
-            np.testing.assert_array_equal(lazy.rows(lo, hi).data, want[lo:hi])
-        np.testing.assert_array_equal(lazy.take([3, 1]).data, want[[3, 1]])
+            np.testing.assert_array_equal(lazy.rows(lo, hi), want[lo:hi])
+        np.testing.assert_array_equal(lazy.read([3, 1]), want[[3, 1]])
 
     @pytest.mark.parametrize("bad, channel", [
         ([(4, 10)], "CH4"),          # the last sample: the staging tail
@@ -409,33 +415,30 @@ class TestOpenRecording:
         write_recording(make_recording(np.ones((5, 11))), str(path))
         lazy = open_recording(str(path))
         path.write_bytes(path.read_bytes()[:-4])
-        np.testing.assert_array_equal(lazy.rows(0, 4).data, np.ones((4, 11)))
+        np.testing.assert_array_equal(lazy.rows(0, 4), np.ones((4, 11)))
         with pytest.raises(DataError, match="payload has 216 bytes, expected 220"):
             lazy.rows(4, 5)
 
 
 class TestResample:
     def test_same_rate_identity(self):
-        rec = make_recording(np.random.default_rng(0).standard_normal((2, 250)))
-        out = resample(rec, 250.0)
-        np.testing.assert_array_equal(out.data, rec.data)
+        data = np.random.default_rng(0).standard_normal((2, 250))
+        np.testing.assert_array_equal(resample(data, 250.0, 250.0), data)
 
     def test_sine_downsample(self):
         t = np.arange(5000) / 500.0
-        rec = make_recording(np.sin(2 * np.pi * 10.0 * t)[None], rate=500.0)
-        out = resample(rec, 250.0)
-        assert out.num_samples == 2500
-        spec = np.abs(np.fft.rfft(out.data[0]))
-        freqs = np.fft.rfftfreq(out.num_samples, 1 / 250.0)
+        out = resample(np.sin(2 * np.pi * 10.0 * t)[None], 500.0, 250.0)
+        assert out.shape == (1, 2500)
+        spec = np.abs(np.fft.rfft(out[0]))
+        freqs = np.fft.rfftfreq(out.shape[1], 1 / 250.0)
         peak = freqs[np.argmax(spec)]
         assert abs(peak - 10.0) < 0.1
-        interior = out.data[0][200:-200]
+        interior = out[0][200:-200]
         assert abs(interior.max() - 1.0) < 0.01
 
     def test_dc_preserved(self):
-        rec = make_recording(np.full((1, 1000), 3.0), rate=200.0)
-        out = resample(rec, 250.0)
-        interior = out.data[0][100:-100]
+        out = resample(np.full((1, 1000), 3.0), 200.0, 250.0)
+        interior = out[0][100:-100]
         # polyphase branch gains carry small stopband ripple
         np.testing.assert_allclose(interior, 3.0, atol=1e-3)
 
@@ -445,49 +448,44 @@ class TestResample:
         spec = np.zeros(2500, dtype=complex)
         spec[1:100] = rng.standard_normal(99) + 1j * rng.standard_normal(99)
         x = np.fft.irfft(spec, n=5000)
-        rec = make_recording(x[None], rate=500.0)
-        back = resample(resample(rec, 250.0), 500.0)
-        a = rec.data[0][500:-500]
-        b = back.data[0][500:-500]
+        back = resample(resample(x[None], 500.0, 250.0), 250.0, 500.0)
+        a = x[500:-500]
+        b = back[0][500:-500]
         assert np.linalg.norm(a - b) / np.linalg.norm(a) < 0.01
 
 
 class TestMontage:
     def test_equal_inputs_zero(self):
-        rec = make_recording(np.ones((2, 10)), labels=["A", "B"])
-        out = apply_montage(rec, MontageSpec((("X", "A", "A"),)))
-        np.testing.assert_array_equal(out.data[0], np.zeros(10))
+        out = apply_montage(np.ones((2, 10)), ("A", "B"),
+                            MontageSpec((("X", "A", "A"),)))
+        np.testing.assert_array_equal(out[0], np.zeros(10))
 
     def test_copy_derivation(self):
-        rec = make_recording([[1.0, 2.0, 3.0]], labels=["A"])
-        out = apply_montage(rec, MontageSpec((("X", "A", None),)))
-        np.testing.assert_array_equal(out.data[0], [1.0, 2.0, 3.0])
+        out = apply_montage(np.array([[1.0, 2.0, 3.0]]), ("A",),
+                            MontageSpec((("X", "A", None),)))
+        np.testing.assert_array_equal(out[0], [1.0, 2.0, 3.0])
 
     def test_differences(self):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((3, 20))
-        rec = make_recording(data, labels=["A", "B", "C"])
         spec = MontageSpec((("X", "A", "B"), ("Y", "C", "A")))
-        out = apply_montage(rec, spec)
-        np.testing.assert_allclose(out.data[0], data[0] - data[1])
-        np.testing.assert_allclose(out.data[1], data[2] - data[0])
+        out = apply_montage(data, ("A", "B", "C"), spec)
+        np.testing.assert_allclose(out[0], data[0] - data[1])
+        np.testing.assert_allclose(out[1], data[2] - data[0])
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
         x, y = rng.standard_normal((2, 2, 30))
         spec = MontageSpec((("X", "A", "B"),))
         a, b = 2.5, -1.25
-        combo = apply_montage(make_recording(a * x + b * y, labels=["A", "B"]), spec)
-        mx = apply_montage(make_recording(x, labels=["A", "B"]), spec)
-        my = apply_montage(make_recording(y, labels=["A", "B"]), spec)
-        np.testing.assert_allclose(
-            combo.data[0],
-            a * mx.data[0] + b * my.data[0])
+        combo, mx, my = (apply_montage(d, ("A", "B"), spec)
+                         for d in (a * x + b * y, x, y))
+        np.testing.assert_allclose(combo[0], a * mx[0] + b * my[0])
 
     def test_unresolved_label(self):
-        rec = make_recording(np.ones((1, 5)), labels=["A"])
         with pytest.raises(DataError):
-            apply_montage(rec, MontageSpec((("X", "A", "MISSING"),)))
+            apply_montage(np.ones((1, 5)), ("A",),
+                          MontageSpec((("X", "A", "MISSING"),)))
 
 
 class TestAnnotations:
@@ -537,4 +535,4 @@ class TestAnnotations:
 
     def test_nonfinite_samples_rejected(self):
         with pytest.raises(DataError, match="'B': non-finite"):
-            Recording(np.array([[1.0, 2.0], [1.0, np.nan]]), ("A", "B"), 250.0)
+            Recording.of(np.array([[1.0, 2.0], [1.0, np.nan]]), ("A", "B"), 250.0)

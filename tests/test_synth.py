@@ -17,7 +17,7 @@ SCRIPT = [ScriptEntry(EventLabel.BCKG, 3.0, None),
 class TestGenerate:
     def test_shape_and_rate(self):
         rec, ann = generate(SCRIPT, seed=0)
-        assert len(rec.data) == 22
+        assert rec.labels == tuple(f"CH{i:02d}" for i in range(22))
         assert rec.sample_rate_hz == 250.0
         assert rec.num_samples == 7 * 250
 
@@ -34,22 +34,22 @@ class TestGenerate:
     def test_deterministic(self):
         r1, a1 = generate(SCRIPT, seed=7)
         r2, a2 = generate(SCRIPT, seed=7)
-        np.testing.assert_array_equal(r1.data, r2.data)
+        np.testing.assert_array_equal(r1.rows(0, 22), r2.rows(0, 22))
         assert a1.events == a2.events
 
     def test_seed_changes_signal(self):
         r1, _ = generate(SCRIPT, seed=1)
         r2, _ = generate(SCRIPT, seed=2)
-        assert not np.array_equal(r1.data, r2.data)
+        assert not np.array_equal(r1.rows(0, 22), r2.rows(0, 22))
 
     def test_off_subset_channels_are_background_like(self):
         # channels outside the SPSW subset carry far less high-band energy
         rec, _ = generate(SCRIPT, seed=0)
-        seg = rec.data[:, 5 * 250:7 * 250]
+        seg = rec.rows(0, 22)[:, 5 * 250:7 * 250]
         spec = feat.FrameSpec()
         hi = []
         for ch in range(22):
-            e = feat.filterbank_energies(seg[ch], spec, 250.0)
+            e = feat.filterbank_energies(seg[ch], spec)
             hi.append(np.log(e[:, 6:]).mean())
         hi = np.array(hi)
         assert hi[:3].min() > hi[3:].max()

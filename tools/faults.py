@@ -114,7 +114,7 @@ FAULTS = [
     Fault("pass-1 worker range starts a chunk late", HMM,
           "        first = chunks * k // workers * step\n",
           "        first = -(-chunks * k // workers) * step\n",
-          (f"{WORKERS}::test_decode_pass1_equal_for_any_worker_count",)),
+          (f"{WORKERS}::test_decode_pass1_equal_for_any_worker_count", CHUNKING)),
     Fault("pass-1 forward batch offset one chunk out", HMM,
           "        for b0 in range(first, last, width):\n",
           "        for b0 in range(first, last, width + step):\n",
@@ -180,18 +180,30 @@ FAULTS = [
           (f"{OPENED}::test_raw_blocks_equal_the_file",
            f"{OPENED}::test_raw_non_finite_rejected_at_open")),
     Fault("montage block subtracts the next block's negative input", PIPELINE,
-          "derivations = tuple(montage.derivations[i] for i in index)",
-          "derivations = tuple(montage.derivations[i][:2] + montage.derivations["
-          "(i + len(index)) % len(montage.derivations)][2:] for i in index)",
+          "tuple(montage.derivations[i] for i in index))",
+          "tuple(montage.derivations[i][:2] + montage.derivations["
+          "(i + len(index)) % len(montage.derivations)][2:] for i in index))",
           (LOADED, BLOCKS)),
     Fault("decode reads the whole recording at once", PIPELINE,
           "    step = block_channels(rec, spec)\n",
-          "    rec = rec.rows(0, len(rec.labels))\n    step = block_channels(rec, spec)\n",
+          "    whole = rec.rows(0, len(rec.labels))\n"
+          "    rec = replace(rec, read=lambda index: whole[index])\n"
+          "    step = block_channels(rec, spec)\n",
           (f"{TEST_CLI}::TestDecoding::test_decode_holds_one_block_of_the_recording",)),
     Fault("frames per epoch fixed at 10", FEATURES,
-          "        return int(PIPELINE_RATE_HZ) // self.step_samples(PIPELINE_RATE_HZ)\n",
-          "        return 10\n",
+          "        per_epoch, rest = divmod(int(RATE_HZ), self.step_samples)\n",
+          "        per_epoch, rest = 10, 0\n",
           (f"{TEST_CLI}::TestCli::test_frame_step_sets_the_epoch_grid",)),
+    Fault("frames per epoch floored for a step that does not divide the epoch",
+          FEATURES,
+          "        per_epoch, rest = divmod(int(RATE_HZ), self.step_samples)\n",
+          "        per_epoch, rest = int(RATE_HZ) // self.step_samples, 0\n",
+          ("tests/test_features.py::TestFrameSpec::"
+           "test_step_that_does_not_divide_the_epoch_rejected",)),
+    Fault("in-memory recording not checked for non-finite samples", SIGNAL_IO,
+          "            if not np.isfinite(row).all():\n",
+          "            if False:\n",
+          ("tests/test_signal_io.py::TestAnnotations::test_nonfinite_samples_rejected",)),
 ]
 
 
