@@ -3,7 +3,11 @@
 One self-describing file (magic `SEQD`, then a version) holds every model of
 the three passes plus the bigram table and a manifest, so the passes can never
 get out of sync on disk. After the 8-byte header comes one payload: a JSON
-metadata block followed by named little-endian 64-bit float arrays.
+metadata block followed by named little-endian float arrays. Each array is
+stored as f4 when float32 holds every one of its values exactly (the SdA
+parameters, which train in float32) and as f8 otherwise, so storage is
+lossless, and a load followed by a save writes the same bytes. Every array
+loads as float64.
 
 The `Bundle` dataclass and the model dataclasses it holds are the schema.
 Every array is stored under its field path (for example
@@ -34,21 +38,43 @@ from .labels import NUM_CLASSES, EventLabel
 from .sda import SUPERVECTOR_DIM, SecondPassModels
 
 MAGIC = b"SEQD"
-VERSION = 3
+VERSION = 4
+# An array's dtype byte in the payload is its item size.
+_DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
+# Elements per block in which an array is checked and written.
+_BLOCK = 1 << 15
+
+
+def _blocks(flat: np.ndarray):
+    return (flat[i:i + _BLOCK] for i in range(0, flat.size, _BLOCK))
+
+
+def _stored_dtype(flat: np.ndarray) -> np.dtype:
+    """<f4 when float32 holds every value of the float32 or float64 vector
+    `flat` exactly, <f8 otherwise."""
+    if flat.dtype == np.float32:
+        return _DTYPES[4]
+    with np.errstate(over="ignore"):  # a value past float32's range is inexact
+        exact = all(np.array_equal(b.astype(np.float32), b) for b in _blocks(flat))
+    return _DTYPES[4 if exact else 8]
 
 
 def _write_payload(f, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write the payload of (meta, arrays) to the binary file `f`, each array
-    straight from its own buffer, so no copy of the payload is built."""
+    a block at a time, so no copy of the payload is built."""
     meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
     f.write(struct.pack("<I", len(meta_b)) + meta_b)
     f.write(struct.pack("<I", len(arrays)))
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
+        arr = np.asarray(arr)
+        flat = np.ravel(arr if arr.dtype == np.float32
+                        else arr.astype(np.float64, copy=False))
+        dtype = _stored_dtype(flat)
         name_b = name.encode("utf-8")
-        f.write(struct.pack(f"<I{len(name_b)}sB{arr.ndim}Q", len(name_b), name_b,
-                            arr.ndim, *arr.shape))
-        f.write(arr.data)
+        f.write(struct.pack(f"<I{len(name_b)}sBB{arr.ndim}Q", len(name_b), name_b,
+                            dtype.itemsize, arr.ndim, *arr.shape))
+        for b in _blocks(flat):
+            f.write(b.astype(dtype, copy=False).data)
 
 
 def _pack_payload(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
@@ -78,10 +104,12 @@ def _unpack_payload(buf):
     for _ in range(n_arrays):
         name_len, = struct.unpack("<I", take(4))
         name = bytes(take(name_len)).decode("utf-8")
-        ndim, = struct.unpack("<B", take(1))
+        size, ndim = struct.unpack("<BB", take(2))
+        if size not in _DTYPES:
+            raise DataError(f"{name}: unknown dtype byte {size}")
         shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
-        arrays[name] = np.frombuffer(take(math.prod(shape) * 8),
-                                     dtype="<f8").reshape(shape)
+        arrays[name] = np.frombuffer(take(math.prod(shape) * size),
+                                     dtype=_DTYPES[size]).reshape(shape)
     return meta, arrays
 
 
@@ -117,7 +145,7 @@ def _build(tp, path: str, meta: dict, arrays: dict):
     """The inverse of _flatten: the value of type `tp` stored under `path`."""
     args = typing.get_args(tp)
     if tp is np.ndarray:
-        return np.array(arrays[path])
+        return np.array(arrays[path], dtype=np.float64)
     if is_dataclass(tp):
         hints = typing.get_type_hints(tp)
         kwargs = {f.name: _build(hints[f.name], f"{path}/{f.name}", meta, arrays)

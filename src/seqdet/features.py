@@ -345,11 +345,17 @@ def block_channels(rec: Recording, spec: FrameSpec) -> int:
     return 2 * parallel.cpus() * _group(len(rec.labels), frames)
 
 
-def extract_features(data: np.ndarray, spec: FrameSpec | None = None) -> FeatureGrid:
+def extract_features(data: np.ndarray, spec: FrameSpec | None = None,
+                     labels: tuple[str, ...] | None = None) -> FeatureGrid:
     """The feature grid of the (channels, samples) rows `data`, sampled at
     RATE_HZ. Worker k of w finishes groups k, k + w, ...; w is
     parallel.cpus() when that gives each worker at least two groups, and 1
-    otherwise."""
+    otherwise.
+
+    Finite samples can still be too large for the frontend: a spectrum that
+    overflows float64 is a DataError naming the channel (its label, or its
+    row without `labels`). The frequency energy row is finite exactly when
+    all of a channel's energies are, so it is the one row checked."""
     spec = spec or FrameSpec()
     per_epoch = spec.frames_per_epoch
     channels, num_samples = data.shape
@@ -373,11 +379,19 @@ def extract_features(data: np.ndarray, spec: FrameSpec | None = None) -> Feature
         spectrum, rows, work = spaces[k]
         for c0 in range(k * group, channels, workers * group):
             block = rows[:min(group, channels - c0)]
-            for samples, row in zip(data[c0:c0 + group], block):
-                for t0, t1 in spectrum.chunks():
-                    energies = spectrum.energies(samples, t0, t1)
-                    row[7, t0:t1] = frequency_energy(energies.T)
-                    np.matmul(dct, np.log(energies, out=energies), out=row[:7, t0:t1])
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                for samples, row in zip(data[c0:c0 + group], block):
+                    for t0, t1 in spectrum.chunks():
+                        energies = spectrum.energies(samples, t0, t1)
+                        row[7, t0:t1] = frequency_energy(energies.T)
+                        np.matmul(dct, np.log(energies, out=energies),
+                                  out=row[:7, t0:t1])
+            finite = np.isfinite(block[:, 7]).all(axis=1)
+            if not finite.all():
+                c = c0 + int(finite.argmin())
+                where = f"channel {labels[c]!r}" if labels else f"row {c}"
+                raise DataError(f"{where}: samples too large, the spectrum "
+                                f"overflows")
             block[:, 8] = differential_energy(block[:, 7], spec.diff_energy_window_frames)
             deltas(block[:, :9], spec.delta_width_first, block[:, 9:18], work)
             # c1..c7, Ef

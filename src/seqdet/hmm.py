@@ -366,6 +366,17 @@ def init_model(label: EventLabel, epochs: np.ndarray, num_states: int = 3,
 # ---------------------------------------------------------------------------
 # Baum-Welch reestimation
 
+def _moment_operand(x: np.ndarray) -> np.ndarray:
+    """[1 | x^2 | x] (frames, 1 + 2D) of the (frames, D) frames x, filled
+    in place: the right operand of the moment sums."""
+    d = x.shape[1]
+    op = np.empty((len(x), 1 + 2 * d))
+    op[:, 0] = 1.0
+    np.multiply(x, x, out=op[:, 1:1 + d])
+    op[:, 1 + d:] = x
+    return op
+
+
 def _reestimate_one(model: GmmHmmModel, epochs: np.ndarray):
     """One accumulation-and-update pass for one class; returns the updated
     model and the total corpus log-likelihood under the *input* model."""
@@ -387,10 +398,13 @@ def _reestimate_one(model: GmmHmmModel, epochs: np.ndarray):
         total_ll += float(np.sum(loglik))
 
         lgamma = la + lb - loglik                          # (N, T, B)
-        # Per-component occupancy: gamma split by within-state posterior.
-        r = np.exp(lgamma[:, None] + comp_ll - logb[:, None]).reshape(n * comps, -1)
-        x = chunk.reshape(-1, dim)                         # frames, as in r
-        moments += r @ np.hstack([np.ones((len(x), 1)), x * x, x])
+        # Per-component occupancy: gamma split by within-state posterior,
+        # in place of the component log-likelihoods, which nothing reads
+        # after logb.
+        comp_ll += lgamma[:, None]
+        comp_ll -= logb[:, None]
+        r = np.exp(comp_ll, out=comp_ll).reshape(n * comps, -1)
+        moments += r @ _moment_operand(chunk.reshape(-1, dim))  # frames, as in r
 
         xi = np.exp(la[:, None, :-1] + log_a[..., None, None]
                     + (logb + lb)[None, :, 1:] - loglik)  # (N, N, T - 1, B)

@@ -240,7 +240,8 @@ def train_pipeline(config: PipelineConfig,
     grids, anns = [], []
     for rec_path, ann_path in pairs:
         rec = load_recording(rec_path, montage)
-        grids.append(extract_features(rec.rows(0, len(rec.labels)), config.frame))
+        grids.append(extract_features(rec.rows(0, len(rec.labels)), config.frame,
+                                      rec.labels))
         anns.append(signal_io.read_annotations(ann_path))
 
     models = hmm.train(_pass1_corpus(grids, anns), config.hmm)
@@ -349,7 +350,8 @@ def _decode_pass1(rec: signal_io.Recording, spec: FrameSpec,
     posteriors do not depend on the block size."""
     step = block_channels(rec, spec)
     return np.concatenate(
-        [hmm.decode_pass1(extract_features(rec.rows(c0, c0 + step), spec), models)
+        [hmm.decode_pass1(extract_features(rec.rows(c0, c0 + step), spec,
+                                           rec.labels[c0:c0 + step]), models)
          for c0 in range(0, len(rec.labels), step)], axis=1)
 
 

@@ -7,10 +7,11 @@ bit-deterministic given (seed, data, config). The reconstruction loss is
 cross-entropy between the clean input and the sigmoid reconstruction,
 averaged over both batch and input dimensions.
 
-Training runs in single precision (_TRAIN_DTYPE): the 6-way first layer's
-GEMMs are bound by memory traffic over its weight matrix, which float32
-halves. `pretrain` and `fine_tune` cast the data and the parameters on entry
-and write float64 parameters back, so models and bundles stay float64. The
+The parameters are single precision (_TRAIN_DTYPE) from `init_layer` on:
+the 6-way first layer's GEMMs are bound by memory traffic over its weight
+matrix, which float32 halves, and one copy of each weight is all that
+training holds. `pretrain` and `fine_tune` cast the data on entry and update
+the given layers in place; the bundle stores the trained arrays as f4. The
 step functions follow the dtype of their inputs, and inference runs in
 float64.
 """
@@ -213,9 +214,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def init_layer(d_in: int, d_out: int, rng: np.random.Generator) -> SdaLayer:
+    """A _TRAIN_DTYPE layer: weights drawn uniformly in float64 and rounded
+    once, zero biases."""
     bound = 4.0 * np.sqrt(6.0 / (d_in + d_out))
-    w = rng.uniform(-bound, bound, size=(d_out, d_in))
-    return SdaLayer(w, np.zeros(d_out), np.zeros(d_in))
+    w = rng.uniform(-bound, bound, size=(d_out, d_in)).astype(_TRAIN_DTYPE)
+    return SdaLayer(w, np.zeros(d_out, _TRAIN_DTYPE), np.zeros(d_in, _TRAIN_DTYPE))
 
 
 def init_stack(input_dim: int, hidden: tuple[int, ...],
@@ -365,24 +368,24 @@ def _params(layer: SdaLayer) -> tuple[np.ndarray, ...]:
     return layer.w, layer.b, layer.b_prime
 
 
-def _in_train_dtype(layer: SdaLayer) -> SdaLayer:
-    return SdaLayer(*(p.astype(_TRAIN_DTYPE) for p in _params(layer)))
-
-
-def _write_back(layer: SdaLayer, trained: SdaLayer) -> None:
-    """Copy the trained parameters into `layer`'s own (float64) arrays."""
-    for dst, src in zip(_params(layer), _params(trained)):
-        np.copyto(dst, src)
+def _check_train_dtype(layers: list[SdaLayer]) -> None:
+    """Training updates the layers in place, so they must hold _TRAIN_DTYPE
+    arrays already: another dtype is refused, not copied."""
+    for i, layer in enumerate(layers):
+        for name, p in zip(("w", "b", "b_prime"), _params(layer)):
+            if p.dtype != _TRAIN_DTYPE:
+                raise DataError(f"layers/{i}/{name} is {p.dtype}, training "
+                                f"needs {np.dtype(_TRAIN_DTYPE)}")
 
 
 def pretrain(layers: list[SdaLayer], data: np.ndarray, config: SdaConfig,
              rng: np.random.Generator) -> list[SdaLayer]:
     """Greedy layer-wise denoising-autoencoder training on [0,1]-scaled data,
-    in _TRAIN_DTYPE; each layer of `layers` gets its trained parameters."""
+    in _TRAIN_DTYPE; each layer of `layers` is updated in place."""
+    _check_train_dtype(layers)
     codes = np.asarray(data, dtype=_TRAIN_DTYPE)
     n = min(config.pretrain_batch, len(codes))
-    for target in layers:
-        layer = _in_train_dtype(target)
+    for layer in layers:
         bufs = dae_buffers(layer, n)
         for _ in range(config.pretrain_epochs):
             for idx in _minibatches(len(codes), config.pretrain_batch, rng):
@@ -399,8 +402,8 @@ def pretrain(layers: list[SdaLayer], data: np.ndarray, config: SdaConfig,
                             f"non-finite pretraining gradient on layer with shape "
                             f"{layer.w.shape}")
                     _sgd_step(_params(layer), (s_w, s_b, s_bp))
+        del bufs  # before the next layer's are made
         codes = _sigmoid(codes @ layer.w.T + layer.b)  # float32; encode upcasts
-        _write_back(target, layer)
     return layers
 
 
@@ -408,32 +411,30 @@ def fine_tune(layers: list[SdaLayer], x: np.ndarray, y: np.ndarray,
               config: SdaConfig, rng: np.random.Generator,
               scale_min: np.ndarray, scale_max: np.ndarray) -> SdaModel:
     """Supervised training of the encoder stack plus a fresh softmax layer,
-    in _TRAIN_DTYPE; each layer of `layers` gets its trained parameters."""
+    in _TRAIN_DTYPE; each layer of `layers` is updated in place."""
+    _check_train_dtype(layers)
     x = np.asarray(x, dtype=_TRAIN_DTYPE)
     y = np.asarray(y, dtype=np.intp)
     if y.min() < 0 or y.max() >= config.outputs:
         raise DataError(
             f"labels outside [0, {config.outputs}): {sorted(set(y.tolist()))}")
-    work = [_in_train_dtype(layer) for layer in layers]
     top_dim = layers[-1].w.shape[0]
-    out_w = init_layer(top_dim, config.outputs, rng).w.astype(_TRAIN_DTYPE)
+    out_w = init_layer(top_dim, config.outputs, rng).w
     out_b = np.zeros(config.outputs, _TRAIN_DTYPE)
-    weights = [layer.w for layer in work] + [out_w]
-    biases = [layer.b for layer in work] + [out_b]
+    weights = [layer.w for layer in layers] + [out_w]
+    biases = [layer.b for layer in layers] + [out_b]
     bufs = [np.empty_like(w) for w in weights]
     for _ in range(config.finetune_epochs):
         for idx in _minibatches(len(x), config.finetune_batch, rng):
             with np.errstate(over="ignore", invalid="ignore"):  # guarded here
-                s_w, s_b = finetune_grad(work, out_w, out_b, x[idx], y[idx],
+                s_w, s_b = finetune_grad(layers, out_w, out_b, x[idx], y[idx],
                                          bufs, config.finetune_lr)
                 if not np.isfinite(sum(s.sum() for s in s_b)):
                     raise NumericError("non-finite fine-tuning gradient")
                 _sgd_step(weights, s_w)
                 _sgd_step(biases, s_b)
-    for layer, trained in zip(layers, work):
-        _write_back(layer, trained)
-    return SdaModel(layers, out_w.astype(np.float64), out_b.astype(np.float64),
-                    config.window_length, scale_min, scale_max)
+    return SdaModel(layers, out_w, out_b, config.window_length, scale_min,
+                    scale_max)
 
 
 def augment_binary(x: np.ndarray, y: np.ndarray, cap: int,

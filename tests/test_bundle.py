@@ -1,6 +1,7 @@
 import json
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,36 @@ class TestPayload:
         for k in arrays:
             np.testing.assert_array_equal(a2[k], arrays[k])
 
+    def test_each_array_stored_in_the_narrowest_exact_dtype(self):
+        # f4 when float32 holds every value (float32 arrays, and float64
+        # ones with float32 values: zeros, small integers, rounded draws),
+        # f8 otherwise: one inexact value, NaN, or a value past float32's
+        # range. Either way the values come back exactly
+        rng = np.random.default_rng(2)
+        rounded = rng.standard_normal(5).astype(np.float32)
+        arrays = {"f32": rounded, "ones": np.ones((2, 3)),
+                  "rounded": rounded.astype(np.float64),
+                  "empty": np.zeros((0, 4)), "inf": np.array([np.inf, -0.0]),
+                  "draw": rng.standard_normal(4),
+                  "one_inexact": np.r_[rounded.astype(np.float64), 0.1],
+                  "nan": np.array([1.0, np.nan]), "big": np.array([1.0, 1e300])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, back = _unpack_payload(_pack_payload({}, arrays))
+        for name, a in back.items():
+            f4 = name in ("f32", "ones", "rounded", "empty", "inf")
+            assert a.dtype == np.dtype("<f4" if f4 else "<f8"), name
+            np.testing.assert_array_equal(a, arrays[name])
+            assert a.shape == arrays[name].shape
+
+    def test_unknown_dtype_byte_rejected(self):
+        buf = bytearray(_pack_payload({}, {"x": np.zeros(3)}))
+        at = 4 + 2 + 4 + 4 + 1  # meta length, "{}", count, name length, name
+        assert buf[at] == 4
+        buf[at] = 2
+        with pytest.raises(DataError, match="x: unknown dtype byte 2"):
+            _unpack_payload(bytes(buf))
+
     def test_deterministic_bytes(self):
         arrays = {"x": np.arange(6.0).reshape(2, 3)}
         assert _pack_payload({"k": 1}, arrays) == _pack_payload({"k": 1}, arrays)
@@ -101,7 +132,7 @@ class TestContainer:
 
     def test_version_checked(self, tmp_path):
         path, data = saved_tiny_bundle(tmp_path)
-        for version in (1, 99):
+        for version in (1, 3, 99):
             Path(path).write_bytes(MAGIC + struct.pack("<I", version) + data[8:])
             with pytest.raises(DataError, match=f"container version {version}"):
                 Bundle.load(path)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -608,6 +609,27 @@ def gathered(grid):
 
 
 class TestGrid:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_overflowing_spectrum_rejected(self, monkeypatch, cpus):
+        # finite samples near 1e307 whose squared DFT overflows: the
+        # channel is named, by its label or its row, with no numpy warning
+        # on the way, on one worker or on a helper (channel 13 of 22 at
+        # 10 min is in worker 1's groups)
+        monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+        rng = np.random.default_rng(9)
+        data = rng.standard_normal((22, 150000)) * 30
+        data[13] *= 1e305
+        labels = tuple(f"CH{i}" for i in range(22))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^channel 'CH13': samples "
+                                                r"too large, the spectrum overflows$"):
+                extract_features(data, SPEC, labels)
+            with pytest.raises(DataError, match=r"^row 3: samples too large"):
+                extract_features(data[10:])
+            data[13] *= 1e-155  # 1e150: large, but its spectrum is finite
+            assert np.isfinite(extract_features(data, SPEC, labels).vectors).all()
+
     def test_epoch_grouping(self):
         rng = np.random.default_rng(5)
         grid = extract_features(rng.standard_normal((2, 2500)))

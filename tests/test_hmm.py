@@ -782,6 +782,27 @@ class TestTrain:
                 correct += 1
         assert correct == 6
 
+    def test_baum_welch_peak_memory(self):
+        # BCKG's share of a 60 s training corpus: 820 ten-frame epochs of 26
+        # features, one chunk, with the default 3 x 8 model. At its peak an
+        # EM iteration holds the chunk's frames (26 doubles a frame), the
+        # [1 | x^2 | x] moment operand (53), the component block, whose
+        # occupancies are computed in place (24), and four (N, T, B) tables
+        # (12): 7.5 MB, 7.7 MB measured. An operand built by hstack from x^2
+        # and a ones column, beside a separate occupancy array, held 3.3 MB
+        # more (11.0 MB measured)
+        rng = np.random.default_rng(30)
+        corpus = {lab: rng.normal(int(lab), 1.0, size=(
+            820 if lab == EventLabel.BCKG else 40, 10, 26)) for lab in EventLabel}
+        tracemalloc.start()
+        try:
+            train(corpus, HmmConfig(max_iterations=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = 8 * 820 * 10 * (26 + 53 + 24 + 12)
+        assert peak < held + 1e6
+
     def test_missing_class_rejected(self):
         rng = np.random.default_rng(29)
         corpus = {EventLabel.BCKG: rng.normal(size=(20, 10, 2))}

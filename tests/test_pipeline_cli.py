@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 import typing
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -332,21 +334,42 @@ class TestTraining:
         assert bundle.second_pass.pca_sixway.out_dim == 20
         np.testing.assert_allclose(bundle.bigram.probs.sum(axis=1), 1.0)
 
-    def test_bundle_arrays_are_float64(self, trained):
-        # the SdAs train in float32, yet the bundle holds float64 arrays and
-        # its container stores every array as little-endian f8
+    def test_bundle_stores_sda_arrays_as_f4(self, trained):
+        # the SdA parameters train in float32 and the container stores them
+        # as little-endian f4; the HMM, PCA, scaling and bigram arrays are
+        # float64 and stored as f8. Every array loads as float64, equal to
+        # the trained values
         bundle, path = trained
         meta, arrays = {}, {}
         _flatten(bundle, Bundle, "", meta, arrays)
-        assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
         with open(path, "rb") as f:
             buf = f.read()
         assert buf[:8] == MAGIC + VERSION.to_bytes(4, "little")
         stored = _unpack_payload(buf[8:])[1]
         assert stored.keys() == arrays.keys()
+        sda_param = re.compile(r"/second_pass/sda_\w+/(layers/\d+/\w+|out_[wb])$")
+        assert sum(bool(sda_param.match(name)) for name in stored) == 3 * (2 * 3 + 2)
         for name, a in stored.items():
-            assert a.dtype == np.dtype("<f8")
+            f4 = bool(sda_param.match(name))
+            assert a.dtype == np.dtype("<f4" if f4 else "<f8"), name
+            assert arrays[name].dtype == (np.float32 if f4 else np.float64)
             assert a.tobytes() == arrays[name].tobytes()
+        loaded = {}
+        _flatten(Bundle.load(path), Bundle, "", {}, loaded)
+        for name, a in loaded.items():
+            assert a.dtype == np.float64
+            np.testing.assert_array_equal(a, arrays[name])
+
+    def test_load_then_save_writes_the_same_bytes(self, corpus, tmp_path):
+        # a trained bundle, loaded (every array float64) and saved again:
+        # the f4 arrays are found exact again, so the file is the same
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(TINY_INI)
+        first, again = str(tmp_path / "m.seqd"), str(tmp_path / "again.seqd")
+        assert cli.main(["train", corpus["train"][0], "--config", str(cfg_path),
+                         "--out", first]) == 0
+        Bundle.load(first).save(again)
+        assert Path(again).read_bytes() == Path(first).read_bytes()
 
     def test_sdas_train_on_the_windows_decode_builds(self, corpus, monkeypatch):
         # each SdA's training rows start with the windows that decoding the
@@ -935,6 +958,40 @@ class TestCli:
                          "--out-dir", str(tmp_path)])
         assert code == 2
         assert f"container version 2, expected {VERSION}" in \
+            one_line_data_error(capsys)
+
+    def test_overflowing_spectrum_exit_code(self, trained, corpus, tmp_path,
+                                            capsys):
+        # an EDF whose channel CH13 has a physical range of +-1e307: its
+        # samples are finite and pass every check at open, but their
+        # spectrum overflows. One line names the channel, with no numpy
+        # warning and no output
+        rec, data = read_whole(corpus["eval"][0])
+        phys = [(-3276.8, 3276.7)] * 22
+        phys[13] = (-1e307, 1e307)
+        path = str(tmp_path / "huge.edf")
+        write_edf(path, np.round(data * 10).clip(-32768, 32767), rate=250,
+                  phys=phys, labels=list(rec.labels))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["decode", trained[1], path, "--out-dir", str(out)])
+        assert code == 2
+        assert "channel 'CH13': samples too large, the spectrum overflows" in \
+            one_line_data_error(capsys)
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_v3_bundle_exit_code(self, trained, corpus, tmp_path, capsys):
+        # a version-3 bundle stores every array as f8, with no dtype byte in
+        # its array headers: refused as it loads
+        _, bundle_path = trained
+        data = Path(bundle_path).read_bytes()
+        path = str(tmp_path / "v3.seqd")
+        Path(path).write_bytes(data[:4] + (3).to_bytes(4, "little") + data[8:])
+        code = cli.main(["decode", path, corpus["eval"][0],
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"container version 3, expected {VERSION}" in \
             one_line_data_error(capsys)
 
     def test_mistyped_bundle_leaf_exit_code(self, trained, corpus, tmp_path,

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ from scipy.special import expit
 
 from seqdet.errors import DataError, NumericError
 from seqdet.labels import TARGET_CLASSES, EventLabel
-from seqdet.sda import (PcaModel, SdaConfig, SdaLayer, SdaModel, _minibatches,
-                        _sigmoid, _softmax, augment_binary, corrupt,
+from seqdet.sda import (SIXWAY_SDA_CONFIG, PcaModel, SdaConfig, SdaLayer,
+                        SdaModel, _minibatches, _sigmoid, _softmax,
+                        augment_binary, corrupt,
                         dae_buffers, dae_grad, dae_loss,
                         decode_pass2, encode, enhance,
                         fine_tune, finetune_grad, finetune_loss, fit_pca,
@@ -226,9 +228,16 @@ def probe_relerr(loss_fn, param, grad, rng, probes=20, eps=FD_EPS):
     return worst
 
 
+def float64_layer(layer):
+    """A float64 copy of `layer`, whose parameters train in float32: the
+    finite-difference checks and the float64 reference loops run on it."""
+    return SdaLayer(*(p.astype(np.float64) for p in (layer.w, layer.b, layer.b_prime)))
+
+
 def dae_probe_relerr(layer, clean, noisy, rng, probes=20):
     """Worst error of dae_grad against central differences of dae_loss over
-    the layer's w, b and b_prime, in that order."""
+    the layer's w, b and b_prime, in that order, in float64."""
+    layer = float64_layer(layer)
     bufs = dae_buffers(layer, len(clean))
     bufs[1][:len(clean)] = noisy
     grads = dae_grad(layer, clean, bufs, 1.0)
@@ -239,7 +248,10 @@ def dae_probe_relerr(layer, clean, noisy, rng, probes=20):
 
 def finetune_probe_relerr(layers, out_w, out_b, x, y, rng, probes=20):
     """Worst error of finetune_grad against central differences of
-    finetune_loss over each layer's (w, b) and then (out_w, out_b)."""
+    finetune_loss over each layer's (w, b) and then (out_w, out_b), in
+    float64."""
+    layers = [float64_layer(layer) for layer in layers]
+    out_w, out_b = out_w.astype(np.float64), out_b.astype(np.float64)
     weights = [layer.w for layer in layers] + [out_w]
     biases = [layer.b for layer in layers] + [out_b]
     g_w, g_b = finetune_grad(layers, out_w, out_b, x, y,
@@ -435,7 +447,7 @@ class TestTraining:
 
     @staticmethod
     def problem():
-        """The data, labels and initial float64 stack every trainer test
+        """The data, labels and initial float32 stack every trainer test
         starts from."""
         data_rng = np.random.default_rng(26)
         x = data_rng.random((120, 12))
@@ -500,7 +512,8 @@ class TestTraining:
                       + [g for _, g in g_layers] + [g_ob], cfg.finetune_lr)
 
             rng = np.random.default_rng(27)
-            layers = pretrain_reference(copy.deepcopy(init), x, cfg, rng, on_dae)
+            layers = pretrain_reference([float64_layer(l) for l in init], x,
+                                        cfg, rng, on_dae)
             fine_tune_reference(layers, x, y, cfg, rng, on_finetune)
         assert steps == 2 * (40 * [3] + 20 * [6])
 
@@ -528,19 +541,19 @@ class TestTraining:
             bound = (4 * self.TRAIN_STEPS * np.finfo(np.float32).eps
                      * max(np.abs(w).max() for w in want))
             for g, w in zip(got, want):
-                assert g.dtype == np.float64 and w.dtype == np.float32
+                assert g.dtype == w.dtype == np.float32
                 np.testing.assert_allclose(g, w, rtol=0, atol=bound)
 
     def test_zero_rates_leave_parameters_unchanged(self):
         # the rate scales the whole step: at 0 nothing moves from the
-        # float32-rounded start, bit for bit, and the RNG is drawn as the
-        # reference loops draw it
+        # float32 start (the output layer's float64 draw rounded once), bit
+        # for bit, and the RNG is drawn as the reference loops draw it
         cfg = dataclasses.replace(self.DIFF, pretrain_lr=0.0, finetune_lr=0.0)
         init, (got, draw), (want, ref_draw) = self.fused_and_reference(
             cfg, np.float64)
         assert draw == ref_draw
         for g, w in zip(got, init + want[len(init):]):
-            rounded = w.astype(np.float32).astype(np.float64)
+            rounded = w.astype(np.float32)
             assert g.shape == w.shape and g.tobytes() == rounded.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -583,24 +596,69 @@ class TestTraining:
         acc = np.mean(np.argmax(probs, axis=1) == y)
         assert acc > 0.95
 
-    def test_trained_model_is_float64(self):
-        # training runs in float32, but what it hands back, and inference,
-        # are float64
+    def test_trained_model_is_float32(self):
+        # the parameters are float32 from init_layer on, and training
+        # updates the given arrays in place; inference runs in float64
         rng = np.random.default_rng(31)
         x = rng.random((64, 12))
         layers = init_stack(12, FAST.hidden, rng)
+        arrays = [p for l in layers for p in (l.w, l.b, l.b_prime)]
+        assert all(a.dtype == np.float32 for a in arrays)
         assert pretrain(layers, x, FAST, rng) is layers
         model = fine_tune(layers, x, rng.integers(0, 2, 64), FAST, rng,
                           np.zeros(4), np.ones(4))
-        arrays = [p for l in model.layers for p in (l.w, l.b, l.b_prime)]
-        arrays += [model.out_w, model.out_b, model.scale_min, model.scale_max]
         assert model.layers is layers
-        assert all(a.dtype == np.float64 for a in arrays)
+        assert all(p is a for p, a in zip(
+            (p for l in model.layers for p in (l.w, l.b, l.b_prime)), arrays))
+        assert model.out_w.dtype == model.out_b.dtype == np.float32
+        assert model.scale_min.dtype == model.scale_max.dtype == np.float64
         assert encode(model.layers, x).dtype == np.float64
         assert encode(model.layers, x.astype(np.float32)).dtype == np.float64
         assert predict_sequence(
             dataclasses.replace(model, window_length=1, scale_min=np.zeros(12),
                                 scale_max=np.ones(12)), x).dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16])
+    def test_stack_of_another_dtype_rejected(self, dtype):
+        # training updates the layers in place, so another dtype is refused,
+        # not copied
+        rng = np.random.default_rng(33)
+        layers = init_stack(12, FAST.hidden, rng)
+        layers[1] = SdaLayer(layers[1].w, layers[1].b.astype(dtype),
+                             layers[1].b_prime)
+        x = rng.random((64, 12))
+        with pytest.raises(DataError, match=rf"^layers/1/b is {np.dtype(dtype)}, "
+                                            r"training needs float32$"):
+            pretrain(layers, x, FAST, rng)
+        with pytest.raises(DataError, match=r"^layers/1/b is "):
+            fine_tune(layers, x, rng.integers(0, 2, 64), FAST, rng,
+                      np.zeros(4), np.ones(4))
+
+    def test_training_holds_one_copy_of_the_stack(self):
+        # the 6-way shapes, 820 -> 800 -> 500 -> 300 -> 6, on 60 rows: drawn
+        # in float32 and trained in place, the stack (4.8 MB) and
+        # fine_tune's step buffers (4.8 MB) are all that training holds at
+        # its peak, besides the rows' float32 copies and activations
+        # (1.2 MB measured; 1.5 MB allowed): 10.9 MB measured against a
+        # bound of 11.2 MB. A float64 stack with float32 working copies
+        # holds another 9.7 MB (20.5 MB measured)
+        cfg = dataclasses.replace(SIXWAY_SDA_CONFIG, pretrain_epochs=1,
+                                  finetune_epochs=1)
+        rng = np.random.default_rng(34)
+        x = rng.random((60, 820))
+        y = rng.integers(0, 6, 60)
+        tracemalloc.start()
+        try:
+            layers = init_stack(820, cfg.hidden, rng)
+            pretrain(layers, x, cfg, rng)
+            fine_tune(layers, x, y, cfg, rng, np.zeros(20), np.ones(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = sum(l.w.nbytes + l.b.nbytes + l.b_prime.nbytes for l in layers)
+        assert stack == 4 * (820 * 800 + 800 * 500 + 500 * 300 + 800 + 500 + 300
+                             + 820 + 800 + 500)
+        assert peak < 2 * stack + 1.5e6
 
     def test_deterministic_given_seed(self):
         rng1 = np.random.default_rng(15)

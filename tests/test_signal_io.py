@@ -31,8 +31,10 @@ def read_whole(path):
 
 def write_edf(path, signals, rate=256, record_dur=1.0, phys=(-1000.0, 1000.0),
               dig=(-32768, 32767), labels=None, num_records=None):
-    """Byte-level EDF writer used only by the tests."""
+    """Byte-level EDF writer used only by the tests. `phys` is one physical
+    range for every signal or a list of one per signal."""
     ns = len(signals)
+    phys = [phys] * ns if np.ndim(phys) == 1 else phys
     spr = int(round(rate * record_dur))
     if num_records is None:
         num_records = len(signals[0]) // spr
@@ -51,8 +53,8 @@ def write_edf(path, signals, rate=256, record_dur=1.0, phys=(-1000.0, 1000.0),
         [l.encode().ljust(16) for l in labels],
         [b"".ljust(80)] * ns,
         [b"uV".ljust(8)] * ns,
-        [f"{phys[0]:g}".encode().ljust(8)] * ns,
-        [f"{phys[1]:g}".encode().ljust(8)] * ns,
+        [f"{p[0]:g}".encode().ljust(8) for p in phys],
+        [f"{p[1]:g}".encode().ljust(8) for p in phys],
         [str(dig[0]).encode().ljust(8)] * ns,
         [str(dig[1]).encode().ljust(8)] * ns,
         [b"".ljust(80)] * ns,

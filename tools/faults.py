@@ -42,7 +42,9 @@ class Fault(NamedTuple):
 
 HMM, SDA, PIPELINE = "src/seqdet/hmm.py", "src/seqdet/sda.py", "src/seqdet/pipeline.py"
 FEATURES, SIGNAL_IO = "src/seqdet/features.py", "src/seqdet/signal_io.py"
+BUNDLE = "src/seqdet/bundle.py"
 TEST_SDA, TEST_CLI = "tests/test_sda.py", "tests/test_pipeline_cli.py"
+STORED = f"{TEST_CLI}::TestTraining::test_bundle_stores_sda_arrays_as_f4"
 KNOB = "tests/test_knobs.py::test_key_changes_its_stage_output"
 WORKERS = "tests/test_hmm.py::TestWorkers"
 CHUNKING = f"{WORKERS}::test_decode_pass1_equal_for_any_chunking"
@@ -204,6 +206,34 @@ FAULTS = [
           "            if not np.isfinite(row).all():\n",
           "            if False:\n",
           ("tests/test_signal_io.py::TestAnnotations::test_nonfinite_samples_rejected",)),
+    Fault("save stores every array as f8", BUNDLE,
+          "        dtype = _stored_dtype(flat)\n",
+          "        dtype = _DTYPES[8]\n",
+          (STORED, "tests/test_bundle.py::TestPayload::"
+                   "test_each_array_stored_in_the_narrowest_exact_dtype")),
+    Fault("load keeps f4 arrays as float32", BUNDLE,
+          "        return np.array(arrays[path], dtype=np.float64)\n",
+          "        return np.array(arrays[path])\n",
+          (STORED,)),
+    Fault("fine_tune hands back float64 copies", SDA,
+          "    return SdaModel(layers, out_w, out_b, config.window_length, scale_min,\n",
+          "    layers = [SdaLayer(*(p.astype(np.float64) for p in _params(layer)))\n"
+          "              for layer in layers]\n"
+          "    out_w, out_b = out_w.astype(np.float64), out_b.astype(np.float64)\n"
+          "    return SdaModel(layers, out_w, out_b, config.window_length, scale_min,\n",
+          (f"{TEST_SDA}::TestTraining::test_trained_model_is_float32",
+           f"{TEST_SDA}::TestTraining::test_training_holds_one_copy_of_the_stack",
+           STORED)),
+    Fault("Baum-Welch operand misses the ones column", HMM,
+          "    op[:, 0] = 1.0\n",
+          "    op[:, 0] = 0.0\n",
+          ("tests/test_hmm.py::TestReestimate::"
+           "test_accumulators_match_per_sequence_reference",)),
+    Fault("overflowing spectrum not checked", FEATURES,
+          "            if not finite.all():\n",
+          "            if False:\n",
+          ("tests/test_features.py::TestGrid::test_overflowing_spectrum_rejected",
+           f"{TEST_CLI}::TestCli::test_overflowing_spectrum_exit_code")),
 ]
 
 
