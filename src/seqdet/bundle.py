@@ -20,7 +20,6 @@ byte-deterministic for identical models.
 """
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -75,12 +74,6 @@ def _write_payload(f, meta: dict, arrays: dict[str, np.ndarray]) -> None:
                             dtype.itemsize, arr.ndim, *arr.shape))
         for b in _blocks(flat):
             f.write(b.astype(dtype, copy=False).data)
-
-
-def _pack_payload(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
-    buf = io.BytesIO()
-    _write_payload(buf, meta, arrays)
-    return buf.getvalue()
 
 
 def _unpack_payload(buf):

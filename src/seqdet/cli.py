@@ -30,6 +30,16 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _at_least(least: int):
+    """An argparse type: an integer of at least `least`."""
+    def integer(text: str) -> int:
+        value = int(text)  # a ValueError is argparse's "invalid integer value"
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="seqdet",
                      description="Three-pass multichannel event detection")
@@ -40,7 +50,7 @@ def _build_parser() -> _Parser:
                          help="recording files; each <name>.<ext> needs "
                               "annotations at <name>.csv")
     p_train.add_argument("--config", help="INI config file")
-    p_train.add_argument("--seed", type=int,
+    p_train.add_argument("--seed", type=_at_least(0),
                          help="override the pipeline and HMM config seeds")
     p_train.add_argument("--bigram", choices=["table1", "estimate"],
                          help="bigram table source")
@@ -60,20 +70,20 @@ def _build_parser() -> _Parser:
                          default="six_way")
     p_score.add_argument("--basis", choices=["per_epoch", "per_channel_event"],
                          default="per_epoch")
-    p_score.add_argument("--channels", type=int, default=CHANNELS)
+    p_score.add_argument("--channels", type=_at_least(1), default=CHANNELS)
     p_score.add_argument("--out", required=True,
                          help="report prefix (writes .txt and .csv)")
 
     p_det = sub.add_parser("det", help="DET curve from a posterior dump")
     p_det.add_argument("posteriors", help="per-epoch posterior CSV")
     p_det.add_argument("ref", help="reference annotation CSV")
-    p_det.add_argument("--offsets", type=int, default=50,
+    p_det.add_argument("--offsets", type=_at_least(0), default=50,
                        help="number of sweep offsets")
     p_det.add_argument("--out", required=True, help="DET CSV output path")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic recording")
     p_synth.add_argument("script", help="CSV script: label,duration_s,channels")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_at_least(0), default=0)
     p_synth.add_argument("--out", required=True,
                          help="output prefix (writes .rm and .csv)")
 

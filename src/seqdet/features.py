@@ -14,12 +14,13 @@ the window. The basis and the filter taps are built once per frame spec, on
 first use. Power, filterbank, log and DCT then run over chunks of frames
 small enough to stay in cache. The rest of the vector (the
 differential energy, both delta passes and the copy into the output) runs
-over groups of channels whose 26 rows fit the same cache budget: all 22
-channels of a 30 s clip in two groups, one channel at a time for 10 min.
-The groups are split across the CPUs of the process when each CPU gets at
-least two, as pass 1 splits its chunks; each worker has its own buffers.
-Everything runs with numpy's OpenBLAS held at one thread (`parallel`); the
-features are the same bits for any number of workers and BLAS threads.
+over groups of channels whose 26 rows fit the same cache budget (`_group`):
+all 22 channels of a 30 s clip in two groups, one channel at a time for
+10 min. The groups run one after another in the caller, in buffers
+allocated once per call; a decode splits a recording into these groups
+across its workers (`pipeline`). Everything runs with numpy's OpenBLAS
+held at one thread (`parallel`); a channel's features are the same bits in
+any group and at any BLAS thread count.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import parallel
 from .errors import DataError
-from .signal_io import RATE_HZ, Recording
+from .signal_io import RATE_HZ
 
 ENERGY_FLOOR = 1e-10
 FEATURE_DIM = 26
@@ -337,20 +338,10 @@ def _group(channels: int, frames: int) -> int:
     return min(max(_CHUNK // (FEATURE_DIM * frames), 1), channels)
 
 
-def block_channels(rec: Recording, spec: FrameSpec) -> int:
-    """Channels per block when `rec` is decoded a block at a time: two
-    frontend groups per CPU, the fewest on which extract_features runs on
-    every CPU."""
-    frames = spec.num_frames(rec.num_samples)
-    return 2 * parallel.cpus() * _group(len(rec.labels), frames)
-
-
 def extract_features(data: np.ndarray, spec: FrameSpec | None = None,
                      labels: tuple[str, ...] | None = None) -> FeatureGrid:
     """The feature grid of the (channels, samples) rows `data`, sampled at
-    RATE_HZ. Worker k of w finishes groups k, k + w, ...; w is
-    parallel.cpus() when that gives each worker at least two groups, and 1
-    otherwise.
+    RATE_HZ, a group of channels at a time.
 
     Finite samples can still be too large for the frontend: a spectrum that
     overflows float64 is a DataError naming the channel (its label, or its
@@ -361,23 +352,16 @@ def extract_features(data: np.ndarray, spec: FrameSpec | None = None,
     channels, num_samples = data.shape
     frames = spec.num_frames(num_samples)
     group = _group(channels, frames)
-    cpus = parallel.cpus()
-    workers = cpus if -(-channels // group) >= 2 * cpus else 1
     dct = _dct_basis(spec.num_filters, _CEPSTRA)
     out = np.empty((channels, frames, FEATURE_DIM))
-    # each worker's spectrum, the rows of a group of its channels,
-    # frame-last, and the delta passes' work buffer: allocated in the
-    # calling thread, so that no helper thread's malloc arena keeps them
-    # after the call
-    work_size = max(deltas_work((group, 9, frames), spec.delta_width_first),
-                    deltas_work((group, 8, frames), spec.delta_width_second))
-    spaces = [(_Spectrum(spec, num_samples),
-               np.empty((group, FEATURE_DIM, frames)), np.empty(work_size))
-              for _ in range(workers)]
-
-    def finish(k: int) -> None:
-        spectrum, rows, work = spaces[k]
-        for c0 in range(k * group, channels, workers * group):
+    # the spectrum, the rows of a group, frame-last, and the delta passes'
+    # work buffer, reused for every group
+    spectrum = _Spectrum(spec, num_samples)
+    rows = np.empty((group, FEATURE_DIM, frames))
+    work = np.empty(max(deltas_work((group, 9, frames), spec.delta_width_first),
+                        deltas_work((group, 8, frames), spec.delta_width_second)))
+    with parallel.one_blas_thread():
+        for c0 in range(0, channels, group):
             block = rows[:min(group, channels - c0)]
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 for samples, row in zip(data[c0:c0 + group], block):
@@ -397,7 +381,4 @@ def extract_features(data: np.ndarray, spec: FrameSpec | None = None,
             # c1..c7, Ef
             deltas(block[:, 9:17], spec.delta_width_second, block[:, 18:], work)
             out[c0:c0 + len(block)] = block.transpose(0, 2, 1)
-
-    with parallel.one_blas_thread():
-        parallel.run(finish, workers)
     return FeatureGrid(out, per_epoch)

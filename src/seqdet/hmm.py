@@ -7,15 +7,15 @@ probability computations run in log space, batched over epochs. Emissions come
 from one GEMM kernel over a bank of stacked models (all six when scoring, one in
 Baum-Welch): const - x^2 (1/(2 sigma^2))^T + x (mu/sigma^2)^T, as in HTK and Kaldi.
 
-Scoring splits its chunks of cells across the CPUs of the process's affinity
-mask when each CPU gets at least two, with numpy's OpenBLAS held at one thread
-(`parallel`); Baum-Welch stays serial, because its moment sums follow chunk
-order. Each scoring GEMM is padded to a width that is a multiple of 8, so a
-cell's posteriors are the same bits whichever chunk it falls in: no result
-depends on the number of workers, or on which channels a grid holds. The
-scoring forward recursion runs over a wider batch of whole chunks than the
-emission GEMM and keeps only the current frame of alpha; Baum-Welch keeps
-the whole table. Both take the same recursion step (`_forward_step`).
+Scoring runs its chunks of cells one after another with numpy's OpenBLAS
+held at one thread (`parallel`); a decode splits a recording's channel
+groups across its workers (`pipeline`). Each scoring GEMM is padded to a
+width that is a multiple of 8, so a cell's posteriors are the same bits
+whichever chunk it falls in: no result depends on which channels a grid
+holds. The scoring forward recursion runs over a wider batch of whole
+chunks than the emission GEMM and keeps only the current frame of alpha;
+Baum-Welch keeps the whole table. Both take the same recursion step
+(`_forward_step`).
 """
 from __future__ import annotations
 
@@ -233,47 +233,32 @@ def _loglik(models: list[GmmHmmModel], grid: FeatureGrid) -> np.ndarray:
     from the feature array through its frame_rows, built as it is scored.
 
     Two widths: a chunk is the largest power of two of cells whose emission
-    block fits in _BLOCK / workers doubles, and its GEMM is gemm_width
-    columns wide, so a cell's emissions are the same bits wherever its chunk
-    ends. Each chunk's per-state log emissions go into its columns of a
-    forward batch of _FORWARD cells (at least one chunk), and the forward
-    recursion runs once over the batch, keeping one frame of alpha.
-
-    The chunks are split across parallel.cpus() workers when that gives each
-    worker at least two full-_BLOCK chunks, and are scored by one otherwise:
-    worker k takes the k-th of `workers` runs of whole chunks, in batches,
-    with buffers allocated here once. Every step is elementwise per cell
-    after the GEMM, so every result is bit-identical for any worker count,
-    chunk size and batch width."""
+    block fits in _BLOCK doubles, and its GEMM is gemm_width columns wide,
+    so a cell's emissions are the same bits wherever its chunk ends. Each
+    chunk's per-state log emissions go into its columns of a forward batch
+    of _FORWARD cells (at least one chunk), and the forward recursion runs
+    once over the batch, keeping one frame of alpha. Every step is
+    elementwise per cell after the GEMM, so every result is bit-identical
+    for any chunk size and batch width."""
     bank, log_a = _bank(models), np.stack([_log_trans(m) for m in models])
     frames = grid.vectors.reshape(-1, grid.vectors.shape[-1])
     t, d = grid.frames_per_epoch, frames.shape[1]
     cells = grid.num_epochs * grid.num_channels
     out = np.full((cells, len(models)), np.nan)  # a cell never scored stays NaN
-    cpus = parallel.cpus()
-    workers = cpus if -(-cells // _chunk(bank[0], t, _BLOCK)) >= 2 * cpus else 1
-    step = _chunk(bank[0], t, _BLOCK // workers)
+    step = _chunk(bank[0], t, _BLOCK)
     width = max(_FORWARD // step, 1) * step
-    chunks = -(-cells // step)
-    spaces = [(np.empty(t * step * d), _buffers(bank[0], gemm_width(t * step)),
-               np.empty((*bank[1].shape[:2], t, width))) for _ in range(workers)]
-
-    def score(k: int) -> None:
-        gathered, work, logb = spaces[k]
-        first = chunks * k // workers * step
-        last = min(chunks * (k + 1) // workers * step, cells)
-        for b0 in range(first, last, width):
-            b1 = min(b0 + width, last)
-            for lo in range(b0, b1, step):
-                index = grid.frame_rows(np.arange(lo, min(lo + step, b1)))
-                x = np.take(frames, index, axis=0, mode="clip",
-                            out=gathered[:index.size * d].reshape(*index.shape, d))
-                comp = _components(*bank, x, work, gemm_width(index.size))
-                _logsumexp(comp, axis=2, overwrite=True,
-                           out=logb[..., lo - b0:lo - b0 + index.shape[1]])
-            out[b0:b1] = _logsumexp(_forward_last(log_a, logb[..., :b1 - b0]), axis=1).T
-
-    parallel.run(score, workers)
+    gathered, work = np.empty(t * step * d), _buffers(bank[0], gemm_width(t * step))
+    logb = np.empty((*bank[1].shape[:2], t, width))
+    for b0 in range(0, cells, width):
+        b1 = min(b0 + width, cells)
+        for lo in range(b0, b1, step):
+            index = grid.frame_rows(np.arange(lo, min(lo + step, b1)))
+            x = np.take(frames, index, axis=0, mode="clip",
+                        out=gathered[:index.size * d].reshape(*index.shape, d))
+            comp = _components(*bank, x, work, gemm_width(index.size))
+            _logsumexp(comp, axis=2, overwrite=True,
+                       out=logb[..., lo - b0:lo - b0 + index.shape[1]])
+        out[b0:b1] = _logsumexp(_forward_last(log_a, logb[..., :b1 - b0]), axis=1).T
     return out
 
 
@@ -439,9 +424,9 @@ class HmmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("num_states", "num_components"):
-            if getattr(self, key) < 1:
-                raise DataError(f"{key} = {getattr(self, key)} must be at least 1")
+        for key, least in (("num_states", 1), ("num_components", 1), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise DataError(f"{key} = {getattr(self, key)} must be at least {least}")
 
 
 def train(corpus: dict[EventLabel, np.ndarray],
@@ -475,10 +460,8 @@ def decode_pass1(grid: FeatureGrid,
                  models: dict[EventLabel, GmmHmmModel]) -> np.ndarray:
     """(epochs, channels, 6) class posteriors: every (epoch, channel) cell
     scored independently against the six models stacked into one bank, each
-    chunk of cells gathered from the feature array as it is scored. The
-    chunks are scored at one BLAS thread, by the caller and one helper
-    thread per extra CPU when there are at least two chunks per CPU; the
-    posteriors are bit-identical for any number of workers."""
+    chunk of cells gathered from the feature array as it is scored, at one
+    BLAS thread."""
     if len(models) != NUM_CLASSES:
         raise DataError(f"need {NUM_CLASSES} models, got {len(models)}")
     with parallel.one_blas_thread():

@@ -1,13 +1,15 @@
-"""The frontend's channel groups and pass-1 scoring on every CPU the process
-may use.
+"""Work split across the CPUs the process may use: a decode hands its pass-1
+channel groups to `run`, and this is the one place that picks a worker
+count.
 
 `run` calls a function for worker 0 in the calling thread and for the other
 workers on a pool of helper threads, which is created on first use and kept
-for the life of the process. It runs them in parallel only inside
-`one_blas_thread`, which holds numpy's OpenBLAS at one thread: after a GEMM,
-OpenBLAS's idle threads spin for a while and take a core from the helpers.
-One thread at a time holds that pin. A `run` outside it, nested in another
-`run` or in another thread runs its workers one after another in the caller.
+for the life of the process. It starts the helpers only when it takes the
+pin of `one_blas_thread`, which holds numpy's OpenBLAS at one thread: after
+a GEMM, OpenBLAS's idle threads spin for a while and take a core from the
+helpers. One thread at a time holds that pin. A `run` that cannot take it
+(another thread holds it, or an enclosing `run` or pin in this thread does)
+runs its items one after another in the caller.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import os
 import threading
 
 _lock = threading.Lock()  # held by the thread that holds the pin
-_owner = None             # that thread's ident while no run of it is in flight
 _blas = None              # (get, set) thread count of numpy's OpenBLAS, or ()
 _pool = None              # (pid, executor): a forked child makes its own
 
@@ -53,22 +54,19 @@ def _openblas():
 @contextlib.contextmanager
 def one_blas_thread():
     """numpy's OpenBLAS at one thread in the body, and the previous count
-    restored after it, also when the body raises. If the library is not
-    found, or another thread (or an enclosing call) holds the pin, the count
-    is left alone."""
-    global _owner
+    restored after it, also when the body raises; yields True. If the
+    library is not found, or another thread (or an enclosing call) holds
+    the pin, the count is left alone and it yields False."""
     blas = _openblas()
     if not blas or not _lock.acquire(blocking=False):
-        yield
+        yield False
         return
     get, put = blas
     before = get()
     try:
         put(1)
-        _owner = threading.get_ident()
-        yield
+        yield True
     finally:
-        _owner = None
         put(before)
         _lock.release()
 
@@ -85,25 +83,23 @@ def _helpers():
 
 
 def run(fn, count: int) -> None:
-    """fn(0) in the caller and fn(1) .. fn(count - 1) on the helpers, in
-    parallel when the caller holds the pin of `one_blas_thread`; otherwise
-    all in the caller, one after another. Returns when every call has
-    ended, then raises the first exception any of them raised."""
-    global _owner
-    me = threading.get_ident()
-    if count < 2 or _owner != me:
-        for k in range(count):
-            fn(k)
-        return
-    _owner = None  # a run nested in fn(0) stays serial
-    futures = []
-    try:
-        for k in range(1, count):
-            futures.append(_helpers().submit(fn, k))
-        fn(0)
-    finally:
-        errors = [f.exception() for f in futures]  # waits for each helper
-        _owner = me
-    for error in errors:
-        if error is not None:
-            raise error
+    """fn(0) .. fn(count - 1) inside `one_blas_thread`. Worker k of w calls
+    fn(k), fn(k + w), ...; w is cpus() when that gives each worker at least
+    two items and this call took the pin, and 1 otherwise. Worker 0 is the
+    caller and the others are helpers. Returns when every worker has ended,
+    then raises the first exception any of them raised."""
+    with one_blas_thread() as pinned:
+        workers = cpus() if pinned and count >= 2 * cpus() else 1
+
+        def work(k: int) -> None:
+            for i in range(k, count, workers):
+                fn(i)
+
+        futures = [_helpers().submit(work, k) for k in range(1, workers)]
+        try:
+            work(0)
+        finally:
+            errors = [f.exception() for f in futures]  # waits for each helper
+        for error in errors:
+            if error is not None:
+                raise error

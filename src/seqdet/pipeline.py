@@ -4,7 +4,8 @@ config, versioned model bundles, and reproducible seeding.
 Every recording is opened through load_recording, which runs every check
 of the file and returns a signal_io.Recording at RATE_HZ with CHANNELS
 channels. Training reads each recording whole; decode reads, featurizes and
-scores it a block of channels at a time.
+scores it a frontend group of channels at a time, and splits the groups
+across the CPUs of the process (`parallel`).
 
 Everything downstream of the config is deterministic: the manifest records
 the config hash, the seed, and checksums of the training data, and two runs
@@ -23,10 +24,10 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from . import evaluation, grammar, hmm, sda, signal_io
+from . import evaluation, grammar, hmm, parallel, sda, signal_io
 from .bundle import Bundle
 from .errors import DataError
-from .features import FeatureGrid, FrameSpec, block_channels, extract_features
+from .features import FeatureGrid, FrameSpec, _group, extract_features
 from .labels import (EPOCH_PRIORITY, LABEL_NAMES, NUM_CLASSES, TARGET_CLASSES,
                      EventLabel)
 from .signal_io import ALL_CHANNELS, CHANNELS, RATE_HZ, AnnotationSet, Event
@@ -67,6 +68,8 @@ class PipelineConfig:
                 f"{self.frame.step_samples} samples; a 1 s epoch must hold a "
                 f"whole number of steps, at least [hmm] num_states = "
                 f"{self.hmm.num_states}")
+        if self.seed < 0:
+            raise DataError(f"config [pipeline] seed = {self.seed} must be at least 0")
         for key in ("pca_detector_dim", "pca_sixway_dim"):
             if not 1 <= getattr(self, key) <= sda.SUPERVECTOR_DIM:
                 raise DataError(f"config [pipeline] {key} = {getattr(self, key)} "
@@ -344,15 +347,21 @@ def _merge_runs(labels: np.ndarray, channel: int) -> list[Event]:
 
 def _decode_pass1(rec: signal_io.Recording, spec: FrameSpec,
                   models: dict[EventLabel, hmm.GmmHmmModel]) -> np.ndarray:
-    """Pass-1 posteriors (epochs, channels, 6) of `rec`, a block of channels
-    at a time: one block's rows are read and its features extracted and
-    scored, and all of them are freed before the next block is read. The
-    posteriors do not depend on the block size."""
-    step = block_channels(rec, spec)
-    return np.concatenate(
-        [hmm.decode_pass1(extract_features(rec.rows(c0, c0 + step), spec,
-                                           rec.labels[c0:c0 + step]), models)
-         for c0 in range(0, len(rec.labels), step)], axis=1)
+    """Pass-1 posteriors (epochs, channels, 6) of `rec`, a frontend group of
+    channels at a time: a group's rows are read, its features extracted and
+    scored into its columns, and all of them freed before that worker reads
+    its next group. The posteriors do not depend on the worker count."""
+    channels, frames = len(rec.labels), spec.num_frames(rec.num_samples)
+    group = _group(channels, frames)
+    post = np.full((-(-frames // spec.frames_per_epoch), channels, NUM_CLASSES), np.nan)
+
+    def decode(i: int) -> None:
+        c0, c1 = i * group, (i + 1) * group
+        grid = extract_features(rec.rows(c0, c1), spec, rec.labels[c0:c1])
+        post[:, c0:c1] = hmm.decode_pass1(grid, models)
+
+    parallel.run(decode, -(-channels // group))
+    return post
 
 
 def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3):
@@ -362,7 +371,7 @@ def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3):
     if stop_after not in (1, 2, 3):
         raise DataError("stop_after must be 1, 2 or 3")
     cfg = PipelineConfig.from_dict(bundle.manifest.get("config"))
-    # Only a block of the recording's rows exists at a time, in pass 1.
+    # Only a group of the recording's rows per worker exists at a time.
     post1 = _decode_pass1(load_recording(rec_path, _manifest_montage(bundle.manifest)),
                           cfg.frame, bundle.hmm_models)
     dumps = {"pass1": post1}

@@ -1,3 +1,4 @@
+import io
 import json
 import struct
 import tracemalloc
@@ -7,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqdet.bundle import (MAGIC, VERSION, Bundle, _pack_payload,
-                           _unpack_payload, _write_payload)
+from seqdet.bundle import (MAGIC, VERSION, Bundle, _unpack_payload,
+                           _write_payload)
 from seqdet.errors import DataError
 from seqdet.features import FEATURE_DIM
 from seqdet.grammar import default_bigram
@@ -17,6 +18,13 @@ from seqdet.labels import EventLabel
 from seqdet.pipeline import PipelineConfig
 from seqdet.sda import (SUPERVECTOR_DIM, PcaModel, SdaModel, SecondPassModels,
                         init_stack)
+
+
+def payload(meta: dict, arrays: dict) -> bytes:
+    """The payload bytes that a bundle file holds after its 8-byte header."""
+    buf = io.BytesIO()
+    _write_payload(buf, meta, arrays)
+    return buf.getvalue()
 
 
 def tiny_sda(rng, pca_dim, outputs=2, window=3):
@@ -51,7 +59,7 @@ class TestPayload:
         arrays = {"x": rng.standard_normal((3, 4)),
                   "y": rng.standard_normal(7),
                   "scalar": np.array(2.5)}
-        m2, a2 = _unpack_payload(_pack_payload(meta, arrays))
+        m2, a2 = _unpack_payload(payload(meta, arrays))
         assert m2 == meta
         for k in arrays:
             np.testing.assert_array_equal(a2[k], arrays[k])
@@ -71,7 +79,7 @@ class TestPayload:
                   "nan": np.array([1.0, np.nan]), "big": np.array([1.0, 1e300])}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, back = _unpack_payload(_pack_payload({}, arrays))
+            _, back = _unpack_payload(payload({}, arrays))
         for name, a in back.items():
             f4 = name in ("f32", "ones", "rounded", "empty", "inf")
             assert a.dtype == np.dtype("<f4" if f4 else "<f8"), name
@@ -79,7 +87,7 @@ class TestPayload:
             assert a.shape == arrays[name].shape
 
     def test_unknown_dtype_byte_rejected(self):
-        buf = bytearray(_pack_payload({}, {"x": np.zeros(3)}))
+        buf = bytearray(payload({}, {"x": np.zeros(3)}))
         at = 4 + 2 + 4 + 4 + 1  # meta length, "{}", count, name length, name
         assert buf[at] == 4
         buf[at] = 2
@@ -88,7 +96,7 @@ class TestPayload:
 
     def test_deterministic_bytes(self):
         arrays = {"x": np.arange(6.0).reshape(2, 3)}
-        assert _pack_payload({"k": 1}, arrays) == _pack_payload({"k": 1}, arrays)
+        assert payload({"k": 1}, arrays) == payload({"k": 1}, arrays)
 
     def test_write_streams_arrays(self, tmp_path):
         # each array goes to the file from its own buffer: writing an 8 MB
@@ -103,10 +111,10 @@ class TestPayload:
             finally:
                 tracemalloc.stop()
         assert peak < 1 << 20
-        assert path.read_bytes() == _pack_payload({"k": 1}, arrays)
+        assert path.read_bytes() == payload({"k": 1}, arrays)
 
     def test_truncation_detected(self):
-        buf = _pack_payload({}, {"x": np.zeros(5)})
+        buf = payload({}, {"x": np.zeros(5)})
         with pytest.raises(DataError):
             _unpack_payload(buf[:-4])
 
@@ -197,7 +205,7 @@ class TestBundle:
         path, data = saved_tiny_bundle(tmp_path)
         meta, arrays = _unpack_payload(data[8:])
         del arrays["/second_pass/sda_eyem/out_w"]
-        Path(path).write_bytes(data[:8] + _pack_payload(meta, arrays))
+        Path(path).write_bytes(data[:8] + payload(meta, arrays))
         with pytest.raises(DataError, match="sda_eyem/out_w"):
             Bundle.load(path)
 
@@ -213,7 +221,7 @@ class TestBundle:
         meta, arrays = _unpack_payload(data[8:])
         assert key in meta
         meta[key] = value
-        Path(path).write_bytes(data[:8] + _pack_payload(meta, arrays))
+        Path(path).write_bytes(data[:8] + payload(meta, arrays))
         with pytest.raises(DataError, match=f"{key} must be "):
             Bundle.load(path)
 
@@ -223,7 +231,7 @@ def rewrite(path, data, **changes):
     meta, arrays = _unpack_payload(data[8:])
     for key, fn in changes.items():
         arrays[key] = fn(arrays[key])
-    Path(path).write_bytes(data[:8] + _pack_payload(meta, arrays))
+    Path(path).write_bytes(data[:8] + payload(meta, arrays))
 
 
 class TestShapeCrossChecks:

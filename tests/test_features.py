@@ -13,14 +13,13 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, rfft
 
-from seqdet import features, parallel, synth
+from seqdet import features, synth
 from seqdet.errors import DataError
 from seqdet.features import (_CEPSTRA, _CHUNK, ENERGY_FLOOR, FEATURE_DIM,
                              FrameSpec, _dct_basis, _filterbank_matrix,
                              _Spectrum, deltas, differential_energy,
                              extract_features, filterbank_energies,
                              frequency_energy)
-from seqdet.signal_io import Recording
 
 RATE = 250.0
 SPEC = FrameSpec()
@@ -264,19 +263,17 @@ class TestChannelGroups:
         np.testing.assert_array_equal(extract_features(data).vectors,
                                       extract_features_reference(data))
 
-    def test_long_recording_keeps_per_channel_memory(self, monkeypatch):
-        # groups of one channel at 10 min: 3.8 MB a worker beyond the
-        # 27.5 MB output, as with the per-channel loop (48 MB as one group)
+    def test_long_recording_keeps_per_channel_memory(self):
+        # groups of one channel at 10 min: 3.8 MB beyond the 27.5 MB
+        # output, as with the per-channel loop (48 MB as one group)
         data = np.random.default_rng(0).standard_normal((22, 150000))
-        for cpus in (1, 2):
-            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
-            tracemalloc.start()
-            try:
-                vectors = extract_features(data).vectors
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak - vectors.nbytes < 6e6 * cpus
+        tracemalloc.start()
+        try:
+            vectors = extract_features(data).vectors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - vectors.nbytes < 6e6
 
     @pytest.mark.parametrize("frames", [1, 2, 3, 4, 20, 299])
     @pytest.mark.parametrize("width", [1, 3, 9])
@@ -327,37 +324,7 @@ class TestThreadCount:
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("seconds, counts", [
-        (30, [1, 1, 1, 1]),    # 2 groups: fewer than two for each of 2 CPUs
-        (45, [1, 1, 1, 1]),    # 449 frames, groups of 11 + 11
-        (600, [1, 2, 3, 4]),   # 22 groups of one channel
-    ])
-    def test_equal_for_any_cpu_count(self, monkeypatch, seconds, counts):
-        rng = np.random.default_rng(seconds)
-        data = rng.standard_normal((22, int(seconds * RATE))) * 30
-        runs = []
-        real_run = parallel.run
-        monkeypatch.setattr(parallel, "run", lambda fn, count: (
-            runs.append(count), real_run(fn, count)))
-        grids = {}
-        for cpus in (1, 2, 3, 4):
-            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
-            grids[cpus] = extract_features(data).vectors
-        assert runs == counts
-        for cpus in (2, 3, 4):
-            np.testing.assert_array_equal(grids[cpus], grids[1])
-
-    @pytest.mark.parametrize("seconds, cpus, channels", [
-        (600, 2, 4),    # one channel a group
-        (600, 1, 2),
-        (30, 2, 64),    # groups of 16: a clip is one block
-        (240, 2, 8),    # 2 399 frames, groups of 2
-    ])
-    def test_block_channels(self, monkeypatch, seconds, cpus, channels):
-        monkeypatch.setattr(parallel, "cpus", lambda: cpus)
-        rec = Recording.of(np.zeros((22, int(seconds * RATE))),
-                           tuple(map(str, range(22))), RATE)
-        assert features.block_channels(rec, SPEC) == channels
+    """The read-only tables that the spectra of every decode worker share."""
 
     def test_tables_built_once_per_spec(self):
         spec = FrameSpec(delta_width_first=7)  # a spec no other test builds
@@ -609,13 +576,10 @@ def gathered(grid):
 
 
 class TestGrid:
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_overflowing_spectrum_rejected(self, monkeypatch, cpus):
+    def test_overflowing_spectrum_rejected(self):
         # finite samples near 1e307 whose squared DFT overflows: the
         # channel is named, by its label or its row, with no numpy warning
-        # on the way, on one worker or on a helper (channel 13 of 22 at
-        # 10 min is in worker 1's groups)
-        monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+        # on the way (channel 13 of 22 at 10 min is in the 14th group)
         rng = np.random.default_rng(9)
         data = rng.standard_normal((22, 150000)) * 30
         data[13] *= 1e305

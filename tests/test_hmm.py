@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 
 from seqdet import hmm, parallel
 from seqdet.errors import DataError
-from seqdet.features import FeatureGrid
+from seqdet.features import FeatureGrid, FrameSpec
 from seqdet.hmm import (GmmHmmModel, HmmConfig, decode_pass1,
                         forward_backward, init_model, log_emissions,
                         train, _bank, _chunk, _emissions,
@@ -19,6 +19,8 @@ from seqdet.hmm import (GmmHmmModel, HmmConfig, decode_pass1,
                         _left_right_trans, _loglik, _EXP_FLOOR, _logsumexp,
                         _nearest, _reestimate_one)
 from seqdet.labels import EventLabel
+from seqdet.pipeline import _decode_pass1
+from seqdet.signal_io import Recording
 
 
 def random_model(rng, n=3, comps=2, dim=2, label=EventLabel.BCKG):
@@ -595,14 +597,12 @@ class TestScoring:
             posteriors_reference(models, cells_reference(grid)),
             rtol=1e-10, atol=1e-14)
 
-    def test_decode_pass1_allocates_under_half_the_features(self, monkeypatch):
+    def test_decode_pass1_allocates_under_half_the_features(self):
         # a 10 min, 22-channel grid with the default model shapes: 13 200
-        # cells scored by two workers in 128-cell chunks gathered from the
-        # feature array through each chunk's own frame rows, with no copy of
-        # all cells, each chunk's component block reduced in place and
-        # 512-cell forward batches (7.7-7.8 MB; 13.5-14.0 MB with 256-cell
-        # chunks on each worker)
-        monkeypatch.setattr(parallel, "cpus", lambda: 2)
+        # cells scored in 256-cell chunks gathered from the feature array
+        # through each chunk's own frame rows, with no copy of all cells,
+        # each chunk's component block reduced in place and 512-cell
+        # forward batches
         rng = np.random.default_rng(32)
         models = {lab: random_model(rng, n=3, comps=8, dim=26, label=lab)
                   for lab in EventLabel}
@@ -653,69 +653,53 @@ def default_shape_models(rng, dim):
 CHUNKING_MODELS = default_shape_models(np.random.default_rng(36), 4)
 CHUNKING_VECTORS = np.random.default_rng(37).normal(0, 2, size=(5, 900, 4))
 
+# A 252 s, 22-channel recording at 250 Hz and default-shape models for the
+# worker tests: 2 519 frames, so the frontend groups 2 channels.
+WORKER_SAMPLES = np.random.default_rng(38).normal(0, 30, size=(22, 252 * 250))
+WORKER_LABELS = tuple(f"CH{i}" for i in range(22))
+WORKER_MODELS = default_shape_models(np.random.default_rng(39), 26)
+
 
 class TestWorkers:
-    # 2 105 cells in 9 full-_BLOCK chunks and 2 334 in 10; per-worker
-    # chunks of 128 (2 workers) and 64 (3 and 4) cells leave a partial final
-    # chunk, and every worker count leaves a chunk count it does not divide.
-    # Forward batches of one chunk, of the default width (2 to 8 chunks,
-    # the last one partial) and wider than the grid.
-    @pytest.mark.parametrize("channels, frames", [(5, 4203), (3, 7777)])
-    def test_decode_pass1_equal_for_any_worker_count(self, monkeypatch,
-                                                     channels, frames):
-        rng = np.random.default_rng(frames)
-        models = default_shape_models(rng, 4)
-        grid = FeatureGrid(rng.normal(0, 2, size=(channels, frames, 4)), 10)
-        counts, widths = [], (1, hmm._FORWARD, 1 << 12)
-        real_run = parallel.run
-        monkeypatch.setattr(parallel, "run", lambda fn, count: (
-            counts.append(count), real_run(fn, count)))
-        posts = {}
-        for cpus in (1, 2, 3, 4):
-            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
-            for width in widths:
-                monkeypatch.setattr(hmm, "_FORWARD", width)
-                posts[cpus, width] = decode_pass1(grid, models)
-        assert counts == [cpus for cpus in (1, 2, 3, 4) for _ in widths]
-        for post in posts.values():
-            np.testing.assert_array_equal(post, posts[1, widths[1]])
+    """Pass 1 gives each cell the same bits however its grid is cut into
+    chunks and forward batches, and a decode's pass 1 (pipeline._decode_pass1)
+    splits a recording's channel groups across its workers: here a 252 s,
+    22-channel recording in 11 groups of 2. tests/test_pipeline_cli.py
+    holds its outputs equal for any CPU count."""
 
     @settings(max_examples=40, deadline=None)
     @given(block=st.integers(16, 20),
            batch=st.sampled_from(["one chunk", "three chunks", "wider than the grid"]),
-           cpus=st.integers(1, 4), epochs=st.integers(40, 90), cut=st.integers(0, 9))
-    @example(block=16, batch="one chunk", cpus=2, epochs=41, cut=0)
-    def test_decode_pass1_equal_for_any_chunking(self, block, batch, cpus, epochs, cut):
-        # the chunk is 8 (2^16 doubles on 4 workers) to 512 cells (2^20 on
-        # one); an odd number of cells always leaves a partial last batch,
-        # and `cut` a partial final epoch. The example splits 13 chunks of
-        # 16 cells between 2 workers.
+           epochs=st.integers(40, 90), cut=st.integers(0, 9))
+    @example(block=16, batch="one chunk", epochs=41, cut=0)
+    def test_decode_pass1_equal_for_any_chunking(self, block, batch, epochs, cut):
+        # the chunk is 32 (2^16 doubles) to 512 cells (2^20); an odd number
+        # of cells always leaves a partial last batch, and `cut` a partial
+        # final epoch. The example scores 7 chunks of 32 cells, the last
+        # one partial, each its own batch.
         grid = FeatureGrid(CHUNKING_VECTORS[:, :10 * epochs - cut], 10)
+        want = decode_pass1(grid, CHUNKING_MODELS)
+        chunk = _chunk(_bank(list(CHUNKING_MODELS.values()))[0], 10, 1 << block)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(parallel, "cpus", lambda: 1)
-            want = decode_pass1(grid, CHUNKING_MODELS)
-            chunk = _chunk(_bank(list(CHUNKING_MODELS.values()))[0], 10, 1 << block)
             patch.setattr(hmm, "_BLOCK", 1 << block)
             patch.setattr(hmm, "_FORWARD", {"one chunk": 1, "three chunks": 3 * chunk,
                                             "wider than the grid": 10 * epochs}[batch])
-            patch.setattr(parallel, "cpus", lambda: cpus)
             np.testing.assert_array_equal(decode_pass1(grid, CHUNKING_MODELS), want)
 
     def test_clip_never_uses_the_helpers(self, monkeypatch):
-        # a 30 s, 22-channel clip is 660 cells, 3 chunks: too few to give
+        # a 30 s, 22-channel clip is 2 frontend groups: too few to give
         # each of 2 CPUs two
         def no_helpers():
             raise AssertionError("a 30 s clip submitted to the helper pool")
 
         monkeypatch.setattr(parallel, "_helpers", no_helpers)
         monkeypatch.setattr(parallel, "cpus", lambda: 2)
-        rng = np.random.default_rng(33)
-        grid = FeatureGrid(rng.normal(size=(22, 299, 26)), 10)
-        assert decode_pass1(grid, default_shape_models(rng, 26)).shape == (30, 22, 6)
+        rec = Recording.of(WORKER_SAMPLES[:, :7500], WORKER_LABELS, 250.0)
+        assert _decode_pass1(rec, FrameSpec(), WORKER_MODELS).shape == (30, 22, 6)
 
     @pytest.mark.skipif(not parallel._openblas(), reason="numpy's OpenBLAS not found")
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
-        error = FloatingPointError("a helper's chunk")
+        error = FloatingPointError("a helper's group")
         real_forward = hmm._forward_last
 
         def forward(*args):
@@ -725,30 +709,28 @@ class TestWorkers:
 
         monkeypatch.setattr(hmm, "_forward_last", forward)
         monkeypatch.setattr(parallel, "cpus", lambda: 2)
-        rng = np.random.default_rng(34)
-        grid = FeatureGrid(rng.normal(size=(5, 4203, 4)), 10)
+        rec = Recording.of(WORKER_SAMPLES, WORKER_LABELS, 250.0)
         get_threads = parallel._openblas()[0]
         before = get_threads()
         with pytest.raises(FloatingPointError) as raised:
-            decode_pass1(grid, default_shape_models(rng, 4))
+            _decode_pass1(rec, FrameSpec(), WORKER_MODELS)
         assert raised.value is error
         assert get_threads() == before
 
     def test_concurrent_callers(self, monkeypatch):
         # more callers and workers than cores, switching threads often: each
         # caller gets the serial result, and the BLAS count ends where it began
-        rng = np.random.default_rng(35)
-        models = default_shape_models(rng, 4)
-        grid = FeatureGrid(rng.normal(size=(5, 4203, 4)), 10)
+        rec = Recording.of(WORKER_SAMPLES, WORKER_LABELS, 250.0)
         monkeypatch.setattr(parallel, "cpus", lambda: 1)
-        want = decode_pass1(grid, models)
+        want = _decode_pass1(rec, FrameSpec(), WORKER_MODELS)
+        assert not np.isnan(want).any()
         monkeypatch.setattr(parallel, "cpus", lambda: 4)
         blas = parallel._openblas()
         before = blas[0]() if blas else None
         results = [None] * 6
 
         def caller(i):
-            results[i] = decode_pass1(grid, models)
+            results[i] = _decode_pass1(rec, FrameSpec(), WORKER_MODELS)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

@@ -38,31 +38,66 @@ def test_nested_pin_leaves_the_outer_one():
     assert blas_threads() == before
 
 
-def test_run_outside_the_pin_is_serial():
-    threads = []
-    parallel.run(lambda k: threads.append((k, threading.get_ident())), 3)
-    assert threads == [(k, threading.get_ident()) for k in range(3)]
+def test_run_outside_the_pin_is_serial(monkeypatch):
+    # another thread holds the pin: a run of four items on two CPUs calls
+    # them in the caller, in order
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
+    held, release = threading.Event(), threading.Event()
+
+    def holder():
+        with parallel.one_blas_thread():
+            held.set()
+            release.wait(timeout=60)
+
+    thread = threading.Thread(target=holder, daemon=True)
+    thread.start()
+    try:
+        assert held.wait(timeout=60)
+        calls = []
+        parallel.run(lambda k: calls.append((k, threading.get_ident())), 4)
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert calls == [(k, threading.get_ident()) for k in range(4)]
 
 
 @needs_openblas
-def test_nested_run_completes_serially():
+def test_run_strides_items_across_workers(monkeypatch):
+    # worker k of w calls items k, k + w, ... in order: the caller is
+    # worker 0, and each worker's first item waits until all three run
+    monkeypatch.setattr(parallel, "cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "_pool", None)  # a pool of two helpers
+    started, calls = threading.Barrier(3, timeout=60), []
+
+    def item(i):
+        if i < 3:
+            started.wait()
+        calls.append((i, threading.get_ident()))
+
+    parallel.run(item, 8)
+    threads = {}
+    for i, thread in calls:
+        threads.setdefault(thread, []).append(i)
+    assert sorted(threads.values()) == [[0, 3, 6], [1, 4, 7], [2, 5]]
+    assert threads[threading.get_ident()] == [0, 3, 6]
+
+
+@needs_openblas
+def test_nested_run_completes_serially(monkeypatch):
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
     calls = []
 
     def outer(k):
         me = threading.get_ident()
-        parallel.run(lambda j: calls.append((k, j, me, threading.get_ident())), 3)
+        parallel.run(lambda j: calls.append((k, j, me, threading.get_ident())), 4)
 
-    def main():
-        with parallel.one_blas_thread():
-            parallel.run(outer, 2)
-
-    thread = threading.Thread(target=main, daemon=True)
+    thread = threading.Thread(target=parallel.run, args=(outer, 4), daemon=True)
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    assert sorted(call[:2] for call in calls) == [(k, j) for k in range(2)
-                                                  for j in range(3)]
-    # each inner run stayed in the thread of its outer call; the two outer
+    assert sorted(call[:2] for call in calls) == [(k, j) for k in range(4)
+                                                  for j in range(4)]
+    # each inner run stayed in the thread of its outer call; the outer
     # calls ran on two threads
     assert all(outer_thread == inner for _, _, outer_thread, inner in calls)
     assert len({call[2] for call in calls}) == 2
@@ -70,18 +105,17 @@ def test_nested_run_completes_serially():
 
 @needs_openblas
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_forked_child_makes_its_own_helpers():
+def test_forked_child_makes_its_own_helpers(monkeypatch):
     # the parent's pool object survives a fork but its threads do not: a
     # child that submitted to it would wait for ever
-    with parallel.one_blas_thread():
-        parallel.run(lambda k: None, 2)
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
+    parallel.run(lambda k: None, 4)
     pid = os.fork()
     if pid == 0:  # the child never returns to pytest
         code = 1
         try:
             seen = []
-            with parallel.one_blas_thread():
-                parallel.run(lambda k: seen.append(threading.get_ident()), 2)
+            parallel.run(lambda k: seen.append(threading.get_ident()), 4)
             code = 0 if len(set(seen)) == 2 else 1
         finally:
             os._exit(code)

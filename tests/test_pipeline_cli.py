@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -16,8 +17,7 @@ from hypothesis import strategies as st
 
 from seqdet import (cli, evaluation, grammar, hmm, parallel, pipeline, sda,
                     signal_io, synth)
-from seqdet.bundle import (MAGIC, VERSION, Bundle, _flatten, _pack_payload,
-                           _unpack_payload)
+from seqdet.bundle import MAGIC, VERSION, Bundle, _flatten, _unpack_payload
 from seqdet.errors import DataError
 from seqdet.features import FrameSpec, extract_features
 from seqdet.grammar import GrammarParams
@@ -27,6 +27,7 @@ from seqdet.pipeline import (PipelineConfig, load_config, read_posterior_csv,
                              train_pipeline, write_posterior_csv,
                              decode_recording, score_files)
 from seqdet.sda import SdaConfig
+from tests.test_bundle import payload
 from tests.test_hmm import cells_reference, default_shape_models
 from tests.test_signal_io import read_whole, write_edf
 
@@ -117,12 +118,13 @@ STREAM_MONTAGE = signal_io.MontageSpec(tuple(
     (f"D{i}", f"CH{21 - i}", None) for i in range(22)))
 
 
-def streamed_input(kind, corpus, tmp_path):
-    """The eval clip as one of the inputs a decode streams: a raw matrix read
-    through STREAM_MONTAGE ("montage"), a raw matrix declared at 256 Hz that
-    is resampled ("resampled"), or an EDF file ("edf"). Returns its path and
-    montage."""
+def streamed_input(kind, corpus, tmp_path, seconds=30):
+    """The eval clip, repeated to `seconds` s, as one of the inputs a decode
+    streams: a raw matrix ("raw"), a raw matrix read through STREAM_MONTAGE
+    ("montage"), a raw matrix declared at 256 Hz that is resampled
+    ("resampled"), or an EDF file ("edf"). Returns its path and montage."""
     rec, data = read_whole(corpus["eval"][0])
+    data = np.tile(data, -(-seconds // 30))[:, :seconds * 250]
     if kind == "edf":
         path = str(tmp_path / "clip.edf")
         write_edf(path, np.round(data * 10).clip(-32768, 32767), rate=250,
@@ -130,7 +132,7 @@ def streamed_input(kind, corpus, tmp_path):
         return path, None
     path = str(tmp_path / "clip.rm")
     rate = 256.0 if kind == "resampled" else 250.0
-    signal_io.write_recording(replace(rec, sample_rate_hz=rate), path)
+    signal_io.write_recording(signal_io.Recording.of(data, rec.labels, rate), path)
     return path, STREAM_MONTAGE if kind == "montage" else None
 
 
@@ -163,6 +165,26 @@ def trained(corpus, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("bundle") / "model.seqd")
     bundle.save(path)
     return bundle, path
+
+
+@pytest.fixture(scope="module")
+def one_cpu_decode(trained, corpus, tmp_path_factory):
+    """For an input kind and a length in seconds (streamed_input): the
+    bundle to decode it with, its path, and its decode on one CPU, each made
+    once."""
+    root = tmp_path_factory.mktemp("inputs")
+
+    @functools.cache
+    def make(kind, seconds):
+        tmp = root / f"{kind}-{seconds}"
+        tmp.mkdir()
+        path, montage = streamed_input(kind, corpus, tmp, seconds)
+        bundle = with_montage(trained[0], montage)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "cpus", lambda: 1)
+            return bundle, path, decode_recording(bundle, path)
+
+    return make
 
 
 class TestConfig:
@@ -490,12 +512,12 @@ class TestDecoding:
 
     def test_decode_holds_one_block_of_the_recording(self, trained, tmp_path,
                                                      monkeypatch):
-        # 10 min of 22 channels on 2 CPUs: 4-channel blocks. A decode holds
-        # one block's rows (4.8 MB), that block's features (5.0 MB), the
-        # frontend's per-worker buffers (3.8 MB each) and the posteriors:
-        # 18.0 MB at the peak. The recording's matrix alone would be
-        # 26.4 MB, so a peak under three quarters of it (19.8 MB) shows
-        # that the matrix never exists. The HMMs have the default shapes
+        # 10 min of 22 channels on 2 CPUs: groups of one channel, which the
+        # caller and a helper decode in turn. Each holds one channel's rows,
+        # its features and its pass-1 buffers at a time; the recording's
+        # matrix alone would be 26.4 MB, so a peak under three quarters of
+        # it (19.8 MB) shows that the matrix never exists. The HMMs have the
+        # default shapes
         monkeypatch.setattr(parallel, "cpus", lambda: 2)
         rng = np.random.default_rng(36)
         data = rng.standard_normal((22, 150000)) * 30
@@ -516,18 +538,35 @@ class TestDecoding:
         assert dumps["pass1"].shape == (600, 22, 6)
         assert peak < 0.75 * recording_bytes
 
+    @pytest.mark.parametrize("seconds", [30, 31, 45, 252])
+    @pytest.mark.parametrize("kind", ["raw", "montage", "resampled", "edf"])
+    @settings(max_examples=10, deadline=None)
+    @given(cpus=st.integers(1, 4))
+    def test_outputs_equal_for_any_cpu_count(self, one_cpu_decode, kind, seconds,
+                                             cpus):
+        # 22 channels in 2 frontend groups up to 45 s, which one worker
+        # decodes, and in 11 groups of 2 at 252 s (246 s resampled), which
+        # 2 to 4 workers split unevenly; 31 epochs are 682 cells, whose
+        # frames x cells are no multiple of 8
+        bundle, path, want = one_cpu_decode(kind, seconds)
+        assert not np.isnan(want[1]["pass1"]).any()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "cpus", lambda: cpus)
+            hyp, dumps = decode_recording(bundle, path)
+        assert hyp == want[0]
+        assert dumps.keys() == want[1].keys()
+        for name, post in dumps.items():
+            np.testing.assert_array_equal(post, want[1][name])
+
     @pytest.mark.parametrize("case", ["30", "31", "montage", "resampled", "edf"])
     def test_outputs_equal_for_any_block_size(self, trained, corpus, tmp_path,
                                               monkeypatch, case):
-        # 30 and 31 s raw matrices, and the 30 s clip as each streamed input;
-        # 31 epochs are 682 cells: whole-grid and block chunks whose frames
-        # x cells are no multiple of 8
+        # 30 and 31 s raw matrices, and the 30 s clip as each streamed input,
+        # decoded in groups of 1, 3, 7 and 22 channels in place of the
+        # frontend's 16 + 6; 31 epochs are 682 cells: whole-grid and group
+        # chunks whose frames x cells are no multiple of 8
         if case.isdigit():
-            rec, data = read_whole(corpus["eval"][0])
-            data = np.concatenate([data, data[:, :250]], axis=1)
-            rec_path, montage = str(tmp_path / "clip.rm"), None
-            signal_io.write_recording(signal_io.Recording.of(
-                data[:, :int(case) * 250], rec.labels, 250.0), rec_path)
+            rec_path, montage = streamed_input("raw", corpus, tmp_path, int(case))
         else:
             rec_path, montage = streamed_input(case, corpus, tmp_path)
         bundle = with_montage(trained[0], montage)
@@ -536,8 +575,7 @@ class TestDecoding:
         names = ["clip.hyp.csv"] + [f"clip.pass{k}.csv" for k in (1, 2, 3)]
         outputs, posts = [], []
         for size in (1, 3, 7, 22):
-            monkeypatch.setattr(pipeline, "block_channels",
-                                lambda rec, spec: size)
+            monkeypatch.setattr(pipeline, "_group", lambda channels, frames: size)
             out_dir = tmp_path / str(size)
             assert cli.main(["decode", bundle_path, rec_path, "--out-dir",
                              str(out_dir), "--dump-posteriors"]) == 0
@@ -685,6 +723,22 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["bogus-command"])
         assert exc.value.code == 1
+        # a negative count or seed is refused as it is parsed: one error line
+        # after the usage, naming the argument
+        for argv, least in (
+                (["det", "p.csv", "r.csv", "--offsets", "-1", "--out", "d.csv"], 0),
+                (["score", "r.csv", "h.csv", "--channels", "-1", "--out", "s"], 1),
+                (["score", "r.csv", "h.csv", "--channels", "0", "--out", "s"], 1),
+                (["synth", "s.csv", "--seed", "-1", "--out", "x"], 0),
+                (["train", "a.rm", "--seed", "-2", "--out", "m.seqd"], 0)):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 1
+            option, value = argv[-4:-2]
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"seqdet {argv[0]}: error: argument {option}: must be at least "
+                f"{least}, got {value}")
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         code = cli.main(["decode", str(tmp_path / "missing.seqd"), "x.rm"])
@@ -693,6 +747,9 @@ class TestCli:
     @pytest.mark.parametrize("ini", [
         "[frontend]\ndiff_energy_window_frames = 8\n",
         "[pipeline]\nseed = abc\n",
+        "[pipeline]\nseed = -1\n",
+        "[pipeline]\nseed = -102\n",
+        "[hmm]\nseed = -1\n",
     ])
     def test_config_error_exit_code(self, corpus, tmp_path, capsys, ini):
         cfg_path = tmp_path / "c.ini"
@@ -702,6 +759,9 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
+        if "seed = -" in ini:  # a negative seed is named by its key
+            section, key_value = ini.split("\n")[:2]
+            assert f"{section} {key_value}" in err
 
     @pytest.mark.parametrize("section, key, value", [
         ("sda.spsw", "corruption", "1.5"),
@@ -888,14 +948,15 @@ class TestCli:
     def test_bundle_equal_on_one_and_two_cpus(self, corpus, tmp_path,
                                               monkeypatch):
         # 8 components (the default) give 256-cell pass-1 chunks: 6 of them
-        # over the corpus's 1 320 cells, so two CPUs split them
+        # over the corpus's 1 320 cells. Training runs the frontend and
+        # pass 1 on whole recordings in the caller, whatever the CPU count
+        def no_helpers():
+            raise AssertionError("training submitted to the helper pool")
+
+        monkeypatch.setattr(parallel, "_helpers", no_helpers)
         cfg_path = tmp_path / "c.ini"
         cfg_path.write_text(TINY_INI.replace("num_components = 2",
                                              "num_components = 8"))
-        counts = []
-        real_run = parallel.run
-        monkeypatch.setattr(parallel, "run", lambda fn, count: (
-            counts.append(count), real_run(fn, count)))
         bundles = []
         for cpus in (1, 2):
             monkeypatch.setattr(parallel, "cpus", lambda: cpus)
@@ -903,8 +964,6 @@ class TestCli:
             assert cli.main(["train", corpus["train"][0], "--config",
                              str(cfg_path), "--out", str(out)]) == 0
             bundles.append(out.read_bytes())
-        # the frontend's three channel groups stay on one worker, then pass 1
-        assert counts == [1, 1, 1, 2]
         assert bundles[0] == bundles[1]
 
     def test_seed_reaches_hmm(self, corpus, tmp_path):
@@ -1001,7 +1060,7 @@ class TestCli:
         meta, arrays = _unpack_payload(data[8:])
         meta["/second_pass/sda_spsw/window_length"] = "3"
         path = str(tmp_path / "bad.seqd")
-        Path(path).write_bytes(data[:8] + _pack_payload(meta, arrays))
+        Path(path).write_bytes(data[:8] + payload(meta, arrays))
         code = cli.main(["decode", path, corpus["eval"][0],
                          "--out-dir", str(tmp_path)])
         assert code == 2
@@ -1025,7 +1084,7 @@ class TestCli:
         for key in keys:
             arrays[key] = arrays[key][..., :-1]
         path = str(tmp_path / "bad.seqd")
-        Path(path).write_bytes(data[:8] + _pack_payload(meta, arrays))
+        Path(path).write_bytes(data[:8] + payload(meta, arrays))
         code = cli.main(["decode", path, corpus["eval"][0],
                          "--out-dir", str(tmp_path)])
         assert code == 2

@@ -46,10 +46,13 @@ BUNDLE = "src/seqdet/bundle.py"
 TEST_SDA, TEST_CLI = "tests/test_sda.py", "tests/test_pipeline_cli.py"
 STORED = f"{TEST_CLI}::TestTraining::test_bundle_stores_sda_arrays_as_f4"
 KNOB = "tests/test_knobs.py::test_key_changes_its_stage_output"
+PARALLEL = "src/seqdet/parallel.py"
 WORKERS = "tests/test_hmm.py::TestWorkers"
 CHUNKING = f"{WORKERS}::test_decode_pass1_equal_for_any_chunking"
 BAD_ROW = f"{TEST_CLI}::TestCli::test_bad_posterior_row_exit_code"
-BLOCKS = f"{TEST_CLI}::TestDecoding::test_outputs_equal_for_any_block_size"
+DECODE = f"{TEST_CLI}::TestDecoding"
+BLOCKS = f"{DECODE}::test_outputs_equal_for_any_block_size"
+CPUS = f"{DECODE}::test_outputs_equal_for_any_cpu_count"
 LOADED = f"{TEST_CLI}::TestLoadRecording::test_blocks_equal_the_whole_recording"
 OPENED = "tests/test_signal_io.py::TestOpenRecording"
 
@@ -113,32 +116,35 @@ FAULTS = [
           "sda.sda_input(s, smin, smax, cfg.window_length)",
           "sda.make_windows(s, cfg.window_length)",
           (f"{TEST_CLI}::TestTraining::test_sdas_train_on_the_windows_decode_builds",)),
-    Fault("pass-1 worker range starts a chunk late", HMM,
-          "        first = chunks * k // workers * step\n",
-          "        first = -(-chunks * k // workers) * step\n",
-          (f"{WORKERS}::test_decode_pass1_equal_for_any_worker_count", CHUNKING)),
     Fault("pass-1 forward batch offset one chunk out", HMM,
-          "        for b0 in range(first, last, width):\n",
-          "        for b0 in range(first, last, width + step):\n",
-          (f"{WORKERS}::test_decode_pass1_equal_for_any_worker_count", CHUNKING)),
+          "    for b0 in range(0, cells, width):\n",
+          "    for b0 in range(0, cells, width + step):\n",
+          (CHUNKING,)),
     Fault("partial last forward batch scored over the previous batch's columns", HMM,
           "_forward_last(log_a, logb[..., :b1 - b0])",
           "_forward_last(log_a, logb[..., width - (b1 - b0):])",
-          (f"{WORKERS}::test_decode_pass1_equal_for_any_worker_count", CHUNKING)),
-    Fault("pass-1 split at one chunk per CPU", HMM,
-          ">= 2 * cpus else 1",
-          ">= cpus else 1",
+          (CHUNKING,)),
+    Fault("decode split at one group per CPU", PARALLEL,
+          "count >= 2 * cpus()",
+          "count >= cpus()",
           (f"{WORKERS}::test_clip_never_uses_the_helpers",)),
-    Fault("per-worker pass-1 block left at the full _BLOCK", HMM,
-          "step = _chunk(bank[0], t, _BLOCK // workers)",
-          "step = _chunk(bank[0], t, _BLOCK)",
-          ("tests/test_hmm.py::TestScoring::"
-           "test_decode_pass1_allocates_under_half_the_features",)),
-    Fault("BLAS thread count not restored", "src/seqdet/parallel.py",
+    Fault("a worker's stride skips a group", PARALLEL,
+          "            for i in range(k, count, workers):\n",
+          "            for i in range(k, count, workers * workers):\n",
+          (CPUS, "tests/test_parallel.py::test_run_strides_items_across_workers")),
+    Fault("a group boundary one channel out", PIPELINE,
+          "        c0, c1 = i * group, (i + 1) * group\n",
+          "        c0, c1 = i * group + 1, (i + 1) * group + 1\n",
+          (CPUS,)),
+    Fault("a helper's exception dropped", PARALLEL,
+          "            if error is not None:\n                raise error\n",
+          "            pass\n",
+          (f"{WORKERS}::test_helper_exception_reaches_the_caller",)),
+    Fault("BLAS thread count not restored", PARALLEL,
           "        put(before)\n",
           "",
           ("tests/test_parallel.py::test_one_blas_thread_restores_the_count",)),
-    Fault("helper pool kept across a fork", "src/seqdet/parallel.py",
+    Fault("helper pool kept across a fork", PARALLEL,
           "    if _pool is None or _pool[0] != os.getpid():\n",
           "    if _pool is None:\n",
           ("tests/test_parallel.py::test_forked_child_makes_its_own_helpers",)),
@@ -159,14 +165,6 @@ FAULTS = [
           "sda.augment_binary(x, y, config.augment_cap, rng)",
           "sda.augment_binary(x, y, 2000, rng)",
           (f"{KNOB}[pipeline-augment_cap]",)),
-    Fault("frontend worker stride skips groups", FEATURES,
-          "        for c0 in range(k * group, channels, workers * group):\n",
-          "        for c0 in range(k * group, channels, workers * workers * group):\n",
-          ("tests/test_features.py::TestWorkers::test_equal_for_any_cpu_count",)),
-    Fault("decode block boundary off by one channel", PIPELINE,
-          "rec.rows(c0, c0 + step)",
-          "rec.rows(c0, c0 + step + 1)",
-          (BLOCKS,)),
     Fault("pass-1 GEMM width not padded to a multiple of 8", HMM,
           "comp = _components(*bank, x, work, gemm_width(index.size))",
           "comp = _components(*bank, x, work)",
@@ -187,11 +185,11 @@ FAULTS = [
           "(i + len(index)) % len(montage.derivations)][2:] for i in index))",
           (LOADED, BLOCKS)),
     Fault("decode reads the whole recording at once", PIPELINE,
-          "    step = block_channels(rec, spec)\n",
+          "    group = _group(channels, frames)\n",
           "    whole = rec.rows(0, len(rec.labels))\n"
           "    rec = replace(rec, read=lambda index: whole[index])\n"
-          "    step = block_channels(rec, spec)\n",
-          (f"{TEST_CLI}::TestDecoding::test_decode_holds_one_block_of_the_recording",)),
+          "    group = _group(channels, frames)\n",
+          (f"{DECODE}::test_decode_holds_one_block_of_the_recording",)),
     Fault("frames per epoch fixed at 10", FEATURES,
           "        per_epoch, rest = divmod(int(RATE_HZ), self.step_samples)\n",
           "        per_epoch, rest = 10, 0\n",
