@@ -13,17 +13,22 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, rfft
 
-from seqdet import features, synth
+from seqdet import features, parallel, synth
 from seqdet.errors import DataError
 from seqdet.features import (_CEPSTRA, _CHUNK, ENERGY_FLOOR, FEATURE_DIM,
                              FrameSpec, _dct_basis, _filterbank_matrix,
                              _Spectrum, deltas, differential_energy,
                              extract_features, filterbank_energies,
                              frequency_energy)
+from seqdet.pipeline import _decode_pass1
+from seqdet.signal_io import Recording
+from tests.test_hmm import default_shape_models
 
 RATE = 250.0
 SPEC = FrameSpec()
 U = np.finfo(np.float64).eps / 2  # unit roundoff
+# default-shape models for the decodes of TestGrid::test_overflowing_spectrum_rejected
+OVERFLOW_MODELS = default_shape_models(np.random.default_rng(40), FEATURE_DIM)
 
 
 def channel_features(samples, spec=SPEC):
@@ -576,19 +581,25 @@ def gathered(grid):
 
 
 class TestGrid:
-    def test_overflowing_spectrum_rejected(self):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_overflowing_spectrum_rejected(self, monkeypatch, cpus):
         # finite samples near 1e307 whose squared DFT overflows: the
         # channel is named, by its label or its row, with no numpy warning
-        # on the way (channel 13 of 22 at 10 min is in the 14th group)
+        # on the way, by extract_features and by a decode's pass 1 on one
+        # worker or on a helper (channel 13 of 22 at 10 min is the 14th
+        # one-channel group, which worker 1 of 2 reads)
+        monkeypatch.setattr(parallel, "cpus", lambda: cpus)
         rng = np.random.default_rng(9)
         data = rng.standard_normal((22, 150000)) * 30
         data[13] *= 1e305
         labels = tuple(f"CH{i}" for i in range(22))
+        overflow = r"^channel 'CH13': samples too large, the spectrum overflows$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DataError, match=r"^channel 'CH13': samples "
-                                                r"too large, the spectrum overflows$"):
+            with pytest.raises(DataError, match=overflow):
                 extract_features(data, SPEC, labels)
+            with pytest.raises(DataError, match=overflow):
+                _decode_pass1(Recording.of(data, labels, RATE), SPEC, OVERFLOW_MODELS)
             with pytest.raises(DataError, match=r"^row 3: samples too large"):
                 extract_features(data[10:])
             data[13] *= 1e-155  # 1e150: large, but its spectrum is finite
