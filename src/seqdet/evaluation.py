@@ -146,12 +146,22 @@ def det_curve(scores, refs, offsets) -> DetCurve:
 # ---------------------------------------------------------------------------
 # Reference labels from annotations
 
+def _background(shape: tuple[int, ...]) -> np.ndarray:
+    """BCKG labels of the given (epochs, ...) shape; an epoch count whose
+    labels cannot be allocated is a DataError."""
+    try:
+        return np.full(shape, int(EventLabel.BCKG), dtype=np.intp)
+    except (ValueError, MemoryError) as exc:
+        raise DataError(f"cannot hold the labels of {shape[0]:.4g} epochs: "
+                        f"{exc}") from None
+
+
 def epoch_reference_labels(ann, num_epochs: int) -> np.ndarray:
     """Per-epoch composite reference label: any annotation overlapping an
     epoch competes, ties broken by EPOCH_PRIORITY (rare target classes win);
     uncovered epochs are BCKG."""
     rank = {lab: i for i, lab in enumerate(EPOCH_PRIORITY)}
-    out = np.full(num_epochs, int(EventLabel.BCKG), dtype=np.intp)
+    out = _background((num_epochs,))
     # Only classes ranked above BCKG can win; the highest-ranked is written last.
     winners = [ev for ev in ann.events if rank[ev.label] < rank[EventLabel.BCKG]]
     for ev in sorted(winners, key=lambda ev: -rank[ev.label]):
@@ -165,7 +175,7 @@ def channel_epoch_reference_labels(ann, num_epochs: int,
                                    num_channels: int) -> np.ndarray:
     """(epochs, channels) reference labels; all-channel events apply
     everywhere, uncovered cells are BCKG."""
-    out = np.full((num_epochs, num_channels), int(EventLabel.BCKG), dtype=np.intp)
+    out = _background((num_epochs, num_channels))
     for ev in ann.events:
         lo = max(0, int(np.floor(ev.start_s)))
         hi = min(num_epochs, int(np.ceil(ev.stop_s)))

@@ -14,6 +14,20 @@ training holds. `pretrain` and `fine_tune` cast the data on entry and update
 the given layers in place; the bundle stores the trained arrays as f4. The
 step functions follow the dtype of their inputs, and inference runs in
 float64.
+
+Inference runs in blocks of epochs. `predict_sequence` keeps the scaled,
+edge-padded (epochs, <= 20) sequence whole; each block builds only its own
+window rows, by `make_windows`'s rule over a row range, and its
+activations, and writes its softmax rows into one (epochs, outputs) array.
+A block is the largest power of two of epochs whose widest array fits in
+_BLOCK doubles: 128 epochs for the 6-way SdA, 1 024 for the detectors. With
+random models of the default shapes, `decode_pass2` peaks at 2.49 MB under
+tracemalloc at 600 epochs and 4.75 MB at 3 600, where it peaked at 12.8 and
+76.6 MB with the whole (epochs, 820) window matrix; what still grows with
+the length is the whole-sequence arrays, mainly `PcaModel.project`'s
+(epochs, 132) centered copy. A GEMM row's bits depend on where the row sits
+in the GEMM, so rows past the first block may differ in the last bits from
+one whole-sequence GEMM; a sequence of at most one block keeps them.
 """
 from __future__ import annotations
 
@@ -32,6 +46,8 @@ log = logging.getLogger(__name__)
 SUPERVECTOR_DIM = CHANNELS * NUM_CLASSES  # 132
 # The one dtype pretrain and fine_tune train in.
 _TRAIN_DTYPE = np.float32
+# Doubles that the widest array of one block of `predict_sequence` may hold.
+_BLOCK = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +269,13 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
 
 
 def encode(layers: list[SdaLayer], x: np.ndarray) -> np.ndarray:
+    """The top layer's float64 codes of the rows of x. Each layer holds one
+    array: its GEMM's, with the bias added and the sigmoid taken in place."""
     h = np.asarray(x, dtype=np.float64)
     for layer in layers:
-        h = _sigmoid(h @ layer.w.T + layer.b)
+        h = np.matmul(h, layer.w.T)
+        h += layer.b
+        _sigmoid(h)
     return h
 
 
@@ -481,14 +501,28 @@ def fit_scaling(seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return seq.min(axis=0), seq.max(axis=0)
 
 
+def _pad_edges(seq: np.ndarray, window_length: int) -> np.ndarray:
+    """The (T, d) sequence with window_length // 2 copies of its first and of
+    its last vector added at either end."""
+    half = window_length // 2
+    return np.pad(np.asarray(seq, dtype=np.float64), ((half, half), (0, 0)),
+                  mode="edge")
+
+
+def _window_rows(padded: np.ndarray, window_length: int, lo: int,
+                 hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the windows of a sequence that `_pad_edges` padded:
+    row t concatenates the padded vectors t .. t + window_length - 1."""
+    windows = sliding_window_view(padded[lo:hi + window_length - 1],
+                                  window_length, axis=0)
+    return np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(hi - lo, -1)
+
+
 def make_windows(seq: np.ndarray, window_length: int) -> np.ndarray:
     """Concatenate window_length consecutive vectors centered on each index,
     edge-replicated at the boundaries: (T, d) -> (T, window_length * d)."""
-    seq = np.asarray(seq, dtype=np.float64)
-    half = window_length // 2
-    padded = np.pad(seq, ((half, half), (0, 0)), mode="edge")
-    windows = sliding_window_view(padded, window_length, axis=0)[:len(seq)]
-    return np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(len(seq), -1)
+    return _window_rows(_pad_edges(seq, window_length), window_length, 0,
+                        len(seq))
 
 
 def sda_input(seq: np.ndarray, scale_min: np.ndarray, scale_max: np.ndarray,
@@ -498,10 +532,34 @@ def sda_input(seq: np.ndarray, scale_min: np.ndarray, scale_max: np.ndarray,
     return make_windows(scale_input(seq, scale_min, scale_max), window_length)
 
 
+def _block_rows(model: SdaModel) -> int:
+    """Epochs per block of `predict_sequence`: the largest power of two whose
+    widest array, the window rows or one layer's activations, fits in _BLOCK
+    doubles; at least one."""
+    widths = [model.layers[0].w.shape[1], *(len(layer.w) for layer in model.layers),
+              len(model.out_w)]
+    rows = max(_BLOCK // max(widths), 1)
+    return 1 << (rows.bit_length() - 1)
+
+
 def predict_sequence(model: SdaModel, reduced_seq: np.ndarray) -> np.ndarray:
-    windows = sda_input(reduced_seq, model.scale_min, model.scale_max,
-                        model.window_length)
-    return _softmax(encode(model.layers, windows) @ model.out_w.T + model.out_b)
+    """The (T, outputs) softmax of the SdA on the `sda_input` rows of a
+    (T, d) reduced sequence, computed in blocks of `_block_rows(model)`
+    epochs: the scaled, padded sequence is whole, and each block builds only
+    its own window rows and activations."""
+    length = model.window_length
+    padded = _pad_edges(scale_input(reduced_seq, model.scale_min,
+                                    model.scale_max), length)
+    out = np.full((len(reduced_seq), len(model.out_b)), np.nan)
+    step = _block_rows(model)
+    for lo in range(0, len(out), step):
+        hi = min(lo + step, len(out))
+        logits = np.matmul(encode(model.layers,
+                                  _window_rows(padded, length, lo, hi)),
+                           model.out_w.T)
+        logits += model.out_b
+        out[lo:hi] = _softmax(logits)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,8 @@ class Event:
     stop_s: float
     label: EventLabel
 
-    def __post_init__(self):
-        if not (0 <= self.start_s < self.stop_s):
+    def __post_init__(self):  # refuses NaN and infinite times too
+        if not (0 <= self.start_s < self.stop_s < math.inf):
             raise DataError(
                 f"invalid event times: start={self.start_s} stop={self.stop_s}")
 

@@ -142,8 +142,11 @@ def _generate_once(script: list[ScriptEntry],
                    seed: int) -> tuple[Recording, AnnotationSet]:
     rng = np.random.default_rng(seed)
     total_s = sum(e.duration_s for e in script)
-    n_total = int(round(total_s * RATE_HZ))
-    data = np.zeros((CHANNELS, n_total))
+    try:
+        data = np.zeros((CHANNELS, int(round(total_s * RATE_HZ))))
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise DataError(f"cannot hold a recording of {total_s:.4g} s: "
+                        f"{exc}") from None
     events = []
     t0 = 0.0
     for entry in script:

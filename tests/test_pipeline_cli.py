@@ -1150,6 +1150,48 @@ class TestCli:
         err = one_line_data_error(capsys)
         assert str(ref) in err and "row 3" in err
 
+    @pytest.mark.parametrize("verb", ["score", "train"])
+    def test_infinite_annotation_time_exit_code(self, corpus, tmp_path, capsys,
+                                                verb):
+        # an infinite time is refused as its row is read, as NaN is
+        if verb == "score":
+            ann = tmp_path / "hyp.csv"
+            args = ["score", corpus["eval"][1], str(ann),
+                    "--out", str(tmp_path / "report")]
+        else:
+            rec = tmp_path / "rec.rm"
+            rec.write_bytes(Path(corpus["train"][0]).read_bytes())
+            ann = tmp_path / "rec.csv"
+            args = ["train", str(rec), "--out", str(tmp_path / "m.seqd")]
+        ann.write_text("channel,start_s,stop_s,label\n*,0,1,BCKG\n*,0,inf,BCKG\n")
+        assert cli.main(args) == 2
+        err = one_line_data_error(capsys)
+        assert str(ann) in err and "row 3" in err and "stop=inf" in err
+
+    @pytest.mark.parametrize("basis", ["per_epoch", "per_channel_event"])
+    def test_unallocatable_epoch_count_exit_code(self, corpus, tmp_path, capsys,
+                                                 basis):
+        # a hypothesis ending at 1e308 s spans more epochs than an array can
+        # index, so no allocation is attempted
+        hyp = tmp_path / "hyp.csv"
+        hyp.write_text("channel,start_s,stop_s,label\n*,0,1e308,BCKG\n")
+        code = cli.main(["score", corpus["eval"][1], str(hyp), "--basis", basis,
+                         "--out", str(tmp_path / "report")])
+        assert code == 2
+        assert "the labels of 1e+308 epochs" in one_line_data_error(capsys)
+
+    @pytest.mark.parametrize("seconds", ["1e308", "1e12"])
+    def test_unallocatable_script_exit_code(self, tmp_path, capsys, seconds):
+        # 1e308 s overflows the sample count; 1e12 s of 22 channels would be
+        # 39.1 PiB, which numpy refuses without allocating
+        script = tmp_path / "s.csv"
+        script.write_text(f"label,duration_s,channels\nBCKG,{seconds},*\n")
+        code = cli.main(["synth", str(script), "--out", str(tmp_path / "rec")])
+        assert code == 2
+        assert f"a recording of {float(seconds):.4g} s" in \
+            one_line_data_error(capsys)
+        assert not list(tmp_path.glob("rec*"))
+
     @pytest.mark.parametrize("verb", ["score", "det"])
     def test_non_utf8_csv_exit_code(self, corpus, tmp_path, capsys, verb):
         bad = tmp_path / "bad.csv"

@@ -6,11 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
+from seqdet import sda
 from seqdet.errors import DataError, NumericError
 from seqdet.labels import TARGET_CLASSES, EventLabel
-from seqdet.sda import (SIXWAY_SDA_CONFIG, PcaModel, SdaConfig, SdaLayer,
+from seqdet.sda import (EYEM_SDA_CONFIG, SIXWAY_SDA_CONFIG, SPSW_SDA_CONFIG,
+                        SUPERVECTOR_DIM, PcaModel, SdaConfig, SdaLayer,
                         SdaModel, _minibatches, _sigmoid, _softmax,
                         augment_binary, corrupt,
                         dae_buffers, dae_grad, dae_loss,
@@ -769,6 +773,94 @@ class TestInference:
                              for t in range(len(seq))])
         np.testing.assert_array_equal(make_windows(seq, length), expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(log_rows=st.integers(1, 5), slack=st.floats(0.0, 0.999),
+           case=st.sampled_from(["1", "rows-1", "rows", "rows+1", "3rows+7"]),
+           window=st.sampled_from([1, 3, 4, 41]), dim=st.integers(1, 4),
+           hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           outputs=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_agree_with_the_whole_sequence(self, log_rows, slack, case,
+                                                  window, dim, hidden, outputs,
+                                                  seed):
+        # a budget in [rows, 2 rows) times the widest array gives blocks of
+        # `rows` epochs; up to one block the GEMMs are those of the whole
+        # sequence, beyond it each row may sit elsewhere in its GEMM
+        rng = np.random.default_rng(seed)
+        model = float64_model(rng, dim, window, tuple(hidden), outputs)
+        rows = 1 << log_rows
+        widest = max(dim * window, *hidden, outputs)
+        length = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+                  "3rows+7": 3 * rows + 7}[case]
+        seq = rng.uniform(-0.2, 1.2, (length, dim))
+        want = _softmax(encode(model.layers, sda_input(
+            seq, model.scale_min, model.scale_max, window)) @ model.out_w.T
+                        + model.out_b)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sda, "_BLOCK", int(rows * widest * (1 + slack)))
+            assert sda._block_rows(model) == rows
+            got = predict_sequence(model, seq)
+        assert got.shape == want.shape
+        assert not np.isnan(got).any()
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        if length <= rows:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= block_bound(model)
+
+
+def float64_model(rng, dim, window, hidden, outputs):
+    """A random SdA in float64, as Bundle.load gives one: init_stack's
+    weights, with random biases and a scaling that clips some inputs."""
+    layers = [SdaLayer(layer.w.astype(np.float64),
+                       rng.normal(0, 1, len(layer.b)),
+                       layer.b_prime.astype(np.float64))
+              for layer in init_stack(dim * window, hidden, rng)]
+    out_w = init_layer(hidden[-1], outputs, rng).w.astype(np.float64)
+    return SdaModel(layers, out_w, rng.normal(0, 1, outputs), window,
+                    np.zeros(dim), rng.uniform(0.5, 1.0, dim))
+
+
+# How far predict_sequence's blocked rows may lie from the same rows computed
+# in one GEMM per layer. Both see the same window rows, in [0, 1]. With u the
+# unit roundoff (eps / 2) and gamma(k) = k u / (1 - k u), for each layer of
+# weights w (k inputs) and biases b whose inputs, in [0, 1], differ by at
+# most delta between the two:
+# - a dot product summed in any order, with or without FMA, is within
+#   gamma(k) sum |h w| <= gamma(k) |w|_1 of its exact value, and the exact
+#   values differ by at most |w|_1 delta: the computed sums differ by at most
+#   |w|_1 (delta + 2 gamma(k))
+# - adding b rounds each sum once, by at most u A, where
+#   A = |w|_1 (1 + gamma(k)) + |b| bounds the pre-activation
+# - the sigmoid is 1/4-Lipschitz, and each computed value is within
+#   5 ulp <= 5 eps of its true value (the error model of TestSigmoid)
+# The output layer's logits then differ by at most dz, and the true softmaxes
+# of the two by at most exp(2 dz) - 1, since each ratio p_i(z') / p_i(z)
+# lies in [exp(-2 dz), exp(2 dz)]. Each computed softmax is within relative
+# eta of its true value: the shift by the maximum rounds once, by
+# u |z - max| <= 2 u Z; exp is within 4 ulp; the n-term sum is within
+# gamma(n) and the division rounds once. Terms of second order in u are
+# dropped.
+def block_bound(model) -> float:
+    eps = np.finfo(np.float64).eps
+    u = eps / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    def sums(w, b, delta):
+        """Bounds on how far two computed w h + b differ, and on |w h + b|."""
+        norm, k = np.abs(w).sum(axis=1).max(), w.shape[1]
+        big = norm * (1 + gamma(k)) + np.abs(b).max()
+        return norm * (delta + 2 * gamma(k)) + 2 * u * big, big
+
+    delta = 0.0
+    for layer in model.layers:
+        da, _ = sums(layer.w, layer.b, delta)
+        delta = min(da / 4 + 2 * 5 * eps, 1.0)
+    dz, z = sums(model.out_w, model.out_b, delta)
+    eta = 2 * (2 * u * z + 4 * eps) + gamma(len(model.out_b)) + u
+    return np.expm1(2 * dz) + 2 * eta
+
 
 class TestEnhance:
     def test_passthrough_when_detectors_quiet(self):
@@ -855,3 +947,41 @@ class TestDecodePass2:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         det = reduce_sequence_for_detectors(pca_det.project(sv))
         assert det.shape == (6, 5)
+
+    @pytest.mark.parametrize("epochs", [600, 3600])
+    def test_holds_one_block_of_each_sda(self, epochs):
+        # random models with the default shapes, float64 as Bundle.load gives
+        # them: 820 -> 800 -> 500 -> 300 -> 6 and 39 -> 100 -> 100 -> 100 -> 2.
+        # One block of an SdA holds at most its window rows and every layer's
+        # activations. The whole-sequence arrays pass 2 keeps by design are
+        # the projection's centered copy of the (epochs, 132) supervectors,
+        # then the reduced sequences, their scaled and edge-padded copies (at
+        # most epochs + 40 rows) and the outputs, each at most 20 wide and
+        # fewer than 132 columns together. Whole window rows would take
+        # 6 560 B an epoch, 23.6 MB at 3 600 epochs
+        rng = np.random.default_rng(37)
+
+        def model(config, dim):
+            return float64_model(rng, dim, config.window_length, config.hidden,
+                                 config.outputs)
+
+        models = SecondPassModels(
+            PcaModel(rng.random(SUPERVECTOR_DIM), rng.standard_normal((13, 132))),
+            PcaModel(rng.random(SUPERVECTOR_DIM), rng.standard_normal((20, 132))),
+            model(SPSW_SDA_CONFIG, 13), model(EYEM_SDA_CONFIG, 13),
+            model(SIXWAY_SDA_CONFIG, 20))
+        sdas = (models.sda_spsw, models.sda_eyem, models.sda_sixway)
+        assert [m.layers[0].w.shape[1] for m in sdas] == [39, 39, 820]
+        grid = random_grid(rng, epochs=epochs)
+        tracemalloc.start()
+        try:
+            out = decode_pass2(grid, models)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (epochs, 6)
+        block = max(8 * sda._block_rows(m) * (
+            m.layers[0].w.shape[1] + sum(len(l.w) for l in m.layers)
+            + len(m.out_w)) for m in sdas)
+        whole = 8 * (epochs + 40) * 2 * SUPERVECTOR_DIM
+        assert peak < block + whole

@@ -497,6 +497,13 @@ class TestAnnotations:
         assert read_annotations(str(path)).events == ()
         assert path.read_text().startswith("channel,start_s,stop_s,label")
 
+    @pytest.mark.parametrize("start, stop", [
+        (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (np.inf, np.inf),
+        (-np.inf, 1.0), (-1.0, 1.0), (1.0, 1.0)])
+    def test_bad_event_times_refused(self, start, stop):
+        with pytest.raises(DataError, match="^invalid event times: "):
+            Event(0, start, stop, EventLabel.BCKG)
+
     def test_single_event(self, tmp_path):
         path = tmp_path / "a.csv"
         ann = AnnotationSet((Event(0, 1.0, 2.0, EventLabel.PLED),))

@@ -55,6 +55,8 @@ BLOCKS = f"{DECODE}::test_outputs_equal_for_any_block_size"
 CPUS = f"{DECODE}::test_outputs_equal_for_any_cpu_count"
 LOADED = f"{TEST_CLI}::TestLoadRecording::test_blocks_equal_the_whole_recording"
 OPENED = "tests/test_signal_io.py::TestOpenRecording"
+SDA_BLOCKS = f"{TEST_SDA}::TestInference::test_blocks_agree_with_the_whole_sequence"
+SDA_MEMORY = f"{TEST_SDA}::TestDecodePass2::test_holds_one_block_of_each_sda"
 
 FAULTS = [
     Fault("fused DAE step without its decoder term", SDA,
@@ -232,6 +234,21 @@ FAULTS = [
           "            if False:\n",
           ("tests/test_features.py::TestGrid::test_overflowing_spectrum_rejected",
            f"{TEST_CLI}::TestCli::test_overflowing_spectrum_exit_code")),
+    Fault("pass 2 skips the last partial block", SDA,
+          "    for lo in range(0, len(out), step):\n",
+          "    for lo in range(0, max(len(out) - step + 1, 1), step):\n",
+          (SDA_BLOCKS,)),
+    Fault("a pass-2 block's windows start one epoch late", SDA,
+          "_window_rows(padded, length, lo, hi)",
+          "_window_rows(padded, length, lo + (hi < len(out)), hi + (hi < len(out)))",
+          (SDA_BLOCKS,)),
+    Fault("pass 2 builds the whole window matrix again", SDA,
+          "        logits = np.matmul(encode(model.layers,\n"
+          "                                  _window_rows(padded, length, lo, hi)),\n",
+          "        logits = np.matmul(encode(model.layers, sda_input(\n"
+          "            reduced_seq, model.scale_min, model.scale_max,\n"
+          "            length)[lo:hi]),\n",
+          (SDA_MEMORY,)),
 ]
 
 
