@@ -1,13 +1,15 @@
 """Work split across the CPUs the process may use: a decode hands its pass-1
-channel groups to `run`, and this is the one place that picks a worker
-count.
+channel groups, then its pass-2 SdA blocks, to `run`, and this is the one
+place that picks a worker count.
 
 `run` calls a function for worker 0 in the calling thread and for the other
 workers on a pool of helper threads, which is created on first use and kept
 for the life of the process. It starts the helpers only when it takes the
 pin of `one_blas_thread`, which holds numpy's OpenBLAS at one thread: after
-a GEMM, OpenBLAS's idle threads spin for a while and take a core from the
-helpers. One thread at a time holds that pin. A `run` that cannot take it
+a GEMM at more threads, OpenBLAS's idle thread spins for about 135 ms and
+takes a core from the helpers, and a pin taken later does not stop a
+spinner already running. So every BLAS call of a decode runs inside the
+pin. One thread at a time holds that pin. A `run` that cannot take it
 (another thread holds it, or an enclosing `run` or pin in this thread does)
 runs its items one after another in the caller.
 """

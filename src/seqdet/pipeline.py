@@ -4,8 +4,8 @@ config, versioned model bundles, and reproducible seeding.
 Every recording is opened through load_recording, which runs every check
 of the file and returns a signal_io.Recording at RATE_HZ with CHANNELS
 channels. Training reads each recording whole; decode reads, featurizes and
-scores it a frontend group of channels at a time, and splits the groups
-across the CPUs of the process (`parallel`).
+scores it a frontend group of channels at a time, and splits the groups, then
+pass 2's SdA blocks, across the CPUs of the process (`parallel`).
 
 Everything downstream of the config is deterministic: the manifest records
 the config hash, the seed, and checksums of the training data, and two runs

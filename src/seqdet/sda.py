@@ -15,19 +15,26 @@ the given layers in place; the bundle stores the trained arrays as f4. The
 step functions follow the dtype of their inputs, and inference runs in
 float64.
 
-Inference runs in blocks of epochs. `predict_sequence` keeps the scaled,
+Inference runs in blocks of epochs. `predict_sequences` keeps each scaled,
 edge-padded (epochs, <= 20) sequence whole; each block builds only its own
 window rows, by `make_windows`'s rule over a row range, and its
-activations, and writes its softmax rows into one (epochs, outputs) array.
-A block is the largest power of two of epochs whose widest array fits in
-_BLOCK doubles: 128 epochs for the 6-way SdA, 1 024 for the detectors. With
-random models of the default shapes, `decode_pass2` peaks at 2.49 MB under
-tracemalloc at 600 epochs and 4.75 MB at 3 600, where it peaked at 12.8 and
-76.6 MB with the whole (epochs, 820) window matrix; what still grows with
-the length is the whole-sequence arrays, mainly `PcaModel.project`'s
-(epochs, 132) centered copy. A GEMM row's bits depend on where the row sits
-in the GEMM, so rows past the first block may differ in the last bits from
-one whole-sequence GEMM; a sequence of at most one block keeps them.
+activations, and writes its softmax rows into its model's (epochs, outputs)
+array. A block is the largest power of two of epochs whose widest array
+fits in _BLOCK doubles: 128 epochs for the 6-way SdA, 1 024 for the
+detectors. `decode_pass2` runs both PCA projections inside
+`parallel.one_blas_thread` and hands the blocks of all three SdAs to one
+`parallel.run` (a 600-epoch decode has 5 six-way blocks and one for each
+detector), so every GEMM of pass 2 runs at one BLAS thread, on the
+decode's own workers, and its bits do not depend on the worker count or on
+the OpenBLAS thread count. With random models of the default shapes,
+`decode_pass2` peaks under tracemalloc at 2.61 MB at 600 epochs and 4.76 MB
+at 3 600 on one worker, and at 4.4-4.8 and 6.9 MB on two, each holding one
+block; it peaked at 12.8 and 76.6 MB with the whole (epochs, 820) window
+matrix. What still grows with the length is the whole-sequence arrays,
+mainly `PcaModel.project`'s (epochs, 132) centered copy. A GEMM row's bits
+depend on where the row sits in the GEMM, so rows past the first block may
+differ in the last bits from one whole-sequence GEMM; a sequence of at most
+one block keeps them.
 """
 from __future__ import annotations
 
@@ -37,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import parallel
 from .errors import DataError, NumericError, check_shape
 from .labels import NUM_CLASSES, TARGET_CLASSES, EventLabel
 from .signal_io import CHANNELS
@@ -46,7 +54,7 @@ log = logging.getLogger(__name__)
 SUPERVECTOR_DIM = CHANNELS * NUM_CLASSES  # 132
 # The one dtype pretrain and fine_tune train in.
 _TRAIN_DTYPE = np.float32
-# Doubles that the widest array of one block of `predict_sequence` may hold.
+# Doubles that the widest array of one block of `predict_sequences` may hold.
 _BLOCK = 1 << 17
 
 
@@ -533,7 +541,7 @@ def sda_input(seq: np.ndarray, scale_min: np.ndarray, scale_max: np.ndarray,
 
 
 def _block_rows(model: SdaModel) -> int:
-    """Epochs per block of `predict_sequence`: the largest power of two whose
+    """Epochs per block of `predict_sequences`: the largest power of two whose
     widest array, the window rows or one layer's activations, fits in _BLOCK
     doubles; at least one."""
     widths = [model.layers[0].w.shape[1], *(len(layer.w) for layer in model.layers),
@@ -542,24 +550,38 @@ def _block_rows(model: SdaModel) -> int:
     return 1 << (rows.bit_length() - 1)
 
 
-def predict_sequence(model: SdaModel, reduced_seq: np.ndarray) -> np.ndarray:
-    """The (T, outputs) softmax of the SdA on the `sda_input` rows of a
-    (T, d) reduced sequence, computed in blocks of `_block_rows(model)`
-    epochs: the scaled, padded sequence is whole, and each block builds only
-    its own window rows and activations."""
-    length = model.window_length
-    padded = _pad_edges(scale_input(reduced_seq, model.scale_min,
-                                    model.scale_max), length)
-    out = np.full((len(reduced_seq), len(model.out_b)), np.nan)
-    step = _block_rows(model)
-    for lo in range(0, len(out), step):
-        hi = min(lo + step, len(out))
-        logits = np.matmul(encode(model.layers,
-                                  _window_rows(padded, length, lo, hi)),
-                           model.out_w.T)
+def predict_sequences(pairs: list[tuple[SdaModel, np.ndarray]]) -> list[np.ndarray]:
+    """The (T, outputs) softmax of each (SdaModel, (T, d) reduced sequence)
+    pair on its `sda_input` rows, computed in blocks of `_block_rows(model)`
+    epochs: each scaled, padded sequence is whole, and each block builds
+    only its own window rows and activations and writes only its own rows
+    of its model's output. The blocks of all pairs are the items of one
+    `parallel.run`, so each runs inside its BLAS pin and its bits do not
+    depend on the worker that runs it."""
+    outs, blocks = [], []
+    for model, seq in pairs:
+        padded = _pad_edges(scale_input(seq, model.scale_min, model.scale_max),
+                            model.window_length)
+        out = np.full((len(seq), len(model.out_b)), np.nan)
+        step = _block_rows(model)
+        blocks += [(model, padded, out, lo, min(lo + step, len(out)))
+                   for lo in range(0, len(out), step)]
+        outs.append(out)
+
+    def predict(i: int) -> None:
+        model, padded, out, lo, hi = blocks[i]
+        logits = np.matmul(encode(model.layers, _window_rows(
+            padded, model.window_length, lo, hi)), model.out_w.T)
         logits += model.out_b
         out[lo:hi] = _softmax(logits)
-    return out
+
+    parallel.run(predict, len(blocks))
+    return outs
+
+
+def predict_sequence(model: SdaModel, reduced_seq: np.ndarray) -> np.ndarray:
+    """`predict_sequences` of one (model, sequence) pair."""
+    return predict_sequences([(model, reduced_seq)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +617,14 @@ class SecondPassModels:
 
 def decode_pass2(pass1: np.ndarray, models: SecondPassModels) -> np.ndarray:
     """(epochs, 6) posteriors from the (epochs, channels, 6) pass-1
-    posteriors, reduced and windowed as in training."""
+    posteriors, reduced and windowed as in training. Both projections run
+    at one BLAS thread, and the blocks of the three SdAs, 6-way first, are
+    one `predict_sequences` work split."""
     sv = supervector_sequence(pass1)
-    det_seq = reduce_sequence_for_detectors(models.pca_detector.project(sv))
-    six_seq = models.pca_sixway.project(sv)
-    p_spsw = predict_sequence(models.sda_spsw, det_seq)
-    p_eyem = predict_sequence(models.sda_eyem, det_seq)
-    p_six = predict_sequence(models.sda_sixway, six_seq)
+    with parallel.one_blas_thread():
+        det_seq = reduce_sequence_for_detectors(models.pca_detector.project(sv))
+        six_seq = models.pca_sixway.project(sv)
+    p_six, p_spsw, p_eyem = predict_sequences([
+        (models.sda_sixway, six_seq), (models.sda_spsw, det_seq),
+        (models.sda_eyem, det_seq)])
     return enhance(p_six, p_spsw, p_eyem)

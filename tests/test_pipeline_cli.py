@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import json
 import os
 import re
@@ -29,6 +30,7 @@ from seqdet.pipeline import (PipelineConfig, load_config, read_posterior_csv,
 from seqdet.sda import SdaConfig
 from tests.test_bundle import payload
 from tests.test_hmm import cells_reference, default_shape_models
+from tests.test_sda import default_shape_second_pass
 from tests.test_signal_io import read_whole, write_edf
 
 FAST_DET = SdaConfig("spsw", window_length=3, hidden=(16, 16), outputs=2,
@@ -686,6 +688,31 @@ class TestPosteriorCsv:
         write_posterior_csv(path, p)
         np.testing.assert_allclose(read_posterior_csv(path), p, atol=1e-9)
 
+    @pytest.mark.parametrize("change, passes", [
+        ("none", True), ("last bit", True), ("one unit", True),
+        ("two units", False), ("shape", False), ("hypothesis", False),
+        ("missing", False)])
+    def test_compare_dumps(self, tmp_path, change, passes):
+        # tools/compare_dumps.py: hypothesis files byte-equal, and posteriors
+        # within one unit in the tenth significant digit of the larger value
+        spec = importlib.util.spec_from_file_location(
+            "compare_dumps", Path(__file__).parents[1] / "tools" / "compare_dumps.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        p = np.random.default_rng(3).uniform(0.1, 0.9, (5, 2, 6))
+        p[0, 0, 0] = 0.0
+        q = {"none": p, "last bit": np.nextafter(p, 1.0),
+             "one unit": p * (1 + 1e-10), "two units": p * (1 + 2.2e-9),
+             "shape": p[:4], "hypothesis": p, "missing": p}[change]
+        for name, arr in (("a", p), ("b", q)):
+            (tmp_path / name).mkdir()
+            write_posterior_csv(str(tmp_path / name / "r.pass1.csv"), arr)
+            if not (name == "b" and change == "missing"):
+                write_posterior_csv(str(tmp_path / name / "r.pass2.csv"), arr[:, 0])
+            (tmp_path / name / "r.hyp.csv").write_text(
+                "x\n" if name == "b" and change == "hypothesis" else "")
+        assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == (0 if passes else 1)
+
     @pytest.mark.parametrize("edit", ["drop", "repeat", "swap"])
     def test_grid_rows_out_of_write_order_rejected(self, tmp_path, edit):
         path = tmp_path / "p.csv"
@@ -1240,6 +1267,65 @@ def test_cli_import_skips_scipy_signal_and_fft(trained):
     assert out.stdout.strip() == "[]"
 
 
+# Decodes a recording with a bundle in a fresh process and saves its
+# posteriors; prints the CPU seconds that the process's threads which Python
+# did not start (OpenBLAS's workers) spent during the decode, or nan where
+# /proc is missing. The sleeps let a spinning OpenBLAS thread stop before the
+# first reading and show up before the second.
+_DECODE_PROBE = """
+import os, sys, threading, time
+import numpy as np
+from seqdet.bundle import Bundle
+from seqdet.pipeline import decode_recording
+
+def foreign_cpu_s():
+    ours = {t.native_id for t in threading.enumerate()}
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) not in ours:
+            try:
+                with open(f"/proc/self/task/{tid}/stat") as f:
+                    fields = f.read().rsplit(")", 1)[1].split()
+            except FileNotFoundError:  # the thread ended
+                continue
+            ticks += int(fields[11]) + int(fields[12])  # utime, stime
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+bundle_path, rec_path, out = sys.argv[1:]
+bundle = Bundle.load(bundle_path)
+proc = os.path.isdir("/proc/self/task")
+time.sleep(0.5)
+before = foreign_cpu_s() if proc else 0.0
+_, dumps = decode_recording(bundle, rec_path)
+time.sleep(0.5)
+print(foreign_cpu_s() - before if proc else float("nan"))
+np.savez(out, **dumps)
+"""
+
+
+@pytest.fixture(scope="module")
+def probe_decodes(trained, corpus, tmp_path_factory):
+    """A 252 s recording decoded in fresh processes at 1 and at 2 BLAS
+    threads, with `trained`'s HMMs and random second-pass models of the
+    default shapes, whose GEMMs OpenBLAS would split across 2 threads:
+    {threads: (CPU seconds of OpenBLAS's threads, posteriors by pass)}."""
+    root = tmp_path_factory.mktemp("probe")
+    rec_path, _ = streamed_input("raw", corpus, root, seconds=252)
+    bundle = trained[0]
+    bundle_path = str(root / "m.seqd")
+    Bundle(bundle.hmm_models, default_shape_second_pass(np.random.default_rng(5)),
+           bundle.bigram, bundle.manifest).save(bundle_path)
+    runs = {}
+    for threads in (1, 2):
+        out = str(root / f"{threads}.npz")
+        cpu = subprocess.run([sys.executable, "-c", _DECODE_PROBE, bundle_path,
+                              rec_path, out], env=_fresh_env(threads), check=True,
+                             capture_output=True, text=True, timeout=300).stdout
+        with np.load(out) as dumps:
+            runs[threads] = float(cpu), dict(dumps)
+    return runs
+
+
 class TestBlasThreads:
     # Largest posterior difference between a train + decode at 1 and at 2
     # BLAS threads, with TINY_INI on the `corpus` fixture. Measured on a
@@ -1299,3 +1385,22 @@ class TestBlasThreads:
                            check=True, capture_output=True, timeout=300)
             outputs.append([(out_dir / name).read_bytes() for name in names])
         assert outputs[0] == outputs[1]
+
+    def test_one_bundle_decodes_equal(self, probe_decodes):
+        # every BLAS call of a decode runs at one thread, so the posteriors
+        # of every pass keep their bits at 1 and 2 threads
+        (_, one), (_, two) = probe_decodes[1], probe_decodes[2]
+        assert sorted(one) == sorted(two) == ["pass1", "pass2", "pass3"]
+        for name in one:
+            np.testing.assert_array_equal(one[name], two[name])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                        or not parallel._openblas(),
+                        reason="no /proc, or numpy's OpenBLAS not found")
+    def test_decode_never_wakes_openblas_threads(self, probe_decodes):
+        # after a GEMM at 2 threads, OpenBLAS's idle worker spins for about
+        # 135 ms (2-core x86-64, scipy-openblas 0.3.31) and takes a core from
+        # the decode's helper. A decode whose every GEMM runs at one thread
+        # never hands that worker a job, so it sleeps throughout: the bound
+        # is two clock ticks of accounting slack
+        assert probe_decodes[2][0] <= 2 / os.sysconf("SC_CLK_TCK")

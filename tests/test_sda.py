@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import logging
+import threading
 import tracemalloc
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from seqdet import sda
+from seqdet import parallel, sda
 from seqdet.errors import DataError, NumericError
 from seqdet.labels import TARGET_CLASSES, EventLabel
 from seqdet.sda import (EYEM_SDA_CONFIG, SIXWAY_SDA_CONFIG, SPSW_SDA_CONFIG,
@@ -953,35 +954,100 @@ class TestDecodePass2:
         # random models with the default shapes, float64 as Bundle.load gives
         # them: 820 -> 800 -> 500 -> 300 -> 6 and 39 -> 100 -> 100 -> 100 -> 2.
         # One block of an SdA holds at most its window rows and every layer's
-        # activations. The whole-sequence arrays pass 2 keeps by design are
-        # the projection's centered copy of the (epochs, 132) supervectors,
-        # then the reduced sequences, their scaled and edge-padded copies (at
-        # most epochs + 40 rows) and the outputs, each at most 20 wide and
-        # fewer than 132 columns together. Whole window rows would take
-        # 6 560 B an epoch, 23.6 MB at 3 600 epochs
+        # activations, and each of the `cpus` workers holds one block at a
+        # time. The whole-sequence arrays pass 2 keeps by design are the
+        # projection's centered copy of the (epochs, 132) supervectors, then
+        # the reduced sequences, their scaled and edge-padded copies (at most
+        # epochs + 40 rows) and the outputs, each at most 20 wide and fewer
+        # than 132 columns together. Whole window rows would take 6 560 B an
+        # epoch, 23.6 MB at 3 600 epochs
         rng = np.random.default_rng(37)
-
-        def model(config, dim):
-            return float64_model(rng, dim, config.window_length, config.hidden,
-                                 config.outputs)
-
-        models = SecondPassModels(
-            PcaModel(rng.random(SUPERVECTOR_DIM), rng.standard_normal((13, 132))),
-            PcaModel(rng.random(SUPERVECTOR_DIM), rng.standard_normal((20, 132))),
-            model(SPSW_SDA_CONFIG, 13), model(EYEM_SDA_CONFIG, 13),
-            model(SIXWAY_SDA_CONFIG, 20))
+        models = default_shape_second_pass(rng)
         sdas = (models.sda_spsw, models.sda_eyem, models.sda_sixway)
         assert [m.layers[0].w.shape[1] for m in sdas] == [39, 39, 820]
         grid = random_grid(rng, epochs=epochs)
-        tracemalloc.start()
-        try:
-            out = decode_pass2(grid, models)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (epochs, 6)
         block = max(8 * sda._block_rows(m) * (
             m.layers[0].w.shape[1] + sum(len(l.w) for l in m.layers)
             + len(m.out_w)) for m in sdas)
         whole = 8 * (epochs + 40) * 2 * SUPERVECTOR_DIM
-        assert peak < block + whole
+        for cpus in (1, 2):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(parallel, "cpus", lambda: cpus)
+                tracemalloc.start()
+                try:
+                    out = decode_pass2(grid, models)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert out.shape == (epochs, 6)
+            assert peak < cpus * block + whole, cpus
+
+    @settings(max_examples=30, deadline=None)
+    @given(cpus=st.integers(1, 4), log_rows=st.integers(0, 4),
+           epochs=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+    def test_equal_for_any_worker_count(self, cpus, log_rows, epochs, seed):
+        # blocks of 1 to 16 epochs split the small models into up to 70
+        # blocks each, which 1 to 4 workers share out; every block is the
+        # same GEMMs at one BLAS thread whichever worker runs it
+        rng = np.random.default_rng(seed)
+        models = small_second_pass(rng)
+        grid = random_grid(rng, epochs=epochs)
+        widest = max(m.layers[0].w.shape[1] for m in (
+            models.sda_spsw, models.sda_eyem, models.sda_sixway))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sda, "_BLOCK", widest << log_rows)
+            patch.setattr(parallel, "cpus", lambda: 1)
+            want = decode_pass2(grid, models)
+            patch.setattr(parallel, "cpus", lambda: cpus)
+            patch.setattr(parallel, "_pool", None)  # a pool of cpus - 1 helpers
+            try:
+                got = decode_pass2(grid, models)
+            finally:
+                if parallel._pool is not None:
+                    parallel._pool[1].shutdown()
+        assert not np.isnan(want).any()
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.skipif(not parallel._openblas(), reason="numpy's OpenBLAS not found")
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        error = FloatingPointError("a helper's block")
+        real_softmax = sda._softmax
+
+        def softmax(logits):
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            return real_softmax(logits)
+
+        rng = np.random.default_rng(41)
+        models = small_second_pass(rng)
+        monkeypatch.setattr(sda, "_softmax", softmax)
+        monkeypatch.setattr(sda, "_BLOCK", 15)  # one epoch a block
+        monkeypatch.setattr(parallel, "cpus", lambda: 2)
+        get_threads = parallel._openblas()[0]
+        before = get_threads()
+        with pytest.raises(FloatingPointError) as raised:
+            decode_pass2(random_grid(rng, epochs=8), models)
+        assert raised.value is error
+        assert get_threads() == before
+
+
+def default_shape_second_pass(rng) -> SecondPassModels:
+    """Random float64 second-pass models of the default shapes."""
+    def model(config, dim):
+        return float64_model(rng, dim, config.window_length, config.hidden,
+                             config.outputs)
+
+    return SecondPassModels(
+        PcaModel(rng.random(SUPERVECTOR_DIM), rng.standard_normal((13, 132))),
+        PcaModel(rng.random(SUPERVECTOR_DIM), rng.standard_normal((20, 132))),
+        model(SPSW_SDA_CONFIG, 13), model(EYEM_SDA_CONFIG, 13),
+        model(SIXWAY_SDA_CONFIG, 20))
+
+
+def small_second_pass(rng) -> SecondPassModels:
+    """Random float64 second-pass models with 5-dimensional PCAs and
+    one-layer SdAs of 15 inputs (three 5-dimensional epochs a window)."""
+    sv = supervector_sequence(random_grid(rng, epochs=12))
+    return SecondPassModels(
+        fit_pca(sv, 5), fit_pca(sv, 5),
+        *(float64_model(rng, 5, 3, (8,), outputs) for outputs in (2, 2, 6)))

@@ -56,7 +56,9 @@ CPUS = f"{DECODE}::test_outputs_equal_for_any_cpu_count"
 LOADED = f"{TEST_CLI}::TestLoadRecording::test_blocks_equal_the_whole_recording"
 OPENED = "tests/test_signal_io.py::TestOpenRecording"
 SDA_BLOCKS = f"{TEST_SDA}::TestInference::test_blocks_agree_with_the_whole_sequence"
-SDA_MEMORY = f"{TEST_SDA}::TestDecodePass2::test_holds_one_block_of_each_sda"
+SDA_PASS2 = f"{TEST_SDA}::TestDecodePass2"
+SDA_MEMORY = f"{SDA_PASS2}::test_holds_one_block_of_each_sda"
+BLAS_THREADS = f"{TEST_CLI}::TestBlasThreads"
 
 FAULTS = [
     Fault("fused DAE step without its decoder term", SDA,
@@ -235,20 +237,29 @@ FAULTS = [
           ("tests/test_features.py::TestGrid::test_overflowing_spectrum_rejected",
            f"{TEST_CLI}::TestCli::test_overflowing_spectrum_exit_code")),
     Fault("pass 2 skips the last partial block", SDA,
-          "    for lo in range(0, len(out), step):\n",
-          "    for lo in range(0, max(len(out) - step + 1, 1), step):\n",
+          "                   for lo in range(0, len(out), step)]\n",
+          "                   for lo in range(0, max(len(out) - step + 1, 1), step)]\n",
           (SDA_BLOCKS,)),
     Fault("a pass-2 block's windows start one epoch late", SDA,
-          "_window_rows(padded, length, lo, hi)",
-          "_window_rows(padded, length, lo + (hi < len(out)), hi + (hi < len(out)))",
+          "padded, model.window_length, lo, hi)",
+          "padded, model.window_length, lo + (hi < len(out)), hi + (hi < len(out)))",
           (SDA_BLOCKS,)),
     Fault("pass 2 builds the whole window matrix again", SDA,
-          "        logits = np.matmul(encode(model.layers,\n"
-          "                                  _window_rows(padded, length, lo, hi)),\n",
-          "        logits = np.matmul(encode(model.layers, sda_input(\n"
-          "            reduced_seq, model.scale_min, model.scale_max,\n"
-          "            length)[lo:hi]),\n",
+          "_window_rows(\n            padded, model.window_length, lo, hi)",
+          "_window_rows(\n            padded, model.window_length, 0, len(out))[lo:hi]",
           (SDA_MEMORY,)),
+    Fault("pass 2 run outside the pin", SDA,
+          "    parallel.run(predict, len(blocks))\n",
+          "    for i in range(len(blocks)):\n        predict(i)\n",
+          (f"{BLAS_THREADS}::test_decode_never_wakes_openblas_threads",)),
+    Fault("a pass-2 block's rows written one block late", SDA,
+          "        out[lo:hi] = _softmax(logits)\n",
+          "        out[min(hi, len(out) - (hi - lo)):][:hi - lo] = _softmax(logits)\n",
+          (SDA_BLOCKS, f"{SDA_PASS2}::test_equal_for_any_worker_count")),
+    Fault("a helper's pass-2 exception dropped", PARALLEL,
+          "errors = [f.exception() for f in futures]",
+          "errors = [f.exception() and None for f in futures]",
+          (f"{SDA_PASS2}::test_helper_exception_reaches_the_caller",)),
 ]
 
 
