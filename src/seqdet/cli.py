@@ -178,7 +178,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, OSError, UnicodeDecodeError) as exc:
+    except (DataError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,5 +1,6 @@
 """Scoring: 6/4/2-way confusion matrices, sensitivity / false-alarm summary,
-and detection-error-tradeoff curves.
+detection-error-tradeoff curves, and the reference labels they score
+against, by one rule for epochs and for (epoch, channel) cells.
 
 Terminology note: this codebase reports the rate P(hyp = TARG | ref = BCKG)
 as `false_alarm` and the complementary P(hyp = BCKG | ref = BCKG) as
@@ -108,12 +109,6 @@ def sens_spec(matrix: ConfusionMatrix) -> TwoWaySummary:
 class DetCurve:
     points: tuple[tuple[float, float, float], ...]  # (offset, false_alarm, miss)
 
-    def false_alarms(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
-
-    def misses(self) -> np.ndarray:
-        return np.array([p[2] for p in self.points])
-
     def zero_penalty_point(self) -> tuple[float, float]:
         for off, fa, miss in self.points:
             if off == 0.0:
@@ -146,43 +141,40 @@ def det_curve(scores, refs, offsets) -> DetCurve:
 # ---------------------------------------------------------------------------
 # Reference labels from annotations
 
-def _background(shape: tuple[int, ...]) -> np.ndarray:
-    """BCKG labels of the given (epochs, ...) shape; an epoch count whose
-    labels cannot be allocated is a DataError."""
+def _reference_labels(ann, shape: tuple[int, ...]) -> np.ndarray:
+    """(epochs,) or (epochs, channels) reference labels. An event covers
+    epochs floor(start_s) .. ceil(stop_s) - 1, on a grid its channel's cells
+    (every channel's for ALL_CHANNELS). Events are written from the last
+    class of EPOCH_PRIORITY to the first, so where they overlap the first
+    class wins, whatever their order in `ann`; uncovered cells are BCKG. An
+    epoch count whose labels cannot be allocated is a DataError."""
+    rank = {lab: i for i, lab in enumerate(EPOCH_PRIORITY)}
     try:
-        return np.full(shape, int(EventLabel.BCKG), dtype=np.intp)
+        out = np.full(shape, int(EventLabel.BCKG), dtype=np.intp)
     except (ValueError, MemoryError) as exc:
         raise DataError(f"cannot hold the labels of {shape[0]:.4g} epochs: "
                         f"{exc}") from None
+    for ev in sorted(ann.events, key=lambda ev: -rank[ev.label]):
+        cells = out[max(0, int(np.floor(ev.start_s))):
+                    min(shape[0], int(np.ceil(ev.stop_s)))]
+        if out.ndim == 2 and ev.channel != ALL_CHANNELS:
+            if not 0 <= ev.channel < shape[1]:
+                raise DataError(f"event channel {ev.channel} out of range")
+            cells = cells[:, ev.channel]
+        cells[...] = int(ev.label)
+    return out
 
 
 def epoch_reference_labels(ann, num_epochs: int) -> np.ndarray:
-    """Per-epoch composite reference label: any annotation overlapping an
-    epoch competes, ties broken by EPOCH_PRIORITY (rare target classes win);
-    uncovered epochs are BCKG."""
-    rank = {lab: i for i, lab in enumerate(EPOCH_PRIORITY)}
-    out = _background((num_epochs,))
-    # Only classes ranked above BCKG can win; the highest-ranked is written last.
-    winners = [ev for ev in ann.events if rank[ev.label] < rank[EventLabel.BCKG]]
-    for ev in sorted(winners, key=lambda ev: -rank[ev.label]):
-        lo = max(0, int(np.floor(ev.start_s)))
-        hi = min(num_epochs, int(np.ceil(ev.stop_s)))
-        out[lo:hi] = int(ev.label)
-    return out
+    """Per-epoch composite reference label: every event overlapping an epoch
+    competes, whatever its channel, and the class first in EPOCH_PRIORITY
+    wins (rare target classes first); uncovered epochs are BCKG."""
+    return _reference_labels(ann, (num_epochs,))
 
 
 def channel_epoch_reference_labels(ann, num_epochs: int,
                                    num_channels: int) -> np.ndarray:
-    """(epochs, channels) reference labels; all-channel events apply
-    everywhere, uncovered cells are BCKG."""
-    out = _background((num_epochs, num_channels))
-    for ev in ann.events:
-        lo = max(0, int(np.floor(ev.start_s)))
-        hi = min(num_epochs, int(np.ceil(ev.stop_s)))
-        if ev.channel == ALL_CHANNELS:
-            out[lo:hi, :] = int(ev.label)
-        else:
-            if not 0 <= ev.channel < num_channels:
-                raise DataError(f"event channel {ev.channel} out of range")
-            out[lo:hi, ev.channel] = int(ev.label)
-    return out
+    """(epochs, channels) reference labels by the same rule, cell by cell:
+    all-channel events apply to every channel, and an event channel outside
+    the grid is a DataError."""
+    return _reference_labels(ann, (num_epochs, num_channels))

@@ -16,8 +16,9 @@ small enough to stay in cache. The rest of the vector (the
 differential energy, both delta passes and the copy into the output) runs
 over groups of channels whose 26 rows fit the same cache budget (`_group`):
 all 22 channels of a 30 s clip in two groups, one channel at a time for
-10 min. The groups run one after another in the caller, in buffers
-allocated once per call; a decode splits a recording into these groups
+10 min. The groups run one after another in the caller, in a spectrum and
+rows allocated once per call (the delta passes allocate their own padded
+copy); a decode splits a recording into these groups
 across its workers (`pipeline`). Everything runs with numpy's OpenBLAS
 held at one thread (`parallel`); a channel's features are the same bits in
 any group and at any BLAS thread count.
@@ -275,13 +276,11 @@ def frequency_energy(energies: np.ndarray) -> np.ndarray:
     return np.log(np.sum(np.atleast_2d(energies), axis=-1))
 
 
-def _edge_padded(a: np.ndarray, n: int, buf: np.ndarray | None = None) -> np.ndarray:
+def _edge_padded(a: np.ndarray, n: int) -> np.ndarray:
     """`a` with its first and last frames repeated n times at the two ends
-    of the last axis: np.pad's "edge" mode, written into one buffer (the
-    leading elements of `buf`, when given)."""
+    of the last axis: np.pad's "edge" mode, written into one buffer."""
     t = a.shape[-1]
-    shape = a.shape[:-1] + (t + 2 * n,)
-    padded = np.empty(shape) if buf is None else _view(buf, shape)
+    padded = np.empty(a.shape[:-1] + (t + 2 * n,))
     padded[..., n:n + t] = a
     padded[..., :n] = a[..., :1]
     padded[..., n + t:] = a[..., -1:]
@@ -305,25 +304,15 @@ def differential_energy(ef: np.ndarray, m: int = 9) -> np.ndarray:
     return np.subtract(hi, lo, out=hi)
 
 
-def deltas_work(shape: tuple, n: int) -> int:
-    """Doubles of the `work` buffer that deltas of a `shape` array needs:
-    its edge-padded copy and one term."""
-    return math.prod(shape[:-1]) * (2 * shape[-1] + 2 * n)
-
-
-def deltas(coeffs: np.ndarray, n: int, out: np.ndarray | None = None,
-           work: np.ndarray | None = None) -> np.ndarray:
+def deltas(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Regression-based derivative along the last (frame) axis with
-    edge-replicated padding: d_t = sum_n n*(c_{t+n} - c_{t-n}) / (2*sum_n n^2).
-    `work`, when given, is a flat buffer of at least deltas_work doubles."""
+    edge-replicated padding: d_t = sum_n n*(c_{t+n} - c_{t-n}) / (2*sum_n n^2)."""
     c = np.asarray(coeffs, dtype=np.float64)
     t = c.shape[-1]
-    if work is None:
-        work = np.empty(deltas_work(c.shape, n))
-    padded = _edge_padded(c, n, work)
+    padded = _edge_padded(c, n)
     out = np.empty_like(c) if out is None else out
     out[...] = 0.0
-    term = _view(work[padded.size:], c.shape)
+    term = np.empty_like(c)
     for k in range(1, n + 1):
         np.subtract(padded[..., n + k:n + k + t], padded[..., n - k:n - k + t], out=term)
         term *= k
@@ -354,12 +343,9 @@ def extract_features(data: np.ndarray, spec: FrameSpec | None = None,
     group = _group(channels, frames)
     dct = _dct_basis(spec.num_filters, _CEPSTRA)
     out = np.empty((channels, frames, FEATURE_DIM))
-    # the spectrum, the rows of a group, frame-last, and the delta passes'
-    # work buffer, reused for every group
+    # the spectrum and the rows of a group, frame-last, reused for every group
     spectrum = _Spectrum(spec, num_samples)
     rows = np.empty((group, FEATURE_DIM, frames))
-    work = np.empty(max(deltas_work((group, 9, frames), spec.delta_width_first),
-                        deltas_work((group, 8, frames), spec.delta_width_second)))
     with parallel.one_blas_thread():
         for c0 in range(0, channels, group):
             block = rows[:min(group, channels - c0)]
@@ -377,8 +363,8 @@ def extract_features(data: np.ndarray, spec: FrameSpec | None = None,
                 raise DataError(f"{where}: samples too large, the spectrum "
                                 f"overflows")
             block[:, 8] = differential_energy(block[:, 7], spec.diff_energy_window_frames)
-            deltas(block[:, :9], spec.delta_width_first, block[:, 9:18], work)
+            deltas(block[:, :9], spec.delta_width_first, block[:, 9:18])
             # c1..c7, Ef
-            deltas(block[:, 9:17], spec.delta_width_second, block[:, 18:], work)
+            deltas(block[:, 9:17], spec.delta_width_second, block[:, 18:])
             out[c0:c0 + len(block)] = block.transpose(0, 2, 1)
     return FeatureGrid(out, per_epoch)

@@ -156,14 +156,6 @@ def _emissions(w: np.ndarray, const: np.ndarray, frames: np.ndarray):
     return comp, _logsumexp(comp, axis=2)
 
 
-def log_emissions(model: GmmHmmModel, obs: np.ndarray) -> np.ndarray:
-    """Per-frame log emission likelihood for each state: (..., T, N)."""
-    obs = np.asarray(obs, dtype=np.float64)
-    batch = obs.reshape(-1, *obs.shape[-2:])
-    logb = _emissions(*_bank([model]), batch.transpose(1, 0, 2))[1][0]
-    return logb.transpose(2, 1, 0).reshape(*obs.shape[:-1], -1)
-
-
 def _log_trans(model: GmmHmmModel) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(model.trans)
@@ -219,9 +211,12 @@ def _backward_batch(log_a: np.ndarray, logb: np.ndarray) -> np.ndarray:
 
 def forward_backward(model: GmmHmmModel, obs: np.ndarray):
     """Log alpha table (N, T), log beta table (N, T) and log P(O|M) for a
-    single observation sequence (T, D)."""
+    single observation sequence (T, D): Baum-Welch's emission, forward and
+    backward kernels on one sequence, the harness through which criterion 2
+    checks them against brute-force enumeration."""
     log_a = _log_trans(model)
-    logb = log_emissions(model, obs).T[..., None]     # (N, T, 1)
+    obs = np.asarray(obs, dtype=np.float64)
+    logb = _emissions(*_bank([model]), obs[:, None])[1][0]     # (N, T, 1)
     la = _forward_batch(log_a, logb)[..., 0]
     lb = _backward_batch(log_a, logb)[..., 0]
     return la, lb, float(_logsumexp(la[:, -1]))
@@ -303,8 +298,8 @@ def _left_right_trans(n: int) -> np.ndarray:
     return a
 
 
-def init_model(label: EventLabel, epochs: np.ndarray, num_states: int = 3,
-               num_components: int = 8, seed: int = 0) -> GmmHmmModel:
+def init_model(label: EventLabel, epochs: np.ndarray, num_states: int,
+               num_components: int, seed: int) -> GmmHmmModel:
     """Flat-start initialization: uniform left-to-right transitions, states
     seeded by uniform temporal segmentation of each epoch, per-state mixtures
     by seeded k-means."""

@@ -1,4 +1,5 @@
-"""Event label alphabet and class-collapsing maps used throughout the pipeline."""
+"""Event label alphabet, the priority of overlapping reference labels and
+the class-collapsing maps used throughout the pipeline."""
 from enum import IntEnum
 
 
@@ -22,8 +23,8 @@ TARG = "TARG"
 TARGET_CLASSES = (EventLabel.SPSW, EventLabel.GPED, EventLabel.PLED)
 BACKGROUND_CLASSES = (EventLabel.EYEM, EventLabel.ARTF, EventLabel.BCKG)
 
-# Tie-break priority when several channel annotations cover one epoch:
-# clinically interesting and rarer classes win.
+# Where annotations overlap on an epoch or a cell, the class listed first is
+# its reference label (evaluation): clinically interesting, rarer classes win.
 EPOCH_PRIORITY = (
     EventLabel.SPSW,
     EventLabel.PLED,

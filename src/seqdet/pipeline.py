@@ -193,6 +193,10 @@ def load_recording(path: str,
     rate, samples = source.sample_rate_hz, source.num_samples
     resampled = abs(rate - RATE_HZ) > 1e-9
     if resampled:
+        ratio = signal_io.resample_ratio(rate, RATE_HZ)
+        if not 0 < ratio <= signal_io.MAX_RATIO:
+            raise DataError(f"{path}: cannot resample {rate:g} Hz to "
+                            f"{RATE_HZ:g} Hz (ratio {ratio})")
         samples = signal_io.resampled_length(samples, rate, RATE_HZ)
     labels = source.labels
     if montage is not None:

@@ -252,13 +252,11 @@ def init_stack(input_dim: int, hidden: tuple[int, ...],
 
 
 def corrupt(x: np.ndarray, level: float, rng: np.random.Generator,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Masking corruption: each coordinate independently zeroed with
-    probability `level` (SdaConfig keeps it in [0, 1]). Without `out`, level
-    0 returns `x` itself; with it, the result is always written to `out`."""
+            out: np.ndarray) -> np.ndarray:
+    """Masking corruption of `x` into `out`: each coordinate independently
+    zeroed with probability `level` (SdaConfig keeps it in [0, 1]). Level 0
+    copies `x` and draws no random numbers."""
     if level == 0.0:
-        if out is None:
-            return x
         np.copyto(out, x)
         return out
     keep = rng.random(np.shape(x)) >= level
@@ -577,11 +575,6 @@ def predict_sequences(pairs: list[tuple[SdaModel, np.ndarray]]) -> list[np.ndarr
 
     parallel.run(predict, len(blocks))
     return outs
-
-
-def predict_sequence(model: SdaModel, reduced_seq: np.ndarray) -> np.ndarray:
-    """`predict_sequences` of one (model, sequence) pair."""
-    return predict_sequences([(model, reduced_seq)])[0]
 
 
 # ---------------------------------------------------------------------------

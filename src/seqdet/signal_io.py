@@ -338,6 +338,16 @@ def _open_edf(path: str) -> Recording:
 
 _KAISER_BETA = 8.0
 _TAPS_PER_PHASE = 64
+# A resampling ratio is a fraction whose denominator is at most MAX_RATIO,
+# and load_recording refuses a ratio above MAX_RATIO.
+MAX_RATIO = 1000
+
+
+def resample_ratio(rate_hz: float, target_hz: float) -> Fraction:
+    """The up/down ratio `resample` runs at: target_hz / rate_hz to the
+    nearest fraction whose denominator is at most MAX_RATIO, which is 0 for
+    a ratio below about 1 / (2 MAX_RATIO)."""
+    return Fraction(target_hz / rate_hz).limit_denominator(MAX_RATIO)
 
 
 def resampled_length(num_samples: int, rate_hz: float, target_hz: float) -> int:
@@ -366,7 +376,7 @@ def resample(data: np.ndarray, rate_hz: float, target_hz: float) -> np.ndarray:
         raise DataError("target_hz must be positive")
     if target_hz == rate_hz:
         return data
-    ratio = Fraction(target_hz / rate_hz).limit_denominator(1000)
+    ratio = resample_ratio(rate_hz, target_hz)
     up, down = ratio.numerator, ratio.denominator
     new_len = resampled_length(data.shape[1], rate_hz, target_hz)
     from scipy.signal import resample_poly

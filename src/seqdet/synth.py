@@ -117,14 +117,18 @@ def _spectrally_separated(signals: dict[EventLabel, np.ndarray]) -> bool:
     return True
 
 
-def generate(script: list[ScriptEntry], seed: int = 0,
-             max_attempts: int = 5) -> tuple[Recording, AnnotationSet]:
+_ATTEMPTS = 5  # seeds that generate tries for spectral separation
+
+
+def generate(script: list[ScriptEntry],
+             seed: int = 0) -> tuple[Recording, AnnotationSet]:
     """Deterministic synthesis of a 22-channel, 250 Hz recording whose
     annotations exactly match the generated segments. If the per-class
-    spectral-separation check fails, generation retries with the next seed."""
+    spectral-separation check fails, generation retries with the next seed,
+    up to _ATTEMPTS seeds."""
     if not script:
         raise DataError("empty script")
-    for attempt in range(max_attempts):
+    for attempt in range(_ATTEMPTS):
         rec, ann = _generate_once(script, seed + attempt)
         probe = _probe_signals(seed + attempt)
         if _spectrally_separated(probe):

@@ -112,7 +112,7 @@ def sda_gradient_relerr(seed: int) -> float:
         d_in = input_dim
         for layer in layers:
             clean = rng.random((8, d_in))
-            noisy = corrupt(clean, cfg.corruption, rng)
+            noisy = corrupt(clean, cfg.corruption, rng, np.empty_like(clean))
             worst = max(worst, dae_probe_relerr(layer, clean, noisy, rng, 50))
             d_in = layer.w.shape[0]
         # classifier loss gradients through the whole stack
@@ -272,8 +272,7 @@ def test_criterion_09_det_monotonicity(e2e, capsys):
     scores = p3[:, [int(lab) for lab in TARGET_CLASSES]].sum(axis=1)
     offsets = np.linspace(-0.5, 0.5, 50)
     curve = det_curve(scores, refs, offsets)
-    fas = curve.false_alarms()
-    misses = curve.misses()
+    _, fas, misses = np.array(curve.points).T
     mono = bool((np.diff(fas) >= 0).all() and (np.diff(misses) <= 0).all())
     on_curve = any(p[0] == 0.0 for p in curve.points)
     try:

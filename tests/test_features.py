@@ -532,15 +532,6 @@ class TestDeltas:
         c = np.random.default_rng(n).standard_normal((30, 9))
         np.testing.assert_array_equal(deltas(c.T, n).T, ref_deltas(c, n))
 
-    @pytest.mark.parametrize("n", [1, 3, 9])
-    def test_work_buffer_gives_the_same_bits(self, n):
-        # one buffer, longer than needed and holding the previous call's
-        # values, for two shapes in turn, as a frontend worker reuses it
-        c = np.random.default_rng(n).standard_normal((4, 9, 30))
-        work = np.full(features.deltas_work(c.shape, n) + 7, np.nan)
-        for x in (c, c[:2, :8]):
-            np.testing.assert_array_equal(deltas(x, n, work=work), deltas(x, n))
-
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (3, 20),
                   elements=st.floats(-100, 100)),

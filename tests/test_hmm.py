@@ -13,7 +13,7 @@ from seqdet import hmm, parallel
 from seqdet.errors import DataError
 from seqdet.features import FeatureGrid, FrameSpec
 from seqdet.hmm import (GmmHmmModel, HmmConfig, decode_pass1,
-                        forward_backward, init_model, log_emissions,
+                        forward_backward, init_model,
                         train, _bank, _chunk, _emissions,
                         _forward_batch, _forward_last, _kmeans,
                         _left_right_trans, _loglik, _EXP_FLOOR, _logsumexp,
@@ -202,10 +202,6 @@ class TestEmissionKernel:
             np.testing.assert_allclose(logb[m], logsumexp(ref, axis=1),
                                        rtol=0, atol=1e-9)
         assert np.isneginf(comp[1, 2, 1]).all()
-        np.testing.assert_allclose(
-            log_emissions(models[1], obs),
-            logsumexp(component_loglik_reference(models[1], obs), axis=-1),
-            rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("field, shape", [
         ("trans", (2, 2)), ("weights", (3, 3)), ("means", (3, 2)),
@@ -487,7 +483,7 @@ class TestInit:
 
     def test_too_few_epochs(self):
         with pytest.raises(DataError):
-            init_model(EventLabel.BCKG, np.zeros((1, 3, 2)), 3, 8)
+            init_model(EventLabel.BCKG, np.zeros((1, 3, 2)), 3, 8, seed=0)
 
     @pytest.mark.parametrize("case", [
         (18, (30, 10, 4), 1.0, EventLabel.PLED, 4, 1),

@@ -473,6 +473,20 @@ class TestLoadRecording:
             np.testing.assert_array_equal(np.concatenate(blocks), whole)
         np.testing.assert_array_equal(rec.read([17, 2, 9]), whole[[17, 2, 9]])
 
+    @pytest.mark.parametrize("rate", [0.25, 99.9, 249.8, 500e3])
+    def test_every_ratio_up_to_1000_resamples(self, corpus, tmp_path, rate):
+        # the refusal at open bounds the ratio, not its terms: 99.9 Hz is
+        # 2500/999, and 0.25 Hz and 500 kHz are the ratios 1000 and 1/1000
+        rec, data = read_whole(corpus["eval"][0])
+        path = str(tmp_path / "clip.rm")
+        signal_io.write_recording(
+            signal_io.Recording.of(data[:, :600], rec.labels, rate), path)
+        got = pipeline.load_recording(path, None)
+        length = signal_io.resampled_length(600, rate, 250.0)
+        assert (got.sample_rate_hz, got.num_samples) == (250.0, length)
+        row = got.rows(0, 1)
+        assert row.shape == (1, length) and np.isfinite(row).all()
+
     def test_train_reads_the_whole_recording_once(self, corpus, monkeypatch):
         reads = []
         real_open = signal_io.open_recording
@@ -1219,6 +1233,54 @@ class TestCli:
             one_line_data_error(capsys)
         assert not list(tmp_path.glob("rec*"))
 
+    @pytest.mark.parametrize("verb", ["train", "decode"])
+    @pytest.mark.parametrize("rate", [1e12, 1e-6])
+    def test_unreachable_rate_exit_code(self, trained, corpus, tmp_path, capsys,
+                                        monkeypatch, verb, rate):
+        # the ratio to 250 Hz rounds to 0 at 1e12 Hz and is 2.5e8, over the
+        # largest upsampling of 1000, at 1e-6 Hz: the rate is refused at
+        # open, before any rows are read or resampled
+        rec, data = read_whole(corpus["eval"][0])
+        rec_path = str(tmp_path / "clip.rm")
+        signal_io.write_recording(signal_io.Recording.of(data, rec.labels, rate),
+                                  rec_path)
+        (tmp_path / "clip.csv").write_bytes(Path(corpus["eval"][1]).read_bytes())
+        reads = []
+        monkeypatch.setattr(signal_io, "resample", lambda *a: reads.append(a))
+        args = (["train", rec_path, "--out", str(tmp_path / "m.seqd")]
+                if verb == "train" else
+                ["decode", trained[1], rec_path, "--out-dir", str(tmp_path)])
+        assert cli.main(args) == 2
+        err = one_line_data_error(capsys)
+        assert rec_path in err and f"cannot resample {rate:g} Hz" in err
+        assert not reads
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity to bound the child's threads")
+    @pytest.mark.parametrize("ini", [
+        TINY_INI + "[frontend]\nfft_size = 1000000000\n",
+        TINY_INI.replace("[sda.6way]\nhidden = 8,8", "[sda.6way]\nhidden = 100000000"),
+    ], ids=["fft_size", "hidden"])
+    def test_unallocatable_config_exit_code(self, corpus, tmp_path, ini):
+        # the DFT basis of a 1e9-point FFT (186 GiB) and the weights of a
+        # 1e8-unit layer (611 GiB) cannot be allocated. The CLI runs in a
+        # child process on one CPU whose address space is capped at 2 GiB,
+        # so each allocation fails the same way on any machine, without
+        # touching the memory first
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(ini)
+        out = subprocess.run(
+            [sys.executable, "-c", _CAPPED_CLI, "train", corpus["train"][0],
+             "--config", str(cfg_path), "--out", str(tmp_path / "m.seqd")],
+            env=_fresh_env(1), capture_output=True, text=True, timeout=300)
+        assert out.returncode == 2, out.stderr
+        # the tiny corpus's PCA rank warnings may come first
+        lines = [line for line in out.stderr.splitlines()
+                 if not line.startswith("PCA rank deficiency")]
+        assert len(lines) == 1 and lines[0].startswith(
+            "data error: Unable to allocate"), out.stderr
+        assert not (tmp_path / "m.seqd").exists()
+
     @pytest.mark.parametrize("verb", ["score", "det"])
     def test_non_utf8_csv_exit_code(self, corpus, tmp_path, capsys, verb):
         bad = tmp_path / "bad.csv"
@@ -1243,6 +1305,17 @@ class TestCli:
         assert code == 2
         err = one_line_data_error(capsys)
         assert str(post) in err
+
+
+# `seqdet` on one CPU with its address space capped at 2 GiB: an allocation
+# past the cap is refused whatever the machine's memory and overcommit policy.
+_CAPPED_CLI = """
+import os, resource, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from seqdet.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def _fresh_env(threads):

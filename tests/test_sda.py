@@ -22,7 +22,7 @@ from seqdet.sda import (EYEM_SDA_CONFIG, SIXWAY_SDA_CONFIG, SPSW_SDA_CONFIG,
                         decode_pass2, encode, enhance,
                         fine_tune, finetune_grad, finetune_loss, fit_pca,
                         fit_scaling, init_layer, init_stack, make_windows,
-                        predict_sequence, pretrain, sda_input,
+                        predict_sequences, pretrain, sda_input,
                         reduce_sequence_for_detectors, scale_input,
                         supervector_sequence, SecondPassModels)
 
@@ -139,10 +139,15 @@ class TestLayers:
     def test_corruption_rate(self):
         rng = np.random.default_rng(9)
         x = np.ones((200, 50))
-        c = corrupt(x, 0.3, rng)
+        c = corrupt(x, 0.3, rng, np.empty_like(x))
         rate = 1.0 - c.mean()
         assert abs(rate - 0.3) < 0.02
-        assert corrupt(x, 0.0, rng) is x
+        # level 0 copies and draws nothing, so the stream is unchanged
+        state = rng.bit_generator.state
+        out = np.zeros_like(x)
+        assert corrupt(x, 0.0, rng, out) is out
+        np.testing.assert_array_equal(out, x)
+        assert rng.bit_generator.state == state
 
     def test_encode_range(self):
         rng = np.random.default_rng(10)
@@ -271,7 +276,7 @@ def dae_gradient_relerr(seed):
     rng = np.random.default_rng(seed)
     layer = init_layer(9, 7, rng)
     clean = rng.random((6, 9))
-    noisy = corrupt(clean, 0.3, rng)
+    noisy = corrupt(clean, 0.3, rng, np.empty_like(clean))
     return dae_probe_relerr(layer, clean, noisy, rng)
 
 
@@ -342,7 +347,7 @@ def pretrain_reference(layers, data, config, rng, on_step=None):
         for _ in range(config.pretrain_epochs):
             for idx in _minibatches(len(codes), config.pretrain_batch, rng):
                 clean = codes[idx]
-                noisy = corrupt(clean, config.corruption, rng)
+                noisy = corrupt(clean, config.corruption, rng, np.empty_like(clean))
                 grads = dae_grad_reference(layer, clean, noisy)
                 if on_step:
                     on_step(layer, clean, noisy, grads)
@@ -440,7 +445,7 @@ class TestTraining:
         rng = np.random.default_rng(13)
         data = rng.random((200, 12))
         layers = init_stack(12, (8,), rng)
-        noisy = corrupt(data, 0.3, np.random.default_rng(99))
+        noisy = corrupt(data, 0.3, np.random.default_rng(99), np.empty_like(data))
         before = dae_loss(layers[0], data, noisy)
         pretrain(layers, data, FAST, rng)
         after = dae_loss(layers[0], data, noisy)
@@ -595,9 +600,9 @@ class TestTraining:
         layers = init_stack(12, FAST.hidden, rng)
         pretrain(layers, x, FAST, rng)
         model = fine_tune(layers, x, y, FAST, rng, np.zeros(4), np.ones(4))
-        probs = predict_sequence(
+        [probs] = predict_sequences([(
             SdaModel(model.layers, model.out_w, model.out_b, 1, np.zeros(12),
-                     np.ones(12)), x)
+                     np.ones(12)), x)])
         acc = np.mean(np.argmax(probs, axis=1) == y)
         assert acc > 0.95
 
@@ -619,9 +624,9 @@ class TestTraining:
         assert model.scale_min.dtype == model.scale_max.dtype == np.float64
         assert encode(model.layers, x).dtype == np.float64
         assert encode(model.layers, x.astype(np.float32)).dtype == np.float64
-        assert predict_sequence(
+        assert predict_sequences([(
             dataclasses.replace(model, window_length=1, scale_min=np.zeros(12),
-                                scale_max=np.ones(12)), x).dtype == np.float64
+                                scale_max=np.ones(12)), x)])[0].dtype == np.float64
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float16])
     def test_stack_of_another_dtype_rejected(self, dtype):
@@ -799,7 +804,7 @@ class TestInference:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sda, "_BLOCK", int(rows * widest * (1 + slack)))
             assert sda._block_rows(model) == rows
-            got = predict_sequence(model, seq)
+            [got] = predict_sequences([(model, seq)])
         assert got.shape == want.shape
         assert not np.isnan(got).any()
         np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -821,7 +826,7 @@ def float64_model(rng, dim, window, hidden, outputs):
                     np.zeros(dim), rng.uniform(0.5, 1.0, dim))
 
 
-# How far predict_sequence's blocked rows may lie from the same rows computed
+# How far predict_sequences' blocked rows may lie from the same rows computed
 # in one GEMM per layer. Both see the same window rows, in [0, 1]. With u the
 # unit roundoff (eps / 2) and gamma(k) = k u / (1 - k u), for each layer of
 # weights w (k inputs) and biases b whose inputs, in [0, 1], differ by at

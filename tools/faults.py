@@ -59,6 +59,7 @@ SDA_BLOCKS = f"{TEST_SDA}::TestInference::test_blocks_agree_with_the_whole_seque
 SDA_PASS2 = f"{TEST_SDA}::TestDecodePass2"
 SDA_MEMORY = f"{SDA_PASS2}::test_holds_one_block_of_each_sda"
 BLAS_THREADS = f"{TEST_CLI}::TestBlasThreads"
+LABELS = "tests/test_eval.py::TestReferenceLabels"
 
 FAULTS = [
     Fault("fused DAE step without its decoder term", SDA,
@@ -256,6 +257,20 @@ FAULTS = [
           "        out[lo:hi] = _softmax(logits)\n",
           "        out[min(hi, len(out) - (hi - lo)):][:hi - lo] = _softmax(logits)\n",
           (SDA_BLOCKS, f"{SDA_PASS2}::test_equal_for_any_worker_count")),
+    Fault("a later annotation overwrites a higher-priority one",
+          "src/seqdet/evaluation.py",
+          "    for ev in sorted(ann.events, key=lambda ev: -rank[ev.label]):\n",
+          "    for ev in ann.events:\n",
+          (f"{LABELS}::test_rule_does_not_depend_on_file_order",
+           f"{LABELS}::test_all_channel_event_does_not_overwrite_a_spike")),
+    Fault("resampling ratio not checked at open", PIPELINE,
+          "        if not 0 < ratio <= signal_io.MAX_RATIO:\n",
+          "        if False:\n",
+          (f"{TEST_CLI}::TestCli::test_unreachable_rate_exit_code",)),
+    Fault("MemoryError left unmapped", "src/seqdet/cli.py",
+          "UnicodeDecodeError, MemoryError) as exc:",
+          "UnicodeDecodeError) as exc:",
+          (f"{TEST_CLI}::TestCli::test_unallocatable_config_exit_code",)),
     Fault("a helper's pass-2 exception dropped", PARALLEL,
           "errors = [f.exception() for f in futures]",
           "errors = [f.exception() and None for f in futures]",
