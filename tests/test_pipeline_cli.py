@@ -1262,11 +1262,12 @@ class TestCli:
         TINY_INI.replace("[sda.6way]\nhidden = 8,8", "[sda.6way]\nhidden = 100000000"),
     ], ids=["fft_size", "hidden"])
     def test_unallocatable_config_exit_code(self, corpus, tmp_path, ini):
-        # the DFT basis of a 1e9-point FFT (186 GiB) and the weights of a
-        # 1e8-unit layer (611 GiB) cannot be allocated. The CLI runs in a
-        # child process on one CPU whose address space is capped at 2 GiB,
-        # so each allocation fails the same way on any machine, without
-        # touching the memory first
+        # a 1e9-point FFT's DFT basis (186 GiB) and a 1e8-unit 6-way layer
+        # (44.7 GiB at TINY_INI's 60 inputs) cannot be allocated. The CLI
+        # runs in a child process on one CPU whose address space is capped
+        # at 2 GiB, so allocation fails the same way on any machine and
+        # nothing past the cap is written (the FFT's 3.7 GiB bin index is
+        # the first to fail)
         cfg_path = tmp_path / "c.ini"
         cfg_path.write_text(ini)
         out = subprocess.run(
