@@ -251,7 +251,9 @@ def _view(buf: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def filterbank_energies(samples: np.ndarray, spec: FrameSpec) -> np.ndarray:
-    """(frames, filters) energies of one channel, floored at ENERGY_FLOOR.
+    """(frames, filters) energies of one channel, floored at ENERGY_FLOOR:
+    extract_features' spectrum kernel on one channel, the harness through
+    which the tests check the frontend and the synthetic classes' separation.
 
     Frame t covers samples [t*frame_s, t*frame_s + window_s); a trailing
     partial frame is dropped."""

@@ -1,8 +1,9 @@
 """Pass 3: iterative Bayesian smoothing of the epoch posterior sequence with a
-bigram label model and exponentially decayed left/right context windows."""
+bigram label model and exponentially decayed left/right context windows.
+The published bigram table is a constant, normalized once at import: TABLE1
+as printed, and TABLE1_BIGRAM with its rows divided by their sums."""
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,12 +12,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError, check_shape
 from .labels import NUM_CLASSES
 
-log = logging.getLogger(__name__)
 
-
-# The published transition table (rows: from, cols: to, canonical label
-# order SPSW PLED GPED EYEM ARTF BCKG). The ARTF and BCKG rows sum to 1.02
-# as printed; they are renormalized at load with a logged warning.
+# The published transition table as printed (rows: from, cols: to, canonical
+# label order SPSW PLED GPED EYEM ARTF BCKG). The ARTF and BCKG rows sum to
+# 1.02 as printed.
 TABLE1 = np.array([
     # SPSW  PLED  GPED  EYEM  ARTF  BCKG
     [0.40, 0.00, 0.00, 0.10, 0.20, 0.30],  # SPSW
@@ -42,6 +41,12 @@ class BigramTable:
         object.__setattr__(self, "probs", p)
 
 
+# What the `table1` bigram source trains with: each row of TABLE1 divided by
+# its sum, which moves only the ARTF and BCKG rows.
+TABLE1_BIGRAM = BigramTable(TABLE1 / TABLE1.sum(axis=1, keepdims=True))
+TABLE1_BIGRAM.probs.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class GrammarParams:
     epsilon_prior: float = 0.1  # broadcast over the 6 classes
@@ -57,19 +62,6 @@ class GrammarParams:
         if not all(0 <= v < np.inf for v in (self.epsilon_prior, self.decay,
                                              self.alpha, self.gamma)):
             raise DataError("grammar weights and decay must be finite and non-negative")
-
-
-def _normalize_rows(counts: np.ndarray, context: str) -> np.ndarray:
-    sums = counts.sum(axis=1, keepdims=True)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        log.warning("%s: rows sum to %s; renormalizing", context,
-                    np.round(sums.ravel(), 4).tolist())
-    return counts / sums
-
-
-def default_bigram() -> BigramTable:
-    """The published table, row-renormalized (two rows print as 1.02)."""
-    return BigramTable(_normalize_rows(TABLE1.copy(), "default bigram table"))
 
 
 def estimate_bigram(sequences: list[np.ndarray], k: float = 0.1) -> BigramTable:
@@ -90,12 +82,17 @@ def estimate_bigram(sequences: list[np.ndarray], k: float = 0.1) -> BigramTable:
 
 def global_prior(posteriors: np.ndarray, params: GrammarParams) -> np.ndarray:
     """The posteriors summed over epochs plus epsilon_prior in each class,
-    normalized."""
+    normalized. An epsilon_prior so large that the sum overflows gives the
+    uniform prior, the limit as epsilon_prior grows."""
     p = np.asarray(posteriors, dtype=np.float64)
     if p.shape[0] < 1:
         raise DataError("need at least one epoch")
     num = p.sum(axis=0) + params.epsilon_prior
-    return num / num.sum()
+    with np.errstate(over="ignore"):
+        total = num.sum()
+    if total == np.inf:
+        return np.full(NUM_CLASSES, 1.0 / NUM_CLASSES)
+    return num / total
 
 
 def _context(windows: np.ndarray, exists: np.ndarray, weights: np.ndarray,
@@ -124,7 +121,8 @@ def grammar_update(posteriors: np.ndarray, table: BigramTable,
     if n_epochs < 2:
         return p.copy()  # no context to draw on
     gprior = global_prior(p, params)
-    weights = np.exp(-np.arange(1, win + 1) * params.decay)
+    with np.errstate(over="ignore"):  # exp(-inf) is the intended 0
+        weights = np.exp(-np.arange(1, win + 1) * params.decay)
     # Window s of the padded sequence holds epochs s - win .. s - 1: epoch k's
     # left neighbours are window k, its right neighbours window k + win + 1.
     padded = np.zeros((n_epochs + 2 * win, NUM_CLASSES))

@@ -262,7 +262,7 @@ def train_pipeline(config: PipelineConfig,
     if config.bigram_source == "estimate":
         table = grammar.estimate_bigram(epoch_refs)
     else:
-        table = grammar.default_bigram()
+        table = grammar.TABLE1_BIGRAM
 
     manifest = {
         "config": config.to_dict(),
@@ -281,7 +281,9 @@ def train_pipeline(config: PipelineConfig,
 
 def _pass1_corpus(grids: list[FeatureGrid],
                   anns: list[AnnotationSet]) -> dict[EventLabel, np.ndarray]:
-    """Per-(epoch, channel) observation blocks grouped by reference label."""
+    """Per-(epoch, channel) observation blocks grouped by reference label. A
+    class with no epochs gets an empty block, or none without any grids;
+    hmm.train refuses either."""
     parts: dict[EventLabel, list[np.ndarray]] = {lab: [] for lab in EventLabel}
     for grid, ann in zip(grids, anns):
         refs = evaluation.channel_epoch_reference_labels(
@@ -290,10 +292,7 @@ def _pass1_corpus(grids: list[FeatureGrid],
         for lab in EventLabel:
             rows = grid.frame_rows(np.flatnonzero(refs == int(lab)))
             parts[lab].append(frames[rows.T])
-    missing = [lab.name for lab in EventLabel if not sum(map(len, parts[lab]))]
-    if missing:
-        raise DataError(f"training data has no epochs for: {missing}")
-    return {lab: np.concatenate(p) for lab, p in parts.items()}
+    return {lab: np.concatenate(p) for lab, p in parts.items() if p}
 
 
 def _detector_labels(refs: np.ndarray,

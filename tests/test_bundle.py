@@ -12,7 +12,7 @@ from seqdet.bundle import (MAGIC, VERSION, Bundle, _unpack_payload,
                            _write_payload)
 from seqdet.errors import DataError
 from seqdet.features import FEATURE_DIM
-from seqdet.grammar import default_bigram
+from seqdet.grammar import TABLE1_BIGRAM
 from seqdet.hmm import init_model
 from seqdet.labels import EventLabel
 from seqdet.pipeline import PipelineConfig
@@ -47,7 +47,7 @@ def tiny_bundle(seed=0):
         PcaModel(rng.standard_normal(SUPERVECTOR_DIM), np.eye(3, SUPERVECTOR_DIM)),
         PcaModel(rng.standard_normal(SUPERVECTOR_DIM), np.eye(4, SUPERVECTOR_DIM)),
         tiny_sda(rng, 3), tiny_sda(rng, 3), tiny_sda(rng, 4, outputs=6))
-    return Bundle(models, second, default_bigram(),
+    return Bundle(models, second, TABLE1_BIGRAM,
                   {"seed": seed, "note": "test",
                    "config": json.loads(json.dumps(PipelineConfig().to_dict()))})
 

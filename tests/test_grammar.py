@@ -1,12 +1,12 @@
-import logging
+import warnings
 
 import numpy as np
 import pytest
 
 from seqdet.errors import DataError
-from seqdet.grammar import (TABLE1, BigramTable, GrammarParams,
-                            decode_pass3, default_bigram, estimate_bigram,
-                            global_prior, grammar_update)
+from seqdet.grammar import (TABLE1, TABLE1_BIGRAM, BigramTable, GrammarParams,
+                            decode_pass3, estimate_bigram, global_prior,
+                            grammar_update)
 from seqdet.labels import NUM_CLASSES, EventLabel
 
 
@@ -73,17 +73,21 @@ class TestTable:
         np.testing.assert_allclose(
             TABLE1[int(EventLabel.ARTF)], [0.23, 0.05, 0.05, 0.23, 0.23, 0.23])
 
-    def test_default_renormalizes_with_warning(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="seqdet.grammar"):
-            table = default_bigram()
-        assert "renormaliz" in caplog.text
-        np.testing.assert_allclose(table.probs.sum(axis=1), 1.0, atol=1e-12)
-        # unaffected rows keep their printed values exactly
-        np.testing.assert_array_equal(table.probs[int(EventLabel.PLED)],
-                                      TABLE1[int(EventLabel.PLED)])
+    def test_printed_rows_off_one_are_artf_and_bckg(self):
+        off = np.flatnonzero(np.abs(TABLE1.sum(axis=1) - 1.0) > 1e-9)
+        np.testing.assert_array_equal(off, [int(EventLabel.ARTF),
+                                            int(EventLabel.BCKG)])
+
+    def test_table1_bigram_is_the_printed_table_over_its_row_sums(self):
+        np.testing.assert_array_equal(
+            TABLE1_BIGRAM.probs, TABLE1 / TABLE1.sum(axis=1, keepdims=True))
+        # rows that print as summing to 1 keep their printed values exactly;
         # the overfull rows scale by 1/1.02
-        np.testing.assert_allclose(table.probs[int(EventLabel.ARTF)],
+        np.testing.assert_array_equal(TABLE1_BIGRAM.probs[int(EventLabel.PLED)],
+                                      TABLE1[int(EventLabel.PLED)])
+        np.testing.assert_allclose(TABLE1_BIGRAM.probs[int(EventLabel.ARTF)],
                                    TABLE1[int(EventLabel.ARTF)] / 1.02)
+        assert not TABLE1_BIGRAM.probs.flags.writeable
 
     def test_invalid_tables_rejected(self):
         with pytest.raises(DataError):
@@ -137,6 +141,13 @@ class TestPriors:
         np.testing.assert_allclose(g, expect)
         assert g.sum() == pytest.approx(1.0)
 
+    def test_overflowing_prior_sum_gives_the_uniform_prior(self):
+        p = rand_post(np.random.default_rng(0), 12)
+        for eps in (1e308, 1.7e308):
+            np.testing.assert_array_equal(
+                global_prior(p, GrammarParams(epsilon_prior=eps)),
+                np.full(NUM_CLASSES, 1 / NUM_CLASSES))
+
     def test_context_decay_weights(self):
         rng = np.random.default_rng(1)
         p = rand_post(rng, 30)
@@ -179,7 +190,7 @@ class TestUpdate:
     def test_zero_transition_propagates(self):
         # a certain PLED context with a table forbidding PLED -> SPSW drives
         # the SPSW posterior to zero (alpha=0 keeps the context pure)
-        table = default_bigram()
+        table = TABLE1_BIGRAM
         params = GrammarParams(alpha=0.0)
         p = np.zeros((3, 6))
         p[:, int(EventLabel.PLED)] = 1.0
@@ -189,16 +200,16 @@ class TestUpdate:
 
     def test_rows_stay_normalized(self):
         rng = np.random.default_rng(5)
-        out = grammar_update(rand_post(rng, 20), default_bigram(),
+        out = grammar_update(rand_post(rng, 20), TABLE1_BIGRAM,
                              GrammarParams())
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert (out >= 0).all()
 
     def test_single_epoch_unchanged(self):
         p = np.array([[0.1, 0.2, 0.3, 0.1, 0.1, 0.2]])
-        out = grammar_update(p, default_bigram(), GrammarParams())
+        out = grammar_update(p, TABLE1_BIGRAM, GrammarParams())
         np.testing.assert_array_equal(out, p)
-        labels, post = decode_pass3(p, default_bigram())
+        labels, post = decode_pass3(p, TABLE1_BIGRAM)
         np.testing.assert_array_equal(post, p)
         assert labels[0] == 2
 
@@ -206,7 +217,7 @@ class TestUpdate:
         # gamma/iteration: the same input moves less at iteration 5
         rng = np.random.default_rng(6)
         p = rand_post(rng, 10)
-        table = default_bigram()
+        table = TABLE1_BIGRAM
         params = GrammarParams()
         d1 = np.abs(grammar_update(p, table, params, iteration=1) - p).sum()
         d5 = np.abs(grammar_update(p, table, params, iteration=5) - p).sum()
@@ -220,7 +231,7 @@ class TestWholeSequence:
         ids=["default", "window_above_length", "decay_0", "alpha_0", "short"])
     def test_matches_loop_reference(self, params):
         rng = np.random.default_rng(9)
-        table = default_bigram()
+        table = TABLE1_BIGRAM
         for n in range(1, 51):
             p = rand_post(rng, n)
             p[rng.random(p.shape) < 0.1] = 0.0          # zero entries
@@ -240,10 +251,10 @@ class TestWholeSequence:
         p[1] = 0.0
         p[1, int(EventLabel.SPSW)] = 1.0
         params = GrammarParams(alpha=0.0)
-        got = grammar_update(p, default_bigram(), params)
+        got = grammar_update(p, TABLE1_BIGRAM, params)
         np.testing.assert_array_equal(got[1], p[1])
         np.testing.assert_array_equal(
-            got, grammar_update_reference(p, default_bigram(), params))
+            got, grammar_update_reference(p, TABLE1_BIGRAM, params))
 
 
 class TestDecode:
@@ -255,7 +266,7 @@ class TestDecode:
         p[4] = 0.0
         p[4, int(EventLabel.BCKG)] = 0.55
         p[4, int(EventLabel.PLED)] = 0.45
-        labels, post = decode_pass3(p, default_bigram())
+        labels, post = decode_pass3(p, TABLE1_BIGRAM)
         assert (labels == int(EventLabel.PLED)).all()
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
 
@@ -265,15 +276,27 @@ class TestDecode:
         p[:6, int(EventLabel.BCKG)] = 0.02
         p[6:, int(EventLabel.BCKG)] = 0.98
         p[6:, int(EventLabel.GPED)] = 0.02
-        labels, _ = decode_pass3(p, default_bigram())
+        labels, _ = decode_pass3(p, TABLE1_BIGRAM)
         assert (labels[:6] == int(EventLabel.GPED)).all()
         assert (labels[6:] == int(EventLabel.BCKG)).all()
 
     def test_iteration_budget_respected(self):
         rng = np.random.default_rng(7)
         p = rand_post(rng, 25)
-        labels, post = decode_pass3(p, default_bigram(),
+        labels, post = decode_pass3(p, TABLE1_BIGRAM,
                                     GrammarParams(iterations=1))
-        expect = grammar_update(p, default_bigram(), GrammarParams(), 1)
+        expect = grammar_update(p, TABLE1_BIGRAM, GrammarParams(), 1)
         np.testing.assert_allclose(post, expect)
         np.testing.assert_array_equal(labels, np.argmax(expect, axis=1))
+
+    @pytest.mark.parametrize("value", [1e308, 1.7e308])
+    @pytest.mark.parametrize("key", ["epsilon_prior", "decay", "alpha", "gamma"])
+    def test_huge_weights_decode_without_warnings(self, key, value):
+        # every finite weight is accepted, so none may overflow into a numpy
+        # warning, which the CLI would print on stderr
+        p = rand_post(np.random.default_rng(11), 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, post = decode_pass3(p, TABLE1_BIGRAM, GrammarParams(**{key: value}))
+        assert np.isfinite(post).all()
+        np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)

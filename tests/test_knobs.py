@@ -189,7 +189,7 @@ def data(tmp_path_factory):
     return {"rows": rec.rows(0, 22), "corpus": pipeline._pass1_corpus([grid], [ann]),
             "pass1": rng.dirichlet(np.ones(6), size=(120, 22)), "refs": refs,
             "posteriors": rng.dirichlet(np.ones(6), size=200),
-            "table": grammar.default_bigram(),
+            "table": grammar.TABLE1_BIGRAM,
             "pair": (prefix + ".rm", prefix + ".csv")}
 
 

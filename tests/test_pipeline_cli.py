@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import json
+import logging
 import os
 import re
 import subprocess
@@ -425,6 +426,15 @@ class TestTraining:
             np.testing.assert_array_equal(seen[name][:len(want)], want)
         assert len(seen["6way"]) == len(want)
 
+    def test_table1_train_logs_nothing_from_grammar(self, corpus, caplog):
+        # the table1 source is a constant, normalized once at import
+        with caplog.at_level(logging.DEBUG, logger="seqdet.grammar"):
+            bundle = train_pipeline(replace(FAST_CONFIG, bigram_source="table1"),
+                                    [corpus["train"]])
+        assert not [r for r in caplog.records if r.name == "seqdet.grammar"]
+        np.testing.assert_array_equal(bundle.bigram.probs,
+                                      grammar.TABLE1_BIGRAM.probs)
+
     def test_missing_class_rejected(self, tmp_path):
         script = [synth.ScriptEntry(EventLabel.BCKG, 30.0, None)]
         rec, ann = synth.generate(script, seed=5)
@@ -433,6 +443,10 @@ class TestTraining:
         signal_io.write_annotations(ann, ap)
         with pytest.raises(DataError):
             train_pipeline(FAST_CONFIG, [(rp, ap)])
+
+    def test_no_training_data_rejected(self):
+        with pytest.raises(DataError, match="missing classes"):
+            train_pipeline(FAST_CONFIG, [])
 
 
 class TestPass1Corpus:

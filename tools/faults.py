@@ -42,7 +42,7 @@ class Fault(NamedTuple):
 
 HMM, SDA, PIPELINE = "src/seqdet/hmm.py", "src/seqdet/sda.py", "src/seqdet/pipeline.py"
 FEATURES, SIGNAL_IO = "src/seqdet/features.py", "src/seqdet/signal_io.py"
-BUNDLE = "src/seqdet/bundle.py"
+BUNDLE, GRAMMAR = "src/seqdet/bundle.py", "src/seqdet/grammar.py"
 TEST_SDA, TEST_CLI = "tests/test_sda.py", "tests/test_pipeline_cli.py"
 STORED = f"{TEST_CLI}::TestTraining::test_bundle_stores_sda_arrays_as_f4"
 KNOB = "tests/test_knobs.py::test_key_changes_its_stage_output"
@@ -90,7 +90,7 @@ FAULTS = [
           "",
           ("tests/test_hmm.py::TestScoring::test_decode_pass1_equals_forward_backward_on_cells",
            "tests/test_hmm.py::TestScoring::test_posterior_normalized")),
-    Fault("left grammar weights not reversed", "src/seqdet/grammar.py",
+    Fault("left grammar weights not reversed", GRAMMAR,
           "present[:n_epochs], weights[::-1],",
           "present[:n_epochs], weights,",
           ("tests/test_grammar.py::TestWholeSequence::test_matches_loop_reference",)),
@@ -162,7 +162,7 @@ FAULTS = [
           "deltas(block[:, 9:17], spec.delta_width_second,",
           "deltas(block[:, 9:17], 3,",
           (f"{KNOB}[frontend-delta_width_second]",)),
-    Fault("grammar iteration cap ignored", "src/seqdet/grammar.py",
+    Fault("grammar iteration cap ignored", GRAMMAR,
           "    for it in range(1, params.iterations + 1):\n",
           "    for it in range(1, 21):\n",
           (f"{KNOB}[grammar-iterations]",)),
@@ -271,6 +271,20 @@ FAULTS = [
           "UnicodeDecodeError, MemoryError) as exc:",
           "UnicodeDecodeError) as exc:",
           (f"{TEST_CLI}::TestCli::test_unallocatable_config_exit_code",)),
+    Fault("EYEM generated as background", "src/seqdet/synth.py",
+          "return base + 150.0 * np.sin(",
+          "return base + 0.0 * np.sin(",
+          ("tests/test_synth.py::TestGenerate::test_classes_separated_on_every_used_seed",)),
+    Fault("TABLE1 normalized along its columns", GRAMMAR,
+          "BigramTable(TABLE1 / TABLE1.sum(axis=1, keepdims=True))",
+          "BigramTable(TABLE1.T / TABLE1.sum(axis=0)[:, None])",
+          ("tests/test_grammar.py::TestTable::"
+           "test_table1_bigram_is_the_printed_table_over_its_row_sums",)),
+    Fault("decay weights computed outside errstate", GRAMMAR,
+          '    with np.errstate(over="ignore"):  # exp(-inf) is the intended 0\n'
+          "        weights = np.exp(",
+          "    weights = np.exp(",
+          ("tests/test_grammar.py::TestDecode::test_huge_weights_decode_without_warnings",)),
     Fault("a helper's pass-2 exception dropped", PARALLEL,
           "errors = [f.exception() for f in futures]",
           "errors = [f.exception() and None for f in futures]",
