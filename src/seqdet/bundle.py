@@ -12,7 +12,7 @@ loads as float64.
 The `Bundle` dataclass and the model dataclasses it holds are the schema.
 Every array is stored under its field path (for example
 `/second_pass/sda_sixway/layers/1/w`); list lengths, the label names keying a
-dict, enum names and every other leaf go in the metadata, and each such leaf
+dict and every other leaf go in the metadata, and each such leaf
 is checked against its declared type on load. Each model checks its own
 arrays as it is built, and the `Bundle` adds the checks that span models; a
 failed check is a DataError naming the array's path. Serialization is
@@ -37,7 +37,7 @@ from .labels import NUM_CLASSES, EventLabel
 from .sda import SUPERVECTOR_DIM, SecondPassModels
 
 MAGIC = b"SEQD"
-VERSION = 4
+VERSION = 5
 # An array's dtype byte in the payload is its item size.
 _DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 # Elements per block in which an array is checked and written.
@@ -128,8 +128,6 @@ def _flatten(obj, tp, path: str, meta: dict, arrays: dict) -> None:
         meta[path] = [key.name for key in obj]
         for key, item in obj.items():
             _flatten(item, args[1], f"{path}/{key.name}", meta, arrays)
-    elif _is_enum(tp):
-        meta[path] = obj.name
     else:
         meta[path] = obj
 
@@ -153,8 +151,6 @@ def _build(tp, path: str, meta: dict, arrays: dict):
     if typing.get_origin(tp) is dict and _is_enum(args[0]):
         return {args[0][name]: _build(args[1], f"{path}/{name}", meta, arrays)
                 for name in meta[path]}
-    if _is_enum(tp):
-        return tp[meta[path]]
     value = meta[path]
     if isinstance(value, bool) or not isinstance(value, tp):
         raise DataError(f"{path} must be {tp.__name__}, got {value!r}")

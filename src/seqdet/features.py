@@ -10,8 +10,8 @@ first and second derivatives complete the vector:
 No frames are built. A channel is cut into contiguous step-sized blocks, and
 the Hamming-windowed real DFT of every frame is one wide GEMM of a basis
 against those blocks, followed by one shifted add per step-sized slice of
-the window. The basis and the filter taps are built once per frame spec, on
-first use. Power, filterbank, log and DCT then run over chunks of frames
+the window. The basis and the filter taps are built once, on first use.
+Power, filterbank, log and DCT then run over chunks of frames
 small enough to stay in cache. The rest of the vector (the
 differential energy, both delta passes and the copy into the output) runs
 over groups of channels whose 26 rows fit the same cache budget (`_group`):
@@ -39,6 +39,20 @@ ENERGY_FLOOR = 1e-10
 FEATURE_DIM = 26
 _CEPSTRA = 7  # the vector above holds c1..c7
 
+# The paper's frontend: 0.1 s steps through 0.2 s Hamming windows at RATE_HZ,
+# a 64-point DFT, 18 filters, a 9-frame differential energy and regression
+# derivatives over 9 and then 3 frames either side.
+STEP_SAMPLES = 25
+WINDOW_SAMPLES = 50      # a whole number of steps, at most FFT_SIZE
+FFT_SIZE = 64
+NUM_FILTERS = 18
+DIFF_ENERGY_WINDOW = 9   # frames, odd
+DELTA_FIRST = 9
+DELTA_SECOND = 3
+FRAMES_PER_EPOCH = int(RATE_HZ) // STEP_SAMPLES  # 10 steps in a 1 s epoch
+_BINS = FFT_SIZE // 2 + 1
+_SLICES = WINDOW_SAMPLES // STEP_SAMPLES  # step-sized blocks in a window
+
 # Doubles in the DFT product of one chunk of frames, (rows of the basis) x
 # (frames + blocks per window - 1), and in the 26 rows of one group of
 # channels: 1 MB, so a chunk's or a group's buffers stay in L2.
@@ -57,61 +71,12 @@ def gemm_width(columns: int) -> int:
     return -(-columns // 8) * 8
 
 
-@dataclass(frozen=True)
-class FrameSpec:
-    frame_s: float = 0.1
-    window_s: float = 0.2
-    fft_size: int = 64
-    num_filters: int = 18
-    diff_energy_window_frames: int = 9   # M, odd
-    delta_width_first: int = 9           # N1
-    delta_width_second: int = 3          # N2
-
-    def __post_init__(self):
-        if self.window_s < self.frame_s:
-            raise DataError("window_s must be >= frame_s")
-        if self.step_samples < 1:
-            raise DataError(f"frame_s = {self.frame_s} is shorter than one "
-                            f"sample at {RATE_HZ:g} Hz")
-        if self.fft_size < 1:
-            raise DataError(f"fft_size = {self.fft_size} must be at least 1")
-        if self.num_filters < _CEPSTRA + 1:
-            raise DataError(f"num_filters = {self.num_filters} must be at least "
-                            f"{_CEPSTRA + 1} to give {_CEPSTRA} cepstra")
-        if self.diff_energy_window_frames < 1 or self.diff_energy_window_frames % 2 == 0:
-            raise DataError(f"diff_energy_window_frames = "
-                            f"{self.diff_energy_window_frames} must be odd and positive")
-        if self.delta_width_first < 1 or self.delta_width_second < 1:
-            raise DataError("delta widths must be >= 1")
-
-    @property
-    def window_samples(self) -> int:
-        return int(round(self.window_s * RATE_HZ))
-
-    @property
-    def step_samples(self) -> int:
-        return int(round(self.frame_s * RATE_HZ))
-
-    def num_frames(self, num_samples: int) -> int:
-        """Whole frames in `num_samples`; a trailing partial frame is
-        dropped."""
-        win = self.window_samples
-        if num_samples < win:
-            raise DataError(f"signal of {num_samples} samples shorter than "
-                            f"one {win}-sample window")
-        return (num_samples - win) // self.step_samples + 1
-
-    @property
-    def frames_per_epoch(self) -> int:
-        """Steps in a 1 s epoch. The frontend takes any step, but a step that
-        does not divide the epoch would give epochs that drift from the 1 s
-        labels, so it is a DataError here."""
-        per_epoch, rest = divmod(int(RATE_HZ), self.step_samples)
-        if rest:
-            raise DataError(f"frame_s = {self.frame_s} steps {self.step_samples} "
-                            f"samples, which do not divide a "
-                            f"{int(RATE_HZ)}-sample epoch")
-        return per_epoch
+def num_frames(num_samples: int) -> int:
+    """Whole frames in `num_samples`; a trailing partial frame is dropped."""
+    if num_samples < WINDOW_SAMPLES:
+        raise DataError(f"signal of {num_samples} samples shorter than "
+                        f"one {WINDOW_SAMPLES}-sample window")
+    return (num_samples - WINDOW_SAMPLES) // STEP_SAMPLES + 1
 
 
 @dataclass(frozen=True)
@@ -143,15 +108,14 @@ class FeatureGrid:
         return channel * self.num_frames + np.minimum(frame, self.num_frames - 1)
 
 
-def _filterbank_matrix(spec: FrameSpec) -> np.ndarray:
+def _filterbank_matrix() -> np.ndarray:
     """Triangular filters linearly spaced from 0 to Nyquist with 50% overlap,
     applied to the magnitude-squared rfft bins."""
-    n_bins = spec.fft_size // 2 + 1
-    freqs = np.arange(n_bins) * RATE_HZ / spec.fft_size
+    freqs = np.arange(_BINS) * RATE_HZ / FFT_SIZE
     nyq = RATE_HZ / 2.0
-    centers = np.linspace(0.0, nyq, spec.num_filters + 2)
-    fb = np.zeros((spec.num_filters, n_bins))
-    for j in range(spec.num_filters):
+    centers = np.linspace(0.0, nyq, NUM_FILTERS + 2)
+    fb = np.zeros((NUM_FILTERS, _BINS))
+    for j in range(NUM_FILTERS):
         lo, c, hi = centers[j], centers[j + 1], centers[j + 2]
         rising = (freqs - lo) / (c - lo)
         falling = (hi - freqs) / (hi - c)
@@ -159,31 +123,27 @@ def _filterbank_matrix(spec: FrameSpec) -> np.ndarray:
     return fb
 
 
-@functools.lru_cache(maxsize=8)
-def _tables(spec: FrameSpec):
+@functools.cache
+def _tables():
     """The read-only parts of a _Spectrum: the DFT basis, and each filter's
-    tap bins and weights. Built on first use for a spec and shared by every
-    _Spectrum of it, in every worker."""
-    win, step = spec.window_samples, spec.step_samples
-    slices, n = -(-win // step), spec.fft_size
-    bins = n // 2 + 1
+    tap bins and weights. Built on first use and shared by every _Spectrum,
+    in every worker."""
     # the DFT basis: slice j holds the cosine then the sine rows for window
-    # samples j*step .. (j+1)*step - 1; samples at or past min(window,
-    # fft_size) get zeros, as rfft(n=fft_size) truncates
-    taper = np.zeros(slices * step)
-    taper[:min(win, n)] = np.hamming(win)[:n]
-    angle = (2 * np.pi / n) * (np.outer(np.arange(bins), np.arange(len(taper))) % n)
-    basis = np.concatenate([np.cos(angle), np.sin(angle)]) * taper
+    # samples j*step .. (j+1)*step - 1
+    angle = (2 * np.pi / FFT_SIZE) * (
+        np.outer(np.arange(_BINS), np.arange(WINDOW_SAMPLES)) % FFT_SIZE)
+    basis = np.concatenate([np.cos(angle), np.sin(angle)]) * np.hamming(WINDOW_SAMPLES)
     basis = np.ascontiguousarray(
-        basis.reshape(2 * bins, slices, step).transpose(1, 0, 2).reshape(-1, step))
+        basis.reshape(2 * _BINS, _SLICES, STEP_SAMPLES).transpose(1, 0, 2)
+        .reshape(-1, STEP_SAMPLES))
     # each filter's support is a run of at most `taps` bins; a filter is
     # summed over that run in bin order, so no BLAS call (whose summation
     # order may follow the thread count) touches the energies
-    fb = _filterbank_matrix(spec)
+    fb = _filterbank_matrix()
     support = fb > 0
     width = support.sum(axis=1)
     offset = np.arange(max(width.max(), 1))[:, None]
-    tap_bins = np.minimum(support.argmax(axis=1) + offset, bins - 1)  # (taps, filters)
+    tap_bins = np.minimum(support.argmax(axis=1) + offset, _BINS - 1)  # (taps, filters)
     tap_weights = np.where(offset < width, fb[np.arange(len(fb)), tap_bins], 0.0)
     for table in (basis, tap_bins, tap_weights):
         table.flags.writeable = False
@@ -194,14 +154,11 @@ class _Spectrum:
     """Filterbank energies of one channel, chunk by chunk, in buffers that
     are allocated once and reused for every chunk and channel."""
 
-    def __init__(self, spec: FrameSpec, num_samples: int):
-        self.num_frames = spec.num_frames(num_samples)
-        self.step = spec.step_samples
-        self.slices = -(-spec.window_samples // self.step)  # blocks per window
-        self.bins = spec.fft_size // 2 + 1
-        self.basis, self.tap_bins, self.tap_weights = _tables(spec)
-        self.chunk = max(_CHUNK // len(self.basis) - self.slices + 1, 1)
-        cols = gemm_width(min(self.chunk, self.num_frames) + self.slices - 1)
+    def __init__(self, num_samples: int):
+        self.num_frames = num_frames(num_samples)
+        self.basis, self.tap_bins, self.tap_weights = _tables()
+        self.chunk = max(_CHUNK // len(self.basis) - _SLICES + 1, 1)
+        cols = gemm_width(min(self.chunk, self.num_frames) + _SLICES - 1)
         self._prod = np.empty(len(self.basis) * cols)
         self._taps = np.empty(self.tap_bins.size * cols)
 
@@ -212,15 +169,13 @@ class _Spectrum:
     def energies(self, samples: np.ndarray, t0: int, t1: int) -> np.ndarray:
         """(filters, t1 - t0) energies of frames t0..t1-1, floored at
         ENERGY_FLOOR; a view of a buffer that the next call overwrites."""
-        q, step, b = self.slices, self.step, self.bins
+        q, step, b = _SLICES, STEP_SAMPLES, _BINS
         # the blocks that the chunk's frames touch, and the unread ones up to
         # a thread-invariant GEMM width
         cols = gemm_width(t1 - t0 + q - 1)
         blocks = samples[t0 * step:(t0 + cols) * step]
         if len(blocks) < cols * step:
-            # past the end of the signal: the unread blocks, and the end of a
-            # window that is not a whole number of steps, which meets zero
-            # basis rows
+            # past the end of the signal: the unread blocks
             blocks = np.concatenate([blocks, np.zeros(cols * step - len(blocks))])
         np.matmul(self.basis, blocks.reshape(cols, step).T,
                   out=_view(self._prod, (len(self.basis), cols)))
@@ -250,16 +205,16 @@ def _view(buf: np.ndarray, shape: tuple) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def filterbank_energies(samples: np.ndarray, spec: FrameSpec) -> np.ndarray:
+def filterbank_energies(samples: np.ndarray) -> np.ndarray:
     """(frames, filters) energies of one channel, floored at ENERGY_FLOOR:
     extract_features' spectrum kernel on one channel, the harness through
     which the tests check the frontend and the synthetic classes' separation.
 
-    Frame t covers samples [t*frame_s, t*frame_s + window_s); a trailing
-    partial frame is dropped."""
+    Frame t covers samples [t*STEP_SAMPLES, t*STEP_SAMPLES + WINDOW_SAMPLES);
+    a trailing partial frame is dropped."""
     samples = np.asarray(samples, dtype=np.float64)
-    spectrum = _Spectrum(spec, len(samples))
-    out = np.empty((spectrum.num_frames, spec.num_filters))
+    spectrum = _Spectrum(len(samples))
+    out = np.empty((spectrum.num_frames, NUM_FILTERS))
     for t0, t1 in spectrum.chunks():
         out[t0:t1] = spectrum.energies(samples, t0, t1).T
     return out
@@ -289,7 +244,7 @@ def _edge_padded(a: np.ndarray, n: int) -> np.ndarray:
     return padded
 
 
-def differential_energy(ef: np.ndarray, m: int = 9) -> np.ndarray:
+def differential_energy(ef: np.ndarray, m: int = DIFF_ENERGY_WINDOW) -> np.ndarray:
     """Max-minus-min of the frame energy over an m-frame window centered on
     each frame, along the last (frame) axis; boundary windows truncate to
     the available frames (edge replication adds no new values, so it gives
@@ -329,7 +284,7 @@ def _group(channels: int, frames: int) -> int:
     return min(max(_CHUNK // (FEATURE_DIM * frames), 1), channels)
 
 
-def extract_features(data: np.ndarray, spec: FrameSpec | None = None,
+def extract_features(data: np.ndarray,
                      labels: tuple[str, ...] | None = None) -> FeatureGrid:
     """The feature grid of the (channels, samples) rows `data`, sampled at
     RATE_HZ, a group of channels at a time.
@@ -338,15 +293,13 @@ def extract_features(data: np.ndarray, spec: FrameSpec | None = None,
     overflows float64 is a DataError naming the channel (its label, or its
     row without `labels`). The frequency energy row is finite exactly when
     all of a channel's energies are, so it is the one row checked."""
-    spec = spec or FrameSpec()
-    per_epoch = spec.frames_per_epoch
     channels, num_samples = data.shape
-    frames = spec.num_frames(num_samples)
+    frames = num_frames(num_samples)
     group = _group(channels, frames)
-    dct = _dct_basis(spec.num_filters, _CEPSTRA)
+    dct = _dct_basis(NUM_FILTERS, _CEPSTRA)
     out = np.empty((channels, frames, FEATURE_DIM))
     # the spectrum and the rows of a group, frame-last, reused for every group
-    spectrum = _Spectrum(spec, num_samples)
+    spectrum = _Spectrum(num_samples)
     rows = np.empty((group, FEATURE_DIM, frames))
     with parallel.one_blas_thread():
         for c0 in range(0, channels, group):
@@ -364,9 +317,9 @@ def extract_features(data: np.ndarray, spec: FrameSpec | None = None,
                 where = f"channel {labels[c]!r}" if labels else f"row {c}"
                 raise DataError(f"{where}: samples too large, the spectrum "
                                 f"overflows")
-            block[:, 8] = differential_energy(block[:, 7], spec.diff_energy_window_frames)
-            deltas(block[:, :9], spec.delta_width_first, block[:, 9:18])
+            block[:, 8] = differential_energy(block[:, 7], DIFF_ENERGY_WINDOW)
+            deltas(block[:, :9], DELTA_FIRST, block[:, 9:18])
             # c1..c7, Ef
-            deltas(block[:, 9:17], spec.delta_width_second, block[:, 18:])
+            deltas(block[:, 9:17], DELTA_SECOND, block[:, 18:])
             out[c0:c0 + len(block)] = block.transpose(0, 2, 1)
-    return FeatureGrid(out, per_epoch)
+    return FeatureGrid(out, FRAMES_PER_EPOCH)

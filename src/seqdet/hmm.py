@@ -25,7 +25,7 @@ import numpy as np
 
 from . import parallel
 from .errors import DataError, check_shape
-from .features import FeatureGrid, gemm_width
+from .features import FRAMES_PER_EPOCH, FeatureGrid, gemm_width
 from .labels import NUM_CLASSES, EventLabel
 
 LOG_ZERO = -np.inf
@@ -42,7 +42,6 @@ _FORWARD = 512
 
 @dataclass(frozen=True)
 class GmmHmmModel:
-    label: EventLabel
     trans: np.ndarray      # (N, N) row-stochastic, left-to-right zeros
     weights: np.ndarray    # (N, L) mixture weights, rows sum to 1
     means: np.ndarray      # (N, L, D)
@@ -339,8 +338,8 @@ def init_model(label: EventLabel, epochs: np.ndarray, num_states: int,
         occupied = np.maximum(counts, 1)
         weights[s] = occupied / occupied.sum()
 
-    return GmmHmmModel(label, _left_right_trans(num_states), weights, means,
-                       variances, var_floor)
+    return GmmHmmModel(_left_right_trans(num_states), weights, means, variances,
+                       var_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +421,9 @@ class HmmConfig:
         for key, least in (("num_states", 1), ("num_components", 1), ("seed", 0)):
             if getattr(self, key) < least:
                 raise DataError(f"{key} = {getattr(self, key)} must be at least {least}")
+        if self.num_states > FRAMES_PER_EPOCH:  # every state takes a frame of an epoch
+            raise DataError(f"num_states = {self.num_states} must be at most "
+                            f"{FRAMES_PER_EPOCH}, the frames in an epoch")
 
 
 def train(corpus: dict[EventLabel, np.ndarray],

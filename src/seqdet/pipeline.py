@@ -27,7 +27,8 @@ import numpy as np
 from . import evaluation, grammar, hmm, parallel, sda, signal_io
 from .bundle import Bundle
 from .errors import DataError
-from .features import FeatureGrid, FrameSpec, _group, extract_features
+from .features import (FRAMES_PER_EPOCH, FeatureGrid, _group, extract_features,
+                       num_frames)
 from .labels import (EPOCH_PRIORITY, LABEL_NAMES, NUM_CLASSES, TARGET_CLASSES,
                      EventLabel)
 from .signal_io import ALL_CHANNELS, CHANNELS, RATE_HZ, AnnotationSet, Event
@@ -35,8 +36,6 @@ from .signal_io import ALL_CHANNELS, CHANNELS, RATE_HZ, AnnotationSet, Event
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    frame: FrameSpec = field(default_factory=FrameSpec,
-                             metadata={"section": "frontend"})
     hmm: hmm.HmmConfig = field(default_factory=hmm.HmmConfig,
                                metadata={"section": "hmm"})
     sda_spsw: sda.SdaConfig = field(default=sda.SPSW_SDA_CONFIG,
@@ -58,16 +57,6 @@ class PipelineConfig:
         if self.bigram_source not in ("table1", "estimate"):
             raise DataError(f"config [pipeline] bigram_source must be "
                             f"table1|estimate, got {self.bigram_source!r}")
-        try:
-            per_epoch = self.frame.frames_per_epoch
-        except DataError:  # a step that does not divide the epoch
-            per_epoch = 0
-        if per_epoch < self.hmm.num_states:
-            raise DataError(
-                f"config [frontend] frame_s = {self.frame.frame_s} steps "
-                f"{self.frame.step_samples} samples; a 1 s epoch must hold a "
-                f"whole number of steps, at least [hmm] num_states = "
-                f"{self.hmm.num_states}")
         if self.seed < 0:
             raise DataError(f"config [pipeline] seed = {self.seed} must be at least 0")
         for key in ("pca_detector_dim", "pca_sixway_dim"):
@@ -247,8 +236,7 @@ def train_pipeline(config: PipelineConfig,
     grids, anns = [], []
     for rec_path, ann_path in pairs:
         rec = load_recording(rec_path, montage)
-        grids.append(extract_features(rec.rows(0, len(rec.labels)), config.frame,
-                                      rec.labels))
+        grids.append(extract_features(rec.rows(0, len(rec.labels)), rec.labels))
         anns.append(signal_io.read_annotations(ann_path))
 
     models = hmm.train(_pass1_corpus(grids, anns), config.hmm)
@@ -303,8 +291,12 @@ def _detector_labels(refs: np.ndarray,
 def _train_second_pass(config: PipelineConfig, pass1, epoch_refs):
     supervectors = [sda.supervector_sequence(p) for p in pass1]
     all_sv = np.concatenate(supervectors)
-    pca_det = sda.fit_pca(all_sv, config.pca_detector_dim)
-    pca_six = sda.fit_pca(all_sv, config.pca_sixway_dim)
+    # The larger dim first, so that a dim the data cannot hold fails before
+    # the other fit can log a rank warning.
+    keys = sorted(("pca_detector_dim", "pca_sixway_dim"),
+                  key=lambda key: -getattr(config, key))
+    pca = {key: sda.fit_pca(all_sv, getattr(config, key)) for key in keys}
+    pca_det, pca_six = pca["pca_detector_dim"], pca["pca_sixway_dim"]
 
     det_seqs = [sda.reduce_sequence_for_detectors(pca_det.project(sv))
                 for sv in supervectors]
@@ -348,19 +340,19 @@ def _merge_runs(labels: np.ndarray, channel: int) -> list[Event]:
     return events
 
 
-def _decode_pass1(rec: signal_io.Recording, spec: FrameSpec,
+def _decode_pass1(rec: signal_io.Recording,
                   models: dict[EventLabel, hmm.GmmHmmModel]) -> np.ndarray:
     """Pass-1 posteriors (epochs, channels, 6) of `rec`, a frontend group of
     channels at a time: a group's rows are read, its features extracted and
     scored into its columns, and all of them freed before that worker reads
     its next group. The posteriors do not depend on the worker count."""
-    channels, frames = len(rec.labels), spec.num_frames(rec.num_samples)
+    channels, frames = len(rec.labels), num_frames(rec.num_samples)
     group = _group(channels, frames)
-    post = np.full((-(-frames // spec.frames_per_epoch), channels, NUM_CLASSES), np.nan)
+    post = np.full((-(-frames // FRAMES_PER_EPOCH), channels, NUM_CLASSES), np.nan)
 
     def decode(i: int) -> None:
         c0, c1 = i * group, (i + 1) * group
-        grid = extract_features(rec.rows(c0, c1), spec, rec.labels[c0:c1])
+        grid = extract_features(rec.rows(c0, c1), rec.labels[c0:c1])
         post[:, c0:c1] = hmm.decode_pass1(grid, models)
 
     parallel.run(decode, -(-channels // group))
@@ -376,7 +368,7 @@ def decode_recording(bundle: Bundle, rec_path: str, stop_after: int = 3):
     cfg = PipelineConfig.from_dict(bundle.manifest.get("config"))
     # Only a group of the recording's rows per worker exists at a time.
     post1 = _decode_pass1(load_recording(rec_path, _manifest_montage(bundle.manifest)),
-                          cfg.frame, bundle.hmm_models)
+                          bundle.hmm_models)
     dumps = {"pass1": post1}
     if stop_after == 1:
         cell_labels = np.argmax(post1, axis=2)  # (E, C)

@@ -29,7 +29,7 @@ ALL_CHANNELS = -1  # channel index meaning "event applies to every channel"
 # The recording contract of the pipeline: load_recording resamples every
 # recording to RATE_HZ, and it has CHANNELS channels after the montage. The
 # pipeline labels 1 s epochs, so an epoch is RATE_HZ samples and holds a
-# whole number of frame steps (features.FrameSpec.frames_per_epoch).
+# whole number of frame steps (features.FRAMES_PER_EPOCH).
 # Annotations are in seconds, and these readers take a second as an epoch
 # index: evaluation.epoch_reference_labels and
 # channel_epoch_reference_labels, pipeline._merge_runs and score_files.

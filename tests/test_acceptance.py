@@ -12,9 +12,9 @@ import pytest
 from seqdet import synth
 from seqdet.evaluation import (ConfusionMatrix, det_curve,
                                epoch_reference_labels, sens_spec)
-from seqdet.features import (FEATURE_DIM, FrameSpec, deltas,
-                             differential_energy, extract_features,
-                             filterbank_energies, frequency_energy)
+from seqdet.features import (FEATURE_DIM, deltas, differential_energy,
+                             extract_features, filterbank_energies,
+                             frequency_energy)
 from seqdet.grammar import (TABLE1, BigramTable, GrammarParams, grammar_update)
 from seqdet.hmm import forward_backward, init_model, _reestimate_one
 from seqdet.labels import TARG, TARGET_CLASSES, EventLabel, collapse
@@ -77,12 +77,11 @@ def test_criterion_03_em_monotonicity(capsys):
     rng = np.random.default_rng(99)
     n = int(40 * 250)
     classes = (EventLabel.BCKG, EventLabel.PLED, EventLabel.GPED)
-    spec = FrameSpec()
     worst = np.inf
     ok = True
     for lab in classes:
         x = synth._class_signal(lab, n, rng)
-        mat = extract_features(x[None], spec).vectors[0]
+        mat = extract_features(x[None]).vectors[0]
         n_ep = mat.shape[0] // 10
         epochs = mat[:n_ep * 10].reshape(n_ep, 10, FEATURE_DIM)
         model = init_model(lab, epochs, 3, 4, seed=int(lab))
@@ -180,7 +179,6 @@ def test_criterion_06_grammar_invariants(capsys):
 
 
 def test_criterion_07_feature_closed_forms(capsys):
-    spec = FrameSpec()
     d = deltas(np.arange(80, dtype=float), 9)
     ramp_ok = bool(np.allclose(d[9:-9], 1.0, atol=1e-10))
 
@@ -189,11 +187,11 @@ def test_criterion_07_feature_closed_forms(capsys):
 
     rng = np.random.default_rng(9)
     x = rng.standard_normal(1000) * 40
-    f1 = frequency_energy(filterbank_energies(x, spec))
-    f2 = frequency_energy(filterbank_energies(2 * x, spec))
+    f1 = frequency_energy(filterbank_energies(x))
+    f2 = frequency_energy(filterbank_energies(2 * x))
     shift_ok = bool(np.allclose(f2 - f1, np.log(4.0), atol=1e-6))
 
-    dim_ok = extract_features(x[None], spec).vectors.shape[2] == 26
+    dim_ok = extract_features(x[None]).vectors.shape[2] == 26
 
     ok = ramp_ok and const_ok and shift_ok and dim_ok
     _report(capsys, 7, "feature closed forms", ok,

@@ -172,7 +172,6 @@ class TestBundle:
         assert back.manifest == bundle.manifest
         for lab in EventLabel:
             a, b = bundle.hmm_models[lab], back.hmm_models[lab]
-            assert b.label == lab
             np.testing.assert_array_equal(a.trans, b.trans)
             np.testing.assert_array_equal(a.means, b.means)
             np.testing.assert_array_equal(a.variances, b.variances)

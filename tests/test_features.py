@@ -3,7 +3,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,57 +15,48 @@ from scipy.fft import dct, rfft
 from seqdet import features, parallel, synth
 from seqdet.errors import DataError
 from seqdet.features import (_CEPSTRA, _CHUNK, ENERGY_FLOOR, FEATURE_DIM,
-                             FrameSpec, _dct_basis, _filterbank_matrix,
-                             _Spectrum, deltas, differential_energy,
-                             extract_features, filterbank_energies,
-                             frequency_energy)
+                             _dct_basis, _filterbank_matrix, _Spectrum, deltas,
+                             differential_energy, extract_features,
+                             filterbank_energies, frequency_energy)
 from seqdet.pipeline import _decode_pass1
 from seqdet.signal_io import Recording
 from tests.test_hmm import default_shape_models
 
 RATE = 250.0
-SPEC = FrameSpec()
+# The paper's frontend, written out here and not read from features, so that
+# the reference below fails on a changed constant: 0.1 s steps through 0.2 s
+# windows, a 64-point DFT, a 9-frame differential energy and derivatives
+# over 9 and then 3 frames.
+STEP, WINDOW, NFFT, ED_WINDOW, DELTA_1, DELTA_2 = 25, 50, 64, 9, 9, 3
 U = np.finfo(np.float64).eps / 2  # unit roundoff
 # default-shape models for the decodes of TestGrid::test_overflowing_spectrum_rejected
 OVERFLOW_MODELS = default_shape_models(np.random.default_rng(40), FEATURE_DIM)
 
 
-def channel_features(samples, spec=SPEC):
-    return extract_features(np.atleast_2d(samples), spec).vectors[0]
-
-
-@dataclass(frozen=True)
-class AnyStep(FrameSpec):
-    """A frame spec whose epoch is one frame, so that extract_features takes
-    a step that does not divide the 250-sample epoch: the frontend handles
-    any step, and only the epoch grouping needs one that divides."""
-
-    @property
-    def frames_per_epoch(self) -> int:
-        return 1
+def channel_features(samples):
+    return extract_features(np.atleast_2d(samples)).vectors[0]
 
 
 # ---------------------------------------------------------------------------
 # The per-channel reference frontend, kept as the differential oracle: frames
-# built with a fancy-index gather, rfft(n=fft_size), a filterbank GEMM,
+# built with a fancy-index gather, rfft(n=NFFT), a filterbank GEMM,
 # scipy's DCT-II, and derivatives along the frame axis of (frames, dims).
 
-def frame_signal(samples, spec=SPEC):
+def frame_signal(samples):
     """Hamming-windowed overlapping frames; a trailing partial frame is
     dropped."""
     samples = np.asarray(samples, dtype=np.float64)
-    win, step = spec.window_samples, spec.step_samples
-    n_frames = (len(samples) - win) // step + 1
-    idx = np.arange(win)[None, :] + step * np.arange(n_frames)[:, None]
-    return samples[idx] * np.hamming(win)
+    n_frames = (len(samples) - WINDOW) // STEP + 1
+    idx = np.arange(WINDOW)[None, :] + STEP * np.arange(n_frames)[:, None]
+    return samples[idx] * np.hamming(WINDOW)
 
 
-def ref_filterbank_energies(frames, spec=SPEC):
-    spectrum = np.abs(rfft(np.atleast_2d(frames), n=spec.fft_size, axis=-1)) ** 2
-    return np.maximum(spectrum @ _filterbank_matrix(spec).T, ENERGY_FLOOR)
+def ref_filterbank_energies(frames):
+    spectrum = np.abs(rfft(np.atleast_2d(frames), n=NFFT, axis=-1)) ** 2
+    return np.maximum(spectrum @ _filterbank_matrix().T, ENERGY_FLOOR)
 
 
-def ref_cepstra(energies, spec=SPEC):
+def ref_cepstra(energies):
     coeffs = dct(np.log(np.atleast_2d(energies)), type=2, norm="ortho", axis=-1)
     return coeffs[..., 1:_CEPSTRA + 1]
 
@@ -87,15 +77,15 @@ def ref_deltas(coeffs, n):
     return out
 
 
-def extract_channel(samples, spec=SPEC):
+def extract_channel(samples):
     """(frames, 26) features of one channel."""
-    energies = ref_filterbank_energies(frame_signal(samples, spec), spec)
-    ceps = ref_cepstra(energies, spec)
+    energies = ref_filterbank_energies(frame_signal(samples))
+    ceps = ref_cepstra(energies)
     ef = np.log(np.sum(energies, axis=-1))
-    ed = ref_differential_energy(ef, spec.diff_energy_window_frames)
+    ed = ref_differential_energy(ef, ED_WINDOW)
     absolute = np.column_stack([ceps, ef, ed])
-    d1 = ref_deltas(absolute, spec.delta_width_first)
-    d2 = ref_deltas(d1[:, :8], spec.delta_width_second)
+    d1 = ref_deltas(absolute, DELTA_1)
+    d2 = ref_deltas(d1[:, :8], DELTA_2)
     return np.column_stack([absolute, d1, d2])
 
 
@@ -110,11 +100,11 @@ def _spread(bound, n):
     return out / (2.0 * sum(k * k for k in range(1, n + 1)))
 
 
-def feature_error_bound(samples, spec=SPEC):
+def feature_error_bound(samples):
     """Elementwise bound on |extract_features - extract_channel| for one
     channel, from the float64 error model (u = 2^-53) taken stage by stage.
 
-    - DFT: a real or imaginary term is a sum of L = min(window, fft_size)
+    - DFT: a real or imaginary term is a sum of L = min(window, NFFT)
       products w_k x_k cos/sin. The GEMM's error is at most (L + 2) u A,
       A = sum_k |w_k x_k| (summation bound plus the rounded basis); an FFT's
       is of order log2(n) u A. delta bounds the difference of the two.
@@ -129,14 +119,15 @@ def feature_error_bound(samples, spec=SPEC):
       min, regression derivatives), so bounds go through with absolute
       weights, and each stage adds the rounding of its own sums.
     """
-    frames = frame_signal(samples, spec)
-    nf, n = spec.num_filters, spec.fft_size
+    frames = frame_signal(samples)
+    n = NFFT
     used = min(frames.shape[1], n)
     a = np.abs(frames[:, :used]).sum(axis=1, keepdims=True)
     delta = 2 * (used + 2 * np.log2(max(n, 2)) + 4) * U * a
     mag = np.abs(rfft(frames, n=n, axis=-1))
     d_power = 2 * np.sqrt(2) * mag * delta + 2 * delta ** 2 + 6 * U * mag ** 2
-    fb = _filterbank_matrix(spec)
+    fb = _filterbank_matrix()
+    nf = len(fb)
     raw = mag ** 2 @ fb.T
     d_energy = d_power @ fb.T + 4 * fb.shape[1] * U * raw
     energies = np.maximum(raw, ENERGY_FLOOR)
@@ -150,13 +141,13 @@ def feature_error_bound(samples, spec=SPEC):
     d_ef = (d_energy.sum(axis=1) / np.maximum(total - d_energy.sum(axis=1),
                                               nf * ENERGY_FLOOR)
             + 2 * nf * U + 4 * U * np.abs(ef))
-    m = spec.diff_energy_window_frames
+    m = ED_WINDOW
     ed = ref_differential_energy(ef, m)
     d_ed = (2 * sliding_window_view(np.pad(d_ef, m // 2, mode="edge"), m).max(axis=1)
             + 4 * U * ed)
-    absolute = np.column_stack([ref_cepstra(energies, spec), ef, ed])
+    absolute = np.column_stack([ref_cepstra(energies), ef, ed])
     d_abs = np.column_stack([d_ceps, d_ef, d_ed])
-    n1, n2 = spec.delta_width_first, spec.delta_width_second
+    n1, n2 = DELTA_1, DELTA_2
     d1 = ref_deltas(absolute, n1)
     d_d1 = _spread(d_abs, n1) + 4 * n1 * U * _spread(np.abs(absolute), n1)
     d_d2 = (_spread(d_d1[:, :8], n2)
@@ -164,15 +155,15 @@ def feature_error_bound(samples, spec=SPEC):
     return np.column_stack([d_abs, d_d1, d_d2])
 
 
-def assert_matches_reference(data, spec=SPEC):
+def assert_matches_reference(data):
     """extract_features against the per-channel reference, channel by
     channel, within the error-model bound; returns the worst absolute gap
     and the worst gap as a fraction of its bound."""
-    grid = extract_features(np.atleast_2d(data), spec)
+    grid = extract_features(np.atleast_2d(data))
     worst_abs = worst_frac = 0.0
     for samples, got in zip(np.atleast_2d(data), grid.vectors):
-        want = extract_channel(samples, spec)
-        bound = feature_error_bound(samples, spec)
+        want = extract_channel(samples)
+        bound = feature_error_bound(samples)
         assert got.shape == want.shape
         gap = np.abs(got - want)
         assert (gap <= bound).all(), np.unravel_index(np.argmax(gap - bound),
@@ -185,8 +176,7 @@ def assert_matches_reference(data, spec=SPEC):
 class TestAgainstReference:
     def test_criterion8_recording(self):
         # criterion 8's evaluation recording (tests/test_acceptance.py);
-        # measured: 2.7e-12 absolute, at most 2 % of the bound (the random
-        # signals and frame specs below: 1e-14 to 3e-14, at most 6.4 %)
+        # measured: 2.7e-12 absolute, at most 2 % of the bound
         script = synth.balanced_script(10, 5, seed=20,
                                        channel_profile=synth.FOCAL_PROFILE)
         rec, _ = synth.generate(script, seed=21)
@@ -200,43 +190,20 @@ class TestAgainstReference:
 
     def test_all_zero_input(self):
         assert_matches_reference(np.zeros((2, 1000)))
-        assert (filterbank_energies(np.zeros(1000), SPEC) == ENERGY_FLOOR).all()
-
-    @pytest.mark.parametrize("window_s", [0.05, 0.13, 0.15])
-    @pytest.mark.parametrize("frame_s", [0.03, 0.05])
-    @pytest.mark.parametrize("fft_size", [8, 32, 128])
-    def test_other_frame_specs(self, window_s, frame_s, fft_size):
-        # windows of 12, 32 and 38 samples, steps of 8 and 12 (so 12 and 38
-        # are not always a whole number of steps, and 12 can be one step),
-        # FFTs shorter and longer than the window; neither step divides the
-        # epoch, so the spec groups one frame an epoch
-        spec = AnyStep(frame_s=frame_s, window_s=window_s, fft_size=fft_size)
-        rng = np.random.default_rng(int(1000 * (window_s + frame_s)) + fft_size)
-        assert_matches_reference(rng.standard_normal((2, 2503)) * 30, spec)
-
-    @pytest.mark.parametrize("window_s", [0.04, 0.13])
-    @pytest.mark.parametrize("frame_s", [0.02, 0.04])
-    @pytest.mark.parametrize("fft_size", [8, 128])
-    def test_dividing_frame_specs(self, window_s, frame_s, fft_size):
-        # steps of 5 and 10 samples, which divide the epoch: a window of 10
-        # samples is one or two steps, one of 32 is not a whole number of
-        # either, and the FFTs are shorter and longer than the window
-        spec = FrameSpec(frame_s=frame_s, window_s=window_s, fft_size=fft_size)
-        rng = np.random.default_rng(int(1000 * (window_s + frame_s)) + fft_size)
-        assert_matches_reference(rng.standard_normal((2, 2503)) * 30, spec)
+        assert (filterbank_energies(np.zeros(1000)) == ENERGY_FLOOR).all()
 
     def test_energies_match_reference(self):
         x = np.random.default_rng(11).standard_normal(1337) * 40
-        np.testing.assert_allclose(filterbank_energies(x, SPEC),
+        np.testing.assert_allclose(filterbank_energies(x),
                                    ref_filterbank_energies(frame_signal(x)),
                                    rtol=1e-9)
 
 
-def extract_features_reference(data, spec=SPEC):
+def extract_features_reference(data):
     """The frontend before channel groups: each channel's 26 rows finished on
     their own, with np.pad-padded derivatives, then copied out."""
-    spectrum = _Spectrum(spec, data.shape[1])
-    dct_rows = _dct_basis(spec.num_filters, _CEPSTRA)
+    spectrum = _Spectrum(data.shape[1])
+    dct_rows = _dct_basis(18, _CEPSTRA)
     out = np.empty((len(data), spectrum.num_frames, FEATURE_DIM))
     rows = np.empty((FEATURE_DIM, spectrum.num_frames))
     for samples, vectors in zip(data, out):
@@ -244,9 +211,9 @@ def extract_features_reference(data, spec=SPEC):
             energies = spectrum.energies(samples, t0, t1)
             rows[7, t0:t1] = frequency_energy(energies.T)
             np.matmul(dct_rows, np.log(energies, out=energies), out=rows[:7, t0:t1])
-        rows[8] = ref_differential_energy(rows[7], spec.diff_energy_window_frames)
-        rows[9:18] = ref_deltas(rows[:9].T, spec.delta_width_first).T
-        rows[18:] = ref_deltas(rows[9:17].T, spec.delta_width_second).T
+        rows[8] = ref_differential_energy(rows[7], ED_WINDOW)
+        rows[9:18] = ref_deltas(rows[:9].T, DELTA_1).T
+        rows[18:] = ref_deltas(rows[9:17].T, DELTA_2).T
         vectors[...] = rows.T
     return out
 
@@ -332,11 +299,9 @@ class TestWorkers:
     """The read-only tables that the spectra of every decode worker share."""
 
     def test_tables_built_once_per_spec(self):
-        spec = FrameSpec(delta_width_first=7)  # a spec no other test builds
-        before = features._tables.cache_info().misses
-        a = _Spectrum(spec, 7500)
-        b = _Spectrum(spec, 150000)
-        assert features._tables.cache_info().misses == before + 1
+        a = _Spectrum(7500)
+        b = _Spectrum(150000)
+        assert features._tables.cache_info().misses == 1
         assert a.basis is b.basis and a.tap_weights is b.tap_weights
         assert not a.basis.flags.writeable
         assert a._prod is not b._prod
@@ -345,81 +310,51 @@ class TestWorkers:
 class TestFraming:
     def test_frame_count(self):
         # 10 s at 250 Hz: windows of 50 samples every 25 samples.
-        assert filterbank_energies(np.zeros(2500), SPEC).shape == (99, 18)
+        assert filterbank_energies(np.zeros(2500)).shape == (99, 18)
         assert extract_features(np.zeros((1, 2500))).num_frames == 99
 
     def test_frame_alignment(self):
         # frame 3 covers samples 75..124 and nothing else
         x = np.random.default_rng(0).standard_normal(500)
-        e = filterbank_energies(x, SPEC)
+        e = filterbank_energies(x)
         np.testing.assert_allclose(e[3], ref_filterbank_energies(
             x[75:125] * np.hamming(50))[0], rtol=1e-9)
         y = x.copy()
         y[:75] = y[125:] = 0.0
-        np.testing.assert_array_equal(filterbank_energies(y, SPEC)[3], e[3])
+        np.testing.assert_array_equal(filterbank_energies(y)[3], e[3])
 
     def test_too_short(self):
         for n in (0, 40, 49):
             with pytest.raises(DataError):
-                filterbank_energies(np.zeros(n), SPEC)
+                filterbank_energies(np.zeros(n))
             with pytest.raises(DataError):
                 extract_features(np.zeros((2, n)))
 
 
-class TestFrameSpec:
-    @pytest.mark.parametrize("key, value", [
-        ("num_filters", 4), ("num_filters", 7), ("frame_s", 0.001),
-        ("fft_size", 0), ("diff_energy_window_frames", -1),
-        ("diff_energy_window_frames", 4),
-    ])
-    def test_rejected(self, key, value):
-        with pytest.raises(DataError, match=f"{key} = {value}"):
-            FrameSpec(**{key: value})
-
-    @pytest.mark.parametrize("frame_s, frames", [(0.1, 10), (0.2, 5),
-                                                 (0.02, 50), (1.0, 1)])
-    def test_frames_per_epoch_follow_from_the_step(self, frame_s, frames):
-        assert FrameSpec(frame_s=frame_s, window_s=1.0).frames_per_epoch == frames
-
-    def test_step_that_does_not_divide_the_epoch_rejected(self, monkeypatch):
-        # 0.05 s is a 12-sample step: 20 frames would make a 0.96 s epoch
-        spec = FrameSpec(frame_s=0.05)
-        with pytest.raises(DataError, match="frame_s = 0.05 steps 12 samples"):
-            spec.frames_per_epoch
-        # extract_features reads it before any work
-        monkeypatch.setattr(features, "_Spectrum", None)
-        with pytest.raises(DataError, match="frame_s = 0.05"):
-            extract_features(np.zeros((2, 2500)), spec)
-
-    def test_every_valid_spec_gives_feature_dim(self):
-        spec = FrameSpec(num_filters=8, fft_size=16)
-        assert channel_features(np.ones(300), spec).shape[1] == FEATURE_DIM
-
-
 class TestFilterbank:
     def test_shape_and_support(self):
-        fb = _filterbank_matrix(SPEC)
+        fb = _filterbank_matrix()
         assert fb.shape == (18, 33)
         assert (fb >= 0).all()
 
     def test_triangle_peaks(self):
-        fb = _filterbank_matrix(SPEC)
+        fb = _filterbank_matrix()
         centers = np.linspace(0.0, RATE / 2, 20)[1:-1]
-        freqs = np.arange(33) * RATE / SPEC.fft_size
+        freqs = np.arange(33) * RATE / NFFT
         for j in range(18):
             # response at the filter's own center frequency is near 1
             k = np.argmin(np.abs(freqs - centers[j]))
             assert fb[j, k] > 0.7
 
     def test_energy_floor(self):
-        e = filterbank_energies(np.zeros(100), SPEC)
+        e = filterbank_energies(np.zeros(100))
         assert (e == 1e-10).all()
 
     def test_pure_tone_band(self):
         # a tone at one filter's center concentrates energy in that filter
         centers = np.linspace(0.0, RATE / 2, 20)
         t = np.arange(50) / RATE
-        e = filterbank_energies(np.sin(2 * np.pi * centers[9] * t), SPEC)[0]
+        e = filterbank_energies(np.sin(2 * np.pi * centers[9] * t))[0]
         assert np.argmax(e) == 8  # filter 8 has center centers[9]
 
 
@@ -469,8 +404,8 @@ class TestEnergies:
     def test_amplitude_doubling_shifts_ef(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(500) * 50
-        f1 = frequency_energy(filterbank_energies(x, SPEC))
-        f2 = frequency_energy(filterbank_energies(2 * x, SPEC))
+        f1 = frequency_energy(filterbank_energies(x))
+        f2 = frequency_energy(filterbank_energies(2 * x))
         np.testing.assert_allclose(f2 - f1, np.log(4.0), atol=1e-6)
 
     def test_differential_energy_constant_zero(self):
@@ -555,7 +490,7 @@ class TestVectorLayout:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(1500) * 20
         mat = channel_features(x)
-        e = filterbank_energies(x, SPEC)
+        e = filterbank_energies(x)
         np.testing.assert_allclose(mat[:, :7], ref_cepstra(e), atol=1e-12)
         np.testing.assert_allclose(mat[:, 7], frequency_energy(e), atol=1e-13)
         np.testing.assert_array_equal(mat[:, 8], differential_energy(mat[:, 7], 9))
@@ -588,13 +523,13 @@ class TestGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=overflow):
-                extract_features(data, SPEC, labels)
+                extract_features(data, labels)
             with pytest.raises(DataError, match=overflow):
-                _decode_pass1(Recording.of(data, labels, RATE), SPEC, OVERFLOW_MODELS)
+                _decode_pass1(Recording.of(data, labels, RATE), OVERFLOW_MODELS)
             with pytest.raises(DataError, match=r"^row 3: samples too large"):
                 extract_features(data[10:])
             data[13] *= 1e-155  # 1e150: large, but its spectrum is finite
-            assert np.isfinite(extract_features(data, SPEC, labels).vectors).all()
+            assert np.isfinite(extract_features(data, labels).vectors).all()
 
     def test_epoch_grouping(self):
         rng = np.random.default_rng(5)

@@ -20,7 +20,7 @@ from tests.test_bundle import tiny_bundle
 from tests.test_signal_io import HUGE_RAW, write_edf
 
 CONFIG = ("[pipeline]\nseed = 3\nbigram_source = estimate\npca_sixway_dim = 12\n"
-          "[frontend]\ndelta_width_first = 5\n[hmm]\nnum_components = 2\n"
+          "[hmm]\nnum_components = 2\nnum_states = 4\n"
           "[grammar]\ndecay = 0.3\n[sda.6way]\nhidden = 8,8\ncorruption = 0.2\n")
 SCRIPT = "label,duration_s,channels\nBCKG,3,*\nPLED,2,0-3\nSPSW,1,1;2\n"
 MONTAGE = "# bipolar\nD0,CH0,CH1\nD1,CH1,\nD2,CH2\n"

@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 
 from seqdet import hmm, parallel
 from seqdet.errors import DataError
-from seqdet.features import FeatureGrid, FrameSpec
+from seqdet.features import FeatureGrid
 from seqdet.hmm import (GmmHmmModel, HmmConfig, decode_pass1,
                         forward_backward, init_model,
                         train, _bank, _chunk, _emissions,
@@ -23,7 +23,7 @@ from seqdet.pipeline import _decode_pass1
 from seqdet.signal_io import Recording
 
 
-def random_model(rng, n=3, comps=2, dim=2, label=EventLabel.BCKG):
+def random_model(rng, n=3, comps=2, dim=2):
     """Random left-to-right model with strictly positive allowed transitions."""
     trans = np.zeros((n, n))
     for i in range(n - 1):
@@ -34,8 +34,7 @@ def random_model(rng, n=3, comps=2, dim=2, label=EventLabel.BCKG):
     w /= w.sum(axis=1, keepdims=True)
     means = rng.normal(0, 2, size=(n, comps, dim))
     variances = rng.uniform(0.5, 2.0, size=(n, comps, dim))
-    return GmmHmmModel(label, trans, w, means, variances,
-                       np.full(dim, 1e-8))
+    return GmmHmmModel(trans, w, means, variances, np.full(dim, 1e-8))
 
 
 def loglikelihood(model, obs_batch):
@@ -190,9 +189,8 @@ class TestEmissionKernel:
         weights = models[1].weights.copy()
         weights[2, 1] = 0.0  # a zero-weight component: log w = -inf
         weights[2] /= weights[2].sum()
-        models[1] = GmmHmmModel(EventLabel.BCKG, models[1].trans, weights,
-                                models[1].means, models[1].variances,
-                                models[1].var_floor)
+        models[1] = GmmHmmModel(models[1].trans, weights, models[1].means,
+                                models[1].variances, models[1].var_floor)
         obs = rng.normal(0, 3, size=(9, 7, 5))                 # (B, T, D)
         comp, logb = _emissions(*_bank(models), obs.transpose(1, 0, 2))  # (M, N, L, T, B)
         for m, model in enumerate(models):
@@ -212,12 +210,19 @@ class TestEmissionKernel:
                   "var_floor": np.ones(4)}
         arrays[field] = np.ones(shape)
         with pytest.raises(DataError, match=field):
-            GmmHmmModel(EventLabel.BCKG, **arrays)
+            GmmHmmModel(**arrays)
 
     @pytest.mark.parametrize("key", ["num_states", "num_components"])
     def test_config_sizes_checked(self, key):
         with pytest.raises(DataError, match=f"{key} = 0"):
             HmmConfig(**{key: 0})
+
+    def test_states_fit_in_an_epoch(self):
+        # a left-to-right path spends at least one of an epoch's 10 frames
+        # in each state
+        assert HmmConfig(num_states=10).num_states == 10
+        with pytest.raises(DataError, match="num_states = 11 must be at most 10"):
+            HmmConfig(num_states=11)
 
 
 class TestChunk:
@@ -365,8 +370,8 @@ def init_model_reference(label, epochs, num_states, num_components, seed):
             means[s, l] = members.mean(axis=0)
             variances[s, l] = np.maximum(members.var(axis=0), var_floor)
         weights[s] /= weights[s].sum()
-    return GmmHmmModel(label, _left_right_trans(num_states), weights, means,
-                       variances, var_floor)
+    return GmmHmmModel(_left_right_trans(num_states), weights, means, variances,
+                       var_floor)
 
 
 def distance_tolerance(x, c, d2):
@@ -559,10 +564,10 @@ class TestScoring:
         rng = np.random.default_rng(seed)
         models = {}
         for lab in EventLabel:
-            m = random_model(rng, comps=1, label=lab)
+            m = random_model(rng, comps=1)
             shifted = m.means + 10.0 * int(lab)
-            models[lab] = GmmHmmModel(lab, m.trans, m.weights, shifted,
-                                      m.variances, m.var_floor)
+            models[lab] = GmmHmmModel(m.trans, m.weights, shifted, m.variances,
+                                      m.var_floor)
         return models
 
     def test_posterior_normalized(self):
@@ -584,7 +589,7 @@ class TestScoring:
         # partial final epochs, and 1057 cells: a full 1024-cell chunk and a
         # partial one
         rng = np.random.default_rng(frames)
-        models = {lab: random_model(rng, comps=2, dim=3, label=lab)
+        models = {lab: random_model(rng, comps=2, dim=3)
                   for lab in EventLabel}
         grid = FeatureGrid(rng.normal(0, 2, size=(channels, frames, 3)), 10)
         assert _chunk(_bank(list(models.values()))[0], 10) == 1024
@@ -600,7 +605,7 @@ class TestScoring:
         # each chunk's component block reduced in place and 512-cell
         # forward batches
         rng = np.random.default_rng(32)
-        models = {lab: random_model(rng, n=3, comps=8, dim=26, label=lab)
+        models = {lab: random_model(rng, n=3, comps=8, dim=26)
                   for lab in EventLabel}
         grid = FeatureGrid(rng.normal(size=(22, 5999, 26)), 10)
         tracemalloc.start()
@@ -639,7 +644,7 @@ class TestScoring:
 def default_shape_models(rng, dim):
     """Six random models with the default 3 states x 8 components: the
     scoring bank's full-_BLOCK chunk is 256 cells."""
-    return {lab: random_model(rng, n=3, comps=8, dim=dim, label=lab)
+    return {lab: random_model(rng, n=3, comps=8, dim=dim)
             for lab in EventLabel}
 
 
@@ -691,7 +696,7 @@ class TestWorkers:
         monkeypatch.setattr(parallel, "_helpers", no_helpers)
         monkeypatch.setattr(parallel, "cpus", lambda: 2)
         rec = Recording.of(WORKER_SAMPLES[:, :7500], WORKER_LABELS, 250.0)
-        assert _decode_pass1(rec, FrameSpec(), WORKER_MODELS).shape == (30, 22, 6)
+        assert _decode_pass1(rec, WORKER_MODELS).shape == (30, 22, 6)
 
     @pytest.mark.skipif(not parallel._openblas(), reason="numpy's OpenBLAS not found")
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
@@ -709,7 +714,7 @@ class TestWorkers:
         get_threads = parallel._openblas()[0]
         before = get_threads()
         with pytest.raises(FloatingPointError) as raised:
-            _decode_pass1(rec, FrameSpec(), WORKER_MODELS)
+            _decode_pass1(rec, WORKER_MODELS)
         assert raised.value is error
         assert get_threads() == before
 
@@ -718,7 +723,7 @@ class TestWorkers:
         # caller gets the serial result, and the BLAS count ends where it began
         rec = Recording.of(WORKER_SAMPLES, WORKER_LABELS, 250.0)
         monkeypatch.setattr(parallel, "cpus", lambda: 1)
-        want = _decode_pass1(rec, FrameSpec(), WORKER_MODELS)
+        want = _decode_pass1(rec, WORKER_MODELS)
         assert not np.isnan(want).any()
         monkeypatch.setattr(parallel, "cpus", lambda: 4)
         blas = parallel._openblas()
@@ -726,7 +731,7 @@ class TestWorkers:
         results = [None] * 6
 
         def caller(i):
-            results[i] = _decode_pass1(rec, FrameSpec(), WORKER_MODELS)
+            results[i] = _decode_pass1(rec, WORKER_MODELS)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

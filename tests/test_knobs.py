@@ -8,7 +8,6 @@ entry for a field that is gone, fails test_every_key_is_listed.
 
 Each stage runs alone, on fixed input, from a base config chosen so that
 every key can matter:
-- frontend keys: extract_features on a 30 s clip;
 - hmm keys: hmm.train, where EM stops on the tolerance (ARTF at iteration 7)
   below max_iterations (8);
 - SdA keys, both PCA dims, augment_cap and [pipeline] seed: one second-pass
@@ -50,13 +49,6 @@ BASE = PipelineConfig(
     grammar=GrammarParams(iterations=3), augment_cap=60)
 
 PERTURBED = {
-    ("frontend", "frame_s"): 0.2,
-    ("frontend", "window_s"): 0.3,
-    ("frontend", "fft_size"): 128,
-    ("frontend", "num_filters"): 20,
-    ("frontend", "diff_energy_window_frames"): 7,
-    ("frontend", "delta_width_first"): 5,
-    ("frontend", "delta_width_second"): 5,
     ("hmm", "num_states"): 2,
     ("hmm", "num_components"): 3,
     ("hmm", "max_iterations"): 4,
@@ -123,10 +115,6 @@ def _leaves(obj, tp) -> dict:
     return {**meta, **arrays}
 
 
-def features_stage(cfg, data):
-    return {"vectors": extract_features(data["rows"], cfg.frame).vectors}
-
-
 def hmm_stage(cfg, data):
     return _leaves(hmm.train(data["corpus"], cfg.hmm),
                    dict[EventLabel, GmmHmmModel])
@@ -149,8 +137,6 @@ def train_stage(cfg, data):
 
 
 def stage_of(section: str, key: str):
-    if section == "frontend":
-        return features_stage
     if section == "hmm":
         return hmm_stage
     if section == "grammar":
@@ -176,7 +162,7 @@ def changed(a: dict, b: dict) -> bool:
 @pytest.fixture(scope="module")
 def data(tmp_path_factory):
     rec, ann = synth.generate(synth.balanced_script(5, 1, seed=2), seed=4)
-    grid = extract_features(rec.rows(0, 22), BASE.frame)
+    grid = extract_features(rec.rows(0, 22))
     prefix = str(tmp_path_factory.mktemp("knobs") / "clip")
     signal_io.write_recording(rec, prefix + ".rm")
     signal_io.write_annotations(ann, prefix + ".csv")
@@ -186,7 +172,7 @@ def data(tmp_path_factory):
     runs = [np.full(rng.integers(2, 8), rng.choice(
         6, p=[0.1, 0.05, 0.05, 0.15, 0.1, 0.55])) for _ in range(60)]
     refs = np.concatenate(runs)[:120]
-    return {"rows": rec.rows(0, 22), "corpus": pipeline._pass1_corpus([grid], [ann]),
+    return {"corpus": pipeline._pass1_corpus([grid], [ann]),
             "pass1": rng.dirichlet(np.ones(6), size=(120, 22)), "refs": refs,
             "posteriors": rng.dirichlet(np.ones(6), size=200),
             "table": grammar.TABLE1_BIGRAM,

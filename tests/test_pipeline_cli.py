@@ -21,7 +21,7 @@ from seqdet import (cli, evaluation, grammar, hmm, parallel, pipeline, sda,
                     signal_io, synth)
 from seqdet.bundle import MAGIC, VERSION, Bundle, _flatten, _unpack_payload
 from seqdet.errors import DataError
-from seqdet.features import FrameSpec, extract_features
+from seqdet.features import extract_features
 from seqdet.grammar import GrammarParams
 from seqdet.hmm import HmmConfig
 from seqdet.labels import LABEL_NAMES, TARGET_CLASSES, EventLabel
@@ -51,11 +51,9 @@ FAST_CONFIG = PipelineConfig(
     bigram_source="estimate", seed=7)
 
 
-# A training config whose frontend and grammar differ from the defaults.
+# A training config whose grammar differs from the defaults.
 CUSTOM_CONFIG = replace(
-    FAST_CONFIG,
-    frame=FrameSpec(diff_energy_window_frames=7, delta_width_first=5),
-    grammar=GrammarParams(decay=0.5, iterations=3, window=6))
+    FAST_CONFIG, grammar=GrammarParams(decay=0.5, iterations=3, window=6))
 
 _pos_ints = st.integers(1, 10_000)
 _weights = st.floats(0.0, 100.0)
@@ -71,18 +69,10 @@ def _sda_configs(outputs):
         finetune_epochs=_pos_ints, finetune_batch=_pos_ints)
 
 
-# Every valid config: the ranges stop where PipelineConfig's own checks do
-# (a FrameSpec must give 26-dimensional vectors, 7 cepstra from at least 8
-# filters, and a frame step that divides the 250-sample epoch into at least
-# num_states frames).
+# Every valid config: the ranges stop where the configs' own checks do (at
+# most one HMM state per frame of an epoch).
 _configs = st.builds(
     PipelineConfig,
-    frame=st.builds(
-        FrameSpec, frame_s=st.sampled_from([0.004, 0.02, 0.04, 0.1]),
-        window_s=st.floats(0.1, 1.0), fft_size=_pos_ints,
-        num_filters=st.integers(8, 10_000),
-        diff_energy_window_frames=_pos_ints.map(lambda n: 2 * n + 1),
-        delta_width_first=_pos_ints, delta_width_second=_pos_ints),
     hmm=st.builds(HmmConfig, num_states=st.integers(1, 10),
                   num_components=_pos_ints,
                   max_iterations=_pos_ints, tol_per_frame=_weights,
@@ -229,7 +219,6 @@ class TestConfig:
         path.write_text(
             "[pipeline]\nseed = 11\npca_sixway_dim = 12\npca_detector_dim = 9\n"
             "augment_cap = 50\nmontage_path =\n"
-            "[frontend]\ndelta_width_first = 5\n"
             "[hmm]\nseed = 4\nnum_components = 4\n"
             "[grammar]\ndecay = 0.3\n"
             "[sda.spsw]\nfinetune_epochs = 12\n"
@@ -239,7 +228,6 @@ class TestConfig:
         assert load_config(str(path)) == replace(
             default, seed=11, pca_sixway_dim=12, pca_detector_dim=9,
             augment_cap=50, montage_path=None,
-            frame=replace(default.frame, delta_width_first=5),
             hmm=replace(default.hmm, seed=4, num_components=4),
             grammar=replace(default.grammar, decay=0.3),
             sda_spsw=replace(default.sda_spsw, finetune_epochs=12),
@@ -317,8 +305,7 @@ class TestConfig:
         for _ in range(20):
             decode_recording(bundle, corpus["eval"][0], stop_after=1)
         assert len(calls) == len(set(calls))
-        assert set(calls) == {PipelineConfig, FrameSpec, HmmConfig, SdaConfig,
-                              GrammarParams}
+        assert set(calls) == {PipelineConfig, HmmConfig, SdaConfig, GrammarParams}
 
     def test_cached_parse_equals_uncached(self):
         cfg = replace(FAST_CONFIG, seed=3, montage_path="m.txt")
@@ -326,7 +313,7 @@ class TestConfig:
             pipeline._field_types.cache_clear()
             cold = PipelineConfig.from_dict(data)
             assert PipelineConfig.from_dict(data) == cold == cfg
-        for cls in (PipelineConfig, FrameSpec, HmmConfig, SdaConfig, GrammarParams):
+        for cls in (PipelineConfig, HmmConfig, SdaConfig, GrammarParams):
             assert dict(pipeline._field_types(cls)) == typing.get_type_hints(cls)
 
     @pytest.mark.parametrize("data, section, key", [
@@ -334,7 +321,6 @@ class TestConfig:
         ({"hmm": {"tol_per_frame": "small"}}, "hmm", "tol_per_frame"),
         ({"sda_sixway": {"hidden": "64,x"}}, "sda.6way", "hidden"),
         ({"grammar": {"iterations": "2.5"}}, "grammar", "iterations"),
-        ({"frame": {"fft_size": [64]}}, "frontend", "fft_size"),
     ])
     def test_bad_value_with_warm_cache_names_section_and_key(self, data,
                                                              section, key):
@@ -631,22 +617,14 @@ class TestDecoding:
         assert h1.events == h2.events
 
     def test_decode_uses_bundle_config(self, corpus):
-        # decode reads the frontend and grammar settings from the bundle
+        # decode reads the grammar settings from the bundle
         bundle = train_pipeline(CUSTOM_CONFIG, [corpus["train"]])
-        rec_path = corpus["eval"][0]
-        _, dumps = decode_recording(bundle, rec_path)
-        rec = pipeline.load_recording(rec_path, None).rows(0, 22)
-
-        def pass1(frame):
-            return hmm.decode_pass1(extract_features(rec, frame),
-                                    bundle.hmm_models)
+        _, dumps = decode_recording(bundle, corpus["eval"][0])
 
         def pass3(params):
             return grammar.decode_pass3(dumps["pass2"], bundle.bigram,
                                         params)[1]
 
-        np.testing.assert_array_equal(dumps["pass1"], pass1(CUSTOM_CONFIG.frame))
-        assert not np.array_equal(dumps["pass1"], pass1(FrameSpec()))
         np.testing.assert_array_equal(dumps["pass3"],
                                       pass3(CUSTOM_CONFIG.grammar))
         assert not np.array_equal(dumps["pass3"], pass3(GrammarParams()))
@@ -825,8 +803,6 @@ class TestCli:
         ("sda.6way", "outputs", "3"),
         ("sda.eyem", "window_length", "0"),
         ("sda.6way", "pretrain_batch", "0"),
-        ("frontend", "frame_s", "0.05"),
-        ("frontend", "num_filters", "4"),
     ])
     def test_config_out_of_range_exit_code(self, corpus, tmp_path, capsys,
                                            monkeypatch, section, key, value):
@@ -847,31 +823,32 @@ class TestCli:
         ("grammar", "m_weight")])
     def test_removed_key_exit_code(self, corpus, tmp_path, capsys, section,
                                    key):
-        # the cepstra count has one valid value, the frames per epoch follow
-        # from frame_s, and m_weight acted only through epsilon_prior
+        # the whole [frontend] section is gone, and m_weight acted only
+        # through epsilon_prior
         cfg_path = tmp_path / "c.ini"
         cfg_path.write_text(f"[{section}]\n{key} = 7\n")
         code = cli.main(["train", corpus["train"][0], "--config",
                          str(cfg_path), "--out", str(tmp_path / "m.seqd")])
         assert code == 2
-        assert f"unknown config key [{section}] {key}" in \
-            one_line_data_error(capsys)
+        want = ("unknown config section [frontend]" if section == "frontend"
+                else f"unknown config key [{section}] {key}")
+        assert one_line_data_error(capsys) == f"data error: {want}\n"
 
-    def test_frame_step_sets_the_epoch_grid(self, corpus, tmp_path):
-        # 0.2 s frames give 5 frames an epoch, and the 60 s recording still
-        # decodes to 60 one-second epochs
+    @pytest.mark.parametrize("key", ["pca_sixway_dim", "pca_detector_dim"])
+    def test_pca_dim_past_the_data_exit_code(self, corpus, tmp_path, key):
+        # 132 components need 132 epochs and the corpus has 60, whose
+        # supervectors cannot fill the other PCA's rank either. The larger
+        # fit fails first, so the other one logs no warning: stderr is the
+        # one data error line (in a fresh process, where no test harness
+        # takes the log records)
         cfg_path = tmp_path / "c.ini"
-        cfg_path.write_text("[frontend]\nframe_s = 0.2\n" + TINY_INI)
-        out = str(tmp_path / "m.seqd")
-        rec_path = corpus["train"][0]
-        assert cli.main(["train", rec_path, "--config", str(cfg_path),
-                         "--out", out]) == 0
-        bundle = Bundle.load(out)
-        frame = PipelineConfig.from_dict(bundle.manifest["config"]).frame
-        grid = extract_features(read_whole(rec_path)[1], frame)
-        assert (grid.frames_per_epoch, grid.num_epochs) == (5, 60)
-        hyp, _ = decode_recording(bundle, rec_path)
-        assert max(ev.stop_s for ev in hyp.events) == 60.0
+        cfg_path.write_text(f"[pipeline]\n{key} = 132\n" + TINY_INI)
+        out = subprocess.run(
+            [sys.executable, "-m", "seqdet.cli", "train", corpus["train"][0],
+             "--config", str(cfg_path), "--out", str(tmp_path / "m.seqd")],
+            env=_fresh_env(1), capture_output=True, text=True, timeout=300)
+        assert out.returncode == 2
+        assert out.stderr == "data error: need >= 132 samples, got 60\n"
 
     @pytest.mark.parametrize("target", ["bundle", "recording", "det --out",
                                         "--out-dir"])
@@ -1095,6 +1072,19 @@ class TestCli:
             one_line_data_error(capsys)
         assert not out.exists() or not any(out.iterdir())
 
+    def test_v4_bundle_exit_code(self, trained, corpus, tmp_path, capsys):
+        # a version-4 bundle stores a label beside each HMM and a config
+        # with a frame spec: refused as it loads
+        _, bundle_path = trained
+        data = Path(bundle_path).read_bytes()
+        path = str(tmp_path / "v4.seqd")
+        Path(path).write_bytes(data[:4] + (4).to_bytes(4, "little") + data[8:])
+        code = cli.main(["decode", path, corpus["eval"][0],
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"container version 4, expected {VERSION}" in \
+            one_line_data_error(capsys)
+
     def test_v3_bundle_exit_code(self, trained, corpus, tmp_path, capsys):
         # a version-3 bundle stores every array as f8, with no dtype byte in
         # its array headers: refused as it loads
@@ -1272,16 +1262,13 @@ class TestCli:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity to bound the child's threads")
     @pytest.mark.parametrize("ini", [
-        TINY_INI + "[frontend]\nfft_size = 1000000000\n",
         TINY_INI.replace("[sda.6way]\nhidden = 8,8", "[sda.6way]\nhidden = 100000000"),
-    ], ids=["fft_size", "hidden"])
+    ], ids=["hidden"])
     def test_unallocatable_config_exit_code(self, corpus, tmp_path, ini):
-        # a 1e9-point FFT's DFT basis (186 GiB) and a 1e8-unit 6-way layer
-        # (44.7 GiB at TINY_INI's 60 inputs) cannot be allocated. The CLI
-        # runs in a child process on one CPU whose address space is capped
-        # at 2 GiB, so allocation fails the same way on any machine and
-        # nothing past the cap is written (the FFT's 3.7 GiB bin index is
-        # the first to fail)
+        # a 1e8-unit 6-way layer (44.7 GiB at TINY_INI's 60 inputs) cannot
+        # be allocated. The CLI runs in a child process on one CPU whose
+        # address space is capped at 2 GiB, so allocation fails the same way
+        # on any machine and nothing past the cap is written
         cfg_path = tmp_path / "c.ini"
         cfg_path.write_text(ini)
         out = subprocess.run(

@@ -60,6 +60,7 @@ SDA_PASS2 = f"{TEST_SDA}::TestDecodePass2"
 SDA_MEMORY = f"{SDA_PASS2}::test_holds_one_block_of_each_sda"
 BLAS_THREADS = f"{TEST_CLI}::TestBlasThreads"
 LABELS = "tests/test_eval.py::TestReferenceLabels"
+REFERENCE = "tests/test_features.py::TestAgainstReference"
 
 FAULTS = [
     Fault("fused DAE step without its decoder term", SDA,
@@ -158,10 +159,26 @@ FAULTS = [
           "    extra = np.stack(extra)\n",
           (f"{TEST_SDA}::TestTraining::test_augment_binary",
            f"{TEST_SDA}::TestTraining::test_augment_binary_matches_reference")),
-    Fault("second delta width fixed at 3", FEATURES,
-          "deltas(block[:, 9:17], spec.delta_width_second,",
-          "deltas(block[:, 9:17], 3,",
-          (f"{KNOB}[frontend-delta_width_second]",)),
+    Fault("second delta pass at the first width", FEATURES,
+          "deltas(block[:, 9:17], DELTA_SECOND,",
+          "deltas(block[:, 9:17], DELTA_FIRST,",
+          (f"{REFERENCE}::test_random_signals",
+           "tests/test_features.py::TestVectorLayout::test_block_structure")),
+    Fault("second delta width set to 5", FEATURES,
+          "DELTA_SECOND = 3\n",
+          "DELTA_SECOND = 5\n",
+          (f"{REFERENCE}::test_random_signals",
+           f"{REFERENCE}::test_criterion8_recording")),
+    Fault("HMM states not bounded by the frames of an epoch", HMM,
+          "        if self.num_states > FRAMES_PER_EPOCH:",
+          "        if False:",
+          ("tests/test_hmm.py::TestEmissionKernel::test_states_fit_in_an_epoch",
+           f"{TEST_CLI}::TestCli::test_config_out_of_range_exit_code[hmm-num_states-500]")),
+    Fault("the two PCA fits in the old order", PIPELINE,
+          '    keys = sorted(("pca_detector_dim", "pca_sixway_dim"),\n'
+          "                  key=lambda key: -getattr(config, key))\n",
+          '    keys = ("pca_detector_dim", "pca_sixway_dim")\n',
+          (f"{TEST_CLI}::TestCli::test_pca_dim_past_the_data_exit_code",)),
     Fault("grammar iteration cap ignored", GRAMMAR,
           "    for it in range(1, params.iterations + 1):\n",
           "    for it in range(1, 21):\n",
@@ -195,16 +212,6 @@ FAULTS = [
           "    rec = replace(rec, read=lambda index: whole[index])\n"
           "    group = _group(channels, frames)\n",
           (f"{DECODE}::test_decode_holds_one_block_of_the_recording",)),
-    Fault("frames per epoch fixed at 10", FEATURES,
-          "        per_epoch, rest = divmod(int(RATE_HZ), self.step_samples)\n",
-          "        per_epoch, rest = 10, 0\n",
-          (f"{TEST_CLI}::TestCli::test_frame_step_sets_the_epoch_grid",)),
-    Fault("frames per epoch floored for a step that does not divide the epoch",
-          FEATURES,
-          "        per_epoch, rest = divmod(int(RATE_HZ), self.step_samples)\n",
-          "        per_epoch, rest = int(RATE_HZ) // self.step_samples, 0\n",
-          ("tests/test_features.py::TestFrameSpec::"
-           "test_step_that_does_not_divide_the_epoch_rejected",)),
     Fault("in-memory recording not checked for non-finite samples", SIGNAL_IO,
           "            if not np.isfinite(row).all():\n",
           "            if False:\n",
