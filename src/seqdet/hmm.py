@@ -6,6 +6,8 @@ densities are diagonal-covariance Gaussian mixtures attached to states. All
 probability computations run in log space, batched over epochs. Emissions come
 from one GEMM kernel over a bank of stacked models (all six when scoring, one in
 Baum-Welch): const - x^2 (1/(2 sigma^2))^T + x (mu/sigma^2)^T, as in HTK and Kaldi.
+Each runs over chunks of cells whose emission block fits its own budget:
+`_BLOCK` (2 MB) for scoring, `_TRAIN_BLOCK` (4 MB) for Baum-Welch.
 
 Scoring runs its chunks of cells one after another with numpy's OpenBLAS
 held at one thread (`parallel`); a decode splits a recording's channel
@@ -33,8 +35,12 @@ LOG_ZERO = -np.inf
 # far under half an ulp of a sum that holds the maximum's exact 1, and numpy's
 # exp takes a slow path on inputs below about -708 and on -inf.
 _EXP_FLOOR = -700.0
-# Emission-block budget in doubles (4 MB): it sets the cells per chunk.
-_BLOCK = 1 << 19
+# Emission-block budgets in doubles; each sets the cells per chunk. Scoring
+# takes 2 MB: 128 cells of the six-model bank at the default shapes. Baum-Welch
+# adds its sums one chunk at a time, so its chunk boundaries are part of every
+# trained model's bits: it keeps 4 MB, 2 048 epochs of one model.
+_BLOCK = 1 << 18
+_TRAIN_BLOCK = 1 << 19
 # Cells per forward batch in scoring, rounded down to whole chunks (at least
 # one): the recursion's per-step numpy calls are shared by this many cells.
 _FORWARD = 512
@@ -112,7 +118,7 @@ def _bank(models: list[GmmHmmModel]):
     return np.concatenate([-0.5 / var, wmean], axis=-1), const
 
 
-def _chunk(w: np.ndarray, frames: int, block: int = _BLOCK) -> int:
+def _chunk(w: np.ndarray, frames: int, block: int) -> int:
     """Cells per chunk for a bank w (..., 2D): the largest power of two whose
     emission block (Gaussians x frames x cells) fits in `block` doubles.
     Power-of-two chunks keep every GEMM column at the same kernel position."""
@@ -367,7 +373,7 @@ def _reestimate_one(model: GmmHmmModel, epochs: np.ndarray):
     moments = np.zeros((n * comps, 1 + 2 * dim))  # sums of r | r x^2 | r x
     total_ll = 0.0
 
-    step = _chunk(bank[0], epochs.shape[1])
+    step = _chunk(bank[0], epochs.shape[1], _TRAIN_BLOCK)
     for lo in range(0, epochs.shape[0], step):
         chunk = np.ascontiguousarray(epochs[lo:lo + step].transpose(1, 0, 2))
         comp_ll, logb = [a[0] for a in _emissions(*bank, chunk)]

@@ -228,17 +228,37 @@ class TestEmissionKernel:
 class TestChunk:
     def test_default_shapes(self):
         # 3 states x 8 components, 10 frames a cell: one model trains in
-        # 2048-cell chunks, the six-model scoring bank scores 256 at a time
+        # 2048-cell chunks of its 4 MB budget, the six-model scoring bank
+        # scores 128 at a time in its 2 MB
         w = np.zeros((3, 8, 2))
-        assert _chunk(w[None], 10) == 2048
-        assert _chunk(np.stack([w] * 6), 10) == 256
+        assert _chunk(w[None], 10, hmm._TRAIN_BLOCK) == 2048
+        assert _chunk(np.stack([w] * 6), 10, hmm._BLOCK) == 128
 
     def test_power_of_two_within_block(self):
-        for gaussians, frames in itertools.product((1, 5, 24, 144, 10 ** 6), (1, 7, 10)):
-            step = _chunk(np.zeros((gaussians, 4)), frames)
+        for gaussians, frames, block in itertools.product(
+                (1, 5, 24, 144, 10 ** 6), (1, 7, 10), (hmm._BLOCK, hmm._TRAIN_BLOCK)):
+            step = _chunk(np.zeros((gaussians, 4)), frames, block)
             assert step & (step - 1) == 0
-            assert step == 1 or step * gaussians * frames <= 1 << 19
-            assert 2 * step * gaussians * frames > 1 << 19
+            assert step == 1 or step * gaussians * frames <= block
+            assert 2 * step * gaussians * frames > block
+
+    def test_training_does_not_read_the_scoring_budget(self, monkeypatch):
+        # Baum-Welch adds its sums one chunk at a time, so its chunks are
+        # part of a trained model's bits. A 2^16-double scoring budget would
+        # cut BCKG's 300 epochs into chunks of 256 and 44.
+        rng = np.random.default_rng(41)
+        corpus = {lab: rng.normal(int(lab), 1.0, size=(300 if lab == EventLabel.BCKG
+                                                      else 30, 10, 3))
+                  for lab in EventLabel}
+        config = HmmConfig(max_iterations=2)
+        want = train(corpus, config)
+        assert _chunk(_bank([want[EventLabel.BCKG]])[0], 10, 1 << 16) == 256
+        monkeypatch.setattr(hmm, "_BLOCK", 1 << 16)
+        got = train(corpus, config)
+        for lab in EventLabel:
+            for name in ("trans", "weights", "means", "variances", "var_floor"):
+                np.testing.assert_array_equal(getattr(got[lab], name),
+                                              getattr(want[lab], name))
 
 
 def logsumexp_masked_reference(a, axis=-1):
@@ -586,13 +606,13 @@ class TestScoring:
 
     @pytest.mark.parametrize("channels, frames", [(7, 1503), (3, 25), (2, 7)])
     def test_decode_pass1_equals_forward_backward_on_cells(self, channels, frames):
-        # partial final epochs, and 1057 cells: a full 1024-cell chunk and a
-        # partial one
+        # partial final epochs, and 1057 cells: two full 512-cell chunks and
+        # a partial one
         rng = np.random.default_rng(frames)
         models = {lab: random_model(rng, comps=2, dim=3)
                   for lab in EventLabel}
         grid = FeatureGrid(rng.normal(0, 2, size=(channels, frames, 3)), 10)
-        assert _chunk(_bank(list(models.values()))[0], 10) == 1024
+        assert _chunk(_bank(list(models.values()))[0], 10, hmm._BLOCK) == 512
         np.testing.assert_allclose(
             decode_pass1(grid, models),
             posteriors_reference(models, cells_reference(grid)),
@@ -600,7 +620,7 @@ class TestScoring:
 
     def test_decode_pass1_allocates_under_half_the_features(self):
         # a 10 min, 22-channel grid with the default model shapes: 13 200
-        # cells scored in 256-cell chunks gathered from the feature array
+        # cells scored in 128-cell chunks gathered from the feature array
         # through each chunk's own frame rows, with no copy of all cells,
         # each chunk's component block reduced in place and 512-cell
         # forward batches
@@ -616,6 +636,23 @@ class TestScoring:
             tracemalloc.stop()
         assert post.shape == (600, 22, 6)
         assert peak < grid.vectors.nbytes / 3
+
+    def test_decode_pass1_of_a_clip_allocates_under_4_mib(self):
+        # a 30 s, 22-channel grid with the default model shapes: 660 cells
+        # in 128-cell chunks of the 2 MB scoring budget peak at 3.4 MiB, the
+        # gather and GEMM buffers and a 512-cell forward batch included;
+        # a 4 MB budget (256-cell chunks) peaks at 5.7 MiB
+        rng = np.random.default_rng(42)
+        models = default_shape_models(rng, 26)
+        grid = FeatureGrid(rng.normal(size=(22, 299, 26)), 10)
+        tracemalloc.start()
+        try:
+            post = decode_pass1(grid, models)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert post.shape == (30, 22, 6)
+        assert peak < 4 << 20
 
     @pytest.mark.parametrize("frames", [299, 310])
     def test_decode_pass1_equal_in_channel_blocks(self, frames):
@@ -643,7 +680,7 @@ class TestScoring:
 
 def default_shape_models(rng, dim):
     """Six random models with the default 3 states x 8 components: the
-    scoring bank's full-_BLOCK chunk is 256 cells."""
+    scoring bank's full-_BLOCK chunk is 128 cells."""
     return {lab: random_model(rng, n=3, comps=8, dim=dim)
             for lab in EventLabel}
 

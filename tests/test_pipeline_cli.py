@@ -979,7 +979,7 @@ class TestCli:
 
     def test_bundle_equal_on_one_and_two_cpus(self, corpus, tmp_path,
                                               monkeypatch):
-        # 8 components (the default) give 256-cell pass-1 chunks: 6 of them
+        # 8 components (the default) give 128-cell pass-1 chunks: 11 of them
         # over the corpus's 1 320 cells. Training runs the frontend and
         # pass 1 on whole recordings in the caller, whatever the CPU count
         def no_helpers():

@@ -130,6 +130,14 @@ FAULTS = [
           "_forward_last(log_a, logb[..., :b1 - b0])",
           "_forward_last(log_a, logb[..., width - (b1 - b0):])",
           (CHUNKING,)),
+    Fault("scoring budget back at 4 MB", HMM,
+          "_BLOCK = 1 << 18\n",
+          "_BLOCK = 1 << 19\n",
+          ("tests/test_hmm.py::TestScoring::test_decode_pass1_of_a_clip_allocates_under_4_mib",)),
+    Fault("Baum-Welch chunked by the scoring budget", HMM,
+          "_chunk(bank[0], epochs.shape[1], _TRAIN_BLOCK)",
+          "_chunk(bank[0], epochs.shape[1], _BLOCK)",
+          ("tests/test_hmm.py::TestChunk::test_training_does_not_read_the_scoring_budget",)),
     Fault("decode split at one group per CPU", PARALLEL,
           "count >= 2 * cpus()",
           "count >= cpus()",
